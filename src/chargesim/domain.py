@@ -11,6 +11,7 @@ from enum import Enum
 from typing import Optional
 
 from .latency import LinkKind
+from .sim import ordered_sum
 
 DEFAULT_VOLTAGE = 208.0   # single-phase service typical of parking structures
 DEFAULT_OUTLETS = 4
@@ -176,7 +177,7 @@ class ChargingStation:
 
 def allocated_current_total(station: ChargingStation) -> float:
     """Sum of allocations across outlets whose relay is live."""
-    return sum(ch.allocated_amps for ch in station.meters if ch.relay is RelayState.ON)
+    return ordered_sum(ch.allocated_amps for ch in station.meters if ch.relay is RelayState.ON)
 
 
 def _check_circuit(station: ChargingStation, outlet: int, amps: float) -> None:

@@ -32,7 +32,7 @@ from .domain import (
     unplug_ev,
 )
 from .latency import LinkKind, histogram_of, worst_case_budget
-from .sim import Engine, EventTrace, ParsedTrace, read_trace, substream
+from .sim import Engine, EventTrace, ParsedTrace, ordered_sum, read_trace, substream
 
 RTT_LINKS = (LinkKind.ETHERNET, LinkKind.WIFI, LinkKind.THREE_G)
 MODE_BINS = 45
@@ -108,7 +108,7 @@ def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
             "probes": len(rows),
             "seg_min": min(segs) if segs else None,
             "seg_max": max(segs) if segs else None,
-            "rtt_mean": sum(rtts) / len(rtts) if rtts else None,
+            "rtt_mean": ordered_sum(rtts) / len(rtts) if rtts else None,
             "modes": seg_hist.mode_count(),
         }
 
@@ -252,7 +252,7 @@ def _trace_compare(cfg: ExperimentConfig) -> EventTrace:
         rp = proto.pic_pull(endpoint, links, substream(cfg.seed, label),
                             at=now, timeout_s=cfg.timeout_s)
         rng_push = substream(cfg.seed, label)
-        cycle = sum(
+        cycle = ordered_sum(
             links.local_bus.sample(rng_push, now) + links.metering.sample(rng_push, now)
             for _ in range(len(st_pic.meters))
         ) + 0.5 * links.threeg.sample(rng_push, now)
@@ -303,7 +303,7 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
     )
 
     def mean(key):
-        return sum(t["state"][key] for t in trials) / len(trials) if trials else None
+        return ordered_sum(t["state"][key] for t in trials) / len(trials) if trials else None
 
     m4, m8, mp, mc = mean("legacy4"), mean("legacy8"), mean("pic"), mean("push_cycle")
     speedup_power = (m4 / mp) if (m4 is not None and mp) else None
@@ -436,7 +436,7 @@ def cmd_duty_cycle(cfg: ExperimentConfig) -> ExperimentOutput:
     )
     confirmed = all(p["outcome"] == "confirmed" for p in points)
     adaptive_ok = all(p["adaptive_wait"] <= p["fixed_wait"] + 1e-12 for p in points)
-    mean_adaptive = sum(p["adaptive_wait"] for p in points) / len(points) if points else None
+    mean_adaptive = ordered_sum(p["adaptive_wait"] for p in points) / len(points) if points else None
     fixed = points[0]["fixed_wait"] if points else None
     out.summary = {
         "points": len(points),

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .sim import ordered_sum
+
 MIN_LATENCY_S = 1e-9
 HOURS_PER_WEEK = 168
 _WEIGHT_TOL = 1e-9
@@ -26,8 +28,12 @@ class LinkKind(Enum):
 
 def _near_gauss(rng) -> float:
     # Sum of 12 uniforms, centered: mean 0, variance 1, support (-6, 6).
-    # Pure arithmetic keeps draws bit-identical across libm implementations.
-    return sum(rng.random() for _ in range(12)) - 6.0
+    # Pure arithmetic keeps draws bit-identical across libm implementations,
+    # and the explicit left-to-right adds keep them identical across Python
+    # versions (``sum()`` of floats is compensated from 3.12 on).
+    r = rng.random
+    return (r() + r() + r() + r() + r() + r()
+            + r() + r() + r() + r() + r() + r()) - 6.0
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,7 @@ class DiurnalProfile:
     """
 
     scale: tuple = tuple([1.0] * HOURS_PER_WEEK)
+    is_flat: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.scale) != HOURS_PER_WEEK:
@@ -46,6 +53,7 @@ class DiurnalProfile:
         for i, s in enumerate(self.scale):
             if not 0.0 < s <= 1.0:
                 raise ValueError(f"diurnal multiplier [{i}] = {s!r} outside (0, 1]")
+        object.__setattr__(self, "is_flat", all(s == 1.0 for s in self.scale))
 
     def multiplier(self, at: float) -> float:
         return self.scale[int(at // 3600.0) % HOURS_PER_WEEK]
@@ -107,15 +115,21 @@ class LatencyModel:
             if u <= acc:
                 comp = c
                 break
-        loc = comp.location * self.diurnal.multiplier(at)
+        diurnal = self.diurnal
+        # x * 1.0 == x exactly, so a flat profile needs no multiply
+        loc = comp.location if diurnal.is_flat else comp.location * diurnal.multiplier(at)
         value = loc if comp.spread == 0.0 else loc + comp.spread * _near_gauss(rng)
-        return min(self.hard_max, max(MIN_LATENCY_S, value))
+        if value < MIN_LATENCY_S:
+            value = MIN_LATENCY_S
+        if value > self.hard_max:
+            value = self.hard_max
+        return value
 
     def analytic_mean(self, at: float = 0.0) -> float:
         """Closed-form mixture mean (ignores the clamp, which is negligible
         when spreads are small relative to the distance to the bounds)."""
         mult = self.diurnal.multiplier(at)
-        return sum(c.weight * c.location * mult for c in self.components)
+        return ordered_sum(c.weight * c.location * mult for c in self.components)
 
     def to_dict(self) -> dict:
         d = {
@@ -125,7 +139,7 @@ class LatencyModel:
             ],
             "hard_max": self.hard_max,
         }
-        if any(s != 1.0 for s in self.diurnal.scale):
+        if not self.diurnal.is_flat:
             d["diurnal"] = list(self.diurnal.scale)
         return d
 

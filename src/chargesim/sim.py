@@ -28,9 +28,22 @@ class TraceParseError(ValueError):
         self.line = line
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
 def canonical_json(obj: Any) -> str:
     """Stable one-line JSON used for trace records and digests."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _encode(obj)
+
+
+def ordered_sum(values):
+    """Left-to-right sum from the integer 0, as ``sum()`` computed it before
+    Python 3.12 made float sums compensated. Totals that reach a trace or a
+    summary use it, so they stay bit-identical across interpreter versions."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def config_digest(config: dict) -> str:
@@ -88,19 +101,30 @@ class EventTrace:
         head.update(self.meta)
         return head
 
-    def lines(self) -> list[str]:
-        return [canonical_json(self.header())] + [canonical_json(r) for r in self.records]
+    def _chunks(self):
+        """The digested bytes in pieces, each record encoded once: the header
+        line, then ``"\\n" + line`` per record. Joined, they are the header
+        and record lines separated by one newline, with none at the end."""
+        yield canonical_json(self.header()).encode("utf-8")
+        for record in self.records:
+            yield ("\n" + canonical_json(record)).encode("utf-8")
 
     def digest(self) -> str:
-        return hashlib.sha256("\n".join(self.lines()).encode("utf-8")).hexdigest()
+        h = hashlib.sha256()
+        for chunk in self._chunks():
+            h.update(chunk)
+        return h.hexdigest()
 
     def write(self, path) -> str:
-        """Write header, one record per line, and a digest footer. Returns the digest."""
-        digest = self.digest()
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
-            fh.write(canonical_json({"trace_digest": digest}) + "\n")
+        """Write header, one record per line, and a digest footer. Returns the
+        digest, hashed from the same bytes as they are written."""
+        h = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for chunk in self._chunks():
+                h.update(chunk)
+                fh.write(chunk)
+            digest = h.hexdigest()
+            fh.write(("\n" + canonical_json({"trace_digest": digest}) + "\n").encode("utf-8"))
         return digest
 
 

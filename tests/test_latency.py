@@ -1,8 +1,11 @@
 """Latency model tests: mixtures, bounds, diurnal scaling, histograms."""
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from chargesim.latency import (
+    MIN_LATENCY_S,
     DiurnalProfile,
     LatencyModel,
     LinkKind,
@@ -17,6 +20,7 @@ from chargesim.latency import (
     sample_latency,
     threeg_default,
     worst_case_budget,
+    _near_gauss,
 )
 from chargesim.sim import substream
 
@@ -27,6 +31,56 @@ def fixed_model(location, kind=LinkKind.ETHERNET, hard_max=None):
         components=(MixtureComponent(1.0, location, 0.0),),
         hard_max=hard_max if hard_max is not None else max(location * 2, 1e-6),
     )
+
+
+def reference_sample(model, rng, at=0.0):
+    """The sampler written plainly: component pick, diurnal multiply on every
+    draw, a 12-uniform loop summed left to right, then min/max clamping."""
+    u = rng.random()
+    acc = 0.0
+    comp = model.components[-1]
+    for c in model.components:
+        acc += c.weight
+        if u <= acc:
+            comp = c
+            break
+    loc = comp.location * model.diurnal.multiplier(at)
+    if comp.spread == 0.0:
+        value = loc
+    else:
+        total = 0.0
+        for _ in range(12):
+            total += rng.random()
+        value = loc + comp.spread * (total - 6.0)
+    return min(model.hard_max, max(MIN_LATENCY_S, value))
+
+
+class TestKernel:
+    def test_near_gauss_pinned_values(self):
+        # recorded on Python 3.11; any interpreter must reproduce these bits
+        rng = random.Random(0)
+        assert [repr(_near_gauss(rng)) for _ in range(8)] == [
+            "0.757963494141995", "2.134233842499661", "0.46810099915626946",
+            "0.1720141721470796", "0.21290752281033498", "0.17767011558112067",
+            "1.9891549902996202", "2.680339772350914",
+        ]
+
+    @pytest.mark.parametrize("model", [
+        threeg_default(),
+        ethernet_default(),
+        LatencyModel(kind=LinkKind.THREE_G, components=threeg_default().components,
+                     hard_max=4.5, diurnal=DiurnalProfile.with_fast_hours(range(0, 168, 2), 0.6)),
+        LatencyModel(kind=LinkKind.WIFI,  # hard_max below MIN_LATENCY_S: the clamp order matters
+                     components=(MixtureComponent(1.0, 1e-10, 1e-9),), hard_max=1e-12),
+        LatencyModel(kind=LinkKind.WIFI,  # most draws clamp at MIN_LATENCY_S
+                     components=(MixtureComponent(0.5, 0.0, 0.0), MixtureComponent(0.5, 0.0, 1.0)),
+                     hard_max=2.0),
+    ], ids=["threeg", "ethernet", "threeg-diurnal", "tiny-hard-max", "clamped-low"])
+    def test_sample_matches_reference_bit_for_bit(self, model):
+        fast, ref = random.Random(11), random.Random(11)
+        for i in range(3000):
+            at = i * 1800.0
+            assert repr(model.sample(fast, at)) == repr(reference_sample(model, ref, at))
 
 
 class TestSampling:

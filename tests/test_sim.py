@@ -1,4 +1,6 @@
 """Engine tests: ordering, determinism, streams, trace files."""
+import hashlib
+import json
 import random
 
 import pytest
@@ -151,3 +153,47 @@ def test_corrupt_trace_reports_line_number(tmp_path):
     with pytest.raises(TraceParseError) as err:
         read_trace(tmp_path / "bad.jsonl")
     assert err.value.line == 2
+
+
+def _reference_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _empty_trace():
+    return Engine(seed=4, meta={"command": "t", "config": {}}).run_until(10.0)
+
+
+def _normal_trace():
+    eng = Engine(seed=5, meta={"command": "t", "config": {"k": [1, 2.5]}})
+    eng.schedule_every(1.0, "tick", lambda e, ev: {"draw": e.stream("s").random()},
+                       data={"label": "caf\u00e9"})
+    return eng.run_until(50.0)
+
+
+def _truncated_trace():
+    eng = Engine(seed=6, meta={"command": "t", "config": {}})
+    eng.schedule(1.0, "ok", fn=lambda e, ev: {"v": 0.1})
+    eng.schedule(2.0, "boom", fn=lambda e, ev: 1 / 0)
+    eng.schedule(3.0, "never")
+    trace = eng.run_until(10.0)
+    assert trace.failed
+    return trace
+
+
+@pytest.mark.parametrize("build", [_empty_trace, _normal_trace, _truncated_trace],
+                         ids=["empty", "normal", "truncated"])
+def test_streamed_trace_matches_joined_lines(tmp_path, build):
+    trace = build()
+    lines = [_reference_json(trace.header())] + [_reference_json(r) for r in trace.records]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert trace.digest() == digest
+
+    path = tmp_path / "t.jsonl"
+    assert trace.write(path) == digest
+    expected = "\n".join(lines) + "\n" + _reference_json({"trace_digest": digest}) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    parsed = read_trace(path)
+    assert parsed.header == trace.header()
+    assert parsed.records == trace.records
+    assert parsed.stored_digest == digest
