@@ -3,79 +3,4 @@ control: per-meter pull, aggregated pull, and periodic push protocols over
 configurable link models, plus the station-local collector firmware and
 charging schedulers."""
 
-from .domain import (
-    AlgorithmMode,
-    ChargingStation,
-    CircuitLimitError,
-    EvModel,
-    MeterId,
-    MeterSnapshot,
-    NoEvError,
-    RelayState,
-    allocated_current_total,
-    apply_relay,
-    ev_settle_time,
-    meter_snapshot,
-    plug_ev,
-    set_current,
-    unplug_ev,
-)
-from .latency import (
-    DiurnalProfile,
-    LatencyModel,
-    LinkKind,
-    LinkModelSet,
-    MixtureComponent,
-    TimingBudget,
-    default_models,
-    empirical_histogram,
-    round_trip_time,
-    sample_latency,
-)
-from .proto import (
-    Message,
-    MessageKind,
-    RequestTimeout,
-    RetrievalResult,
-    legacy_pull,
-    pic_pull,
-    push_consume,
-    push_cycle_time,
-    t_save,
-)
-from .pic import (
-    Command,
-    MeterBus,
-    Opcode,
-    PicEndpoint,
-    PicState,
-    SerialLine,
-    StartupError,
-    collect_all,
-    main_loop_step,
-    on_serial_interrupt,
-    on_timer_interrupt,
-    startup_init,
-)
-from .control import (
-    DutyCycleChange,
-    DutyOutcome,
-    ProtocolMode,
-    ServerStore,
-    change_duty_cycle,
-    compute_t_waiting,
-    current_to_duty,
-    duty_to_current,
-    select_algorithm_mode,
-)
-from .sched import (
-    ChargeWindow,
-    RoundRobinConfig,
-    ScheduleTimeConfig,
-    round_robin_step,
-    schedule_time_step,
-    validate_config,
-)
-from .sim import Engine, EventTrace, substream
-
 __version__ = "0.1.0"

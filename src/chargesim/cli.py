@@ -2,7 +2,8 @@
 
 Subcommands mirror the experiment suite: rtt-dist, compare-protocols,
 duty-cycle, local-sched, and replay. Exit codes: 0 success, 2 config or
-trace-file error, 3 failed checks (--check) or a diverged replay.
+trace-file error, 3 failed checks (--check), a truncated trace or a diverged
+replay.
 """
 from __future__ import annotations
 
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
 
     out = _RUNNERS[args.command](cfg)
     _emit(out, args.out, args.format)
-    if args.check and not out.ok:
+    if out.truncated or (args.check and not out.ok):
         failed = ", ".join(c.name for c in out.checks if not c.ok)
         print(f"checks failed: {failed}", file=sys.stderr)
         return 3

@@ -252,6 +252,10 @@ def _build_stations(fleet: dict, path: str) -> list:
     stations_spec = _require(fleet, "stations", path)
     if not isinstance(stations_spec, list) or not stations_spec:
         raise ConfigError(f"{path}.stations: need at least one station")
+    if len(stations_spec) > 1:
+        # every command simulates stations[0] only; a second one would be ignored
+        raise ConfigError(f"{path}.stations: {len(stations_spec)} stations given, "
+                          "but only one can be simulated")
     specs = []
     for i, st in enumerate(stations_spec):
         sp = f"{path}.stations[{i}]"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from .domain import (
     AlgorithmMode,
@@ -24,7 +23,6 @@ from .domain import (
     set_current,
 )
 from .latency import LinkModelSet, TimingBudget
-from .proto import RetrievalResult, _StationRecord
 
 DUTY_MIN_PERCENT = 10.0
 DUTY_MAX_PERCENT = 85.0
@@ -53,33 +51,17 @@ class DeliveryError(RuntimeError):
 
 
 class ServerStore:
-    """Latest per-station telemetry plus protocol/algorithm mode selections.
+    """Latest per-station telemetry plus algorithm mode selections.
 
-    Station records are replaced wholesale (one assignment), so push
-    consumption and pull completion can interleave without tearing a record.
-    Packet sequence numbers per station are monotone by construction.
+    Push consumption replaces a station record wholesale (one assignment),
+    so a reader never sees a torn record, and it discards packets at or below
+    the stored sequence, so per-station sequence numbers stay monotone.
     """
 
     def __init__(self):
-        self.stations: dict = {}           # station_id -> _StationRecord
-        self.protocol_mode: dict = {}      # station_id -> ProtocolMode
+        self.stations: dict = {}           # station_id -> proto._StationRecord
         self.algorithm_mode: dict = {}     # station_id -> AlgorithmMode
         self.diagnostics: list = []
-
-    def latest(self, station_id: int) -> Optional[_StationRecord]:
-        return self.stations.get(station_id)
-
-    def record_retrieval(self, station_id: int, result: RetrievalResult, now: float) -> None:
-        """Fold a completed pull into the store, keeping seq monotone."""
-        current = self.stations.get(station_id)
-        seq = (current.packet_seq + 1) if current is not None else 1
-        snapshots = {m: s for m, s in result.snapshots.items() if s is not None}
-        self.stations[station_id] = _StationRecord(
-            snapshots=snapshots,
-            packet_seq=seq,
-            updated_at=now,
-            staleness=dict(result.staleness),
-        )
 
     def staleness_at(self, station_id: int, now: float) -> dict:
         """Age of each stored snapshot at ``now``; empty if nothing stored."""

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from . import pic, proto, sched
 from .config import ExperimentConfig, from_dict
 from .control import (
-    ProtocolMode,
     ServerStore,
     change_duty_cycle,
     compute_t_waiting,
@@ -31,7 +30,7 @@ from .domain import (
     set_current,
     unplug_ev,
 )
-from .latency import LinkKind, histogram_of, worst_case_budget
+from .latency import LinkKind, TimingBudget, histogram_of, worst_case_budget
 from .sim import Engine, EventTrace, ParsedTrace, ordered_sum, read_trace, substream
 
 RTT_LINKS = (LinkKind.ETHERNET, LinkKind.WIFI, LinkKind.THREE_G)
@@ -56,6 +55,25 @@ class ExperimentOutput:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
+
+    @property
+    def truncated(self) -> bool:
+        return any(trace.failed for _, trace in self.traces)
+
+
+def _flag_truncation(out: ExperimentOutput) -> bool:
+    """A handler exception truncates its trace; post-processing would then
+    read state the failed event never recorded. Such a run skips it and
+    gets one failing check that names the event that failed."""
+    for name, trace in out.traces:
+        if trace.failed:
+            last = trace.records[-1]
+            out.checks.append(Check(
+                "trace-complete", False,
+                f"{name} truncated: event {last['kind']!r} at {last['at']!r} s failed: "
+                f"{last['error']}"))
+            return True
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -83,6 +101,9 @@ def _trace_rtt_dist(cfg: ExperimentConfig) -> EventTrace:
 
 def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
     trace = _trace_rtt_dist(cfg)
+    out = ExperimentOutput(command="rtt-dist", traces=[("trace", trace)])
+    if _flag_truncation(out):
+        return out
     links = cfg.links
     cloud = links.t_server_cloud + links.t_cloud
 
@@ -92,7 +113,6 @@ def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
             link = LinkKind(rec["data"]["link"])
             samples[link].append((rec["at"], rec["state"]["seg"], rec["state"]["rtt"]))
 
-    out = ExperimentOutput(command="rtt-dist", traces=[("trace", trace)])
     met_max = links.metering.hard_max
     for link, rows in samples.items():
         segs = [s for _, s, _ in rows]
@@ -168,7 +188,6 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig, store: ServerStore)
                              push_enabled=True, serve_cache=cfg.serve_cache)
     uplink_rng = eng.stream(f"uplink:{spec.station_id}")
     sid = spec.station_id
-    store.protocol_mode[sid] = ProtocolMode.PIC_PUSH
 
     def consume(eng_: Engine, ev, packet):
         packet.received_at = ev.at
@@ -278,6 +297,9 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
     trace = _trace_compare(cfg)
     links = cfg.links
     out = ExperimentOutput(command="compare-protocols", traces=[("trace", trace)])
+    if _flag_truncation(out):
+        return out
+    meters = cfg.stations[0].outlets
 
     trials = [r for r in trace.records if r["kind"] == "trial"]
     stale_records = [
@@ -295,7 +317,7 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
         rows.append((i, "legacy_pull_full", s["legacy8"], s["rc8"]))
         rows.append((i, "pic_pull", s["pic"], s["rc1"]))
         rows.append((i, "pic_push_cycle", s["push_cycle"], 0))
-        counts_ok = counts_ok and s["rc4"] == 4 and s["rc8"] == 8 and s["rc1"] == 1
+        counts_ok = counts_ok and s["rc4"] == meters and s["rc8"] == 2 * meters and s["rc1"] == 1
     out.csvs["retrievals.csv"] = (("trial", "protocol", "wall_s", "requests"), rows)
     out.csvs["staleness.csv"] = (
         ("at", "source", "stale_max_s"),
@@ -309,17 +331,15 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
     speedup_power = (m4 / mp) if (m4 is not None and mp) else None
     speedup_full = (m8 / mp) if (m8 is not None and mp) else None
     # analytic counterparts of the measured means, from the mixture models
-    meters = cfg.stations[0].outlets
-    e_3g = links.threeg.analytic_mean()
-    e_met = links.metering.analytic_mean()
-    e_lb = links.local_bus.analytic_mean()
-    analytic_legacy = meters * (e_3g + e_met)
-    analytic_cycle = meters * (e_lb + e_met) + 0.5 * e_3g
-    analytic_save = 3.5 * e_3g - 4.0 * e_lb
+    means = TimingBudget(t_ethernet=links.local_bus.analytic_mean(),
+                         t_3g=links.threeg.analytic_mean(),
+                         t_metering=links.metering.analytic_mean())
+    analytic_legacy = proto.legacy_retrieval_time(means, meters)
+    analytic_cycle = proto.push_cycle_time(means, meters)
+    analytic_save = proto.t_save(means, meters)
     empirical_save = (m4 - mc) if (m4 is not None and mc is not None) else None
     stale_max = max((r["state"]["stale_max"] for r in stale_records), default=None)
-    bound = cfg.push_period_s + proto.push_cycle_time(
-        worst_case_budget(links), cfg.stations[0].outlets)
+    bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links), meters)
 
     out.summary = {
         "trials": len(trials),
@@ -340,7 +360,7 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
     out.checks.append(Check(
         "request-counts",
         counts_ok,
-        "legacy power=4, legacy full=8, aggregated pull=1 on every trial",
+        f"legacy power={meters}, legacy full={2 * meters}, aggregated pull=1 on every trial",
     ))
     if stale_max is not None:
         out.checks.append(Check(
@@ -428,6 +448,8 @@ def _trace_duty_cycle(cfg: ExperimentConfig) -> EventTrace:
 def cmd_duty_cycle(cfg: ExperimentConfig) -> ExperimentOutput:
     trace = _trace_duty_cycle(cfg)
     out = ExperimentOutput(command="duty-cycle", traces=[("trace", trace)])
+    if _flag_truncation(out):
+        return out
     points = [r["state"] for r in trace.records if r["kind"] == "duty-point"]
     out.csvs["duty_sweep.csv"] = (
         ("delta_a", "t_ev_s", "adaptive_wait_s", "fixed_wait_s", "outcome", "reads", "latency_s"),
@@ -547,11 +569,12 @@ def _trace_local_sched(cfg: ExperimentConfig, variant: str) -> EventTrace:
 
 
 def cmd_local_sched(cfg: ExperimentConfig) -> ExperimentOutput:
-    out = ExperimentOutput(command="local-sched")
+    out = ExperimentOutput(command="local-sched", traces=[
+        (variant, _trace_local_sched(cfg, variant)) for variant in ("server", "local")])
+    if _flag_truncation(out):
+        return out
     traffic_rows = []
-    for variant in ("server", "local"):
-        trace = _trace_local_sched(cfg, variant)
-        out.traces.append((variant, trace))
+    for variant, trace in out.traces:
         slots = [r for r in trace.records if r["kind"] == "slot"]
         cmds = [r for r in trace.records if r["kind"] == "sched-cmd"]
         changes = sum(1 for r in slots if r["state"]["changed"])
@@ -598,9 +621,9 @@ class ReplayVerdict:
 
 
 _TRACE_RUNNERS = {
-    "rtt-dist": lambda cfg: _trace_rtt_dist(cfg),
-    "compare-protocols": lambda cfg: _trace_compare(cfg),
-    "duty-cycle": lambda cfg: _trace_duty_cycle(cfg),
+    "rtt-dist": _trace_rtt_dist,
+    "compare-protocols": _trace_compare,
+    "duty-cycle": _trace_duty_cycle,
     "local-sched": lambda cfg: _trace_local_sched(cfg, cfg.raw.get("sched_variant", "local")),
 }
 

@@ -59,10 +59,6 @@ class DiurnalProfile:
         return self.scale[int(at // 3600.0) % HOURS_PER_WEEK]
 
     @classmethod
-    def flat(cls) -> "DiurnalProfile":
-        return cls()
-
-    @classmethod
     def with_fast_hours(cls, hours: Iterable[int], factor: float) -> "DiurnalProfile":
         """Profile that speeds up the given hours-of-week by ``factor``."""
         scale = [1.0] * HOURS_PER_WEEK
@@ -131,18 +127,6 @@ class LatencyModel:
         mult = self.diurnal.multiplier(at)
         return ordered_sum(c.weight * c.location * mult for c in self.components)
 
-    def to_dict(self) -> dict:
-        d = {
-            "components": [
-                {"weight": c.weight, "location": c.location, "spread": c.spread}
-                for c in self.components
-            ],
-            "hard_max": self.hard_max,
-        }
-        if not self.diurnal.is_flat:
-            d["diurnal"] = list(self.diurnal.scale)
-        return d
-
     @classmethod
     def from_dict(cls, kind: LinkKind, d: dict) -> "LatencyModel":
         comps = tuple(
@@ -151,11 +135,6 @@ class LatencyModel:
         )
         diurnal = DiurnalProfile(scale=tuple(d["diurnal"])) if "diurnal" in d else DiurnalProfile()
         return cls(kind=kind, components=comps, hard_max=d["hard_max"], diurnal=diurnal)
-
-
-def sample_latency(model: LatencyModel, rng, at: float = 0.0) -> float:
-    """Draw one delay from ``model`` at simulation time ``at``."""
-    return model.sample(rng, at)
 
 
 @dataclass(frozen=True)
@@ -183,13 +162,6 @@ class TimingBudget:
     def t_3g_uplink(self) -> float:
         return 0.5 * self.t_3g
 
-    def link_time(self, link: LinkKind) -> float:
-        if link is LinkKind.ETHERNET or link is LinkKind.LOCAL_BUS:
-            return self.t_ethernet
-        if link is LinkKind.WIFI:
-            return self.t_wifi
-        return self.t_3g
-
 
 @dataclass(frozen=True)
 class LinkModelSet:
@@ -215,24 +187,6 @@ class LinkModelSet:
             LinkKind.THREE_G: self.threeg,
             LinkKind.LOCAL_BUS: self.local_bus,
         }[link]
-
-
-def round_trip_time(source, link: LinkKind, rng=None, at: float = 0.0) -> float:
-    """One retrieval round trip: cloud hops + link transit + metering.
-
-    ``source`` is either a TimingBudget (deterministic evaluation) or a
-    LinkModelSet (stochastic draw, requires ``rng``).
-    """
-    if isinstance(source, TimingBudget):
-        return source.t_server_cloud + source.t_cloud + source.link_time(link) + source.t_metering
-    if rng is None:
-        raise ValueError("sampling a LinkModelSet requires an rng")
-    return (
-        source.t_server_cloud
-        + source.t_cloud
-        + source.for_link(link).sample(rng, at)
-        + source.metering.sample(rng, at)
-    )
 
 
 # --- default models -------------------------------------------------------
@@ -328,12 +282,6 @@ class Histogram:
             (self.edges[i], self.edges[i + 1], self.counts[i])
             for i in range(len(self.counts))
         ]
-
-    def mean(self) -> float:
-        if self.n == 0:
-            return 0.0
-        mids = [(self.edges[i] + self.edges[i + 1]) / 2.0 for i in range(len(self.counts))]
-        return sum(m * c for m, c in zip(mids, self.counts)) / self.n
 
     def mode_count(self, rel_height: float = 0.05, valley_ratio: float = 0.5) -> int:
         return count_modes(self.counts, rel_height=rel_height, valley_ratio=valley_ratio)

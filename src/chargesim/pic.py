@@ -197,6 +197,19 @@ def _cached_snapshots(state: PicState) -> tuple:
     return tuple(state.cache[mid] for mid in state.registered_meters)
 
 
+def _answer_power_request(state: PicState, bus: MeterBus, now: float):
+    """The snapshots answering one power-info request, and the local time
+    spent on them: served from the cache in cache-serving mode once every
+    meter has been collected (costing nothing, since the periodic collection
+    already did the metering), otherwise after a fresh sweep."""
+    if state.serve_cache_mode and all(mid in state.cache for mid in state.registered_meters):
+        return _cached_snapshots(state), 0.0
+    state.phase = Phase.COLLECTING
+    duration = collect_all(state, bus, now)
+    state.phase = Phase.IDLE
+    return _cached_snapshots(state), duration
+
+
 def main_loop_step(state: PicState, bus: MeterBus, uplink=None, now: float = 0.0) -> list:
     """One pass of the main loop, acting on latched flags in priority order:
     pending commands first (server-initiated, latency-sensitive), then the
@@ -216,13 +229,10 @@ def main_loop_step(state: PicState, bus: MeterBus, uplink=None, now: float = 0.0
     while state.flags.pending:
         cmd = state.flags.pending.popleft()
         if cmd.opcode is Opcode.POWER_INFO_REQUEST:
-            cache_ready = all(mid in state.cache for mid in state.registered_meters)
-            state.phase = Phase.COLLECTING
-            if not (state.serve_cache_mode and cache_ready):
-                t += collect_all(state, bus, t)
-            state.phase = Phase.IDLE
+            snapshots, cost = _answer_power_request(state, bus, t)
+            t += cost
             messages.append(make_aggregate_packet(
-                bus.station.station_id, _cached_snapshots(state), seq=cmd.seq, sent_at=t))
+                bus.station.station_id, snapshots, seq=cmd.seq, sent_at=t))
         elif cmd.opcode is Opcode.SET_PUSH_PERIOD:
             state.push_period = float(cmd.arg)
             messages.append(Message(
@@ -267,17 +277,6 @@ class PicEndpoint:
         return self.bus.station
 
     def serve_aggregate(self, now: float):
-        """Build the reply to an aggregate request: (snapshots, local_cost).
-
-        In cache-serving mode the periodic collection has already done the
-        metering, so the request costs nothing locally; otherwise a fresh
-        sweep runs and its duration is charged to the caller.
-        """
-        if self.state.serve_cache_mode and all(
-            mid in self.state.cache for mid in self.state.registered_meters
-        ):
-            return _cached_snapshots(self.state), 0.0
-        self.state.phase = Phase.COLLECTING
-        duration = collect_all(self.state, self.bus, now)
-        self.state.phase = Phase.IDLE
-        return _cached_snapshots(self.state), duration
+        """Build the reply to an aggregate request: (snapshots, local_cost),
+        the local cost being charged to the caller."""
+        return _answer_power_request(self.state, self.bus, now)

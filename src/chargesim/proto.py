@@ -247,11 +247,12 @@ def legacy_retrieval_time(budget: TimingBudget, meter_count: int = 4,
     return power
 
 
-def t_save(budget: TimingBudget) -> float:
-    """Analytic saving of push over four-meter sequential pull: the metering
-    terms cancel, leaving 3.5x the cellular round trip minus the four
-    in-station hops."""
-    return 3.5 * budget.t_3g - 4.0 * budget.t_ethernet
+def t_save(budget: TimingBudget, meter_count: int = 4) -> float:
+    """Analytic saving of push over an N-meter sequential pull:
+    ``legacy_retrieval_time - push_cycle_time`` with the metering terms
+    cancelled, leaving N - 1/2 cellular round trips minus N in-station hops
+    (3.5 round trips for the paper's four meters)."""
+    return (meter_count - 0.5) * budget.t_3g - meter_count * budget.t_ethernet
 
 
 def push_consume(store, packet: Message, now: float):

@@ -52,6 +52,12 @@ class TestConfig:
             from_dict({"fleet": {"stations": [{"link": "carrier-pigeon"}]}})
         assert "fleet.stations[0].link" in str(err.value)
 
+    def test_second_station_rejected_at_load(self):
+        station = {"id": 0, "outlets": 4}
+        with pytest.raises(ConfigError) as err:
+            from_dict({"fleet": {"stations": [station, dict(station, id=1)]}})
+        assert "fleet.stations" in str(err.value)
+
     def test_schedule_violating_limit_rejected_at_load(self):
         raw = {
             "fleet": {"stations": [{
@@ -143,6 +149,21 @@ class TestCli:
                    "--config", str(cfg), "--out", str(tmp_path), "--check"])
         assert rc == 3
         assert "checks failed" in capsys.readouterr().err
+
+    def test_truncated_trace_exits_3_and_names_the_failed_event(self, tmp_path, capsys):
+        # a timeout below the cellular hard max makes some aggregated pull
+        # raise RequestTimeout, which truncates the trace
+        cfg = tmp_path / "short-timeout.yaml"
+        cfg.write_text(yaml.safe_dump({"trials": 200, "timeout_s": 2.0}))
+        rc = main(["compare-protocols", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "checks failed: trace-complete" in capsys.readouterr().err
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "check trace-complete: FAIL (trace truncated: event 'trial' at " in summary
+        assert "RequestTimeout" in summary
+        records = [json.loads(line) for line in
+                   (tmp_path / "trace.jsonl").read_text().splitlines()[1:-1]]
+        assert "error" in records[-1]
 
     def test_seed_flag_overrides(self, tmp_path):
         rc = main(["duty-cycle", "--preset", "duty-3g", "--seed", "123",

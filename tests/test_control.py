@@ -186,13 +186,6 @@ class TestStoreAndModes:
         with pytest.raises(DeliveryError):
             select_algorithm_mode(ServerStore(), station, AlgorithmMode.NONE)
 
-    def test_record_retrieval_keeps_seq_monotone(self):
-        from chargesim.proto import RetrievalResult
-        store = ServerStore()
-        store.record_retrieval(0, RetrievalResult(), now=1.0)
-        store.record_retrieval(0, RetrievalResult(), now=2.0)
-        assert store.stations[0].packet_seq == 2
-
     def test_mode_change_mid_cycle_takes_effect_next_boundary(self):
         # three EVs charging under a server-pushed allocation; switching to
         # the local algorithm mid-slot must not disturb the running slot,

@@ -49,6 +49,16 @@ class TestCompareProtocols:
         ana = out.summary["savings_analytic_s"]
         assert emp == pytest.approx(ana, rel=0.02)
 
+    def test_six_outlet_station_passes_count_and_savings_checks(self):
+        station = {"id": 0, "link": "threeg", "outlets": 6,
+                   "evs": [{"outlet": 0}, {"outlet": 3}, {"outlet": 5}]}
+        out = cmd_compare_protocols(small_default(trials=1000, fleet={"stations": [station]}))
+        checks = {c.name: c for c in out.checks}
+        assert checks["request-counts"].detail == (
+            "legacy power=6, legacy full=12, aggregated pull=1 on every trial")
+        assert checks["savings-identity"].ok, checks["savings-identity"].detail
+        assert out.ok, [c for c in out.checks if not c.ok]
+
     def test_zero_latency_reports_undefined_ratios(self):
         tiny = {"components": [{"weight": 1.0, "location": 1e-9, "spread": 0.0}],
                 "hard_max": 1e-6}

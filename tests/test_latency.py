@@ -16,8 +16,6 @@ from chargesim.latency import (
     empirical_histogram,
     ethernet_default,
     histograms_indistinguishable,
-    round_trip_time,
-    sample_latency,
     threeg_default,
     worst_case_budget,
     _near_gauss,
@@ -87,7 +85,7 @@ class TestSampling:
     def test_degenerate_model_is_constant(self):
         model = fixed_model(0.2)
         rng = substream(1, "t")
-        assert all(sample_latency(model, rng) == 0.2 for _ in range(100))
+        assert all(model.sample(rng) == 0.2 for _ in range(100))
 
     def test_default_threeg_bounded_by_worst_case(self):
         model = threeg_default()
@@ -161,31 +159,6 @@ class TestDiurnal:
 
 
 class TestRoundTrip:
-    def test_ethernet_co_located_is_metering_dominated(self):
-        # cloud terms zero, link negligible, metering pinned at 0.2
-        budget = TimingBudget(t_ethernet=0.0, t_metering=0.2)
-        assert round_trip_time(budget, LinkKind.ETHERNET) == pytest.approx(0.2)
-
-    def test_all_zero_budget_gives_zero(self):
-        assert round_trip_time(TimingBudget(), LinkKind.THREE_G) == 0.0
-
-    def test_threeg_worst_case_round_trip(self):
-        # 20 s over four readings means 20/4 - 4.5 = 0.5 s of metering
-        budget = TimingBudget(t_3g=4.5, t_metering=0.5)
-        assert round_trip_time(budget, LinkKind.THREE_G) == pytest.approx(5.0)
-
-    def test_sampled_round_trip_adds_link_and_metering(self):
-        models = default_models()
-        fixed = models.__class__(
-            ethernet=fixed_model(0.001),
-            wifi=fixed_model(0.02),
-            threeg=fixed_model(4.5, LinkKind.THREE_G, hard_max=4.5),
-            local_bus=fixed_model(0.001),
-            metering=fixed_model(0.5, hard_max=0.5),
-        )
-        rng = substream(1, "rtt")
-        assert round_trip_time(fixed, LinkKind.THREE_G, rng) == pytest.approx(5.0)
-
     def test_uplink_is_half_the_round_trip(self):
         budget = TimingBudget(t_3g=5.0)
         assert budget.t_3g_uplink == 2.5

@@ -178,6 +178,11 @@ class TestTimingIdentities:
         budget = TimingBudget(t_3g=5.0, t_metering=0.5, t_ethernet=0.0)
         saving = legacy_retrieval_time(budget, 4) - push_cycle_time(budget, 4)
         assert saving == pytest.approx(17.5)
+        # the same identity at other meter counts: (N - 1/2) * t_3g - N * t_eth
+        budget = TimingBudget(t_3g=2.0, t_metering=0.3, t_ethernet=0.001)
+        for n in (1, 4, 6, 8):
+            saving = legacy_retrieval_time(budget, n) - push_cycle_time(budget, n)
+            assert saving == pytest.approx(t_save(budget, n)), n
 
     def test_t_save_worst_case(self):
         assert t_save(TimingBudget(t_3g=5.0, t_ethernet=0.0)) == pytest.approx(17.5)
