@@ -140,11 +140,11 @@ def main(argv=None) -> int:
         overrides["duration_s"] = args.duration
     try:
         cfg = resolve(preset=args.preset, config_path=args.config, overrides=overrides)
+        out = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out = _RUNNERS[args.command](cfg)
     _emit(out, args.out, args.format)
     if out.truncated or (args.check and not out.ok):
         failed = ", ".join(c.name for c in out.checks if not c.ok)

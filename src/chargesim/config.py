@@ -13,7 +13,7 @@ from typing import Optional
 import yaml
 
 from . import sched
-from .control import ProtocolMode
+from .control import DutyRangeError, current_to_duty
 from .domain import AlgorithmMode, ChargingStation, EvModel, plug_ev
 from .latency import (
     LatencyModel,
@@ -37,12 +37,12 @@ DEFAULT_CONFIG: dict = {
     "probe_period_s": 300.0,      # five-minute probe cadence
     "trials": 10000,
     "trial_spacing_s": 60.0,
-    "protocol": "pic_push",
+    "protocol": "pic_push",       # accepts only this value; see from_dict
     "push_period_s": 30.0,
     "serve_cache": True,
     "timeout_s": 30.0,
     "t_status_read_s": 0.0,
-    "legacy_pipelined": False,  # what-if mode; reference figures need sequential issue
+    "legacy_pipelined": False,    # accepts only this value; see from_dict
     "budget": {
         "t_server_cloud": 0.0,
         "t_cloud": 0.0,
@@ -179,18 +179,16 @@ class ExperimentConfig:
     probe_period_s: float
     trials: int
     trial_spacing_s: float
-    protocol: ProtocolMode
     push_period_s: float
     serve_cache: bool
     timeout_s: float
     t_status_read_s: float
-    legacy_pipelined: bool
     budget: TimingBudget
     links: LinkModelSet
     stations: list
     round_robin: sched.RoundRobinConfig
     schedule_time: Optional[sched.ScheduleTimeConfig]
-    duty_sweep: dict
+    duty_sweep: dict   # {"i_final_a": float, "steps": int}
     expect: dict = field(default_factory=dict)
 
 
@@ -307,6 +305,21 @@ def _build_schedule(spec, path: str) -> Optional[sched.ScheduleTimeConfig]:
     return sched.ScheduleTimeConfig(windows=windows)
 
 
+def _build_duty_sweep(spec, path: str) -> dict:
+    spec = spec or {}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {spec!r}")
+    i_final = _number(spec.get("i_final_a", 32.0), f"{path}.i_final_a")
+    try:
+        current_to_duty(i_final)
+    except DutyRangeError as exc:
+        raise ConfigError(f"{path}.i_final_a: {exc}") from None
+    steps = spec.get("steps", 33)
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+        raise ConfigError(f"{path}.steps: expected an integer >= 1, got {steps!r}")
+    return {"i_final_a": i_final, "steps": steps}
+
+
 def from_dict(raw: dict) -> ExperimentConfig:
     """Validate a resolved config dict and build the runtime objects."""
     if not isinstance(raw, dict):
@@ -314,6 +327,13 @@ def from_dict(raw: dict) -> ExperimentConfig:
     version = raw.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"version: unsupported config version {version!r}")
+    # These keys select nothing. They stay only because the resolved config is
+    # hashed into every trace header, so each accepts its default alone.
+    for key in ("protocol", "legacy_pipelined"):
+        default = DEFAULT_CONFIG[key]
+        value = raw.get(key, default)
+        if value != default or type(value) is not type(default):
+            raise ConfigError(f"{key}: only {default!r} is supported, got {value!r}")
 
     budget_spec = raw.get("budget", {}) or {}
     try:
@@ -366,18 +386,16 @@ def from_dict(raw: dict) -> ExperimentConfig:
         probe_period_s=_number(raw.get("probe_period_s", 300.0), "probe_period_s", 1e-9),
         trials=int(_number(raw.get("trials", 10000), "trials", 0)),
         trial_spacing_s=_number(raw.get("trial_spacing_s", 60.0), "trial_spacing_s", 1e-9),
-        protocol=_enum(ProtocolMode, raw.get("protocol", "pic_push"), "protocol"),
         push_period_s=_number(raw.get("push_period_s", 30.0), "push_period_s", 1e-9),
         serve_cache=bool(raw.get("serve_cache", True)),
         timeout_s=_number(raw.get("timeout_s", 30.0), "timeout_s", 0.0),
         t_status_read_s=_number(raw.get("t_status_read_s", 0.0), "t_status_read_s", 0.0),
-        legacy_pipelined=bool(raw.get("legacy_pipelined", False)),
         budget=budget,
         links=links,
         stations=stations,
         round_robin=round_robin,
         schedule_time=schedule_time,
-        duty_sweep=raw.get("duty_sweep", DEFAULT_CONFIG["duty_sweep"]),
+        duty_sweep=_build_duty_sweep(raw.get("duty_sweep"), "duty_sweep"),
         expect=raw.get("expect", {}) or {},
     )
 

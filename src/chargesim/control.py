@@ -1,5 +1,5 @@
-"""Server-side station controller: fleet state store, duty-cycle changes with
-computed waiting times, and algorithm-mode selection.
+"""Server-side station controller: duty-cycle changes with computed waiting
+times, and algorithm-mode selection.
 
 A duty-cycle change is confirmed by a follow-up power read. The wait before
 that read adapts to the expected settle time: by the time the change's
@@ -8,13 +8,12 @@ already elapsed, so the server only needs to cover the remainder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .domain import (
     AlgorithmMode,
     ChargingStation,
-    MeterId,
     NoEvError,
     RelayState,
     apply_relay,
@@ -30,12 +29,6 @@ AMPS_PER_DUTY_PERCENT = 0.6
 CONFIRM_TOLERANCE_A = 1.0
 
 
-class ProtocolMode(Enum):
-    LEGACY_PULL = "legacy_pull"
-    PIC_PULL = "pic_pull"
-    PIC_PUSH = "pic_push"
-
-
 class DutyOutcome(Enum):
     CONFIRMED = "confirmed"
     UNSETTLED = "unsettled"
@@ -48,27 +41,6 @@ class DutyRangeError(ValueError):
 
 class DeliveryError(RuntimeError):
     """A command could not be delivered to the station."""
-
-
-class ServerStore:
-    """Latest per-station telemetry plus algorithm mode selections.
-
-    Push consumption replaces a station record wholesale (one assignment),
-    so a reader never sees a torn record, and it discards packets at or below
-    the stored sequence, so per-station sequence numbers stay monotone.
-    """
-
-    def __init__(self):
-        self.stations: dict = {}           # station_id -> proto._StationRecord
-        self.algorithm_mode: dict = {}     # station_id -> AlgorithmMode
-        self.diagnostics: list = []
-
-    def staleness_at(self, station_id: int, now: float) -> dict:
-        """Age of each stored snapshot at ``now``; empty if nothing stored."""
-        record = self.stations.get(station_id)
-        if record is None:
-            return {}
-        return {m: now - s.captured_at for m, s in record.snapshots.items()}
 
 
 def duty_to_current(duty_percent: float) -> float:
@@ -101,25 +73,20 @@ def compute_t_waiting(t_ev: float, budget: TimingBudget) -> float:
 class DutyCycleChange:
     """Record of one duty-cycle change attempt and its verification."""
 
-    meter: MeterId
-    duty_percent: float
-    i_init: float
     i_final: float
     t_waiting: float
     outcome: DutyOutcome
-    reads: list = field(default_factory=list)   # (measured_at, amps) per verification read
-    completed_at: float = 0.0
+    reads: list          # (measured_at, amps) per verification read
+    completed_at: float
 
     def __post_init__(self):
         if self.t_waiting < 0:
             raise ValueError("waiting time cannot be negative")
 
 
-def change_duty_cycle(store: ServerStore, station: ChargingStation, outlet: int,
-                      duty_percent: float, links: LinkModelSet, rng,
-                      budget: TimingBudget, now: float = 0.0,
-                      settle_model=None, timeout_s: float = 30.0,
-                      confirm_tolerance_a: float = CONFIRM_TOLERANCE_A) -> DutyCycleChange:
+def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float,
+                      links: LinkModelSet, rng, budget: TimingBudget, now: float = 0.0,
+                      settle_model=None, timeout_s: float = 30.0) -> DutyCycleChange:
     """Send a duty-cycle change, wait the adaptive settle window, then verify
     with a power read.
 
@@ -134,18 +101,14 @@ def change_duty_cycle(store: ServerStore, station: ChargingStation, outlet: int,
     if ch.ev is None or not ch.ev.plugged:
         raise NoEvError(f"outlet {outlet} has no plugged EV")
     i_final = duty_to_current(duty_percent)
-    meter = MeterId(station.station_id, outlet)
 
     link_model = links.for_link(station.link)
     cloud = links.t_server_cloud + links.t_cloud
     link_s = link_model.sample(rng, now)
     rtt = cloud + link_s
     if not station.online or rtt > timeout_s:
-        return DutyCycleChange(
-            meter=meter, duty_percent=duty_percent, i_init=ch.amps_at(now),
-            i_final=i_final, t_waiting=0.0, outcome=DutyOutcome.FAILED,
-            reads=[], completed_at=now + timeout_s,
-        )
+        return DutyCycleChange(i_final=i_final, t_waiting=0.0, outcome=DutyOutcome.FAILED,
+                               reads=[], completed_at=now + timeout_s)
 
     t_apply = now + 0.5 * rtt
     i_init = ch.amps_at(t_apply)
@@ -160,45 +123,27 @@ def change_duty_cycle(store: ServerStore, station: ChargingStation, outlet: int,
     t_ev = ev_settle_time(model, i_init, i_final)
     t_wait = compute_t_waiting(t_ev, budget)
 
-    def read_power(t_send: float):
+    reads = []
+    t_send = t_ack + t_wait
+    outcome = DutyOutcome.UNSETTLED
+    for _ in range(2):  # the verification read, then at most one re-read
         link_r = link_model.sample(rng, t_send)
         met_r = links.metering.sample(rng, t_send)
         t_measured = t_send + 0.5 * (cloud + link_r) + met_r
-        snap = meter_snapshot(station, outlet, t_measured)
-        return t_measured, snap.amps, t_send + cloud + link_r + met_r
-
-    reads = []
-    t_measured, amps, done = read_power(t_ack + t_wait)
-    reads.append((t_measured, amps))
-    if abs(amps - i_final) <= confirm_tolerance_a:
-        outcome = DutyOutcome.CONFIRMED
-    else:
-        t_measured, amps, done = read_power(done + t_ev)
+        amps = meter_snapshot(station, outlet, t_measured).amps
         reads.append((t_measured, amps))
-        outcome = (
-            DutyOutcome.CONFIRMED
-            if abs(amps - i_final) <= confirm_tolerance_a
-            else DutyOutcome.UNSETTLED
-        )
-    return DutyCycleChange(
-        meter=meter, duty_percent=duty_percent, i_init=i_init, i_final=i_final,
-        t_waiting=t_wait, outcome=outcome, reads=reads, completed_at=done,
-    )
+        done = t_send + cloud + link_r + met_r
+        if abs(amps - i_final) <= CONFIRM_TOLERANCE_A:
+            outcome = DutyOutcome.CONFIRMED
+            break
+        t_send = done + t_ev
+    return DutyCycleChange(i_final=i_final, t_waiting=t_wait, outcome=outcome, reads=reads,
+                           completed_at=done)
 
 
-@dataclass(frozen=True)
-class ModeAck:
-    station: int
-    mode: AlgorithmMode
-    delivered_at: float
-
-
-def select_algorithm_mode(store: ServerStore, station: ChargingStation,
-                          mode: AlgorithmMode, now: float = 0.0) -> ModeAck:
+def select_algorithm_mode(station: ChargingStation, mode: AlgorithmMode) -> None:
     """Hand the station its local charging algorithm mode; from then on
     allocation decisions originate at the station, not the server."""
     if not station.online:
         raise DeliveryError(f"station {station.station_id} is offline")
     station.local_algorithm = mode
-    store.algorithm_mode[station.station_id] = mode
-    return ModeAck(station=station.station_id, mode=mode, delivered_at=now)

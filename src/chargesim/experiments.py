@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import pic, proto, sched
-from .config import ExperimentConfig, from_dict
+from .config import ConfigError, ExperimentConfig, from_dict
 from .control import (
-    ServerStore,
     change_duty_cycle,
     compute_t_waiting,
     current_to_duty,
@@ -30,7 +29,7 @@ from .domain import (
     set_current,
     unplug_ev,
 )
-from .latency import LinkKind, TimingBudget, histogram_of, worst_case_budget
+from .latency import LinkKind, TimingBudget, count_modes, histogram_of, worst_case_budget
 from .sim import Engine, EventTrace, ParsedTrace, ordered_sum, read_trace, substream
 
 RTT_LINKS = (LinkKind.ETHERNET, LinkKind.WIFI, LinkKind.THREE_G)
@@ -129,7 +128,7 @@ def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
             "seg_min": min(segs) if segs else None,
             "seg_max": max(segs) if segs else None,
             "rtt_mean": ordered_sum(rtts) / len(rtts) if rtts else None,
-            "modes": seg_hist.mode_count(),
+            "modes": count_modes(seg_hist.counts),
         }
 
     # per-day breakdown of the cellular segment (day 0 = the week's first day)
@@ -171,10 +170,10 @@ def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
 # --------------------------------------------------------------------------
 
 
-def _attach_push_station(eng: Engine, cfg: ExperimentConfig, store: ServerStore) -> None:
+def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
     """Wire a push-mode collector into the engine: periodic timer ticks drive
-    collections and uplink packets; store consumption and probes record
-    staleness."""
+    collections and uplink packets into a server store; store consumption and
+    probes record staleness."""
     spec = cfg.stations[0]
     station = spec.build()
     plugged = [o for o in range(len(station.meters)) if station.meters[o].ev is not None]
@@ -188,6 +187,7 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig, store: ServerStore)
                              push_enabled=True, serve_cache=cfg.serve_cache)
     uplink_rng = eng.stream(f"uplink:{spec.station_id}")
     sid = spec.station_id
+    store = proto.ServerStore()
 
     def consume(eng_: Engine, ev, packet):
         packet.received_at = ev.at
@@ -262,12 +262,10 @@ def _trace_compare(cfg: ExperimentConfig) -> EventTrace:
         now = ev.at
         r4 = proto.legacy_pull(st_legacy4, links, substream(cfg.seed, label),
                                include_status=False, at=now, timeout_s=cfg.timeout_s,
-                               t_status_read=cfg.t_status_read_s,
-                               pipelined=cfg.legacy_pipelined)
+                               t_status_read=cfg.t_status_read_s)
         r8 = proto.legacy_pull(st_legacy8, links, substream(cfg.seed, label),
                                include_status=True, at=now, timeout_s=cfg.timeout_s,
-                               t_status_read=cfg.t_status_read_s,
-                               pipelined=cfg.legacy_pipelined)
+                               t_status_read=cfg.t_status_read_s)
         rp = proto.pic_pull(endpoint, links, substream(cfg.seed, label),
                             at=now, timeout_s=cfg.timeout_s)
         rng_push = substream(cfg.seed, label)
@@ -286,8 +284,7 @@ def _trace_compare(cfg: ExperimentConfig) -> EventTrace:
     for i in range(cfg.trials):
         eng.schedule_at(i * cfg.trial_spacing_s, "trial", data={"trial": i}, fn=trial)
 
-    store = ServerStore()
-    _attach_push_station(eng, cfg, store)
+    _attach_push_station(eng, cfg)
 
     horizon = cfg.trials * cfg.trial_spacing_s if cfg.trials > 0 else cfg.duration_s
     return eng.run_until(horizon)
@@ -406,16 +403,15 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
 
 
 def _trace_duty_cycle(cfg: ExperimentConfig) -> EventTrace:
-    eng = Engine(cfg.seed, meta={"command": "duty-cycle", "config": cfg.raw})
     spec = cfg.stations[0]
+    if not spec.evs:
+        raise ConfigError("fleet.stations[0].evs: the duty-cycle sweep needs at least one EV")
+    eng = Engine(cfg.seed, meta={"command": "duty-cycle", "config": cfg.raw})
     station = spec.build()
-    outlet = spec.evs[0][0] if spec.evs else 0
+    outlet = spec.evs[0][0]
     ch = station.channel(outlet)
-    if ch.ev is None:
-        raise ValueError("duty-cycle sweep needs a station with at least one EV")
-    store = ServerStore()
-    i_final = float(cfg.duty_sweep.get("i_final_a", 32.0))
-    steps = int(cfg.duty_sweep.get("steps", 33))
+    i_final = cfg.duty_sweep["i_final_a"]
+    steps = cfg.duty_sweep["steps"]
     duty = current_to_duty(i_final)
     fixed_wait = compute_t_waiting(ch.ev.settle_cap, cfg.budget)
 
@@ -425,7 +421,7 @@ def _trace_duty_cycle(cfg: ExperimentConfig) -> EventTrace:
         apply_relay(station, outlet, RelayState.ON, now)
         ch.settle_now(i_final - delta, now)
         rng = substream(cfg.seed, f"duty:{delta}")
-        change = change_duty_cycle(store, station, outlet, duty, cfg.links, rng,
+        change = change_duty_cycle(station, outlet, duty, cfg.links, rng,
                                    cfg.budget, now=now, timeout_s=cfg.timeout_s)
         return {
             "delta": delta,
@@ -550,9 +546,8 @@ def _trace_local_sched(cfg: ExperimentConfig, variant: str) -> EventTrace:
 
     if variant == "local":
         def set_mode(eng_: Engine, ev):
-            store = ServerStore()
-            ack = select_algorithm_mode(store, station, AlgorithmMode.ROUND_ROBIN, ev.at)
-            return {"mode": ack.mode.value}
+            select_algorithm_mode(station, AlgorithmMode.ROUND_ROBIN)
+            return {"mode": AlgorithmMode.ROUND_ROBIN.value}
         eng.schedule_at(0.0, "mode-set", fn=set_mode)
 
     rng = eng.stream("plug-scenario")

@@ -121,10 +121,11 @@ class LatencyModel:
             value = self.hard_max
         return value
 
-    def analytic_mean(self, at: float = 0.0) -> float:
-        """Closed-form mixture mean (ignores the clamp, which is negligible
-        when spreads are small relative to the distance to the bounds)."""
-        mult = self.diurnal.multiplier(at)
+    def analytic_mean(self) -> float:
+        """Closed-form mixture mean at hour 0 of the diurnal profile (ignores
+        the clamp, which is negligible when spreads are small relative to the
+        distance to the bounds)."""
+        mult = self.diurnal.multiplier(0.0)
         return ordered_sum(c.weight * c.location * mult for c in self.components)
 
     @classmethod
@@ -266,6 +267,9 @@ def worst_case_budget(models: LinkModelSet) -> TimingBudget:
 
 # --- histograms -----------------------------------------------------------
 
+MODE_REL_HEIGHT = 0.05    # a peak reaches this fraction of the tallest bin
+MODE_VALLEY_RATIO = 0.5   # peaks merge unless the valley dips below this share
+
 
 @dataclass
 class Histogram:
@@ -283,9 +287,6 @@ class Histogram:
             for i in range(len(self.counts))
         ]
 
-    def mode_count(self, rel_height: float = 0.05, valley_ratio: float = 0.5) -> int:
-        return count_modes(self.counts, rel_height=rel_height, valley_ratio=valley_ratio)
-
 
 def histogram_of(values: Sequence[float], bins: int, low: float, high: float) -> Histogram:
     if bins < 1:
@@ -301,21 +302,21 @@ def histogram_of(values: Sequence[float], bins: int, low: float, high: float) ->
     return Histogram(edges=edges, counts=counts)
 
 
-def empirical_histogram(model: LatencyModel, n: int, bins: int, rng, at: float = 0.0) -> Histogram:
+def empirical_histogram(model: LatencyModel, n: int, bins: int, rng) -> Histogram:
     """Histogram of ``n`` draws over (0, hard_max], equal-width bins."""
     if n < 1:
         raise ValueError(f"need at least one draw, got {n}")
-    values = [model.sample(rng, at) for _ in range(n)]
+    values = [model.sample(rng) for _ in range(n)]
     return histogram_of(values, bins, 0.0, model.hard_max)
 
 
-def count_modes(counts: Sequence[int], rel_height: float = 0.05, valley_ratio: float = 0.5) -> int:
+def count_modes(counts: Sequence[int]) -> int:
     """Count distinct peaks in a binned distribution.
 
     A bin is a candidate peak if, after light smoothing, it dominates its
-    neighbors and reaches ``rel_height`` of the tallest bin. Adjacent
+    neighbors and reaches ``MODE_REL_HEIGHT`` of the tallest bin. Adjacent
     candidates are merged unless a valley between them dips below
-    ``valley_ratio`` of the smaller peak.
+    ``MODE_VALLEY_RATIO`` of the smaller peak.
     """
     k = len(counts)
     if k == 0:
@@ -328,7 +329,7 @@ def count_modes(counts: Sequence[int], rel_height: float = 0.05, valley_ratio: f
     top = max(smooth)
     if top <= 0:
         return 0
-    threshold = rel_height * top
+    threshold = MODE_REL_HEIGHT * top
     candidates = []
     for i in range(k):
         left = smooth[i - 1] if i > 0 else -1.0
@@ -340,39 +341,10 @@ def count_modes(counts: Sequence[int], rel_height: float = 0.05, valley_ratio: f
         if modes:
             prev = modes[-1]
             valley = min(smooth[prev:c + 1])
-            if valley > valley_ratio * min(smooth[prev], smooth[c]):
+            if valley > MODE_VALLEY_RATIO * min(smooth[prev], smooth[c]):
                 if smooth[c] > smooth[prev]:
                     modes[-1] = c
                 continue
         modes.append(c)
     return len(modes)
 
-
-def histograms_indistinguishable(a: Histogram, b: Histogram, alpha: float = 0.01) -> bool:
-    """Two-sample chi-square homogeneity test on shared bins.
-
-    Returns True when the hypothesis "same underlying distribution" is NOT
-    rejected at level ``alpha``. Bins whose combined count is below 10 are
-    pooled to keep the test valid.
-    """
-    from scipy.stats import chi2_contingency
-
-    if len(a.counts) != len(b.counts):
-        raise ValueError("histograms must share binning")
-    col_a: list[float] = []
-    col_b: list[float] = []
-    pool_a = pool_b = 0
-    for ca, cb in zip(a.counts, b.counts):
-        pool_a += ca
-        pool_b += cb
-        if pool_a + pool_b >= 10:
-            col_a.append(pool_a)
-            col_b.append(pool_b)
-            pool_a = pool_b = 0
-    if pool_a + pool_b > 0 and col_a:
-        col_a[-1] += pool_a
-        col_b[-1] += pool_b
-    if len(col_a) < 2:
-        return True  # everything in one bin: trivially identical shape
-    _, p_value, _, _ = chi2_contingency([col_a, col_b])
-    return bool(p_value >= alpha)

@@ -20,6 +20,7 @@ from .latency import LatencyModel
 from .proto import Message, MessageKind, make_aggregate_packet
 
 COMMAND_QUEUE_DEPTH = 4
+BUS_READ_TIMEOUT_S = 2.0  # charged to a collection sweep per dead meter
 
 
 class Phase(Enum):
@@ -103,14 +104,12 @@ class MeterBus:
     """
 
     def __init__(self, station: ChargingStation, local_bus_model: LatencyModel,
-                 metering_model: LatencyModel, rng, dead_outlets=(),
-                 read_timeout_s: float = 2.0):
+                 metering_model: LatencyModel, rng, dead_outlets=()):
         self.station = station
         self.local_bus_model = local_bus_model
         self.metering_model = metering_model
         self.rng = rng
         self.dead_outlets = set(dead_outlets)
-        self.read_timeout_s = read_timeout_s
         self.reads = 0
 
     def discover(self) -> list:
@@ -174,7 +173,7 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
         try:
             snap, cost = bus.read(mid.outlet, t)
         except BusTimeout:
-            cost = bus.read_timeout_s
+            cost = BUS_READ_TIMEOUT_S
             old = state.cache.get(mid)
             if old is not None:
                 snap = replace(old, fault="bus-timeout")

@@ -1,5 +1,5 @@
 """Wire messages and the three retrieval protocols: legacy per-meter pull,
-aggregated single-request pull, and periodic push.
+aggregated single-request pull, and periodic push into the server store.
 
 Wall times come from sampled link delays; the protocols themselves are pure
 event generators the simulation engine drives. The line-delimited record
@@ -22,14 +22,13 @@ class MessageKind(Enum):
     METER_STATUS_RESP = "meter_status_resp"
     AGGREGATE_REQ = "aggregate_req"
     AGGREGATE_PACKET = "aggregate_packet"
-    DUTY_CYCLE_SET = "duty_cycle_set"
-    DUTY_CYCLE_ACK = "duty_cycle_ack"
     SETUP_ACK = "setup_ack"
     ERROR = "error"
 
 
-class RequestTimeout(RuntimeError):
-    """A whole retrieval request timed out; the caller may retry."""
+# legacy-pull request and response kinds, keyed by "is a power reading"
+_REQUEST_KIND = {True: MessageKind.METER_POWER_REQ, False: MessageKind.METER_STATUS_REQ}
+_RESPONSE_KIND = {True: MessageKind.METER_POWER_RESP, False: MessageKind.METER_STATUS_RESP}
 
 
 @dataclass
@@ -93,15 +92,14 @@ class RetrievalResult:
     wall_time: float = 0.0
     request_count: int = 0
     staleness: dict = field(default_factory=dict)   # MeterId -> seconds
-    errors: list = field(default_factory=list)      # (MeterId, marker) per failed request
+    errors: list = field(default_factory=list)      # (MeterId | None, marker) per failed request
     responses: int = 0
     messages: list = field(default_factory=list)    # wire Messages, in emission order
 
 
 def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
                 include_status: bool = False, at: float = 0.0,
-                timeout_s: float = 30.0, t_status_read: float = 0.0,
-                pipelined: bool = False) -> RetrievalResult:
+                timeout_s: float = 30.0, t_status_read: float = 0.0) -> RetrievalResult:
     """Per-meter pull: one full round trip per reading, issued sequentially.
 
     Each power reading costs cloud hops + link transit + metering; a relay
@@ -109,73 +107,48 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
     ``t_status_read`` (default 0). A request whose round trip exceeds the
     timeout yields a per-meter marker and charges the timeout to the wall
     clock; the rest of the retrieval continues.
-
-    ``pipelined=True`` is the what-if mode: all requests go out at once and
-    the wall clock is the slowest of them. The reference wall-time figures
-    hold only for the default sequential issue.
     """
     link_model = links.for_link(station.link)
     cloud = links.t_server_cloud + links.t_cloud
+    sid = station.station_id
     snapshots: dict = {}
     errors: list = []
     messages: list = []
     requests = 0
     responses = 0
     t = at
-    slowest = 0.0
     for outlet in range(len(station.meters)):
-        mid = MeterId(station.station_id, outlet)
-        issue_at = at if pipelined else t
-        requests += 1
-        seq = requests
-        link_s = link_model.sample(rng, issue_at)
-        met_s = links.metering.sample(rng, issue_at)
-        rtt = cloud + link_s + met_s
-        messages.append(Message(kind=MessageKind.METER_POWER_REQ, station=station.station_id,
-                                meter=mid, seq=seq, sent_at=issue_at))
-        if rtt > timeout_s:
-            snapshots[mid] = None
-            errors.append((mid, "timeout"))
-            messages.append(Message(kind=MessageKind.ERROR, station=station.station_id,
-                                    meter=mid, payload={"reason": "timeout"}, seq=seq,
-                                    sent_at=issue_at, received_at=issue_at + timeout_s))
-            t += timeout_s
-            slowest = max(slowest, timeout_s)
-        else:
-            captured = issue_at + 0.5 * (cloud + link_s) + met_s
-            snap = meter_snapshot(station, outlet, captured)
-            snapshots[mid] = snap
-            responses += 1
-            messages.append(Message(kind=MessageKind.METER_POWER_RESP, station=station.station_id,
-                                    meter=mid, payload=(snap,), seq=seq,
-                                    sent_at=captured, received_at=issue_at + rtt))
-            t += rtt
-            slowest = max(slowest, rtt)
-        if include_status:
-            issue_at = at if pipelined else t
+        mid = MeterId(sid, outlet)
+        for power in ((True, False) if include_status else (True,)):
             requests += 1
-            seq = requests
-            link_s2 = link_model.sample(rng, issue_at)
-            rtt2 = cloud + link_s2 + t_status_read
-            messages.append(Message(kind=MessageKind.METER_STATUS_REQ, station=station.station_id,
-                                    meter=mid, seq=seq, sent_at=issue_at))
-            if rtt2 > timeout_s:
-                errors.append((mid, "status-timeout"))
-                messages.append(Message(kind=MessageKind.ERROR, station=station.station_id,
-                                        meter=mid, payload={"reason": "timeout"}, seq=seq,
-                                        sent_at=issue_at, received_at=issue_at + timeout_s))
+            link_s = link_model.sample(rng, t)
+            local_s = links.metering.sample(rng, t) if power else t_status_read
+            rtt = cloud + link_s + local_s
+            messages.append(Message(kind=_REQUEST_KIND[power], station=sid,
+                                    meter=mid, seq=requests, sent_at=t))
+            if rtt > timeout_s:
+                if power:
+                    snapshots[mid] = None
+                errors.append((mid, "timeout" if power else "status-timeout"))
+                messages.append(Message(kind=MessageKind.ERROR, station=sid,
+                                        meter=mid, payload={"reason": "timeout"}, seq=requests,
+                                        sent_at=t, received_at=t + timeout_s))
                 t += timeout_s
-                slowest = max(slowest, timeout_s)
+                continue
+            responses += 1
+            if power:
+                replied_at = t + 0.5 * (cloud + link_s) + local_s
+                snap = meter_snapshot(station, outlet, replied_at)
+                snapshots[mid] = snap
+                payload = (snap,)
             else:
-                responses += 1
-                relay = station.channel(outlet).relay
-                messages.append(Message(kind=MessageKind.METER_STATUS_RESP, station=station.station_id,
-                                        meter=mid, payload={"relay": relay.value}, seq=seq,
-                                        sent_at=issue_at + 0.5 * (cloud + link_s2),
-                                        received_at=issue_at + rtt2))
-                t += rtt2
-                slowest = max(slowest, rtt2)
-    wall = slowest if pipelined else t - at
+                replied_at = t + 0.5 * (cloud + link_s)
+                payload = {"relay": station.channel(outlet).relay.value}
+            messages.append(Message(kind=_RESPONSE_KIND[power], station=sid,
+                                    meter=mid, payload=payload, seq=requests,
+                                    sent_at=replied_at, received_at=t + rtt))
+            t += rtt
+    wall = t - at
     done = at + wall
     staleness = {
         mid: done - snap.captured_at for mid, snap in snapshots.items() if snap is not None
@@ -198,15 +171,26 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     ``pic`` is a collector endpoint exposing ``station`` and
     ``serve_aggregate(now) -> (snapshots, serve_cost)``; in cache-serving
     mode the cost is zero and no metering term reaches the server's wall
-    clock. A timed-out request fails whole (retryable).
+    clock. A timed-out request fails whole: every meter maps to None, one
+    ``(None, "timeout")`` error is recorded and the timeout is charged to
+    the wall clock, as in ``legacy_pull``.
     """
-    link_model = links.for_link(pic.station.link)
+    station = pic.station
+    sid = station.station_id
+    link_model = links.for_link(station.link)
     cloud = links.t_server_cloud + links.t_cloud
     link_s = link_model.sample(rng, at)
     rtt = cloud + link_s
+    request = Message(kind=MessageKind.AGGREGATE_REQ, station=sid, seq=1, sent_at=at)
     if rtt > timeout_s:
-        raise RequestTimeout(
-            f"aggregate request to station {pic.station.station_id} exceeded {timeout_s} s"
+        marker = Message(kind=MessageKind.ERROR, station=sid, payload={"reason": "timeout"},
+                         seq=1, sent_at=at, received_at=at + timeout_s)
+        return RetrievalResult(
+            snapshots={MeterId(sid, outlet): None for outlet in range(len(station.meters))},
+            wall_time=timeout_s,
+            request_count=1,
+            errors=[(None, "timeout")],
+            messages=[request, marker],
         )
     arrive = at + 0.5 * rtt
     snaps, serve_cost = pic.serve_aggregate(arrive)
@@ -214,10 +198,7 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     done = at + wall
     snapshots = {s.meter: s for s in snaps}
     staleness = {m: done - s.captured_at for m, s in snapshots.items()}
-    request = Message(kind=MessageKind.AGGREGATE_REQ, station=pic.station.station_id,
-                      seq=1, sent_at=at)
-    reply = make_aggregate_packet(pic.station.station_id, snaps, seq=1,
-                                  sent_at=arrive + serve_cost)
+    reply = make_aggregate_packet(sid, snaps, seq=1, sent_at=arrive + serve_cost)
     reply.received_at = done
     return RetrievalResult(
         snapshots=snapshots,
@@ -238,13 +219,9 @@ def push_cycle_time(budget: TimingBudget, meter_count: int) -> float:
     return meter_count * (budget.t_ethernet + budget.t_metering) + budget.t_3g_uplink
 
 
-def legacy_retrieval_time(budget: TimingBudget, meter_count: int = 4,
-                          include_status: bool = False) -> float:
-    """Analytic wall time of a sequential per-meter pull."""
-    power = meter_count * (budget.t_3g + budget.t_metering)
-    if include_status:
-        power += meter_count * budget.t_3g
-    return power
+def legacy_retrieval_time(budget: TimingBudget, meter_count: int = 4) -> float:
+    """Analytic wall time of a sequential per-meter power pull."""
+    return meter_count * (budget.t_3g + budget.t_metering)
 
 
 def t_save(budget: TimingBudget, meter_count: int = 4) -> float:
@@ -255,7 +232,35 @@ def t_save(budget: TimingBudget, meter_count: int = 4) -> float:
     return (meter_count - 0.5) * budget.t_3g - meter_count * budget.t_ethernet
 
 
-def push_consume(store, packet: Message, now: float):
+class ServerStore:
+    """The server's latest per-station telemetry, fed by ``push_consume``.
+
+    Push consumption replaces a station record wholesale (one assignment),
+    so a reader never sees a torn record, and it discards packets at or below
+    the stored sequence, so per-station sequence numbers stay monotone.
+    """
+
+    def __init__(self):
+        self.stations: dict = {}           # station_id -> _StationRecord
+        self.diagnostics: list = []
+
+    def staleness_at(self, station_id: int, now: float) -> dict:
+        """Age of each stored snapshot at ``now``; empty if nothing stored."""
+        record = self.stations.get(station_id)
+        if record is None:
+            return {}
+        return {m: now - s.captured_at for m, s in record.snapshots.items()}
+
+
+@dataclass
+class _StationRecord:
+    """Latest per-station server-side state."""
+
+    snapshots: dict
+    packet_seq: int
+
+
+def push_consume(store: ServerStore, packet: Message, now: float):
     """Fold a pushed aggregate packet into the server store.
 
     The per-station record is replaced in a single assignment (atomic from
@@ -275,23 +280,6 @@ def push_consume(store, packet: Message, now: float):
             f"(stored seq {current.packet_seq})"
         )
         return None
-    staleness = {s.meter: now - s.captured_at for s in snaps}
-    record = _StationRecord(
-        snapshots={s.meter: s for s in snaps},
-        packet_seq=packet.seq,
-        updated_at=now,
-        staleness=staleness,
-    )
-    store.stations[packet.station] = record
-    return staleness
-
-
-@dataclass
-class _StationRecord:
-    """Latest per-station server-side state; shared shape with the controller
-    store so push consumption stays store-agnostic."""
-
-    snapshots: dict
-    packet_seq: int
-    updated_at: float
-    staleness: dict
+    store.stations[packet.station] = _StationRecord(
+        snapshots={s.meter: s for s in snaps}, packet_seq=packet.seq)
+    return {s.meter: now - s.captured_at for s in snaps}

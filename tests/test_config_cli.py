@@ -150,20 +150,70 @@ class TestCli:
         assert rc == 3
         assert "checks failed" in capsys.readouterr().err
 
-    def test_truncated_trace_exits_3_and_names_the_failed_event(self, tmp_path, capsys):
-        # a timeout below the cellular hard max makes some aggregated pull
-        # raise RequestTimeout, which truncates the trace
-        cfg = tmp_path / "short-timeout.yaml"
-        cfg.write_text(yaml.safe_dump({"trials": 200, "timeout_s": 2.0}))
-        rc = main(["compare-protocols", "--config", str(cfg), "--out", str(tmp_path)])
+    def test_truncated_trace_exits_3_and_names_the_failed_event(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # a handler that raises on the third trial truncates the trace there
+        from chargesim import proto
+
+        real_pic_pull = proto.pic_pull
+        calls = []
+
+        def failing_pic_pull(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("injected fault")
+            return real_pic_pull(*args, **kwargs)
+
+        monkeypatch.setattr(proto, "pic_pull", failing_pic_pull)
+        rc = main(["compare-protocols", "--trials", "200", "--out", str(tmp_path)])
         assert rc == 3
         assert "checks failed: trace-complete" in capsys.readouterr().err
         summary = (tmp_path / "summary.txt").read_text()
-        assert "check trace-complete: FAIL (trace truncated: event 'trial' at " in summary
-        assert "RequestTimeout" in summary
+        assert ("check trace-complete: FAIL (trace truncated: event 'trial' at 120.0 s "
+                "failed: RuntimeError: injected fault)") in summary
         records = [json.loads(line) for line in
                    (tmp_path / "trace.jsonl").read_text().splitlines()[1:-1]]
         assert "error" in records[-1]
+
+    def test_short_timeout_gives_a_complete_trace(self, tmp_path):
+        # a timeout below the cellular 4.5 s hard max times some pulls out;
+        # each timeout is recorded as an outcome and the run completes
+        cfg = tmp_path / "short-timeout.yaml"
+        cfg.write_text(yaml.safe_dump({"trials": 200, "timeout_s": 2.0}))
+        rc = main(["compare-protocols", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert "trace_digest" in json.loads(lines[-1])
+        assert not any("error" in json.loads(line) for line in lines[1:-1])
+        rows = (tmp_path / "retrievals.csv").read_text().splitlines()[1:]
+        pic_walls = [float(r.split(",")[2]) for r in rows if ",pic_pull," in r]
+        assert len(pic_walls) == 200
+        assert 2.0 in pic_walls  # at least one aggregated pull timed out
+
+    @pytest.mark.parametrize("config, path", [
+        ({"protocol": "legacy_pull"}, "protocol"),
+        ({"legacy_pipelined": True}, "legacy_pipelined"),
+    ])
+    def test_fixed_keys_accept_only_their_default(self, tmp_path, capsys, config, path):
+        cfg = tmp_path / "fixed.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        rc = main(["compare-protocols", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: {path}: only " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, path", [
+        ({"fleet": {"stations": [{"id": 0, "evs": []}]}}, "fleet.stations[0].evs"),
+        ({"duty_sweep": {"i_final_a": 60}}, "duty_sweep.i_final_a"),
+        ({"duty_sweep": {"steps": 0}}, "duty_sweep.steps"),
+    ])
+    def test_bad_duty_sweep_input_exits_2(self, tmp_path, capsys, config, path):
+        cfg = tmp_path / "duty.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        rc = main(["duty-cycle", "--preset", "duty-3g", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         rc = main(["duty-cycle", "--preset", "duty-3g", "--seed", "123",

@@ -7,7 +7,6 @@ from chargesim.control import (
     DeliveryError,
     DutyOutcome,
     DutyRangeError,
-    ServerStore,
     change_duty_cycle,
     compute_t_waiting,
     current_to_duty,
@@ -111,7 +110,7 @@ class TestDutyMapping:
 class TestChangeDutyCycle:
     def test_step_up_confirms_with_adaptive_wait_below_fixed(self):
         station = station_with_ev(amps=8.0)
-        change = change_duty_cycle(ServerStore(), station, 0, current_to_duty(16.0),
+        change = change_duty_cycle(station, 0, current_to_duty(16.0),
                                    duty_links(), substream(1, "d"), BUDGET_5S)
         assert change.outcome is DutyOutcome.CONFIRMED
         assert change.t_waiting < 3.5
@@ -121,7 +120,7 @@ class TestChangeDutyCycle:
 
     def test_zero_step_confirms_immediately(self):
         station = station_with_ev(amps=30.0)
-        change = change_duty_cycle(ServerStore(), station, 0, current_to_duty(30.0),
+        change = change_duty_cycle(station, 0, current_to_duty(30.0),
                                    duty_links(), substream(1, "d"), BUDGET_5S)
         assert change.outcome is DutyOutcome.CONFIRMED
         assert change.t_waiting == 0.0
@@ -132,7 +131,7 @@ class TestChangeDutyCycle:
         slow = EvModel(settle_t0=2.0, settle_rate=0.3125, settle_cap=12.0)
         station = station_with_ev(ev=slow, amps=0.0)
         model = EvModel()  # what the server believes
-        change = change_duty_cycle(ServerStore(), station, 0, current_to_duty(32.0),
+        change = change_duty_cycle(station, 0, current_to_duty(32.0),
                                    duty_links(), substream(1, "d"), BUDGET_5S,
                                    settle_model=model)
         assert len(change.reads) == 2          # first read unsettled, one retry
@@ -142,7 +141,7 @@ class TestChangeDutyCycle:
 
     def test_ack_timeout_fails(self):
         station = station_with_ev(amps=8.0)
-        change = change_duty_cycle(ServerStore(), station, 0, current_to_duty(16.0),
+        change = change_duty_cycle(station, 0, current_to_duty(16.0),
                                    duty_links(), substream(1, "d"), BUDGET_5S,
                                    timeout_s=1.0)
         assert change.outcome is DutyOutcome.FAILED
@@ -151,40 +150,37 @@ class TestChangeDutyCycle:
     def test_offline_station_fails(self):
         station = station_with_ev(amps=8.0)
         station.online = False
-        change = change_duty_cycle(ServerStore(), station, 0, current_to_duty(16.0),
+        change = change_duty_cycle(station, 0, current_to_duty(16.0),
                                    duty_links(), substream(1, "d"), BUDGET_5S)
         assert change.outcome is DutyOutcome.FAILED
 
     def test_no_ev_raises(self):
         station = ChargingStation(station_id=0, circuit_limit=40.0)
         with pytest.raises(NoEvError):
-            change_duty_cycle(ServerStore(), station, 0, 50.0,
+            change_duty_cycle(station, 0, 50.0,
                               duty_links(), substream(1, "d"), BUDGET_5S)
 
     def test_confirmation_soundness(self):
         # a confirmed outcome means the measured current is within tolerance
         for target in (6.0, 16.0, 24.0, 32.0):
             station = station_with_ev(amps=0.0)
-            change = change_duty_cycle(ServerStore(), station, 0, current_to_duty(target),
+            change = change_duty_cycle(station, 0, current_to_duty(target),
                                        duty_links(), substream(3, "d"), BUDGET_5S)
             if change.outcome is DutyOutcome.CONFIRMED:
                 assert abs(change.reads[-1][1] - change.i_final) <= 1.0
 
 
 class TestStoreAndModes:
-    def test_select_mode_updates_station_and_store(self):
-        store = ServerStore()
+    def test_select_mode_updates_station(self):
         station = ChargingStation(station_id=3, circuit_limit=40.0)
-        ack = select_algorithm_mode(store, station, AlgorithmMode.ROUND_ROBIN, now=7.0)
+        select_algorithm_mode(station, AlgorithmMode.ROUND_ROBIN)
         assert station.local_algorithm is AlgorithmMode.ROUND_ROBIN
-        assert store.algorithm_mode[3] is AlgorithmMode.ROUND_ROBIN
-        assert ack.delivered_at == 7.0
 
     def test_offline_station_delivery_fails(self):
         station = ChargingStation(station_id=3, circuit_limit=40.0)
         station.online = False
         with pytest.raises(DeliveryError):
-            select_algorithm_mode(ServerStore(), station, AlgorithmMode.NONE)
+            select_algorithm_mode(station, AlgorithmMode.NONE)
 
     def test_mode_change_mid_cycle_takes_effect_next_boundary(self):
         # three EVs charging under a server-pushed allocation; switching to
@@ -211,14 +207,14 @@ class TestStoreAndModes:
 
         apply(round_robin_step(rr, plugged, 0.0), 0.0)
         in_force = {o: station.meters[o].allocated_amps for o in plugged}
-        select_algorithm_mode(ServerStore(), station, AlgorithmMode.ROUND_ROBIN, now=450.0)
+        select_algorithm_mode(station, AlgorithmMode.ROUND_ROBIN)
         assert {o: station.meters[o].allocated_amps for o in plugged} == in_force
         apply(round_robin_step(rr, plugged, 900.0), 900.0)
         after = {o: station.meters[o].allocated_amps for o in plugged}
         assert after != in_force  # the rotation advanced at the boundary
 
     def test_staleness_at_tracks_age(self):
-        from chargesim.proto import make_aggregate_packet, push_consume
+        from chargesim.proto import ServerStore, make_aggregate_packet, push_consume
         from chargesim.domain import MeterId, MeterSnapshot
         store = ServerStore()
         snap = MeterSnapshot(meter=MeterId(0, 0), volts=208.0, amps=0.0, watts=0.0,

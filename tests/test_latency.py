@@ -15,12 +15,40 @@ from chargesim.latency import (
     default_models,
     empirical_histogram,
     ethernet_default,
-    histograms_indistinguishable,
     threeg_default,
     worst_case_budget,
     _near_gauss,
 )
 from chargesim.sim import substream
+
+
+def histograms_indistinguishable(a, b, alpha):
+    """Two-sample chi-square homogeneity test on shared bins.
+
+    Returns True when the hypothesis "same underlying distribution" is NOT
+    rejected at level ``alpha``. Bins whose combined count is below 10 are
+    pooled to keep the test valid.
+    """
+    from scipy.stats import chi2_contingency
+
+    assert len(a.counts) == len(b.counts), "histograms must share binning"
+    col_a: list = []
+    col_b: list = []
+    pool_a = pool_b = 0
+    for ca, cb in zip(a.counts, b.counts):
+        pool_a += ca
+        pool_b += cb
+        if pool_a + pool_b >= 10:
+            col_a.append(pool_a)
+            col_b.append(pool_b)
+            pool_a = pool_b = 0
+    if pool_a + pool_b > 0 and col_a:
+        col_a[-1] += pool_a
+        col_b[-1] += pool_b
+    if len(col_a) < 2:
+        return True  # everything in one bin: trivially identical shape
+    _, p_value, _, _ = chi2_contingency([col_a, col_b])
+    return bool(p_value >= alpha)
 
 
 def fixed_model(location, kind=LinkKind.ETHERNET, hard_max=None):
@@ -191,7 +219,7 @@ class TestHistogram:
 
     def test_default_threeg_shows_four_modes_at_1e5(self):
         hist = empirical_histogram(threeg_default(), 100_000, 45, substream(4, "h"))
-        assert hist.mode_count() == 4
+        assert count_modes(hist.counts) == 4
 
     def test_mixture_mean_matches_analytic_within_one_percent(self):
         # closed form: 0.4*0.8 + 0.3*1.5 + 0.2*2.5 + 0.1*4.0 = 1.67

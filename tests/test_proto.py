@@ -1,14 +1,13 @@
 """Protocol tests: wall-time arithmetic, request accounting, push consumption."""
 import pytest
 
-from chargesim.control import ServerStore
 from chargesim.domain import ChargingStation, EvModel, MeterId, MeterSnapshot, RelayState, apply_relay, plug_ev, set_current
 from chargesim.latency import LatencyModel, LinkKind, LinkModelSet, MixtureComponent, TimingBudget
 from chargesim.pic import MeterBus, PicEndpoint, startup_init
 from chargesim.proto import (
     Message,
     MessageKind,
-    RequestTimeout,
+    ServerStore,
     legacy_pull,
     legacy_retrieval_time,
     make_aggregate_packet,
@@ -109,19 +108,75 @@ class TestLegacyPull:
                 if m.received_at:
                     assert m.received_at >= m.sent_at
 
-    def test_pipelined_wall_time_is_slowest_request(self):
-        links = fixed_links(threeg=4.0, metering=0.5)
-        result = legacy_pull(charging_station(), links, substream(1, "t"), pipelined=True)
-        assert result.wall_time == pytest.approx(4.5)  # one round trip, not four
-        assert result.request_count == 4
-        assert len(result.snapshots) == 4
-
     def test_staleness_reflects_return_path(self):
         links = fixed_links(threeg=4.0, metering=0.5)
         result = legacy_pull(charging_station(), links, substream(1, "t"))
         # last meter's reading is freshest: it only ages by its uplink leg
         last = MeterId(0, 3)
         assert result.staleness[last] == pytest.approx(2.0)  # half of 4.0 s link
+
+
+# legacy_pull on the library's default (stochastic) links at a 3 s timeout,
+# which the cellular link sometimes exceeds: (wall_time, errors as
+# (outlet, marker), staleness as (outlet, repr), sha256 prefix of the wire
+# trail) per (include_status, seed). The reprs pin every float to the last
+# bit, so a reordered draw or float operation in the request loop shows here.
+PINNED_LEGACY_PULLS = {
+    (False, 0): ('4.687343021876445', [],
+                 [(0, '4.002689524590071'), (1, '2.8629745902421218'), (2, '1.9931573087462433'),
+                  (3, '0.770821775653352')], 'bc59b5487dc19dd3'),
+    (False, 1): ('8.828514338658806', [(1, 'timeout')],
+                 [(0, '7.858168897532778'), (2, '3.4016345016971172'), (3, '1.3474732211811897')],
+                 'f113969fbda86eff'),
+    (False, 2): ('6.3456461629966725', [],
+                 [(0, '4.854731721569806'), (1, '2.6776706391165135'), (2, '1.3413779775555668'),
+                  (3, '0.3559954783977446')], '46756087cbb2273c'),
+    (False, 3): ('8.823736655374887', [],
+                 [(0, '7.3182655197106214'), (1, '5.07927574680798'), (2, '3.3365329671614745'),
+                  (3, '1.1536125776601693')], '6a6a26ddbcc92fe4'),
+    (False, 4): ('4.56980157632097', [],
+                 [(0, '4.0720964639112935'), (1, '2.84673639301036'), (2, '1.4989157366126165'),
+                  (3, '0.4447706813552941')], '9e331ed5fb5c9b5d'),
+    (False, 5): ('9.561669453174545', [(0, 'timeout'), (3, 'timeout')],
+                 [(1, '5.618758559015987'), (2, '3.810501484960696')], '74efd08907e560ef'),
+    (True, 0): ('11.125973129466514', [],
+                [(0, '10.44131963218014'), (1, '8.258457373509419'), (2, '5.221098642158198'),
+                 (3, '1.2803526573501127')], '97cf744b0d1d0405'),
+    (True, 1): ('15.216821896975034', [(0, 'status-timeout'), (1, 'status-timeout')],
+                [(0, '14.246476455849006'), (1, '9.79402687793663'), (2, '4.762714831825633'),
+                 (3, '1.6584855231494657')], '15f03b4f81e361e9'),
+    (True, 2): ('17.411736198262588', [(2, 'status-timeout')],
+                [(0, '15.920821756835721'), (1, '11.596448253186281'), (2, '8.94270756325659'),
+                 (3, '4.088086858973838')], 'af151afda20a2192'),
+    (True, 3): ('15.58804986710311', [],
+                [(0, '14.082578731438844'), (1, '10.02461436354497'), (2, '6.688427193746975'),
+                 (3, '2.304489367712449')], '481fc3962d4495a2'),
+    (True, 4): ('10.640311924562411', [],
+                [(0, '10.142606812152735'), (1, '7.546429159567197'), (2, '3.5553611532686773'),
+                 (3, '1.5046114037704683')], '42ad74b95e152d08'),
+    (True, 5): ('16.11415778349692', [(0, 'timeout'), (2, 'timeout')],
+                [(1, '10.486890606811357'), (3, '1.9743201417295495')], '5240c6d7bf9a4ea2'),
+}
+
+
+@pytest.mark.parametrize("include_status,seed", sorted(PINNED_LEGACY_PULLS))
+def test_legacy_pull_pinned_on_default_links(include_status, seed):
+    import hashlib
+    import json
+
+    from chargesim.latency import default_models
+
+    result = legacy_pull(charging_station(), default_models(), substream(seed, "pin"),
+                         include_status=include_status, at=3600.0 * seed,
+                         timeout_s=3.0, t_status_read=0.25)
+    trail = json.dumps([m.to_record() for m in result.messages], sort_keys=True)
+    actual = (
+        repr(result.wall_time),
+        [(m.outlet, marker) for m, marker in result.errors],
+        sorted((m.outlet, repr(s)) for m, s in result.staleness.items()),
+        hashlib.sha256(trail.encode()).hexdigest()[:16],
+    )
+    assert actual == PINNED_LEGACY_PULLS[(include_status, seed)]
 
 
 class TestPicPull:
@@ -151,10 +206,19 @@ class TestPicPull:
         assert result.wall_time == pytest.approx(0.0, abs=1e-6)
 
     def test_timeout_fails_whole_request(self):
+        # a timed-out aggregate request is an outcome, charged like a
+        # legacy per-meter timeout: no reading, one marker, the timeout spent
         links = fixed_links(threeg=4.5, metering=0.5)
         endpoint = cache_serving_endpoint(links)
-        with pytest.raises(RequestTimeout):
-            pic_pull(endpoint, links, substream(1, "t"), timeout_s=1.0)
+        result = pic_pull(endpoint, links, substream(1, "t"), at=10.0, timeout_s=1.0)
+        assert result.wall_time == 1.0
+        assert result.request_count == 1
+        assert result.responses == 0
+        assert result.errors == [(None, "timeout")]
+        assert result.snapshots == {MeterId(0, outlet): None for outlet in range(4)}
+        assert result.staleness == {}
+        assert [m.kind for m in result.messages] == [MessageKind.AGGREGATE_REQ, MessageKind.ERROR]
+        assert result.messages[1].received_at == 11.0
 
     def test_fresh_mode_charges_collection_to_wall(self):
         links = fixed_links(threeg=4.5, metering=0.2, local_bus=0.001)
