@@ -1,34 +1,24 @@
 """Command-line harness for the charging testbed.
 
-Subcommands mirror the experiment suite: rtt-dist, compare-protocols,
-duty-cycle, local-sched, and replay. Exit codes: 0 success, 2 config or
-trace-file error, 3 failed checks (--check), a truncated trace or a diverged
-replay.
+One subcommand per entry of ``experiments.COMMANDS``, plus replay. Exit
+codes: 0 success, 2 config or trace-file error, 3 failed checks (--check), a
+truncated trace or a diverged replay.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, PRESETS, resolve
-from .experiments import (
-    ExperimentOutput,
-    cmd_compare_protocols,
-    cmd_duty_cycle,
-    cmd_local_sched,
-    cmd_replay,
-    cmd_rtt_dist,
-)
+from .experiments import COMMANDS, ExperimentOutput, cmd_replay, run
 from .sim import TraceParseError
 
-_RUNNERS = {
-    "rtt-dist": cmd_rtt_dist,
-    "compare-protocols": cmd_compare_protocols,
-    "duty-cycle": cmd_duty_cycle,
-    "local-sched": cmd_local_sched,
-}
+# command -> (ExperimentConfig -> ExperimentOutput); main calls through this
+# dict, so a caller may replace its entries (the benchmark's tracer does)
+_RUNNERS = {name: partial(run, name) for name in COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,7 @@ config digest, so a trace file alone is enough to replay its experiment.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -77,6 +78,16 @@ DEFAULT_CONFIG: dict = {
     "schedule_time": None,
     "duty_sweep": {"i_final_a": 32.0, "steps": 33},
 }
+
+
+# Keys accepted by the fixed-shape sections whose DEFAULT_CONFIG entry does
+# not list them all. `expect` is free-form: each command reads the
+# expectations it knows.
+_TOP_LEVEL_KEYS = (*DEFAULT_CONFIG, "expect")
+_LATENCY_KEYS = ("ethernet", "wifi", "threeg", "local_bus", "metering",
+                 "t_server_cloud", "t_cloud")
+_STATION_KEYS = DEFAULT_CONFIG["fleet"]["stations"][0]
+_EV_KEYS = ("outlet", "max_current_a", "settle_t0_s", "settle_rate_s_per_a", "settle_cap_s")
 
 
 def _fixed(location: float, hard_max: float) -> dict:
@@ -198,9 +209,37 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {value!r}")
+    return value
+
+
+def _section(value, path: str, keys) -> dict:
+    """``value`` as a mapping whose keys are all in ``keys``; a key outside
+    them is a typo or a stale setting, never something to ignore."""
+    for key in _mapping(value, path):
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+    return value
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 def _number(value, path: str, minimum=None) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # NaN and infinity cannot be written into a trace header (strict JSON)
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
     return float(value)
@@ -226,6 +265,7 @@ def _latency_model(kind: LinkKind, spec: dict, path: str) -> LatencyModel:
 def _build_links(spec, path: str) -> LinkModelSet:
     if spec is None:
         return default_models()
+    _section(spec, path, _LATENCY_KEYS)
     defaults = default_models()
     models = {}
     for name, kind in (("ethernet", LinkKind.ETHERNET), ("wifi", LinkKind.WIFI),
@@ -246,8 +286,8 @@ def _build_links(spec, path: str) -> LinkModelSet:
     )
 
 
-def _build_stations(fleet: dict, path: str) -> list:
-    stations_spec = _require(fleet, "stations", path)
+def _build_stations(fleet, path: str) -> list:
+    stations_spec = _require(_section(fleet, path, ("stations",)), "stations", path)
     if not isinstance(stations_spec, list) or not stations_spec:
         raise ConfigError(f"{path}.stations: need at least one station")
     if len(stations_spec) > 1:
@@ -257,22 +297,27 @@ def _build_stations(fleet: dict, path: str) -> list:
     specs = []
     for i, st in enumerate(stations_spec):
         sp = f"{path}.stations[{i}]"
-        outlets = int(_number(st.get("outlets", 4), f"{sp}.outlets", 0))
+        _section(st, sp, _STATION_KEYS)
+        outlets = _integer(st.get("outlets", 4), f"{sp}.outlets", 1)
+        evs_spec = st.get("evs", [])
+        if not isinstance(evs_spec, list):
+            raise ConfigError(f"{sp}.evs: expected a list, got {evs_spec!r}")
         evs = []
-        for j, ev in enumerate(st.get("evs", [])):
+        for j, ev in enumerate(evs_spec):
             ep = f"{sp}.evs[{j}]"
-            outlet = int(_number(_require(ev, "outlet", ep), f"{ep}.outlet", 0))
+            outlet = _integer(_require(_section(ev, ep, _EV_KEYS), "outlet", ep), f"{ep}.outlet", 0)
             if outlet >= outlets:
                 raise ConfigError(f"{ep}.outlet: {outlet} out of range for {outlets} outlets")
+            if any(outlet == taken for taken, _ in evs):
+                raise ConfigError(f"{ep}.outlet: outlet {outlet} already has an EV")
             evs.append((outlet, EvModel(
-                plugged=True,
                 max_current=_number(ev.get("max_current_a", 32.0), f"{ep}.max_current_a", 0.0),
                 settle_t0=_number(ev.get("settle_t0_s", 1.0), f"{ep}.settle_t0_s", 0.0),
                 settle_rate=_number(ev.get("settle_rate_s_per_a", 0.15625), f"{ep}.settle_rate_s_per_a", 0.0),
                 settle_cap=_number(ev.get("settle_cap_s", 6.0), f"{ep}.settle_cap_s", 0.0),
             )))
         specs.append(StationSpec(
-            station_id=int(_number(st.get("id", i), f"{sp}.id", 0)),
+            station_id=_integer(st.get("id", i), f"{sp}.id", 0),
             link=_enum(LinkKind, st.get("link", "threeg"), f"{sp}.link"),
             circuit_limit=_number(st.get("circuit_limit_a", 40.0), f"{sp}.circuit_limit_a", 0.0),
             voltage=_number(st.get("voltage_v", 208.0), f"{sp}.voltage_v", 1.0),
@@ -286,16 +331,19 @@ def _build_stations(fleet: dict, path: str) -> list:
 def _build_schedule(spec, path: str) -> Optional[sched.ScheduleTimeConfig]:
     if spec is None:
         return None
-    windows_spec = _require(spec, "windows", path)
+    windows_spec = _require(_section(spec, path, ("windows",)), "windows", path)
     windows = {}
-    for outlet_key, wlist in windows_spec.items():
+    for outlet_key, wlist in _mapping(windows_spec, f"{path}.windows").items():
         try:
             outlet = int(outlet_key)
         except (TypeError, ValueError):
             raise ConfigError(f"{path}.windows.{outlet_key}: outlet keys must be integers") from None
+        if not isinstance(wlist, list):
+            raise ConfigError(f"{path}.windows.{outlet_key}: expected a list, got {wlist!r}")
         ws = []
         for k, w in enumerate(wlist):
             wp = f"{path}.windows.{outlet_key}[{k}]"
+            _section(w, wp, ("start_s", "end_s", "amps"))
             ws.append(sched.ChargeWindow(
                 start_s=_number(_require(w, "start_s", wp), f"{wp}.start_s", 0.0),
                 end_s=_number(_require(w, "end_s", wp), f"{wp}.end_s", 0.0),
@@ -306,24 +354,20 @@ def _build_schedule(spec, path: str) -> Optional[sched.ScheduleTimeConfig]:
 
 
 def _build_duty_sweep(spec, path: str) -> dict:
-    spec = spec or {}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {spec!r}")
+    _section(spec, path, DEFAULT_CONFIG["duty_sweep"])
     i_final = _number(spec.get("i_final_a", 32.0), f"{path}.i_final_a")
     try:
         current_to_duty(i_final)
     except DutyRangeError as exc:
         raise ConfigError(f"{path}.i_final_a: {exc}") from None
-    steps = spec.get("steps", 33)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ConfigError(f"{path}.steps: expected an integer >= 1, got {steps!r}")
-    return {"i_final_a": i_final, "steps": steps}
+    return {"i_final_a": i_final, "steps": _integer(spec.get("steps", 33), f"{path}.steps", 1)}
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
     """Validate a resolved config dict and build the runtime objects."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a mapping at the top level")
+    _section(raw, "", _TOP_LEVEL_KEYS)
     version = raw.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"version: unsupported config version {version!r}")
@@ -335,7 +379,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         if value != default or type(value) is not type(default):
             raise ConfigError(f"{key}: only {default!r} is supported, got {value!r}")
 
-    budget_spec = raw.get("budget", {}) or {}
+    budget_spec = _section(raw.get("budget", {}), "budget", DEFAULT_CONFIG["budget"])
     try:
         budget = TimingBudget(
             t_server_cloud=_number(budget_spec.get("t_server_cloud", 0.0), "budget.t_server_cloud", 0.0),
@@ -351,25 +395,25 @@ def from_dict(raw: dict) -> ExperimentConfig:
     links = _build_links(raw.get("latency"), "latency")
     stations = _build_stations(raw.get("fleet", DEFAULT_CONFIG["fleet"]), "fleet")
 
-    rr_spec = raw.get("round_robin", {}) or {}
+    rr_spec = _section(raw.get("round_robin", {}), "round_robin", DEFAULT_CONFIG["round_robin"])
     round_robin = sched.RoundRobinConfig(
         slot_length_s=_number(rr_spec.get("slot_length_s", 900.0), "round_robin.slot_length_s", 1e-9),
-        max_concurrent=int(_number(rr_spec.get("max_concurrent", 1), "round_robin.max_concurrent", 1)),
+        max_concurrent=_integer(rr_spec.get("max_concurrent", 1), "round_robin.max_concurrent", 1),
         per_active_current=_number(rr_spec.get("per_active_current_a", 16.0),
                                    "round_robin.per_active_current_a", 0.0),
     )
     schedule_time = _build_schedule(raw.get("schedule_time"), "schedule_time")
 
-    # Scheduler configs must be provably safe for every station that uses them.
+    # Scheduler configs must be provably safe for every station that uses
+    # them; local-sched runs round robin on a station whatever its algorithm.
     for spec in stations:
-        if spec.algorithm is AlgorithmMode.ROUND_ROBIN:
-            report = sched.validate_config(round_robin, spec.circuit_limit)
-            if not report.ok:
-                v = report.violations[0]
-                raise ConfigError(
-                    f"round_robin: {v.total_amps} A worst case exceeds station "
-                    f"{spec.station_id}'s {spec.circuit_limit} A limit"
-                )
+        report = sched.validate_config(round_robin, spec.circuit_limit)
+        if not report.ok:
+            v = report.violations[0]
+            raise ConfigError(
+                f"round_robin: {v.total_amps} A worst case exceeds station "
+                f"{spec.station_id}'s {spec.circuit_limit} A limit"
+            )
         if schedule_time is not None and spec.algorithm is AlgorithmMode.SCHEDULE_TIME:
             report = sched.validate_config(schedule_time, spec.circuit_limit)
             if not report.ok:
@@ -381,13 +425,13 @@ def from_dict(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         raw=raw,
-        seed=int(_number(raw.get("seed", 42), "seed", 0)),
+        seed=_integer(raw.get("seed", 42), "seed", 0),
         duration_s=_number(raw.get("duration_s", 604800.0), "duration_s", 0.0),
         probe_period_s=_number(raw.get("probe_period_s", 300.0), "probe_period_s", 1e-9),
-        trials=int(_number(raw.get("trials", 10000), "trials", 0)),
+        trials=_integer(raw.get("trials", 10000), "trials", 0),
         trial_spacing_s=_number(raw.get("trial_spacing_s", 60.0), "trial_spacing_s", 1e-9),
         push_period_s=_number(raw.get("push_period_s", 30.0), "push_period_s", 1e-9),
-        serve_cache=bool(raw.get("serve_cache", True)),
+        serve_cache=_boolean(raw.get("serve_cache", True), "serve_cache"),
         timeout_s=_number(raw.get("timeout_s", 30.0), "timeout_s", 0.0),
         t_status_read_s=_number(raw.get("t_status_read_s", 0.0), "t_status_read_s", 0.0),
         budget=budget,
@@ -395,8 +439,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
         stations=stations,
         round_robin=round_robin,
         schedule_time=schedule_time,
-        duty_sweep=_build_duty_sweep(raw.get("duty_sweep"), "duty_sweep"),
-        expect=raw.get("expect", {}) or {},
+        duty_sweep=_build_duty_sweep(raw.get("duty_sweep", {}), "duty_sweep"),
+        expect=_mapping(raw.get("expect", {}), "expect"),
     )
 
 

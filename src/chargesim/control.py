@@ -98,7 +98,7 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
     operation outright.
     """
     ch = station.channel(outlet)
-    if ch.ev is None or not ch.ev.plugged:
+    if ch.ev is None:
         raise NoEvError(f"outlet {outlet} has no plugged EV")
     i_final = duty_to_current(duty_percent)
 

@@ -81,7 +81,6 @@ class EvModel:
     ``settle_cap``. The defaults make a full 0-32 A step take exactly the cap.
     """
 
-    plugged: bool = True
     max_current: float = 32.0
     settle_t0: float = 1.0
     settle_rate: float = 0.15625  # seconds per ampere of step
@@ -91,8 +90,6 @@ class EvModel:
 def ev_settle_time(ev: EvModel, i_init: float, i_final: float) -> float:
     """Seconds for the EV to settle after a current step; symmetric in its
     arguments, zero for a zero step, never above the cap."""
-    if not ev.plugged:
-        raise NoEvError("no EV plugged; settle time is undefined")
     for label, amps in (("i_init", i_init), ("i_final", i_final)):
         if not 0.0 <= amps <= ev.max_current:
             raise ValueError(f"{label}={amps!r} outside [0, {ev.max_current}]")
@@ -120,7 +117,7 @@ class MeterChannel:
     metered_amps: float = 0.0
 
     def amps_at(self, now: float) -> float:
-        if self.relay is RelayState.OFF or self.ev is None or not self.ev.plugged:
+        if self.relay is RelayState.OFF or self.ev is None:
             return 0.0
         if self.ramp_end <= self.ramp_start or now >= self.ramp_end:
             return self.ramp_to
@@ -129,24 +126,27 @@ class MeterChannel:
         frac = (now - self.ramp_start) / (self.ramp_end - self.ramp_start)
         return self.ramp_from + (self.ramp_to - self.ramp_from) * frac
 
-    def start_ramp(self, target: float, now: float) -> None:
-        current = self.amps_at(now)
-        self.ramp_from = current
+    def ramp(self, start: float, target: float, now: float) -> None:
+        """Ramp the plugged EV's current from ``start`` to ``target``,
+        beginning at ``now`` and taking the EV's settle time."""
+        self.ramp_from = start
         self.ramp_to = target
         self.ramp_start = now
-        if self.ev is not None and self.ev.plugged:
-            self.ramp_end = now + ev_settle_time(self.ev, current, target)
-        else:
-            self.ramp_end = now
+        self.ramp_end = now + ev_settle_time(self.ev, start, target)
 
-    def settle_now(self, amps: float, now: float) -> None:
-        """Scenario setup shortcut: pin the drawn current at ``amps`` with no
-        transient, as if it had settled long ago."""
-        self.allocated_amps = amps
+    def pin(self, amps: float, now: float) -> None:
+        """Hold the drawn current at ``amps`` from ``now``, with no transient.
+        No settle time is computed, so any EV limit is left unchecked."""
         self.ramp_from = amps
         self.ramp_to = amps
         self.ramp_start = now
         self.ramp_end = now
+
+    def settle_now(self, amps: float, now: float) -> None:
+        """Scenario setup shortcut: allocate ``amps`` and pin the drawn
+        current there, as if it had settled long ago."""
+        self.allocated_amps = amps
+        self.pin(amps, now)
 
 
 class ChargingStation:
@@ -227,19 +227,12 @@ def apply_relay(station: ChargingStation, outlet: int, state: RelayState,
     if state is RelayState.ON and ch.relay is RelayState.OFF:
         _check_circuit(station, outlet, ch.allocated_amps)
         ch.relay = RelayState.ON
-        if ch.ev is not None and ch.ev.plugged:
-            target = min(ch.allocated_amps, ch.ev.max_current)
-            ch.ramp_from = 0.0
-            ch.ramp_to = target
-            ch.ramp_start = now
-            ch.ramp_end = now + ev_settle_time(ch.ev, 0.0, target)
+        if ch.ev is not None:
+            ch.ramp(0.0, min(ch.allocated_amps, ch.ev.max_current), now)
     elif state is RelayState.OFF and ch.relay is RelayState.ON:
         meter_snapshot(station, outlet, now)  # bank the energy up to the cut
         ch.relay = RelayState.OFF
-        ch.ramp_from = 0.0
-        ch.ramp_to = 0.0
-        ch.ramp_start = now
-        ch.ramp_end = now
+        ch.pin(0.0, now)
         ch.metered_amps = 0.0  # current is cut instantly
     return meter_snapshot(station, outlet, now)
 
@@ -255,28 +248,21 @@ def set_current(station: ChargingStation, outlet: int, amps: float,
         _check_circuit(station, outlet, amps)
     meter_snapshot(station, outlet, now)
     ch.allocated_amps = amps
-    if ch.relay is RelayState.ON and ch.ev is not None and ch.ev.plugged:
-        ch.start_ramp(min(amps, ch.ev.max_current), now)
+    if ch.relay is RelayState.ON and ch.ev is not None:
+        ch.ramp(ch.amps_at(now), min(amps, ch.ev.max_current), now)
 
 
 def plug_ev(station: ChargingStation, outlet: int, ev: EvModel, now: float = 0.0) -> None:
     ch = station.channel(outlet)
     meter_snapshot(station, outlet, now)
     ch.ev = ev
-    if ch.relay is RelayState.ON and ev.plugged:
-        target = min(ch.allocated_amps, ev.max_current)
-        ch.ramp_from = 0.0
-        ch.ramp_to = target
-        ch.ramp_start = now
-        ch.ramp_end = now + ev_settle_time(ev, 0.0, target)
+    if ch.relay is RelayState.ON:
+        ch.ramp(0.0, min(ch.allocated_amps, ev.max_current), now)
 
 
 def unplug_ev(station: ChargingStation, outlet: int, now: float = 0.0) -> None:
     ch = station.channel(outlet)
     meter_snapshot(station, outlet, now)
     ch.ev = None
-    ch.ramp_from = 0.0
-    ch.ramp_to = 0.0
-    ch.ramp_start = now
-    ch.ramp_end = now
+    ch.pin(0.0, now)
     ch.metered_amps = 0.0

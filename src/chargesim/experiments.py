@@ -1,14 +1,17 @@
-"""Experiment harness: each command builds a seeded engine, runs its
-scenario, and post-processes the trace into CSV rows, a summary, and
+"""Experiment harness: each command builds seeded engines, runs its
+scenario, and post-processes the traces into CSV rows, a summary, and
 pass/fail checks.
 
-Every CSV row and summary figure is derived from trace records alone, never
-from side channels, so a written trace file is sufficient to reproduce (and
-verify) a run.
+Every CSV row and summary figure is derived from trace records alone: a
+command's post-processor is a pure function of the config and each trace's
+record list, so a written trace file is sufficient to reproduce (and verify)
+a run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from . import pic, proto, sched
 from .config import ConfigError, ExperimentConfig, from_dict
@@ -60,19 +63,23 @@ class ExperimentOutput:
         return any(trace.failed for _, trace in self.traces)
 
 
-def _flag_truncation(out: ExperimentOutput) -> bool:
-    """A handler exception truncates its trace; post-processing would then
-    read state the failed event never recorded. Such a run skips it and
-    gets one failing check that names the event that failed."""
-    for name, trace in out.traces:
-        if trace.failed:
-            last = trace.records[-1]
-            out.checks.append(Check(
-                "trace-complete", False,
-                f"{name} truncated: event {last['kind']!r} at {last['at']!r} s failed: "
-                f"{last['error']}"))
-            return True
-    return False
+def _expect_exact(expect: dict, key: str, name: str, label: str, value) -> list:
+    """The ``name`` check when ``expect`` pins ``key``: ``value`` must equal it."""
+    if key not in expect or value is None:
+        return []
+    want = float(expect[key])
+    return [Check(name, abs(value - want) < 1e-9, f"{label} {value!r} s, expected {want!r} s")]
+
+
+def _expect_ratio(expect: dict, key: str, name: str, value) -> list:
+    """The ``name`` check when ``expect`` gives ``key``: ``value`` must be
+    within ``speedup_tolerance`` of it, relatively."""
+    if key not in expect or value is None:
+        return []
+    want = float(expect[key])
+    tol = float(expect.get("speedup_tolerance", 0.05))
+    rel = abs(value - want) / want
+    return [Check(name, rel <= tol, f"{value:.3f}x vs {want}x ({rel:.3%}, tol {tol:.0%})")]
 
 
 # --------------------------------------------------------------------------
@@ -98,16 +105,14 @@ def _trace_rtt_dist(cfg: ExperimentConfig) -> EventTrace:
     return eng.run_until(cfg.duration_s)
 
 
-def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
-    trace = _trace_rtt_dist(cfg)
-    out = ExperimentOutput(command="rtt-dist", traces=[("trace", trace)])
-    if _flag_truncation(out):
-        return out
+def _post_rtt_dist(cfg: ExperimentConfig, records: dict):
     links = cfg.links
     cloud = links.t_server_cloud + links.t_cloud
+    csvs: dict = {}
+    summary: dict = {}
 
     samples: dict = {link: [] for link in RTT_LINKS}
-    for rec in trace.records:
+    for rec in records["trace"]:
         if rec["kind"] == "rtt-probe":
             link = LinkKind(rec["data"]["link"])
             samples[link].append((rec["at"], rec["state"]["seg"], rec["state"]["rtt"]))
@@ -119,11 +124,11 @@ def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
         seg_hist = histogram_of(segs, MODE_BINS, 0.0, links.for_link(link).hard_max)
         rtt_hist = histogram_of(rtts, MODE_BINS, 0.0,
                                 links.for_link(link).hard_max + met_max + cloud)
-        out.csvs[f"hist_{link.value}.csv"] = (
+        csvs[f"hist_{link.value}.csv"] = (
             ("bin_low", "bin_high", "count"), rtt_hist.rows())
-        out.csvs[f"hist_{link.value}_segment.csv"] = (
+        csvs[f"hist_{link.value}_segment.csv"] = (
             ("bin_low", "bin_high", "count"), seg_hist.rows())
-        out.summary[link.value] = {
+        summary[link.value] = {
             "probes": len(rows),
             "seg_min": min(segs) if segs else None,
             "seg_max": max(segs) if segs else None,
@@ -140,7 +145,7 @@ def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
             continue
         hist = histogram_of(day_segs, MODE_BINS, 0.0, links.threeg.hard_max)
         day_rows.extend((day, lo, hi, c) for lo, hi, c in hist.rows())
-    out.csvs["threeg_by_day.csv"] = (("day", "bin_low", "bin_high", "count"), day_rows)
+    csvs["threeg_by_day.csv"] = (("day", "bin_low", "bin_high", "count"), day_rows)
 
     expect = cfg.expect
     modes_min = int(expect.get("threeg_modes_min", 4))
@@ -152,17 +157,17 @@ def cmd_rtt_dist(cfg: ExperimentConfig) -> ExperimentOutput:
         sum(1 for r in eth_rtts if band_lo <= r <= band_hi) / len(eth_rtts)
         if eth_rtts else 0.0
     )
-    seg_max = out.summary["threeg"]["seg_max"] or 0.0
-    out.summary["ethernet_rtt_in_band"] = in_band
-    out.checks = [
-        Check("threeg-modes", out.summary["threeg"]["modes"] >= modes_min,
-              f"detected {out.summary['threeg']['modes']} modes, need >= {modes_min}"),
+    seg_max = summary["threeg"]["seg_max"] or 0.0
+    summary["ethernet_rtt_in_band"] = in_band
+    checks = [
+        Check("threeg-modes", summary["threeg"]["modes"] >= modes_min,
+              f"detected {summary['threeg']['modes']} modes, need >= {modes_min}"),
         Check("threeg-hard-max", seg_max <= links.threeg.hard_max + 1e-12,
               f"max sample {seg_max:.3f} s vs bound {links.threeg.hard_max} s"),
         Check("ethernet-rtt-band", in_band >= frac_needed,
               f"{in_band:.3f} of Ethernet RTTs in [{band_lo}, {band_hi}] s, need >= {frac_needed}"),
     ]
-    return out
+    return csvs, summary, checks
 
 
 # --------------------------------------------------------------------------
@@ -290,17 +295,14 @@ def _trace_compare(cfg: ExperimentConfig) -> EventTrace:
     return eng.run_until(horizon)
 
 
-def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
-    trace = _trace_compare(cfg)
+def _post_compare(cfg: ExperimentConfig, records: dict):
     links = cfg.links
-    out = ExperimentOutput(command="compare-protocols", traces=[("trace", trace)])
-    if _flag_truncation(out):
-        return out
     meters = cfg.stations[0].outlets
+    trace = records["trace"]
 
-    trials = [r for r in trace.records if r["kind"] == "trial"]
+    trials = [r for r in trace if r["kind"] == "trial"]
     stale_records = [
-        r for r in trace.records
+        r for r in trace
         if r["kind"] in ("stale-probe", "push-arrive")
         and r.get("state", {}).get("stale_max") is not None
     ]
@@ -315,11 +317,13 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
         rows.append((i, "pic_pull", s["pic"], s["rc1"]))
         rows.append((i, "pic_push_cycle", s["push_cycle"], 0))
         counts_ok = counts_ok and s["rc4"] == meters and s["rc8"] == 2 * meters and s["rc1"] == 1
-    out.csvs["retrievals.csv"] = (("trial", "protocol", "wall_s", "requests"), rows)
-    out.csvs["staleness.csv"] = (
-        ("at", "source", "stale_max_s"),
-        [(r["at"], r["kind"], r["state"]["stale_max"]) for r in stale_records],
-    )
+    csvs = {
+        "retrievals.csv": (("trial", "protocol", "wall_s", "requests"), rows),
+        "staleness.csv": (
+            ("at", "source", "stale_max_s"),
+            [(r["at"], r["kind"], r["state"]["stale_max"]) for r in stale_records],
+        ),
+    }
 
     def mean(key):
         return ordered_sum(t["state"][key] for t in trials) / len(trials) if trials else None
@@ -338,7 +342,7 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
     stale_max = max((r["state"]["stale_max"] for r in stale_records), default=None)
     bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links), meters)
 
-    out.summary = {
+    summary = {
         "trials": len(trials),
         "mean_legacy_power_s": m4,
         "mean_legacy_full_s": m8,
@@ -354,47 +358,32 @@ def cmd_compare_protocols(cfg: ExperimentConfig) -> ExperimentOutput:
         "staleness_bound_s": bound,
     }
 
-    out.checks.append(Check(
+    checks = [Check(
         "request-counts",
         counts_ok,
         f"legacy power={meters}, legacy full={2 * meters}, aggregated pull=1 on every trial",
-    ))
+    )]
     if stale_max is not None:
-        out.checks.append(Check(
+        checks.append(Check(
             "staleness-bound", stale_max <= bound,
             f"max staleness {stale_max:.3f} s vs bound {bound:.3f} s"))
     if len(trials) >= 1000 and analytic_save > 0 and empirical_save is not None:
         rel = abs(empirical_save - analytic_save) / analytic_save
-        out.checks.append(Check(
+        checks.append(Check(
             "savings-identity", rel <= 0.02,
             f"empirical {empirical_save:.3f} s vs analytic {analytic_save:.3f} s ({rel:.3%})"))
         rel4 = abs(m4 - analytic_legacy) / analytic_legacy
         relc = abs(mc - analytic_cycle) / analytic_cycle
-        out.checks.append(Check(
+        checks.append(Check(
             "retrieval-identities", rel4 <= 0.02 and relc <= 0.02,
             f"legacy mean {m4:.3f} s vs analytic {analytic_legacy:.3f} s ({rel4:.2%}); "
             f"push cycle {mc:.3f} s vs analytic {analytic_cycle:.3f} s ({relc:.2%})"))
     expect = cfg.expect
-    if "legacy_wall_s" in expect and m4 is not None:
-        want = float(expect["legacy_wall_s"])
-        out.checks.append(Check(
-            "legacy-worst-case", abs(m4 - want) < 1e-9,
-            f"legacy power retrieval {m4!r} s, expected {want!r} s"))
-    if "speedup_power" in expect and speedup_power is not None:
-        want = float(expect["speedup_power"])
-        tol = float(expect.get("speedup_tolerance", 0.05))
-        rel = abs(speedup_power - want) / want
-        out.checks.append(Check(
-            "speedup-power", rel <= tol,
-            f"{speedup_power:.3f}x vs {want}x ({rel:.3%}, tol {tol:.0%})"))
-    if "speedup_full" in expect and speedup_full is not None:
-        want = float(expect["speedup_full"])
-        tol = float(expect.get("speedup_tolerance", 0.05))
-        rel = abs(speedup_full - want) / want
-        out.checks.append(Check(
-            "speedup-full", rel <= tol,
-            f"{speedup_full:.3f}x vs {want}x ({rel:.3%}, tol {tol:.0%})"))
-    return out
+    checks += _expect_exact(expect, "legacy_wall_s", "legacy-worst-case",
+                            "legacy power retrieval", m4)
+    checks += _expect_ratio(expect, "speedup_power", "speedup-power", speedup_power)
+    checks += _expect_ratio(expect, "speedup_full", "speedup-full", speedup_full)
+    return csvs, summary, checks
 
 
 # --------------------------------------------------------------------------
@@ -406,11 +395,16 @@ def _trace_duty_cycle(cfg: ExperimentConfig) -> EventTrace:
     spec = cfg.stations[0]
     if not spec.evs:
         raise ConfigError("fleet.stations[0].evs: the duty-cycle sweep needs at least one EV")
+    outlet, swept = spec.evs[0]
+    i_final = cfg.duty_sweep["i_final_a"]
+    # every point ends at i_final on the swept EV, with the other relays off
+    for limit, what in ((swept.max_current, "fleet.stations[0].evs[0].max_current_a"),
+                        (spec.circuit_limit, "fleet.stations[0].circuit_limit_a")):
+        if i_final > limit:
+            raise ConfigError(f"duty_sweep.i_final_a: {i_final!r} A exceeds {what} ({limit!r} A)")
     eng = Engine(cfg.seed, meta={"command": "duty-cycle", "config": cfg.raw})
     station = spec.build()
-    outlet = spec.evs[0][0]
     ch = station.channel(outlet)
-    i_final = cfg.duty_sweep["i_final_a"]
     steps = cfg.duty_sweep["steps"]
     duty = current_to_duty(i_final)
     fixed_wait = compute_t_waiting(ch.ev.settle_cap, cfg.budget)
@@ -441,43 +435,35 @@ def _trace_duty_cycle(cfg: ExperimentConfig) -> EventTrace:
     return eng.run_until(steps * 3600.0)
 
 
-def cmd_duty_cycle(cfg: ExperimentConfig) -> ExperimentOutput:
-    trace = _trace_duty_cycle(cfg)
-    out = ExperimentOutput(command="duty-cycle", traces=[("trace", trace)])
-    if _flag_truncation(out):
-        return out
-    points = [r["state"] for r in trace.records if r["kind"] == "duty-point"]
-    out.csvs["duty_sweep.csv"] = (
+def _post_duty_cycle(cfg: ExperimentConfig, records: dict):
+    points = [r["state"] for r in records["trace"] if r["kind"] == "duty-point"]
+    csvs = {"duty_sweep.csv": (
         ("delta_a", "t_ev_s", "adaptive_wait_s", "fixed_wait_s", "outcome", "reads", "latency_s"),
         [(p["delta"], p["t_ev"], p["adaptive_wait"], p["fixed_wait"], p["outcome"],
           p["reads"], p["latency"]) for p in points],
-    )
+    )}
     confirmed = all(p["outcome"] == "confirmed" for p in points)
     adaptive_ok = all(p["adaptive_wait"] <= p["fixed_wait"] + 1e-12 for p in points)
     mean_adaptive = ordered_sum(p["adaptive_wait"] for p in points) / len(points) if points else None
     fixed = points[0]["fixed_wait"] if points else None
-    out.summary = {
+    summary = {
         "points": len(points),
         "fixed_wait_s": fixed,
         "mean_adaptive_wait_s": mean_adaptive,
         "max_adaptive_wait_s": max((p["adaptive_wait"] for p in points), default=None),
         "all_confirmed": confirmed,
     }
-    out.checks = [
+    checks = [
         Check("all-confirmed", confirmed, "every sweep point ended confirmed"),
         Check("adaptive-within-fixed", adaptive_ok,
               "adaptive wait never exceeds the fixed worst-case wait"),
     ]
     if points:
-        out.checks.append(Check(
+        checks.append(Check(
             "adaptive-mean-below-fixed", mean_adaptive < fixed,
             f"mean adaptive {mean_adaptive:.3f} s vs fixed {fixed:.3f} s"))
-    if "fixed_wait_s" in cfg.expect and fixed is not None:
-        want = float(cfg.expect["fixed_wait_s"])
-        out.checks.append(Check(
-            "fixed-wait-value", abs(fixed - want) < 1e-9,
-            f"fixed wait {fixed!r} s, expected {want!r} s"))
-    return out
+    checks += _expect_exact(cfg.expect, "fixed_wait_s", "fixed-wait-value", "fixed wait", fixed)
+    return csvs, summary, checks
 
 
 # --------------------------------------------------------------------------
@@ -486,8 +472,6 @@ def cmd_duty_cycle(cfg: ExperimentConfig) -> ExperimentOutput:
 
 
 def _trace_local_sched(cfg: ExperimentConfig, variant: str) -> EventTrace:
-    if variant not in ("server", "local"):
-        raise ValueError(f"unknown scheduling variant {variant!r}")
     raw = dict(cfg.raw)
     raw["sched_variant"] = variant
     eng = Engine(cfg.seed, meta={"command": "local-sched", "config": raw})
@@ -563,21 +547,19 @@ def _trace_local_sched(cfg: ExperimentConfig, variant: str) -> EventTrace:
     return eng.run_until(cfg.duration_s)
 
 
-def cmd_local_sched(cfg: ExperimentConfig) -> ExperimentOutput:
-    out = ExperimentOutput(command="local-sched", traces=[
-        (variant, _trace_local_sched(cfg, variant)) for variant in ("server", "local")])
-    if _flag_truncation(out):
-        return out
+def _post_local_sched(cfg: ExperimentConfig, records: dict):
+    summary: dict = {}
+    checks = []
     traffic_rows = []
-    for variant, trace in out.traces:
-        slots = [r for r in trace.records if r["kind"] == "slot"]
-        cmds = [r for r in trace.records if r["kind"] == "sched-cmd"]
+    for variant, trace in records.items():
+        slots = [r for r in trace if r["kind"] == "slot"]
+        cmds = [r for r in trace if r["kind"] == "sched-cmd"]
         changes = sum(1 for r in slots if r["state"]["changed"])
         worst = max((r["state"]["total"] for r in slots), default=0.0)
         limit = slots[0]["state"]["limit"] if slots else cfg.stations[0].circuit_limit
         violations = sum(1 for r in slots if r["state"]["total"] > r["state"]["limit"] + 1e-9)
         traffic_rows.append((variant, len(slots), changes, len(cmds), worst, violations))
-        out.summary[variant] = {
+        summary[variant] = {
             "slots": len(slots),
             "alloc_changes": changes,
             "sched_messages": len(cmds),
@@ -585,26 +567,68 @@ def cmd_local_sched(cfg: ExperimentConfig) -> ExperimentOutput:
             "violations": violations,
         }
         if variant == "local":
-            out.checks.append(Check(
+            checks.append(Check(
                 "local-zero-traffic", len(cmds) == 0,
                 f"{len(cmds)} scheduling messages after mode selection"))
         else:
-            out.checks.append(Check(
+            checks.append(Check(
                 "server-traffic-per-change", len(cmds) >= changes and changes > 0,
                 f"{len(cmds)} messages for {changes} allocation changes"))
-        out.checks.append(Check(
+        checks.append(Check(
             f"{variant}-circuit-safety", violations == 0,
             f"worst total {worst:.1f} A vs limit {limit:.1f} A"))
-    out.csvs["traffic.csv"] = (
+    csvs = {"traffic.csv": (
         ("variant", "slots", "alloc_changes", "sched_messages", "worst_total_a", "violations"),
         traffic_rows,
-    )
+    )}
+    return csvs, summary, checks
+
+
+# --------------------------------------------------------------------------
+# the command table, the run, and replay
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """A command's traces, each built by a named builder from the config,
+    and its post-processor: a pure function of the config and each trace's
+    record list, returning ``(csvs, summary, checks)``."""
+
+    builders: dict    # trace name -> (ExperimentConfig -> EventTrace)
+    post: Callable
+
+
+COMMANDS = {
+    "rtt-dist": Command({"trace": _trace_rtt_dist}, _post_rtt_dist),
+    "compare-protocols": Command({"trace": _trace_compare}, _post_compare),
+    "duty-cycle": Command({"trace": _trace_duty_cycle}, _post_duty_cycle),
+    # each local-sched trace records its variant in its header config
+    "local-sched": Command({variant: partial(_trace_local_sched, variant=variant)
+                            for variant in ("server", "local")}, _post_local_sched),
+}
+
+
+def run(command: str, cfg: ExperimentConfig) -> ExperimentOutput:
+    """Build every trace of ``command`` and post-process their records.
+
+    A handler exception truncates its trace; post-processing would then read
+    state the failed event never recorded. Such a run skips it and gets one
+    failing check that names the event that failed."""
+    spec = COMMANDS[command]
+    out = ExperimentOutput(command=command, traces=[
+        (name, build(cfg)) for name, build in spec.builders.items()])
+    for name, trace in out.traces:
+        if trace.failed:
+            last = trace.records[-1]
+            out.checks.append(Check(
+                "trace-complete", False,
+                f"{name} truncated: event {last['kind']!r} at {last['at']!r} s failed: "
+                f"{last['error']}"))
+            return out
+    out.csvs, out.summary, out.checks = spec.post(
+        cfg, {name: trace.records for name, trace in out.traces})
     return out
-
-
-# --------------------------------------------------------------------------
-# replay: re-run a trace's (seed, config) and compare digests
-# --------------------------------------------------------------------------
 
 
 @dataclass
@@ -615,25 +639,22 @@ class ReplayVerdict:
     actual_digest: str
 
 
-_TRACE_RUNNERS = {
-    "rtt-dist": _trace_rtt_dist,
-    "compare-protocols": _trace_compare,
-    "duty-cycle": _trace_duty_cycle,
-    "local-sched": lambda cfg: _trace_local_sched(cfg, cfg.raw.get("sched_variant", "local")),
-}
-
-
 def cmd_replay(trace_path) -> ReplayVerdict:
+    """Re-run a trace file's (seed, config) with the builder that wrote it
+    and compare digests."""
     parsed: ParsedTrace = read_trace(trace_path)
     command = parsed.header.get("command")
-    if command not in _TRACE_RUNNERS:
+    if command not in COMMANDS:
         raise ValueError(f"trace was produced by unknown command {command!r}")
     raw = parsed.header.get("config")
-    if raw is None:
+    if not isinstance(raw, dict):
         raise ValueError("trace header carries no config; cannot replay")
-    cfg = from_dict(raw)
-    trace = _TRACE_RUNNERS[command](cfg)
-    actual = trace.digest()
+    raw = dict(raw)
+    name = raw.pop("sched_variant", "trace")
+    build = COMMANDS[command].builders.get(name)
+    if build is None:
+        raise ValueError(f"{command} writes no trace named {name!r}")
+    actual = build(from_dict(raw)).digest()
     return ReplayVerdict(
         identical=actual == parsed.stored_digest,
         command=command,

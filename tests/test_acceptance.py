@@ -20,12 +20,7 @@ import pytest
 
 from chargesim.config import resolve
 from chargesim.control import compute_t_waiting
-from chargesim.experiments import (
-    cmd_compare_protocols,
-    cmd_duty_cycle,
-    cmd_replay,
-    cmd_rtt_dist,
-)
+from chargesim.experiments import cmd_replay, run
 from chargesim.latency import (
     LatencyModel,
     LinkKind,
@@ -74,7 +69,7 @@ def test_c2_speedups_vs_legacy():
 def test_c3_savings_identity():
     t0 = time.perf_counter()
     cfg = resolve("default", overrides={"trials": 10000})
-    out = cmd_compare_protocols(cfg)
+    out = run("compare-protocols", cfg)
     emp = out.summary["savings_empirical_s"]
     ana = out.summary["savings_analytic_s"]
     rel = abs(emp - ana) / ana
@@ -88,7 +83,7 @@ def test_c3_savings_identity():
 def test_c4_waiting_time():
     t0 = time.perf_counter()
     exact = compute_t_waiting(6.0, TimingBudget(t_3g=5.0))
-    out = cmd_duty_cycle(resolve("duty-3g"))
+    out = run("duty-cycle", resolve("duty-3g"))
     points = out.summary["points"]
     ok = (
         exact == 3.5
@@ -105,7 +100,7 @@ def test_c4_waiting_time():
 def test_c5_rtt_distribution_shape():
     t0 = time.perf_counter()
     cfg = resolve("default")  # one week at five-minute cadence
-    out = cmd_rtt_dist(cfg)
+    out = run("rtt-dist", cfg)
     threeg = out.summary["threeg"]
     ok = (
         threeg["probes"] == 2016
@@ -147,7 +142,7 @@ def test_c6_firmware_property_suite():
 def test_c7_push_staleness_bound():
     t0 = time.perf_counter()
     cfg = resolve("default", overrides={"trials": 0, "duration_s": 86400.0})
-    out = cmd_compare_protocols(cfg)
+    out = run("compare-protocols", cfg)
     (name, trace), = out.traces
     bound_config = cfg.push_period_s + push_cycle_time(cfg.budget, 4)
     bound_hard = cfg.push_period_s + push_cycle_time(worst_case_budget(cfg.links), 4)
@@ -204,8 +199,8 @@ def test_c8_scheduler_safety_and_fairness():
 def test_c9_deterministic_replay(tmp_path):
     t0 = time.perf_counter()
     cfg = resolve("default", overrides={"duration_s": 21600.0})
-    first = cmd_rtt_dist(cfg).traces[0][1]
-    second = cmd_rtt_dist(cfg).traces[0][1]
+    first = run("rtt-dist", cfg).traces[0][1]
+    second = run("rtt-dist", cfg).traces[0][1]
     path = tmp_path / "reference.jsonl"
     stored = first.write(path)
     verdict = cmd_replay(path)

@@ -205,6 +205,11 @@ class TestCli:
         ({"fleet": {"stations": [{"id": 0, "evs": []}]}}, "fleet.stations[0].evs"),
         ({"duty_sweep": {"i_final_a": 60}}, "duty_sweep.i_final_a"),
         ({"duty_sweep": {"steps": 0}}, "duty_sweep.steps"),
+        # the sweep ends every point at i_final_a on the first EV's outlet
+        ({"fleet": {"stations": [{"id": 0, "evs": [{"outlet": 0, "max_current_a": 10.0}]}]}},
+         "duty_sweep.i_final_a"),
+        ({"fleet": {"stations": [{"id": 0, "circuit_limit_a": 20.0, "evs": [{"outlet": 0}]}]}},
+         "duty_sweep.i_final_a"),
     ])
     def test_bad_duty_sweep_input_exits_2(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "duty.yaml"
@@ -214,6 +219,54 @@ class TestCli:
         assert rc == 2
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "trace.jsonl").exists()
+
+    def test_round_robin_checked_on_a_station_of_any_algorithm(self, tmp_path, capsys):
+        # local-sched runs round robin on stations[0] whatever its algorithm
+        cfg = tmp_path / "rr.yaml"
+        cfg.write_text(yaml.safe_dump(
+            {"round_robin": {"max_concurrent": 3, "per_active_current_a": 16.0}}))
+        rc = main(["local-sched", "--duration", "86400", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error: round_robin: 48.0 A worst case" in capsys.readouterr().err
+        assert not (tmp_path / "trace_server.jsonl").exists()
+
+    def test_station_without_outlets_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "outlets.yaml"
+        cfg.write_text(yaml.safe_dump({"fleet": {"stations": [{"id": 0, "outlets": 0}]}}))
+        rc = main(["compare-protocols", "--trials", "20", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error: fleet.stations[0].outlets: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, path", [
+        ({"trails": 5}, "trails"),
+        ({"budget": {"t_4g": 1.0}}, "budget.t_4g"),
+        ({"round_robin": {"slot_s": 60}}, "round_robin.slot_s"),
+        ({"duty_sweep": {"step": 5}}, "duty_sweep.step"),
+        ({"fleet": {"stations": [{"id": 0, "outlet": 4}]}}, "fleet.stations[0].outlet"),
+        ({"fleet": {"stations": [{"id": 0, "evs": [{"outlet": 0, "max_amps": 16}]}]}},
+         "fleet.stations[0].evs[0].max_amps"),
+        ({"serve_cache": "no"}, "serve_cache"),
+        ({"trials": 2.7}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"fleet": {"stations": [{"id": 0, "outlets": 4.0}]}}, "fleet.stations[0].outlets"),
+        ({"fleet": {"stations": [{"id": 0.5}]}}, "fleet.stations[0].id"),
+        ({"fleet": {"stations": [{"id": 0, "evs": [{"outlet": 1.0}]}]}},
+         "fleet.stations[0].evs[0].outlet"),
+        ({"fleet": {"stations": [{"id": 0, "evs": [{"outlet": 1}, {"outlet": 1}]}]}},
+         "fleet.stations[0].evs[1].outlet"),
+        ({"round_robin": {"max_concurrent": 1.5}}, "round_robin.max_concurrent"),
+        # a trace header holds strict JSON, which has no NaN or infinity
+        ({"probe_period_s": float("inf")}, "probe_period_s"),
+        ({"timeout_s": float("nan")}, "timeout_s"),
+    ])
+    def test_input_that_would_load_silently_wrong_exits_2(self, tmp_path, capsys, config, path):
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        rc = main(["rtt-dist", "--duration", "600", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
 
     def test_seed_flag_overrides(self, tmp_path):
         rc = main(["duty-cycle", "--preset", "duty-3g", "--seed", "123",

@@ -8,7 +8,6 @@ from chargesim.domain import (
     ChargingStation,
     CircuitLimitError,
     EvModel,
-    NoEvError,
     RelayState,
     allocated_current_total,
     apply_relay,
@@ -36,10 +35,6 @@ class TestSettleTime:
         # oracle: 1 + 0.15625 * |16 - 8| = 2.25
         ev = EvModel(settle_t0=1.0, settle_rate=0.15625, settle_cap=6.0)
         assert ev_settle_time(ev, 8.0, 16.0) == pytest.approx(2.25, abs=1e-12)
-
-    def test_unplugged_raises(self):
-        with pytest.raises(NoEvError):
-            ev_settle_time(EvModel(plugged=False), 0.0, 10.0)
 
     def test_out_of_range_current_raises(self):
         with pytest.raises(ValueError):
