@@ -1,5 +1,6 @@
 """Experiment configuration: a single human-editable YAML/JSON document,
-validated on load, with shipped presets for the standard scenarios.
+checked on load against one schema, with shipped presets for the standard
+scenarios.
 
 The resolved dict is embedded in every trace header and hashed into the
 config digest, so a trace file alone is enough to replay its experiment.
@@ -7,87 +8,257 @@ config digest, so a trace file alone is enough to replay its experiment.
 from __future__ import annotations
 
 import copy
-import math
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from enum import Enum
+from typing import NoReturn, Optional
 
 import yaml
 
 from . import sched
 from .control import DutyRangeError, current_to_duty
-from .domain import AlgorithmMode, ChargingStation, EvModel, plug_ev
-from .latency import (
-    LatencyModel,
-    LinkKind,
-    LinkModelSet,
-    TimingBudget,
-    default_models,
-)
-
-CONFIG_VERSION = 1
+from .domain import DEFAULT_VOLTAGE, AlgorithmMode, ChargingStation, EvModel, plug_ev
+from .latency import (HOURS_PER_WEEK, DiurnalProfile, LatencyModel, LinkKind, LinkModelSet,
+                      MixtureComponent, TimingBudget, default_models)
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field path."""
 
 
-DEFAULT_CONFIG: dict = {
-    "version": CONFIG_VERSION,
-    "seed": 42,
-    "duration_s": 604800.0,       # one week
-    "probe_period_s": 300.0,      # five-minute probe cadence
-    "trials": 10000,
-    "trial_spacing_s": 60.0,
-    "protocol": "pic_push",       # accepts only this value; see from_dict
-    "push_period_s": 30.0,
-    "serve_cache": True,
-    "timeout_s": 30.0,
-    "t_status_read_s": 0.0,
-    "legacy_pipelined": False,    # accepts only this value; see from_dict
-    "budget": {
-        "t_server_cloud": 0.0,
-        "t_cloud": 0.0,
-        "t_ethernet": 0.0,
-        "t_wifi": 0.02,
-        "t_3g": 5.0,
-        "t_metering": 0.5,
-    },
-    "latency": None,  # None -> library defaults; see latency.default_models()
-    "fleet": {
-        "stations": [
-            {
-                "id": 0,
-                "link": "threeg",
-                "circuit_limit_a": 40.0,
-                "voltage_v": 208.0,
-                "outlets": 4,
-                "algorithm": "none",
-                "evs": [
-                    {"outlet": 0, "max_current_a": 32.0},
-                    {"outlet": 1, "max_current_a": 32.0},
-                    {"outlet": 2, "max_current_a": 32.0},
-                ],
-            }
-        ]
-    },
-    "round_robin": {
-        "slot_length_s": 900.0,
-        "max_concurrent": 1,
-        "per_active_current_a": 16.0,
-    },
-    "schedule_time": None,
-    "duty_sweep": {"i_final_a": 32.0, "steps": 33},
-}
+# --- schema ----------------------------------------------------------------
+# One node per key: its type, its bounds and its default. A default is a
+# value, REQUIRED, or OPTIONAL (no value; an absent optional key stays
+# absent). A Section is a mapping with its keys and no others. Its default is
+# the mapping of its keys' defaults, unless it is None (the section may be
+# null, which an absent one also is) or OPTIONAL (left out of DEFAULT_CONFIG,
+# but an absent one still takes its keys' defaults). DEFAULT_CONFIG is the
+# tree of the defaults.
+
+REQUIRED = object()
+OPTIONAL = object()
+_FIELDS = object()
 
 
-# Keys accepted by the fixed-shape sections whose DEFAULT_CONFIG entry does
-# not list them all. `expect` is free-form: each command reads the
-# expectations it knows.
-_TOP_LEVEL_KEYS = (*DEFAULT_CONFIG, "expect")
-_LATENCY_KEYS = ("ethernet", "wifi", "threeg", "local_bus", "metering",
-                 "t_server_cloud", "t_cloud")
-_STATION_KEYS = DEFAULT_CONFIG["fleet"]["stations"][0]
-_EV_KEYS = ("outlet", "max_current_a", "settle_t0_s", "settle_rate_s_per_a", "settle_cap_s")
+@dataclass(frozen=True)
+class Leaf:
+    """A scalar. ``type`` is int, float (any finite number but a bool, kept
+    as a float), bool, or an Enum whose values the key takes."""
+
+    type: type
+    default: object = REQUIRED
+    ge: Optional[float] = None
+    gt: Optional[float] = None
+    le: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class Const:
+    """A key that accepts its default alone, of the same type."""
+
+    default: object
+
+
+@dataclass(frozen=True)
+class ListOf:
+    item: object
+    default: object = REQUIRED
+    length: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class ByOutlet:
+    """A mapping from outlet number to ``item``. JSON has only string keys,
+    so a key is an integer >= 0 or a string of decimal digits."""
+
+    item: object
+    default: object = REQUIRED
+
+
+@dataclass(frozen=True)
+class Section:
+    fields: dict
+    default: object = _FIELDS
+
+
+def _defaults(node):
+    """``node``'s entry in DEFAULT_CONFIG."""
+    if isinstance(node, Section) and node.default is _FIELDS:
+        return {key: _defaults(sub) for key, sub in node.fields.items()
+                if sub.default is not REQUIRED and sub.default is not OPTIONAL}
+    return copy.deepcopy(node.default)
+
+
+_LINK_MODELS = ("ethernet", "wifi", "threeg", "local_bus", "metering")
+
+_MODEL = Section({
+    "components": ListOf(Section({
+        "weight": Leaf(float, gt=0.0),
+        "location": Leaf(float, ge=0.0),
+        "spread": Leaf(float, 0.0, ge=0.0),
+    })),
+    "hard_max": Leaf(float, gt=0.0),
+    # hour-of-week multipliers of the locations; see latency.DiurnalProfile
+    "diurnal": ListOf(Leaf(float, gt=0.0, le=1.0), list(DiurnalProfile.scale), length=HOURS_PER_WEEK),
+}, default=None)  # null: the library's model of that segment
+
+_STATION = Section({
+    "id": Leaf(int, 0, ge=0),
+    "link": Leaf(LinkKind, "threeg"),
+    "circuit_limit_a": Leaf(float, 40.0, ge=0.0),
+    "voltage_v": Leaf(float, DEFAULT_VOLTAGE, ge=1.0),
+    "outlets": Leaf(int, 4, ge=1),
+    "algorithm": Leaf(AlgorithmMode, "none"),
+    "evs": ListOf(Section({
+        "outlet": Leaf(int, ge=0),
+        "max_current_a": Leaf(float, EvModel.max_current, ge=0.0),
+        "settle_t0_s": Leaf(float, EvModel.settle_t0, ge=0.0),
+        "settle_rate_s_per_a": Leaf(float, EvModel.settle_rate, ge=0.0),
+        "settle_cap_s": Leaf(float, EvModel.settle_cap, ge=0.0),
+    }), []),
+})
+
+SCHEMA = Section({
+    "version": Const(1),
+    "seed": Leaf(int, 42, ge=0),
+    "duration_s": Leaf(float, 604800.0, ge=0.0),     # one week
+    "probe_period_s": Leaf(float, 300.0, gt=0.0),    # five-minute probe cadence
+    "trials": Leaf(int, 10000, ge=0),
+    "trial_spacing_s": Leaf(float, 60.0, gt=0.0),
+    # `protocol` and `legacy_pipelined` select nothing. They stay only because
+    # the resolved config is hashed into every trace header.
+    "protocol": Const("pic_push"),
+    "push_period_s": Leaf(float, 30.0, gt=0.0),
+    "serve_cache": Leaf(bool, True),
+    "timeout_s": Leaf(float, 30.0, ge=0.0),
+    "t_status_read_s": Leaf(float, 0.0, ge=0.0),
+    "legacy_pipelined": Const(False),
+    "budget": Section({
+        "t_server_cloud": Leaf(float, 0.0, ge=0.0),
+        "t_cloud": Leaf(float, 0.0, ge=0.0),
+        "t_ethernet": Leaf(float, 0.0, ge=0.0),
+        "t_wifi": Leaf(float, 0.02, ge=0.0),
+        "t_3g": Leaf(float, 5.0, ge=0.0),
+        "t_metering": Leaf(float, 0.5, ge=0.0),
+    }),
+    "latency": Section({
+        **{name: _MODEL for name in _LINK_MODELS},
+        "t_server_cloud": Leaf(float, 0.0, ge=0.0),
+        "t_cloud": Leaf(float, 0.0, ge=0.0),
+    }, default=None),  # null: latency.default_models()
+    "fleet": Section({
+        # Every command simulates stations[0], so a second station would be
+        # ignored. The default one has EVs on outlets 0-2.
+        "stations": ListOf(_STATION, [{
+            **_defaults(_STATION),
+            "evs": [{"outlet": k, "max_current_a": 32.0} for k in range(3)],
+        }], length=1),
+    }),
+    "round_robin": Section({
+        "slot_length_s": Leaf(float, sched.RoundRobinConfig.slot_length_s, gt=0.0),
+        "max_concurrent": Leaf(int, sched.RoundRobinConfig.max_concurrent, ge=1),
+        "per_active_current_a": Leaf(float, sched.RoundRobinConfig.per_active_current, ge=0.0),
+    }),
+    "schedule_time": Section({"windows": ByOutlet(ListOf(Section({
+        "start_s": Leaf(float, ge=0.0, le=sched.SECONDS_PER_DAY),
+        "end_s": Leaf(float, ge=0.0, le=sched.SECONDS_PER_DAY),
+        "amps": Leaf(float, ge=0.0),
+    })))}, default=None),
+    "duty_sweep": Section({
+        "i_final_a": Leaf(float, 32.0),
+        "steps": Leaf(int, 33, ge=1),
+    }),
+    # What a command's checks expect. Presets carry it and apply to any
+    # command, so every key is valid for every command.
+    "expect": Section({
+        # rtt-dist
+        "threeg_modes_min": Leaf(int, 4, ge=1),
+        "ethernet_rtt_band": ListOf(Leaf(float), [0.15, 0.25], length=2),  # [low, high] s
+        "ethernet_rtt_frac": Leaf(float, 0.9, ge=0.0, le=1.0),
+        # compare-protocols
+        "legacy_wall_s": Leaf(float, OPTIONAL, ge=0.0),
+        "speedup_power": Leaf(float, OPTIONAL, gt=0.0),
+        "speedup_full": Leaf(float, OPTIONAL, gt=0.0),
+        "speedup_tolerance": Leaf(float, 0.05, ge=0.0),
+        # duty-cycle
+        "fixed_wait_s": Leaf(float, OPTIONAL, ge=0.0),
+    }, default=OPTIONAL),
+})
+
+DEFAULT_CONFIG: dict = _defaults(SCHEMA)
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _fail(path: str, problem: str) -> NoReturn:
+    raise ConfigError(f"{path}: {problem}")
+
+
+def _walk(node, value, path: str):
+    """``value`` checked against ``node``, as a new tree with every absent
+    default filled in; float leaves hold floats and enum leaves members."""
+    if isinstance(node, Section):
+        if value is None and node.default is None:
+            return None
+        if not isinstance(value, dict):
+            _fail(path or "config", f"expected a mapping, got {value!r}")
+        for key in value:
+            if key not in node.fields:
+                _fail(f"{path}.{key}" if path else key, "unknown key")
+        out = {}
+        for key, sub in node.fields.items():
+            sub_path = f"{path}.{key}" if path else key
+            if key in value:
+                out[key] = _walk(sub, value[key], sub_path)
+            elif isinstance(sub, Section):
+                out[key] = None if sub.default is None else _walk(sub, {}, sub_path)
+            elif sub.default is REQUIRED:
+                _fail(sub_path, "missing")
+            elif sub.default is not OPTIONAL:
+                out[key] = _walk(sub, sub.default, sub_path)
+        return out
+    if isinstance(node, ListOf):
+        if not isinstance(value, list):
+            _fail(path, f"expected a list, got {value!r}")
+        if node.length is not None and len(value) != node.length:
+            _fail(path, f"must have length {node.length}, got {len(value)}")
+        return [_walk(node.item, item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if isinstance(node, ByOutlet):
+        if not isinstance(value, dict):
+            _fail(path, f"expected a mapping, got {value!r}")
+        out = {}
+        for key, item in value.items():
+            digits = isinstance(key, str) and key.isascii() and key.isdigit()
+            if not digits and (type(key) is not int or key < 0):
+                _fail(f"{path}.{key}", "an outlet key must be an integer >= 0")
+            if int(key) in out:
+                _fail(f"{path}.{key}", f"outlet {int(key)} given twice")
+            out[int(key)] = _walk(node.item, item, f"{path}.{key}")
+        return out
+    if isinstance(node, Const):
+        if value != node.default or type(value) is not type(node.default):
+            _fail(path, f"only {node.default!r} is supported, got {value!r}")
+        return value
+    kind = node.type
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            _fail(path, f"{value!r} is not one of [{', '.join(e.value for e in kind)}]")
+    # a bool is an int to Python, but never a count or a number here
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        _fail(path, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    # NaN and infinity cannot be written into a trace header (strict JSON)
+    if kind is float and not abs(value) <= sys.float_info.max:
+        _fail(path, f"expected a finite number, got {value!r}")
+    if node.ge is not None and value < node.ge:
+        _fail(path, f"must be >= {node.ge}, got {value!r}")
+    if node.gt is not None and value <= node.gt:
+        _fail(path, f"must be > {node.gt}, got {value!r}")
+    if node.le is not None and value > node.le:
+        _fail(path, f"must be <= {node.le}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _fixed(location: float, hard_max: float) -> dict:
@@ -95,27 +266,26 @@ def _fixed(location: float, hard_max: float) -> dict:
             "hard_max": hard_max}
 
 
+def _pinned(t_3g: float) -> dict:
+    """Latency models with every segment pinned, the cellular one at ``t_3g``."""
+    return {
+        "ethernet": _fixed(1e-06, 0.001),
+        "wifi": _fixed(0.02, 0.05),
+        "threeg": _fixed(t_3g, t_3g),
+        "local_bus": _fixed(1e-06, 0.001),
+        "metering": _fixed(0.5, 0.5),
+    }
+
+
+# Each preset states only what differs from DEFAULT_CONFIG.
 PRESETS: dict = {
     "default": {},
     # Deterministic worst-case cellular budget: every segment pinned at its
     # worst observed value, collector serving cache.
     "worst-case-3g": {
         "trials": 1,
-        "latency": {
-            "ethernet": _fixed(1e-06, 0.001),
-            "wifi": _fixed(0.02, 0.05),
-            "threeg": _fixed(4.5, 4.5),
-            "local_bus": _fixed(1e-06, 0.001),
-            "metering": _fixed(0.5, 0.5),
-        },
-        "budget": {
-            "t_server_cloud": 0.0,
-            "t_cloud": 0.0,
-            "t_ethernet": 0.0,
-            "t_wifi": 0.02,
-            "t_3g": 4.5,
-            "t_metering": 0.5,
-        },
+        "latency": _pinned(4.5),
+        "budget": {"t_3g": 4.5},
         "expect": {
             "legacy_wall_s": 20.0,
             "speedup_power": 4.4,
@@ -125,24 +295,7 @@ PRESETS: dict = {
     },
     # Deterministic cellular timing for duty-cycle runs: round trip pinned at
     # the typical 5 s envelope, so the fixed worst-case wait is 3.5 s.
-    "duty-3g": {
-        "latency": {
-            "ethernet": _fixed(1e-06, 0.001),
-            "wifi": _fixed(0.02, 0.05),
-            "threeg": _fixed(5.0, 5.0),
-            "local_bus": _fixed(1e-06, 0.001),
-            "metering": _fixed(0.5, 0.5),
-        },
-        "budget": {
-            "t_server_cloud": 0.0,
-            "t_cloud": 0.0,
-            "t_ethernet": 0.0,
-            "t_wifi": 0.02,
-            "t_3g": 5.0,
-            "t_metering": 0.5,
-        },
-        "expect": {"fixed_wait_s": 3.5},
-    },
+    "duty-3g": {"latency": _pinned(5.0), "expect": {"fixed_wait_s": 3.5}},
 }
 
 
@@ -200,247 +353,92 @@ class ExperimentConfig:
     round_robin: sched.RoundRobinConfig
     schedule_time: Optional[sched.ScheduleTimeConfig]
     duty_sweep: dict   # {"i_final_a": float, "steps": int}
-    expect: dict = field(default_factory=dict)
+    expect: dict       # the schema's `expect` keys, defaults filled in
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing")
-    return mapping[key]
-
-
-def _mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {value!r}")
-    return value
-
-
-def _section(value, path: str, keys) -> dict:
-    """``value`` as a mapping whose keys are all in ``keys``; a key outside
-    them is a typo or a stale setting, never something to ignore."""
-    for key in _mapping(value, path):
-        if key not in keys:
-            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-    return value
-
-
-def _integer(value, path: str, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
-def _number(value, path: str, minimum=None) -> float:
-    # NaN and infinity cannot be written into a trace header (strict JSON)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
-    return float(value)
-
-
-def _enum(cls, value, path: str):
-    try:
-        return cls(value)
-    except ValueError:
-        valid = ", ".join(e.value for e in cls)
-        raise ConfigError(f"{path}: {value!r} is not one of [{valid}]") from None
-
-
-def _latency_model(kind: LinkKind, spec: dict, path: str) -> LatencyModel:
-    try:
-        return LatencyModel.from_dict(kind, spec)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed model ({exc})") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _build_links(spec, path: str) -> LinkModelSet:
-    if spec is None:
-        return default_models()
-    _section(spec, path, _LATENCY_KEYS)
+def _links(spec: Optional[dict]) -> LinkModelSet:
     defaults = default_models()
-    models = {}
-    for name, kind in (("ethernet", LinkKind.ETHERNET), ("wifi", LinkKind.WIFI),
-                       ("threeg", LinkKind.THREE_G), ("local_bus", LinkKind.LOCAL_BUS),
-                       ("metering", LinkKind.LOCAL_BUS)):
-        if name in spec:
-            models[name] = _latency_model(kind, spec[name], f"{path}.{name}")
-        else:
-            models[name] = getattr(defaults, name)
-    return LinkModelSet(
-        ethernet=models["ethernet"],
-        wifi=models["wifi"],
-        threeg=models["threeg"],
-        local_bus=models["local_bus"],
-        metering=models["metering"],
-        t_server_cloud=_number(spec.get("t_server_cloud", 0.0), f"{path}.t_server_cloud", 0.0),
-        t_cloud=_number(spec.get("t_cloud", 0.0), f"{path}.t_cloud", 0.0),
-    )
-
-
-def _build_stations(fleet, path: str) -> list:
-    stations_spec = _require(_section(fleet, path, ("stations",)), "stations", path)
-    if not isinstance(stations_spec, list) or not stations_spec:
-        raise ConfigError(f"{path}.stations: need at least one station")
-    if len(stations_spec) > 1:
-        # every command simulates stations[0] only; a second one would be ignored
-        raise ConfigError(f"{path}.stations: {len(stations_spec)} stations given, "
-                          "but only one can be simulated")
-    specs = []
-    for i, st in enumerate(stations_spec):
-        sp = f"{path}.stations[{i}]"
-        _section(st, sp, _STATION_KEYS)
-        outlets = _integer(st.get("outlets", 4), f"{sp}.outlets", 1)
-        evs_spec = st.get("evs", [])
-        if not isinstance(evs_spec, list):
-            raise ConfigError(f"{sp}.evs: expected a list, got {evs_spec!r}")
-        evs = []
-        for j, ev in enumerate(evs_spec):
-            ep = f"{sp}.evs[{j}]"
-            outlet = _integer(_require(_section(ev, ep, _EV_KEYS), "outlet", ep), f"{ep}.outlet", 0)
-            if outlet >= outlets:
-                raise ConfigError(f"{ep}.outlet: {outlet} out of range for {outlets} outlets")
-            if any(outlet == taken for taken, _ in evs):
-                raise ConfigError(f"{ep}.outlet: outlet {outlet} already has an EV")
-            evs.append((outlet, EvModel(
-                max_current=_number(ev.get("max_current_a", 32.0), f"{ep}.max_current_a", 0.0),
-                settle_t0=_number(ev.get("settle_t0_s", 1.0), f"{ep}.settle_t0_s", 0.0),
-                settle_rate=_number(ev.get("settle_rate_s_per_a", 0.15625), f"{ep}.settle_rate_s_per_a", 0.0),
-                settle_cap=_number(ev.get("settle_cap_s", 6.0), f"{ep}.settle_cap_s", 0.0),
-            )))
-        specs.append(StationSpec(
-            station_id=_integer(st.get("id", i), f"{sp}.id", 0),
-            link=_enum(LinkKind, st.get("link", "threeg"), f"{sp}.link"),
-            circuit_limit=_number(st.get("circuit_limit_a", 40.0), f"{sp}.circuit_limit_a", 0.0),
-            voltage=_number(st.get("voltage_v", 208.0), f"{sp}.voltage_v", 1.0),
-            outlets=outlets,
-            algorithm=_enum(AlgorithmMode, st.get("algorithm", "none"), f"{sp}.algorithm"),
-            evs=evs,
-        ))
-    return specs
-
-
-def _build_schedule(spec, path: str) -> Optional[sched.ScheduleTimeConfig]:
     if spec is None:
-        return None
-    windows_spec = _require(_section(spec, path, ("windows",)), "windows", path)
-    windows = {}
-    for outlet_key, wlist in _mapping(windows_spec, f"{path}.windows").items():
+        return defaults
+    changes = {"t_server_cloud": spec["t_server_cloud"], "t_cloud": spec["t_cloud"]}
+    models = {name: spec[name] for name in _LINK_MODELS if spec[name] is not None}
+    for name, model in models.items():
         try:
-            outlet = int(outlet_key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.windows.{outlet_key}: outlet keys must be integers") from None
-        if not isinstance(wlist, list):
-            raise ConfigError(f"{path}.windows.{outlet_key}: expected a list, got {wlist!r}")
-        ws = []
-        for k, w in enumerate(wlist):
-            wp = f"{path}.windows.{outlet_key}[{k}]"
-            _section(w, wp, ("start_s", "end_s", "amps"))
-            ws.append(sched.ChargeWindow(
-                start_s=_number(_require(w, "start_s", wp), f"{wp}.start_s", 0.0),
-                end_s=_number(_require(w, "end_s", wp), f"{wp}.end_s", 0.0),
-                amps=_number(_require(w, "amps", wp), f"{wp}.amps", 0.0),
-            ))
-        windows[outlet] = tuple(ws)
-    return sched.ScheduleTimeConfig(windows=windows)
-
-
-def _build_duty_sweep(spec, path: str) -> dict:
-    _section(spec, path, DEFAULT_CONFIG["duty_sweep"])
-    i_final = _number(spec.get("i_final_a", 32.0), f"{path}.i_final_a")
-    try:
-        current_to_duty(i_final)
-    except DutyRangeError as exc:
-        raise ConfigError(f"{path}.i_final_a: {exc}") from None
-    return {"i_final_a": i_final, "steps": _integer(spec.get("steps", 33), f"{path}.steps", 1)}
+            changes[name] = LatencyModel(
+                kind=getattr(defaults, name).kind,
+                components=tuple(MixtureComponent(**c) for c in model["components"]),
+                hard_max=model["hard_max"],
+                diurnal=DiurnalProfile(scale=tuple(model["diurnal"])),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"latency.{name}: {exc}") from None
+    return replace(defaults, **changes)
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a resolved config dict and build the runtime objects."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a mapping at the top level")
-    _section(raw, "", _TOP_LEVEL_KEYS)
-    version = raw.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"version: unsupported config version {version!r}")
-    # These keys select nothing. They stay only because the resolved config is
-    # hashed into every trace header, so each accepts its default alone.
-    for key in ("protocol", "legacy_pipelined"):
-        default = DEFAULT_CONFIG[key]
-        value = raw.get(key, default)
-        if value != default or type(value) is not type(default):
-            raise ConfigError(f"{key}: only {default!r} is supported, got {value!r}")
+    """Check a resolved config dict against the schema, then the rules that
+    span fields, and build the runtime objects. ``raw`` is kept as given."""
+    c = _walk(SCHEMA, raw, "")
 
-    budget_spec = _section(raw.get("budget", {}), "budget", DEFAULT_CONFIG["budget"])
-    try:
-        budget = TimingBudget(
-            t_server_cloud=_number(budget_spec.get("t_server_cloud", 0.0), "budget.t_server_cloud", 0.0),
-            t_cloud=_number(budget_spec.get("t_cloud", 0.0), "budget.t_cloud", 0.0),
-            t_ethernet=_number(budget_spec.get("t_ethernet", 0.0), "budget.t_ethernet", 0.0),
-            t_wifi=_number(budget_spec.get("t_wifi", 0.0), "budget.t_wifi", 0.0),
-            t_3g=_number(budget_spec.get("t_3g", 0.0), "budget.t_3g", 0.0),
-            t_metering=_number(budget_spec.get("t_metering", 0.0), "budget.t_metering", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"budget: {exc}") from exc
+    st = c["fleet"]["stations"][0]
+    outlets = st["outlets"]
+    evs = {}
+    for j, ev in enumerate(st["evs"]):
+        outlet = ev["outlet"]
+        if outlet >= outlets:
+            _fail(f"fleet.stations[0].evs[{j}].outlet", f"{outlet} out of range for {outlets} outlets")
+        if outlet in evs:
+            _fail(f"fleet.stations[0].evs[{j}].outlet", f"outlet {outlet} already has an EV")
+        evs[outlet] = EvModel(max_current=ev["max_current_a"], settle_t0=ev["settle_t0_s"],
+                              settle_rate=ev["settle_rate_s_per_a"], settle_cap=ev["settle_cap_s"])
+    station = StationSpec(station_id=st["id"], link=st["link"], circuit_limit=st["circuit_limit_a"],
+                          voltage=st["voltage_v"], outlets=outlets, algorithm=st["algorithm"],
+                          evs=list(evs.items()))
 
-    links = _build_links(raw.get("latency"), "latency")
-    stations = _build_stations(raw.get("fleet", DEFAULT_CONFIG["fleet"]), "fleet")
-
-    rr_spec = _section(raw.get("round_robin", {}), "round_robin", DEFAULT_CONFIG["round_robin"])
-    round_robin = sched.RoundRobinConfig(
-        slot_length_s=_number(rr_spec.get("slot_length_s", 900.0), "round_robin.slot_length_s", 1e-9),
-        max_concurrent=_integer(rr_spec.get("max_concurrent", 1), "round_robin.max_concurrent", 1),
-        per_active_current=_number(rr_spec.get("per_active_current_a", 16.0),
-                                   "round_robin.per_active_current_a", 0.0),
-    )
-    schedule_time = _build_schedule(raw.get("schedule_time"), "schedule_time")
-
-    # Scheduler configs must be provably safe for every station that uses
-    # them; local-sched runs round robin on a station whatever its algorithm.
-    for spec in stations:
-        report = sched.validate_config(round_robin, spec.circuit_limit)
-        if not report.ok:
-            v = report.violations[0]
-            raise ConfigError(
-                f"round_robin: {v.total_amps} A worst case exceeds station "
-                f"{spec.station_id}'s {spec.circuit_limit} A limit"
-            )
-        if schedule_time is not None and spec.algorithm is AlgorithmMode.SCHEDULE_TIME:
-            report = sched.validate_config(schedule_time, spec.circuit_limit)
+    # Scheduler configs must be provably safe for the station; local-sched
+    # runs round robin on it whatever its algorithm.
+    rr = c["round_robin"]
+    round_robin = sched.RoundRobinConfig(slot_length_s=rr["slot_length_s"],
+                                         max_concurrent=rr["max_concurrent"],
+                                         per_active_current=rr["per_active_current_a"])
+    report = sched.validate_config(round_robin, station.circuit_limit)
+    if not report.ok:
+        _fail("round_robin", f"{report.violations[0].total_amps} A worst case exceeds station "
+                             f"{station.station_id}'s {station.circuit_limit} A limit")
+    schedule_time = None
+    if c["schedule_time"] is not None:
+        windows = c["schedule_time"]["windows"]
+        for outlet in windows:
+            if outlet >= outlets:
+                _fail(f"schedule_time.windows.{outlet}", f"out of range for {outlets} outlets")
+        schedule_time = sched.ScheduleTimeConfig(windows={
+            outlet: tuple(sched.ChargeWindow(**w) for w in ws) for outlet, ws in windows.items()})
+        if station.algorithm is AlgorithmMode.SCHEDULE_TIME:
+            report = sched.validate_config(schedule_time, station.circuit_limit)
             if not report.ok:
                 v = report.violations[0]
-                raise ConfigError(
-                    f"schedule_time: {v.total_amps} A at {v.at:.0f} s-of-day exceeds "
-                    f"station {spec.station_id}'s {spec.circuit_limit} A limit"
-                )
+                _fail("schedule_time", f"{v.total_amps} A at {v.at:.0f} s-of-day exceeds "
+                                       f"station {station.station_id}'s {station.circuit_limit} A limit")
+
+    try:
+        current_to_duty(c["duty_sweep"]["i_final_a"])
+    except DutyRangeError as exc:
+        _fail("duty_sweep.i_final_a", str(exc))
+    band_lo, band_hi = c["expect"]["ethernet_rtt_band"]
+    if band_lo > band_hi:
+        _fail("expect.ethernet_rtt_band", f"low end {band_lo!r} above high end {band_hi!r}")
 
     return ExperimentConfig(
         raw=raw,
-        seed=_integer(raw.get("seed", 42), "seed", 0),
-        duration_s=_number(raw.get("duration_s", 604800.0), "duration_s", 0.0),
-        probe_period_s=_number(raw.get("probe_period_s", 300.0), "probe_period_s", 1e-9),
-        trials=_integer(raw.get("trials", 10000), "trials", 0),
-        trial_spacing_s=_number(raw.get("trial_spacing_s", 60.0), "trial_spacing_s", 1e-9),
-        push_period_s=_number(raw.get("push_period_s", 30.0), "push_period_s", 1e-9),
-        serve_cache=_boolean(raw.get("serve_cache", True), "serve_cache"),
-        timeout_s=_number(raw.get("timeout_s", 30.0), "timeout_s", 0.0),
-        t_status_read_s=_number(raw.get("t_status_read_s", 0.0), "t_status_read_s", 0.0),
-        budget=budget,
-        links=links,
-        stations=stations,
+        # keys whose checked values are the runtime fields of the same name
+        **{key: c[key] for key in ("seed", "duration_s", "probe_period_s", "trials",
+                                   "trial_spacing_s", "push_period_s", "serve_cache", "timeout_s",
+                                   "t_status_read_s", "duty_sweep", "expect")},
+        budget=TimingBudget(**c["budget"]),
+        links=_links(c["latency"]),
+        stations=[station],
         round_robin=round_robin,
         schedule_time=schedule_time,
-        duty_sweep=_build_duty_sweep(raw.get("duty_sweep", {}), "duty_sweep"),
-        expect=_mapping(raw.get("expect", {}), "expect"),
     )
 
 

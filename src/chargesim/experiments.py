@@ -67,7 +67,7 @@ def _expect_exact(expect: dict, key: str, name: str, label: str, value) -> list:
     """The ``name`` check when ``expect`` pins ``key``: ``value`` must equal it."""
     if key not in expect or value is None:
         return []
-    want = float(expect[key])
+    want = expect[key]
     return [Check(name, abs(value - want) < 1e-9, f"{label} {value!r} s, expected {want!r} s")]
 
 
@@ -76,8 +76,8 @@ def _expect_ratio(expect: dict, key: str, name: str, value) -> list:
     within ``speedup_tolerance`` of it, relatively."""
     if key not in expect or value is None:
         return []
-    want = float(expect[key])
-    tol = float(expect.get("speedup_tolerance", 0.05))
+    want = expect[key]
+    tol = expect["speedup_tolerance"]
     rel = abs(value - want) / want
     return [Check(name, rel <= tol, f"{value:.3f}x vs {want}x ({rel:.3%}, tol {tol:.0%})")]
 
@@ -148,10 +148,10 @@ def _post_rtt_dist(cfg: ExperimentConfig, records: dict):
     csvs["threeg_by_day.csv"] = (("day", "bin_low", "bin_high", "count"), day_rows)
 
     expect = cfg.expect
-    modes_min = int(expect.get("threeg_modes_min", 4))
+    modes_min = expect["threeg_modes_min"]
     eth = samples[LinkKind.ETHERNET]
-    band_lo, band_hi = expect.get("ethernet_rtt_band", (0.15, 0.25))
-    frac_needed = float(expect.get("ethernet_rtt_frac", 0.9))
+    band_lo, band_hi = expect["ethernet_rtt_band"]
+    frac_needed = expect["ethernet_rtt_frac"]
     eth_rtts = [r for _, _, r in eth]
     in_band = (
         sum(1 for r in eth_rtts if band_lo <= r <= band_hi) / len(eth_rtts)

@@ -128,15 +128,6 @@ class LatencyModel:
         mult = self.diurnal.multiplier(0.0)
         return ordered_sum(c.weight * c.location * mult for c in self.components)
 
-    @classmethod
-    def from_dict(cls, kind: LinkKind, d: dict) -> "LatencyModel":
-        comps = tuple(
-            MixtureComponent(weight=c["weight"], location=c["location"], spread=c.get("spread", 0.0))
-            for c in d["components"]
-        )
-        diurnal = DiurnalProfile(scale=tuple(d["diurnal"])) if "diurnal" in d else DiurnalProfile()
-        return cls(kind=kind, components=comps, hard_max=d["hard_max"], diurnal=diurnal)
-
 
 @dataclass(frozen=True)
 class TimingBudget:

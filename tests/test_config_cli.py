@@ -1,14 +1,31 @@
 """Config loading and CLI behavior: presets, overrides, validation errors,
 exit codes, output files."""
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
 
 from chargesim.cli import main
-from chargesim.config import ConfigError, PRESETS, from_dict, resolve
+from chargesim.config import (
+    PRESETS,
+    SCHEMA,
+    ByOutlet,
+    ConfigError,
+    ListOf,
+    Section,
+    from_dict,
+    resolve,
+)
 from chargesim.domain import AlgorithmMode
 from chargesim.latency import LinkKind
+
+COMPONENT = {"weight": 1.0, "location": 1.0, "spread": 0.1}
+MODEL = {"components": [COMPONENT], "hard_max": 4.5}
+WINDOW = {"start_s": 0.0, "end_s": 3600.0, "amps": 16.0}
+EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "config.example.yaml"
 
 
 class TestConfig:
@@ -35,9 +52,7 @@ class TestConfig:
         assert cfg.push_period_s == 10.0
 
     def test_example_config_in_docs_loads(self):
-        from pathlib import Path
-        example = Path(__file__).resolve().parents[1] / "docs" / "config.example.yaml"
-        cfg = resolve("default", config_path=example)
+        cfg = resolve("default", config_path=EXAMPLE)
         assert cfg.links.threeg.hard_max == 4.5
         assert len(cfg.links.threeg.components) == 4
 
@@ -97,6 +112,32 @@ class TestConfig:
     def test_all_presets_resolve(self):
         for name in PRESETS:
             resolve(name)
+
+    def test_empty_config_builds_the_default_config(self):
+        # every default is written once, in the schema
+        assert replace(from_dict({}), raw=None) == replace(resolve("default"), raw=None)
+
+    def test_schedule_outlet_keys_load_as_integers(self):
+        # JSON config files and trace headers carry outlet keys as strings
+        as_int = from_dict({"schedule_time": {"windows": {2: [WINDOW]}}})
+        as_str = from_dict({"schedule_time": {"windows": {"2": [WINDOW]}}})
+        assert as_int.schedule_time == as_str.schedule_time
+        assert list(as_str.schedule_time.windows) == [2]
+
+    def test_example_config_names_every_schema_key(self):
+        text = EXAMPLE.read_text()
+
+        def keys(node):
+            if isinstance(node, Section):
+                for key, sub in node.fields.items():
+                    yield key
+                    yield from keys(sub)
+            elif isinstance(node, (ListOf, ByOutlet)):
+                yield from keys(node.item)
+
+        missing = sorted({key for key in keys(SCHEMA)
+                          if not re.search(rf"\b{re.escape(key)}\b", text)})
+        assert not missing
 
 
 class TestCli:
@@ -260,6 +301,20 @@ class TestCli:
         # a trace header holds strict JSON, which has no NaN or infinity
         ({"probe_period_s": float("inf")}, "probe_period_s"),
         ({"timeout_s": float("nan")}, "timeout_s"),
+        # latency model fields
+        ({"latency": {"threeg": dict(MODEL, hard_max=float("inf"))}}, "latency.threeg.hard_max"),
+        ({"latency": {"threeg": dict(MODEL, components=[dict(COMPONENT, weight=True)])}},
+         "latency.threeg.components[0].weight"),
+        ({"latency": {"threeg": dict(MODEL, components=[dict(COMPONENT, spred=0.1)])}},
+         "latency.threeg.components[0].spred"),
+        ({"latency": {"threeg": dict(MODEL, diurnl=[1.0] * 168)}}, "latency.threeg.diurnl"),
+        # expectations, checked at load whichever command reads them
+        ({"expect": {"fixed_wait_s": "x"}}, "expect.fixed_wait_s"),
+        ({"expect": {"speedup_power": 0}}, "expect.speedup_power"),
+        ({"expect": {"speedup_tolerance": "x"}}, "expect.speedup_tolerance"),
+        ({"expect": {"ethernet_rtt_band": 5}}, "expect.ethernet_rtt_band"),
+        ({"expect": {"threeg_modes_min": 2.7}}, "expect.threeg_modes_min"),
+        ({"expect": {"threeg_modes_mn": 2}}, "expect.threeg_modes_mn"),
     ])
     def test_input_that_would_load_silently_wrong_exits_2(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "typo.yaml"
@@ -267,6 +322,25 @@ class TestCli:
         rc = main(["rtt-dist", "--duration", "600", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("windows, path", [
+        # an outlet key is an integer or a string of digits, never a float or a bool
+        ({1.5: [WINDOW]}, "schedule_time.windows.1.5"),
+        ({True: [WINDOW]}, "schedule_time.windows.True"),
+        # on an outlet the station has
+        ({9: [WINDOW]}, "schedule_time.windows.9"),
+        # with both ends inside the day
+        ({0: [dict(WINDOW, end_s=999999)]}, "schedule_time.windows.0[0].end_s"),
+        ({"0": [dict(WINDOW, start_s=90000)]}, "schedule_time.windows.0[0].start_s"),
+    ])
+    def test_bad_schedule_window_exits_2(self, tmp_path, capsys, windows, path):
+        cfg = tmp_path / "schedule.yaml"
+        cfg.write_text(yaml.safe_dump({"schedule_time": {"windows": windows}}))
+        rc = main(["rtt-dist", "--duration", "600", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         rc = main(["duty-cycle", "--preset", "duty-3g", "--seed", "123",
