@@ -26,6 +26,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field path."""
 
 
+# Most events one series (the trials, the sweep points, a periodic timer) may
+# schedule. The largest series of the presets and benchmarks has about 2*10^4.
+MAX_SERIES_EVENTS = 10**7
+
+
 # --- schema ----------------------------------------------------------------
 # One node per key: its type, its bounds and its default. A default is a
 # value, REQUIRED, or OPTIONAL (no value; an absent optional key stays
@@ -133,6 +138,8 @@ SCHEMA = Section({
     "timeout_s": Leaf(float, 30.0, ge=0.0),
     "t_status_read_s": Leaf(float, 0.0, ge=0.0),
     "legacy_pipelined": Const(False),
+    # In `budget`, `t_server_cloud`, `t_cloud` and `t_wifi` select nothing
+    # either, and stay for the same reason.
     "budget": Section({
         "t_server_cloud": Leaf(float, 0.0, ge=0.0),
         "t_cloud": Leaf(float, 0.0, ge=0.0),
@@ -365,7 +372,6 @@ def _links(spec: Optional[dict]) -> LinkModelSet:
     for name, model in models.items():
         try:
             changes[name] = LatencyModel(
-                kind=getattr(defaults, name).kind,
                 components=tuple(MixtureComponent(**c) for c in model["components"]),
                 hard_max=model["hard_max"],
                 diurnal=DiurnalProfile(scale=tuple(model["diurnal"])),
@@ -379,6 +385,19 @@ def from_dict(raw: dict) -> ExperimentConfig:
     """Check a resolved config dict against the schema, then the rules that
     span fields, and build the runtime objects. ``raw`` is kept as given."""
     c = _walk(SCHEMA, raw, "")
+
+    # A series of events too long to ever finish. Counts first: a huge
+    # integer count would overflow the float horizon below.
+    for path, count in (("trials", c["trials"]), ("duty_sweep.steps", c["duty_sweep"]["steps"])):
+        if count > MAX_SERIES_EVENTS:
+            _fail(path, f"{count} events exceed the limit of {MAX_SERIES_EVENTS}")
+    horizon = max(c["duration_s"], c["trials"] * c["trial_spacing_s"])
+    for path, period in (("probe_period_s", c["probe_period_s"]),
+                         ("push_period_s", c["push_period_s"]),
+                         ("round_robin.slot_length_s", c["round_robin"]["slot_length_s"])):
+        if horizon / period > MAX_SERIES_EVENTS:
+            _fail(path, f"{period!r} s over {horizon!r} s is {horizon / period:.3g} events, "
+                        f"more than the limit of {MAX_SERIES_EVENTS}")
 
     st = c["fleet"]["stations"][0]
     outlets = st["outlets"]
@@ -401,9 +420,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
     round_robin = sched.RoundRobinConfig(slot_length_s=rr["slot_length_s"],
                                          max_concurrent=rr["max_concurrent"],
                                          per_active_current=rr["per_active_current_a"])
-    report = sched.validate_config(round_robin, station.circuit_limit)
-    if not report.ok:
-        _fail("round_robin", f"{report.violations[0].total_amps} A worst case exceeds station "
+    peak = sched.round_robin_peak(round_robin)
+    if peak > station.circuit_limit:
+        _fail("round_robin", f"{peak} A worst case exceeds station "
                              f"{station.station_id}'s {station.circuit_limit} A limit")
     schedule_time = None
     if c["schedule_time"] is not None:
@@ -413,12 +432,12 @@ def from_dict(raw: dict) -> ExperimentConfig:
                 _fail(f"schedule_time.windows.{outlet}", f"out of range for {outlets} outlets")
         schedule_time = sched.ScheduleTimeConfig(windows={
             outlet: tuple(sched.ChargeWindow(**w) for w in ws) for outlet, ws in windows.items()})
-        if station.algorithm is AlgorithmMode.SCHEDULE_TIME:
-            report = sched.validate_config(schedule_time, station.circuit_limit)
-            if not report.ok:
-                v = report.violations[0]
-                _fail("schedule_time", f"{v.total_amps} A at {v.at:.0f} s-of-day exceeds "
-                                       f"station {station.station_id}'s {station.circuit_limit} A limit")
+        overload = (sched.schedule_overload(schedule_time, station.circuit_limit)
+                    if station.algorithm is AlgorithmMode.SCHEDULE_TIME else None)
+        if overload is not None:
+            at, total = overload
+            _fail("schedule_time", f"{total} A at {at:.0f} s-of-day exceeds "
+                                   f"station {station.station_id}'s {station.circuit_limit} A limit")
 
     try:
         current_to_duty(c["duty_sweep"]["i_final_a"])
@@ -434,7 +453,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
         **{key: c[key] for key in ("seed", "duration_s", "probe_period_s", "trials",
                                    "trial_spacing_s", "push_period_s", "serve_cache", "timeout_s",
                                    "t_status_read_s", "duty_sweep", "expect")},
-        budget=TimingBudget(**c["budget"]),
+        budget=TimingBudget(t_ethernet=c["budget"]["t_ethernet"], t_3g=c["budget"]["t_3g"],
+                            t_metering=c["budget"]["t_metering"]),
         links=_links(c["latency"]),
         stations=[station],
         round_robin=round_robin,

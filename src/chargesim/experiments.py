@@ -1,6 +1,6 @@
-"""Experiment harness: each command builds seeded engines, runs its
-scenario, and post-processes the traces into CSV rows, a summary, and
-pass/fail checks.
+"""Experiment harness: each command schedules its scenario on seeded
+engines, runs them, and post-processes the traces into CSV rows, a summary,
+and pass/fail checks.
 
 Every CSV row and summary figure is derived from trace records alone: a
 command's post-processor is a pure function of the config and each trace's
@@ -87,22 +87,20 @@ def _expect_ratio(expect: dict, key: str, name: str, value) -> list:
 # --------------------------------------------------------------------------
 
 
-def _trace_rtt_dist(cfg: ExperimentConfig) -> EventTrace:
-    eng = Engine(cfg.seed, meta={"command": "rtt-dist", "config": cfg.raw})
+def _trace_rtt_dist(eng: Engine, cfg: ExperimentConfig) -> float:
     links = cfg.links
     cloud = links.t_server_cloud + links.t_cloud
 
-    def probe(eng_: Engine, ev):
-        link = LinkKind(ev.data["link"])
-        rng = eng_.stream(f"rtt:{link.value}")
-        seg = links.for_link(link).sample(rng, ev.at)
-        met = links.metering.sample(rng, ev.at)
+    def probe(at, data):
+        link = LinkKind(data["link"])
+        rng = eng.stream(f"rtt:{link.value}")
+        seg = links.for_link(link).sample(rng, at)
+        met = links.metering.sample(rng, at)
         return {"seg": seg, "rtt": cloud + seg + met}
 
     for link in RTT_LINKS:
-        eng.schedule_every(cfg.probe_period_s, "rtt-probe", probe,
-                           first_at=cfg.probe_period_s, data={"link": link.value})
-    return eng.run_until(cfg.duration_s)
+        eng.schedule_every(cfg.probe_period_s, "rtt-probe", probe, data={"link": link.value})
+    return cfg.duration_s
 
 
 def _post_rtt_dist(cfg: ExperimentConfig, records: dict):
@@ -194,9 +192,9 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
     sid = spec.station_id
     store = proto.ServerStore()
 
-    def consume(eng_: Engine, ev, packet):
-        packet.received_at = ev.at
-        staleness = proto.push_consume(store, packet, ev.at)
+    def consume(at, packet):
+        packet.received_at = at
+        staleness = proto.push_consume(store, packet, at)
         if staleness is None:
             return {"station": sid, "seq": packet.seq, "discarded": True}
         return {
@@ -206,25 +204,25 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
             "stale": {str(m.outlet): s for m, s in staleness.items()},
         }
 
-    def step(eng_: Engine, ev):
+    def step(at, data):
         sent: list = []
-        msgs = pic.main_loop_step(state, bus, sent.append, ev.at)
+        msgs = pic.main_loop_step(state, bus, sent.append, at)
         for packet in sent:
             transit = 0.5 * cfg.links.threeg.sample(uplink_rng, packet.sent_at)
-            eng_.schedule_at(
+            eng.schedule_at(
                 packet.sent_at + transit, "push-arrive",
                 data={"station": sid, "seq": packet.seq},
-                fn=lambda e, ev2, p=packet: consume(e, ev2, p),
+                fn=lambda at, data, p=packet: consume(at, p),
             )
         return {"station": sid, "pushes": len(sent), "messages": len(msgs)}
 
-    def tick(eng_: Engine, ev):
+    def tick(at, data):
         pic.on_timer_interrupt(state)
-        eng_.schedule(0.0, "push-step", fn=step)
+        eng.schedule_at(at, "push-step", fn=step)
         return None
 
-    def probe(eng_: Engine, ev):
-        staleness = store.staleness_at(sid, ev.at)
+    def probe(at, data):
+        staleness = store.staleness_at(sid, at)
         if not staleness:
             return {"station": sid, "stored": False}
         return {
@@ -238,8 +236,7 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
     eng.schedule_every(cfg.probe_period_s, "stale-probe", probe)
 
 
-def _trace_compare(cfg: ExperimentConfig) -> EventTrace:
-    eng = Engine(cfg.seed, meta={"command": "compare-protocols", "config": cfg.raw})
+def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     links = cfg.links
     spec = cfg.stations[0]
     st_legacy4 = spec.build()
@@ -254,30 +251,28 @@ def _trace_compare(cfg: ExperimentConfig) -> EventTrace:
                                   push_enabled=False, serve_cache=cfg.serve_cache)
     endpoint = pic.PicEndpoint(state=pull_state, bus=pull_bus)
 
-    def refresh(eng_: Engine, ev):
-        duration = pic.collect_all(pull_state, pull_bus, ev.at)
+    def refresh(at, data):
+        duration = pic.collect_all(pull_state, pull_bus, at)
         return {"duration": duration}
 
     eng.schedule_at(0.0, "pic-collect", fn=refresh)
     eng.schedule_every(cfg.push_period_s, "pic-collect", refresh)
 
-    def trial(eng_: Engine, ev):
-        i = ev.data["trial"]
-        label = f"trial:{i}"
-        now = ev.at
+    def trial(at, data):
+        label = f"trial:{data['trial']}"
         r4 = proto.legacy_pull(st_legacy4, links, substream(cfg.seed, label),
-                               include_status=False, at=now, timeout_s=cfg.timeout_s,
+                               include_status=False, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
         r8 = proto.legacy_pull(st_legacy8, links, substream(cfg.seed, label),
-                               include_status=True, at=now, timeout_s=cfg.timeout_s,
+                               include_status=True, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
         rp = proto.pic_pull(endpoint, links, substream(cfg.seed, label),
-                            at=now, timeout_s=cfg.timeout_s)
+                            at=at, timeout_s=cfg.timeout_s)
         rng_push = substream(cfg.seed, label)
         cycle = ordered_sum(
-            links.local_bus.sample(rng_push, now) + links.metering.sample(rng_push, now)
+            links.local_bus.sample(rng_push, at) + links.metering.sample(rng_push, at)
             for _ in range(len(st_pic.meters))
-        ) + 0.5 * links.threeg.sample(rng_push, now)
+        ) + 0.5 * links.threeg.sample(rng_push, at)
         return {
             "legacy4": r4.wall_time, "rc4": r4.request_count,
             "legacy8": r8.wall_time, "rc8": r8.request_count,
@@ -291,8 +286,7 @@ def _trace_compare(cfg: ExperimentConfig) -> EventTrace:
 
     _attach_push_station(eng, cfg)
 
-    horizon = cfg.trials * cfg.trial_spacing_s if cfg.trials > 0 else cfg.duration_s
-    return eng.run_until(horizon)
+    return cfg.trials * cfg.trial_spacing_s if cfg.trials > 0 else cfg.duration_s
 
 
 def _post_compare(cfg: ExperimentConfig, records: dict):
@@ -391,7 +385,7 @@ def _post_compare(cfg: ExperimentConfig, records: dict):
 # --------------------------------------------------------------------------
 
 
-def _trace_duty_cycle(cfg: ExperimentConfig) -> EventTrace:
+def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
     spec = cfg.stations[0]
     if not spec.evs:
         raise ConfigError("fleet.stations[0].evs: the duty-cycle sweep needs at least one EV")
@@ -402,21 +396,19 @@ def _trace_duty_cycle(cfg: ExperimentConfig) -> EventTrace:
                         (spec.circuit_limit, "fleet.stations[0].circuit_limit_a")):
         if i_final > limit:
             raise ConfigError(f"duty_sweep.i_final_a: {i_final!r} A exceeds {what} ({limit!r} A)")
-    eng = Engine(cfg.seed, meta={"command": "duty-cycle", "config": cfg.raw})
     station = spec.build()
     ch = station.channel(outlet)
     steps = cfg.duty_sweep["steps"]
     duty = current_to_duty(i_final)
     fixed_wait = compute_t_waiting(ch.ev.settle_cap, cfg.budget)
 
-    def run_point(eng_: Engine, ev):
-        delta = ev.data["delta"]
-        now = ev.at
-        apply_relay(station, outlet, RelayState.ON, now)
-        ch.settle_now(i_final - delta, now)
+    def run_point(at, data):
+        delta = data["delta"]
+        apply_relay(station, outlet, RelayState.ON, at)
+        ch.settle_now(i_final - delta, at)
         rng = substream(cfg.seed, f"duty:{delta}")
         change = change_duty_cycle(station, outlet, duty, cfg.links, rng,
-                                   cfg.budget, now=now, timeout_s=cfg.timeout_s)
+                                   cfg.budget, now=at, timeout_s=cfg.timeout_s)
         return {
             "delta": delta,
             "t_ev": (0.0 if delta == 0 else min(ch.ev.settle_cap,
@@ -425,14 +417,14 @@ def _trace_duty_cycle(cfg: ExperimentConfig) -> EventTrace:
             "fixed_wait": fixed_wait,
             "outcome": change.outcome.value,
             "reads": len(change.reads),
-            "latency": change.completed_at - now,
+            "latency": change.completed_at - at,
         }
 
     span = i_final
     for k in range(steps):
         delta = span * k / (steps - 1) if steps > 1 else 0.0
         eng.schedule_at(k * 3600.0, "duty-point", data={"delta": delta}, fn=run_point)
-    return eng.run_until(steps * 3600.0)
+    return steps * 3600.0
 
 
 def _post_duty_cycle(cfg: ExperimentConfig, records: dict):
@@ -471,10 +463,7 @@ def _post_duty_cycle(cfg: ExperimentConfig, records: dict):
 # --------------------------------------------------------------------------
 
 
-def _trace_local_sched(cfg: ExperimentConfig, variant: str) -> EventTrace:
-    raw = dict(cfg.raw)
-    raw["sched_variant"] = variant
-    eng = Engine(cfg.seed, meta={"command": "local-sched", "config": raw})
+def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> float:
     spec = cfg.stations[0]
     # EVs arrive through the scenario's plug events, so start with bare outlets.
     station = ChargingStation(
@@ -498,15 +487,15 @@ def _trace_local_sched(cfg: ExperimentConfig, variant: str) -> EventTrace:
                 if station.meters[outlet].relay is RelayState.OFF:
                     apply_relay(station, outlet, RelayState.ON, now)
 
-    def slot_boundary(eng_: Engine, ev):
+    def slot_boundary(at, data):
         nonlocal last_alloc
-        alloc = sched.round_robin_step(rr, plugged, ev.at)
+        alloc = sched.round_robin_step(rr, plugged, at)
         changed = alloc != last_alloc
         if variant == "server" and changed:
-            eng_.schedule(0.0, "sched-cmd",
-                          data={"station": spec.station_id,
-                                "alloc": {str(o): a for o, a in alloc.items()}})
-        apply_alloc(alloc, ev.at)
+            eng.schedule_at(at, "sched-cmd",
+                            data={"station": spec.station_id,
+                                  "alloc": {str(o): a for o, a in alloc.items()}})
+        apply_alloc(alloc, at)
         last_alloc = alloc
         return {
             "alloc": {str(o): a for o, a in alloc.items()},
@@ -516,20 +505,20 @@ def _trace_local_sched(cfg: ExperimentConfig, variant: str) -> EventTrace:
             "changed": changed,
         }
 
-    def plug_event(eng_: Engine, ev):
-        outlet = ev.data["outlet"]
+    def plug_event(at, data):
+        outlet = data["outlet"]
         plugged.add(outlet)
-        plug_ev(station, outlet, EvModel(), ev.at)
+        plug_ev(station, outlet, EvModel(), at)
         return {"plugged": sorted(plugged)}
 
-    def unplug_event(eng_: Engine, ev):
-        outlet = ev.data["outlet"]
+    def unplug_event(at, data):
+        outlet = data["outlet"]
         plugged.discard(outlet)
-        unplug_ev(station, outlet, ev.at)
+        unplug_ev(station, outlet, at)
         return {"plugged": sorted(plugged)}
 
     if variant == "local":
-        def set_mode(eng_: Engine, ev):
+        def set_mode(at, data):
             select_algorithm_mode(station, AlgorithmMode.ROUND_ROBIN)
             return {"mode": AlgorithmMode.ROUND_ROBIN.value}
         eng.schedule_at(0.0, "mode-set", fn=set_mode)
@@ -544,7 +533,7 @@ def _trace_local_sched(cfg: ExperimentConfig, variant: str) -> EventTrace:
     n_slots = int(cfg.duration_s // rr.slot_length_s)
     for k in range(n_slots + 1):
         eng.schedule_at(k * rr.slot_length_s, "slot", fn=slot_boundary)
-    return eng.run_until(cfg.duration_s)
+    return cfg.duration_s
 
 
 def _post_local_sched(cfg: ExperimentConfig, records: dict):
@@ -591,11 +580,11 @@ def _post_local_sched(cfg: ExperimentConfig, records: dict):
 
 @dataclass(frozen=True)
 class Command:
-    """A command's traces, each built by a named builder from the config,
-    and its post-processor: a pure function of the config and each trace's
-    record list, returning ``(csvs, summary, checks)``."""
+    """A command's traces, each scheduled on a fresh engine by a named
+    builder, and its post-processor: a pure function of the config and each
+    trace's record list, returning ``(csvs, summary, checks)``."""
 
-    builders: dict    # trace name -> (ExperimentConfig -> EventTrace)
+    builders: dict    # trace name -> ((Engine, ExperimentConfig) -> horizon s)
     post: Callable
 
 
@@ -603,7 +592,6 @@ COMMANDS = {
     "rtt-dist": Command({"trace": _trace_rtt_dist}, _post_rtt_dist),
     "compare-protocols": Command({"trace": _trace_compare}, _post_compare),
     "duty-cycle": Command({"trace": _trace_duty_cycle}, _post_duty_cycle),
-    # each local-sched trace records its variant in its header config
     "local-sched": Command({variant: partial(_trace_local_sched, variant=variant)
                             for variant in ("server", "local")}, _post_local_sched),
 }
@@ -617,7 +605,7 @@ def run(command: str, cfg: ExperimentConfig) -> ExperimentOutput:
     failing check that names the event that failed."""
     spec = COMMANDS[command]
     out = ExperimentOutput(command=command, traces=[
-        (name, build(cfg)) for name, build in spec.builders.items()])
+        (name, build_trace(command, name, cfg)) for name in spec.builders])
     for name, trace in out.traces:
         if trace.failed:
             last = trace.records[-1]
@@ -629,6 +617,15 @@ def run(command: str, cfg: ExperimentConfig) -> ExperimentOutput:
     out.csvs, out.summary, out.checks = spec.post(
         cfg, {name: trace.records for name, trace in out.traces})
     return out
+
+
+def build_trace(command: str, name: str, cfg: ExperimentConfig) -> EventTrace:
+    """Schedule ``command``'s trace ``name`` on a fresh engine and run it.
+    The header config of a trace not named ``trace`` records its name as
+    ``sched_variant``, which ``cmd_replay`` removes to find the builder."""
+    raw = cfg.raw if name == "trace" else {**cfg.raw, "sched_variant": name}
+    eng = Engine(cfg.seed, meta={"command": command, "config": raw})
+    return eng.run_until(COMMANDS[command].builders[name](eng, cfg))
 
 
 @dataclass
@@ -651,10 +648,9 @@ def cmd_replay(trace_path) -> ReplayVerdict:
         raise ValueError("trace header carries no config; cannot replay")
     raw = dict(raw)
     name = raw.pop("sched_variant", "trace")
-    build = COMMANDS[command].builders.get(name)
-    if build is None:
+    if name not in COMMANDS[command].builders:
         raise ValueError(f"{command} writes no trace named {name!r}")
-    actual = build(from_dict(raw)).digest()
+    actual = build_trace(command, name, from_dict(raw)).digest()
     return ReplayVerdict(
         identical=actual == parsed.stored_digest,
         command=command,

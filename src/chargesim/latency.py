@@ -82,7 +82,6 @@ class LatencyModel:
     clamped near-Gaussian; swap components in config for other shapes.
     """
 
-    kind: LinkKind
     components: tuple
     hard_max: float
     diurnal: DiurnalProfile = field(default_factory=DiurnalProfile)
@@ -138,15 +137,12 @@ class TimingBudget:
     meter. ``t_3g_uplink`` is derived as half the 3G round trip.
     """
 
-    t_server_cloud: float = 0.0
-    t_cloud: float = 0.0
     t_ethernet: float = 0.0
-    t_wifi: float = 0.0
     t_3g: float = 0.0
     t_metering: float = 0.0
 
     def __post_init__(self):
-        for name in ("t_server_cloud", "t_cloud", "t_ethernet", "t_wifi", "t_3g", "t_metering"):
+        for name in ("t_ethernet", "t_3g", "t_metering"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -190,7 +186,6 @@ class LinkModelSet:
 
 def ethernet_default() -> LatencyModel:
     return LatencyModel(
-        kind=LinkKind.ETHERNET,
         components=(MixtureComponent(1.0, 5e-05, 1e-05),),
         hard_max=1e-03,
     )
@@ -198,7 +193,6 @@ def ethernet_default() -> LatencyModel:
 
 def wifi_default() -> LatencyModel:
     return LatencyModel(
-        kind=LinkKind.WIFI,
         components=(MixtureComponent(1.0, 0.02005, 0.004),),
         hard_max=0.05,
     )
@@ -206,7 +200,6 @@ def wifi_default() -> LatencyModel:
 
 def threeg_default() -> LatencyModel:
     return LatencyModel(
-        kind=LinkKind.THREE_G,
         components=(
             MixtureComponent(0.4, 0.8, 0.15),
             MixtureComponent(0.3, 1.5, 0.15),
@@ -219,7 +212,6 @@ def threeg_default() -> LatencyModel:
 
 def local_bus_default() -> LatencyModel:
     return LatencyModel(
-        kind=LinkKind.LOCAL_BUS,
         components=(MixtureComponent(1.0, 0.001, 0.0002),),
         hard_max=0.005,
     )
@@ -227,7 +219,6 @@ def local_bus_default() -> LatencyModel:
 
 def metering_default() -> LatencyModel:
     return LatencyModel(
-        kind=LinkKind.LOCAL_BUS,
         components=(MixtureComponent(1.0, 0.2, 0.02),),
         hard_max=0.5,
     )
@@ -247,10 +238,7 @@ def worst_case_budget(models: LinkModelSet) -> TimingBudget:
     """Budget whose fields upper-bound every sample the model set can draw;
     used for hard staleness bounds."""
     return TimingBudget(
-        t_server_cloud=models.t_server_cloud,
-        t_cloud=models.t_cloud,
         t_ethernet=models.local_bus.hard_max,
-        t_wifi=models.wifi.hard_max,
         t_3g=models.threeg.hard_max,
         t_metering=models.metering.hard_max,
     )

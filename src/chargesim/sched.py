@@ -46,19 +46,6 @@ class ScheduleTimeConfig:
     windows: Mapping  # outlet -> tuple[ChargeWindow, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
-    at: float
-    total_amps: float
-    limit: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple = ()
-
-
 def round_robin_step(config: RoundRobinConfig, plugged: Iterable[int], now: float) -> dict:
     """Allocation for the slot containing ``now``: the next ``max_concurrent``
     plugged outlets in cyclic order get ``per_active_current``, the rest get
@@ -93,41 +80,24 @@ def schedule_time_step(config: ScheduleTimeConfig, plugged: Iterable[int], now: 
     return alloc
 
 
-def validate_config(config, circuit_limit: float) -> ValidationReport:
-    """Check a scheduler config against the circuit limit; violations come
-    back as values, never exceptions."""
-    if isinstance(config, RoundRobinConfig):
-        return _validate_round_robin(config, circuit_limit)
-    if isinstance(config, ScheduleTimeConfig):
-        return _validate_schedule(config, circuit_limit)
-    raise TypeError(f"unknown scheduler config {type(config).__name__}")
+def round_robin_peak(config: RoundRobinConfig) -> float:
+    """The most current round robin ever allocates at once."""
+    return config.max_concurrent * config.per_active_current
 
 
-def _validate_round_robin(config: RoundRobinConfig, circuit_limit: float) -> ValidationReport:
-    violations = []
-    if config.slot_length_s <= 0 or config.max_concurrent < 0 or config.per_active_current < 0:
-        violations.append(Violation(at=0.0, total_amps=float("nan"), limit=circuit_limit))
-        return ValidationReport(ok=False, violations=tuple(violations))
-    worst = config.max_concurrent * config.per_active_current
-    if worst > circuit_limit:
-        violations.append(Violation(at=0.0, total_amps=worst, limit=circuit_limit))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def _validate_schedule(config: ScheduleTimeConfig, circuit_limit: float) -> ValidationReport:
-    """Event-boundary sweep: the total allocation is a step function that can
-    only change where some window starts or ends, so checking each boundary
-    instant finds the worst overlapping moment exactly."""
+def schedule_overload(config: ScheduleTimeConfig, circuit_limit: float) -> tuple | None:
+    """``(at, total_amps)`` at the first second-of-day whose total allocation
+    exceeds ``circuit_limit``, or None if none does. The total is a step
+    function that can only change where some window starts or ends, so
+    checking each boundary instant is exact."""
     boundaries = {0.0}
     for windows in config.windows.values():
         for w in windows:
             boundaries.add(w.start_s % SECONDS_PER_DAY)
             boundaries.add(w.end_s % SECONDS_PER_DAY)
     plugged = list(config.windows.keys())
-    violations = []
     for t in sorted(boundaries):
-        alloc = schedule_time_step(config, plugged, t)
-        total = sum(alloc.values())
+        total = sum(schedule_time_step(config, plugged, t).values())
         if total > circuit_limit:
-            violations.append(Violation(at=t, total_amps=total, limit=circuit_limit))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+            return t, total
+    return None

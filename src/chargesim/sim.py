@@ -7,6 +7,12 @@ microsecond-to-week range this testbed needs. Events execute in
 simulation path calls platform-dependent math (no libm transcendentals), so
 identical ``(seed, config)`` inputs produce byte-identical traces on any
 machine.
+
+An event is its heap entry ``(at, seq, kind, data, fn)``. When it fires,
+the engine calls ``fn(at, data)``; a handler that needs the engine (to
+schedule more events or draw from a stream) closes over it. A dict the
+handler returns is recorded as the event's ``state``; ``data`` and
+``state`` enter the trace as-is and must be JSON-serializable.
 """
 from __future__ import annotations
 
@@ -63,23 +69,7 @@ def substream(master_seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-Handler = Callable[["Engine", "Event"], Optional[dict]]
-
-
-@dataclass
-class Event:
-    """One scheduled occurrence.
-
-    ``fn`` runs when the event fires. If it returns a dict, the dict is
-    recorded in the trace as the event's state summary; ``data`` is recorded
-    as-is and must be JSON-serializable.
-    """
-
-    at: float
-    seq: int
-    kind: str
-    data: dict | None = None
-    fn: Handler | None = None
+Handler = Callable[[float, Optional[dict]], Optional[dict]]
 
 
 @dataclass
@@ -168,7 +158,7 @@ class Engine:
         self.seed = seed
         self.meta = dict(meta or {})
         self.clock = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple] = []  # (at, seq, kind, data, fn)
         self._next_seq = 0
         self._streams: dict[str, random.Random] = {}
         cfg = self.meta.get("config")
@@ -184,36 +174,28 @@ class Engine:
             self._streams[label] = substream(self.seed, label)
         return self._streams[label]
 
-    def schedule(self, delay: float, kind: str, data: dict | None = None,
-                 fn: Handler | None = None) -> Event:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: delay={delay!r}")
-        return self.schedule_at(self.clock + delay, kind, data, fn)
-
     def schedule_at(self, at: float, kind: str, data: dict | None = None,
-                    fn: Handler | None = None) -> Event:
+                    fn: Handler | None = None) -> tuple:
+        """Queue an event; returns its heap entry ``(at, seq, kind, data, fn)``."""
         if at < self.clock:
             raise ValueError(f"cannot schedule at {at!r}, clock is {self.clock!r}")
-        ev = Event(at=at, seq=self._next_seq, kind=kind, data=data, fn=fn)
+        entry = (at, self._next_seq, kind, data, fn)
         self._next_seq += 1
-        heapq.heappush(self._heap, (at, ev.seq, ev))
-        return ev
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule_every(self, period: float, kind: str, fn: Handler,
-                       first_at: float | None = None,
-                       data: dict | None = None) -> Event:
-        """Self-rescheduling periodic event; first occurrence at ``first_at``
-        (default: one period from now). ``data`` rides along on every
-        occurrence."""
+                       data: dict | None = None) -> tuple:
+        """Self-rescheduling periodic event, first one period from now.
+        ``data`` rides along on every occurrence."""
         if period <= 0:
             raise ValueError(f"period must be positive, got {period!r}")
 
-        def tick(eng: "Engine", ev: Event):
-            eng.schedule_at(ev.at + period, kind, ev.data, tick)
-            return fn(eng, ev)
+        def tick(at: float, data):
+            self.schedule_at(at + period, kind, data, tick)
+            return fn(at, data)
 
-        start = self.clock + period if first_at is None else first_at
-        return self.schedule_at(start, kind, data, tick)
+        return self.schedule_at(self.clock + period, kind, data, tick)
 
     def run_until(self, t_end: float) -> EventTrace:
         """Execute every event with at <= t_end; on a handler exception the
@@ -221,13 +203,13 @@ class Engine:
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end!r} is before clock {self.clock!r}")
         while self._heap and self._heap[0][0] <= t_end:
-            at, seq, ev = heapq.heappop(self._heap)
+            at, seq, kind, data, fn = heapq.heappop(self._heap)
             self.clock = at
-            record: dict = {"at": at, "seq": seq, "kind": ev.kind}
-            if ev.data is not None:
-                record["data"] = ev.data
+            record: dict = {"at": at, "seq": seq, "kind": kind}
+            if data is not None:
+                record["data"] = data
             try:
-                state = ev.fn(self, ev) if ev.fn is not None else None
+                state = fn(at, data) if fn is not None else None
             except Exception as exc:  # noqa: BLE001 - failures become trace records
                 record["error"] = f"{type(exc).__name__}: {exc}"
                 self.trace.records.append(record)

@@ -10,7 +10,7 @@ but the flags.
 import itertools
 
 from chargesim.domain import ChargingStation, EvModel, RelayState, apply_relay, plug_ev, set_current
-from chargesim.latency import LatencyModel, LinkKind, MixtureComponent
+from chargesim.latency import LatencyModel, MixtureComponent
 from chargesim.pic import (
     MeterBus,
     Opcode,
@@ -27,7 +27,6 @@ from chargesim.sim import substream
 
 def fixed_model(location, hard_max=None):
     return LatencyModel(
-        kind=LinkKind.LOCAL_BUS,
         components=(MixtureComponent(1.0, location, 0.0),),
         hard_max=hard_max if hard_max is not None else max(location * 2, 1e-6),
     )

@@ -21,6 +21,7 @@ from chargesim.config import (
 )
 from chargesim.domain import AlgorithmMode
 from chargesim.latency import LinkKind
+from chargesim.sim import TRACE_FORMAT
 
 COMPONENT = {"weight": 1.0, "location": 1.0, "spread": 0.1}
 MODEL = {"components": [COMPONENT], "hard_max": 4.5}
@@ -98,6 +99,20 @@ class TestConfig:
             "round_robin": {"max_concurrent": 3, "per_active_current_a": 16},
         }
         with pytest.raises(ConfigError):
+            from_dict(raw)
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"probe_period_s": 1e-6}, "probe_period_s"),
+        ({"push_period_s": 1e-3}, "push_period_s"),
+        ({"round_robin": {"slot_length_s": 0.01}}, "round_robin.slot_length_s"),
+        # the trials span 10^10 s, far past duration_s
+        ({"trials": 10**6, "trial_spacing_s": 1e4}, "probe_period_s"),
+        ({"trials": 10**7 + 1}, "trials"),
+        ({"trials": 10**400}, "trials"),  # too large for a float horizon
+        ({"duty_sweep": {"steps": 10**7 + 1}}, "duty_sweep.steps"),
+    ])
+    def test_series_too_long_to_finish_rejected_at_load(self, raw, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
             from_dict(raw)
 
     def test_station_spec_builds_fresh_instances(self):
@@ -178,6 +193,22 @@ class TestCli:
         corrupt.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(corrupt)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, problem", [
+        ({"command": "no-such-command", "config": {}}, "unknown command"),
+        ({"command": "rtt-dist"}, "carries no config"),
+        ({"command": "local-sched", "config": {"sched_variant": "other"}},
+         "local-sched writes no trace named 'other'"),
+    ], ids=["unknown-command", "no-config", "unknown-trace-name"])
+    def test_unreplayable_trace_exits_2(self, tmp_path, capsys, header, problem):
+        # an exception escaping main would fail the exit-code assertion
+        trace = tmp_path / "trace.jsonl"
+        lines = [{"format": TRACE_FORMAT, "seed": 42, **header}, {"trace_digest": "0" * 64}]
+        trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["replay", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("replay error: ")
+        assert problem in err
 
     def test_failing_check_exits_3(self, tmp_path, capsys):
         # a config whose expectations cannot hold: demand an impossible speedup

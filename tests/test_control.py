@@ -22,13 +22,12 @@ from chargesim.domain import (
     apply_relay,
     plug_ev,
 )
-from chargesim.latency import LatencyModel, LinkKind, LinkModelSet, MixtureComponent, TimingBudget
+from chargesim.latency import LatencyModel, LinkModelSet, MixtureComponent, TimingBudget
 from chargesim.sim import substream
 
 
 def fixed(location, hard_max=None):
     return LatencyModel(
-        kind=LinkKind.THREE_G,
         components=(MixtureComponent(1.0, location, 0.0),),
         hard_max=hard_max if hard_max is not None else max(location * 2, 1e-6),
     )

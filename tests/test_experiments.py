@@ -3,7 +3,7 @@ import pytest
 
 from chargesim.cli import main
 from chargesim.config import from_dict, resolve
-from chargesim.experiments import COMMANDS, cmd_replay, run
+from chargesim.experiments import COMMANDS, build_trace, cmd_replay, run
 from chargesim.sim import read_trace
 
 
@@ -109,7 +109,7 @@ class TestLocalSched:
         # plug events land mid-slot; allocation records only exist at
         # multiples of the slot length
         cfg = small_default()
-        trace = COMMANDS["local-sched"].builders["local"](cfg)
+        trace = build_trace("local-sched", "local", cfg)
         slot = cfg.round_robin.slot_length_s
         for rec in trace.records:
             if rec["kind"] == "slot":

@@ -8,7 +8,6 @@ from chargesim.latency import (
     MIN_LATENCY_S,
     DiurnalProfile,
     LatencyModel,
-    LinkKind,
     MixtureComponent,
     TimingBudget,
     count_modes,
@@ -51,9 +50,8 @@ def histograms_indistinguishable(a, b, alpha):
     return bool(p_value >= alpha)
 
 
-def fixed_model(location, kind=LinkKind.ETHERNET, hard_max=None):
+def fixed_model(location, hard_max=None):
     return LatencyModel(
-        kind=kind,
         components=(MixtureComponent(1.0, location, 0.0),),
         hard_max=hard_max if hard_max is not None else max(location * 2, 1e-6),
     )
@@ -94,12 +92,12 @@ class TestKernel:
     @pytest.mark.parametrize("model", [
         threeg_default(),
         ethernet_default(),
-        LatencyModel(kind=LinkKind.THREE_G, components=threeg_default().components,
+        LatencyModel(components=threeg_default().components,
                      hard_max=4.5, diurnal=DiurnalProfile.with_fast_hours(range(0, 168, 2), 0.6)),
-        LatencyModel(kind=LinkKind.WIFI,  # hard_max below MIN_LATENCY_S: the clamp order matters
-                     components=(MixtureComponent(1.0, 1e-10, 1e-9),), hard_max=1e-12),
-        LatencyModel(kind=LinkKind.WIFI,  # most draws clamp at MIN_LATENCY_S
-                     components=(MixtureComponent(0.5, 0.0, 0.0), MixtureComponent(0.5, 0.0, 1.0)),
+        # hard_max below MIN_LATENCY_S: the clamp order matters
+        LatencyModel(components=(MixtureComponent(1.0, 1e-10, 1e-9),), hard_max=1e-12),
+        # most draws clamp at MIN_LATENCY_S
+        LatencyModel(components=(MixtureComponent(0.5, 0.0, 0.0), MixtureComponent(0.5, 0.0, 1.0)),
                      hard_max=2.0),
     ], ids=["threeg", "ethernet", "threeg-diurnal", "tiny-hard-max", "clamped-low"])
     def test_sample_matches_reference_bit_for_bit(self, model):
@@ -133,7 +131,6 @@ class TestSampling:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             LatencyModel(
-                kind=LinkKind.WIFI,
                 components=(MixtureComponent(0.5, 1.0, 0.1), MixtureComponent(0.4, 2.0, 0.1)),
                 hard_max=5.0,
             )
@@ -141,7 +138,6 @@ class TestSampling:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
             LatencyModel(
-                kind=LinkKind.WIFI,
                 components=(MixtureComponent(0.0, 1.0, 0.1), MixtureComponent(1.0, 2.0, 0.1)),
                 hard_max=5.0,
             )
@@ -164,7 +160,6 @@ class TestDiurnal:
     def test_fast_hours_scale_location_but_not_support(self):
         fast = DiurnalProfile.with_fast_hours(range(0, 24), 0.5)
         model = LatencyModel(
-            kind=LinkKind.THREE_G,
             components=threeg_default().components,
             hard_max=4.5,
             diurnal=fast,
@@ -245,7 +240,6 @@ class TestHistogram:
     def test_shifted_model_is_distinguishable(self):
         base = threeg_default()
         shifted = LatencyModel(
-            kind=LinkKind.THREE_G,
             components=tuple(
                 MixtureComponent(c.weight, c.location + 0.3, c.spread)
                 for c in base.components

@@ -2,7 +2,7 @@
 import pytest
 
 from chargesim.domain import ChargingStation, EvModel, MeterId, MeterSnapshot, RelayState, apply_relay, plug_ev, set_current
-from chargesim.latency import LatencyModel, LinkKind, LinkModelSet, MixtureComponent, TimingBudget
+from chargesim.latency import LatencyModel, LinkModelSet, MixtureComponent, TimingBudget
 from chargesim.pic import MeterBus, PicEndpoint, startup_init
 from chargesim.proto import (
     Message,
@@ -21,7 +21,6 @@ from chargesim.sim import substream
 
 def fixed(location, hard_max=None):
     return LatencyModel(
-        kind=LinkKind.ETHERNET,
         components=(MixtureComponent(1.0, location, 0.0),),
         hard_max=hard_max if hard_max is not None else max(location * 2, 1e-6),
     )

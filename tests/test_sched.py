@@ -9,9 +9,10 @@ from chargesim.sched import (
     ChargeWindow,
     RoundRobinConfig,
     ScheduleTimeConfig,
+    round_robin_peak,
     round_robin_step,
+    schedule_overload,
     schedule_time_step,
-    validate_config,
 )
 
 
@@ -144,7 +145,7 @@ class TestValidation:
             0: (ChargeWindow(0.0, 43200.0, 16.0),),
             1: (ChargeWindow(0.0, 43200.0, 16.0),),
         })
-        assert validate_config(cfg, 40.0).ok
+        assert schedule_overload(cfg, 40.0) is None
 
     def test_three_sixteens_overlapping_on_forty_violate(self):
         cfg = ScheduleTimeConfig(windows={
@@ -152,12 +153,10 @@ class TestValidation:
             1: (ChargeWindow(21600.0, 64800.0, 16.0),),
             2: (ChargeWindow(28800.0, 36000.0, 16.0),),
         })
-        report = validate_config(cfg, 40.0)
-        assert not report.ok
-        v = report.violations[0]
-        assert v.total_amps == pytest.approx(48.0)
+        at, total = schedule_overload(cfg, 40.0)
+        assert total == pytest.approx(48.0)
         # sweep-line oracle: minute-resolution scan agrees at the flagged instant
-        alloc = schedule_time_step(cfg, {0, 1, 2}, v.at)
+        alloc = schedule_time_step(cfg, {0, 1, 2}, at)
         assert sum(alloc.values()) == pytest.approx(48.0)
         worst = max(
             sum(schedule_time_step(cfg, {0, 1, 2}, m * 60.0).values())
@@ -170,13 +169,11 @@ class TestValidation:
             0: (ChargeWindow(79200.0, 21600.0, 30.0),),   # 22:00-06:00
             1: (ChargeWindow(0.0, 10800.0, 30.0),),       # 00:00-03:00
         })
-        assert not validate_config(cfg, 40.0).ok
+        assert schedule_overload(cfg, 40.0) is not None
 
     def test_empty_config_ok(self):
-        assert validate_config(ScheduleTimeConfig(windows={}), 40.0).ok
+        assert schedule_overload(ScheduleTimeConfig(windows={}), 40.0) is None
 
     def test_round_robin_capacity_check(self):
-        assert validate_config(RoundRobinConfig(max_concurrent=2, per_active_current=16.0), 40.0).ok
-        report = validate_config(RoundRobinConfig(max_concurrent=3, per_active_current=16.0), 40.0)
-        assert not report.ok
-        assert report.violations[0].total_amps == pytest.approx(48.0)
+        assert round_robin_peak(RoundRobinConfig(max_concurrent=2, per_active_current=16.0)) == 32.0
+        assert round_robin_peak(RoundRobinConfig(max_concurrent=3, per_active_current=16.0)) == 48.0

@@ -8,15 +8,9 @@ import pytest
 from chargesim.sim import Engine, TraceParseError, read_trace, substream
 
 
-def test_negative_delay_rejected():
-    eng = Engine(seed=1)
-    with pytest.raises(ValueError):
-        eng.schedule(-0.5, "x")
-
-
 def test_schedule_before_clock_rejected():
     eng = Engine(seed=1)
-    eng.schedule(5.0, "x")
+    eng.schedule_at(5.0, "x")
     eng.run_until(5.0)
     with pytest.raises(ValueError):
         eng.schedule_at(4.0, "late")
@@ -26,11 +20,11 @@ def test_zero_delay_runs_after_current_event_same_timestamp():
     eng = Engine(seed=1)
     order = []
 
-    def first(e, ev):
+    def first(at, data):
         order.append("first")
-        e.schedule(0.0, "second", fn=lambda e2, ev2: order.append("second") or {"t": ev2.at})
+        eng.schedule_at(at, "second", fn=lambda at2, data2: order.append("second") or {"t": at2})
 
-    eng.schedule(1.0, "first", fn=first)
+    eng.schedule_at(1.0, "first", fn=first)
     trace = eng.run_until(2.0)
     assert order == ["first", "second"]
     assert [r["at"] for r in trace.records] == [1.0, 1.0]
@@ -41,7 +35,7 @@ def test_same_time_events_run_in_schedule_order():
     eng = Engine(seed=1)
     seen = []
     for name in ("a", "b", "c"):
-        eng.schedule(3.0, name, fn=lambda e, ev, n=name: seen.append(n))
+        eng.schedule_at(3.0, name, fn=lambda at, data, n=name: seen.append(n))
     eng.run_until(3.0)
     assert seen == ["a", "b", "c"]
 
@@ -52,9 +46,8 @@ def test_pop_order_matches_sort_oracle():
     eng = Engine(seed=1)
     scheduled = []
     for _ in range(100_000):
-        delay = rng.random() * 1000.0
-        ev = eng.schedule(delay, "e")
-        scheduled.append((ev.at, ev.seq))
+        at, seq, *_ = eng.schedule_at(rng.random() * 1000.0, "e")
+        scheduled.append((at, seq))
     trace = eng.run_until(1001.0)
     oracle = sorted(scheduled)
     got = [(r["at"], r["seq"]) for r in trace.records]
@@ -70,7 +63,7 @@ def test_empty_queue_advances_clock():
 
 def test_week_at_five_minute_cadence_gives_2016_probes():
     eng = Engine(seed=1)
-    eng.schedule_every(300.0, "probe", lambda e, ev: None, first_at=300.0)
+    eng.schedule_every(300.0, "probe", lambda at, data: None)
     trace = eng.run_until(604800.0)
     assert len(trace.records) == 2016
 
@@ -78,7 +71,7 @@ def test_week_at_five_minute_cadence_gives_2016_probes():
 def test_causality_handler_sees_event_time():
     eng = Engine(seed=1)
     seen = []
-    eng.schedule(4.0, "x", fn=lambda e, ev: seen.append((e.clock, ev.at)))
+    eng.schedule_at(4.0, "x", fn=lambda at, data: seen.append((eng.clock, at)))
     eng.run_until(10.0)
     assert seen == [(4.0, 4.0)]
 
@@ -86,10 +79,10 @@ def test_causality_handler_sees_event_time():
 def test_identical_seed_and_config_reproduce_digest():
     def build():
         eng = Engine(seed=9, meta={"command": "t", "config": {"a": 1}})
-        def h(e, ev):
-            return {"draw": e.stream("s").random()}
+        def h(at, data):
+            return {"draw": eng.stream("s").random()}
         for i in range(50):
-            eng.schedule(float(i), "h", fn=h)
+            eng.schedule_at(float(i), "h", fn=h)
         return eng.run_until(100.0)
 
     assert build().digest() == build().digest()
@@ -97,9 +90,9 @@ def test_identical_seed_and_config_reproduce_digest():
 
 def test_handler_failure_truncates_trace():
     eng = Engine(seed=1)
-    eng.schedule(1.0, "ok", fn=lambda e, ev: {"fine": 1})
-    eng.schedule(2.0, "boom", fn=lambda e, ev: 1 / 0)
-    eng.schedule(3.0, "never", fn=lambda e, ev: {"fine": 1})
+    eng.schedule_at(1.0, "ok", fn=lambda at, data: {"fine": 1})
+    eng.schedule_at(2.0, "boom", fn=lambda at, data: 1 / 0)
+    eng.schedule_at(3.0, "never", fn=lambda at, data: {"fine": 1})
     trace = eng.run_until(10.0)
     assert trace.failed
     assert len(trace.records) == 2
@@ -132,8 +125,8 @@ def test_engine_stream_caches_per_label():
 
 def test_trace_write_read_roundtrip(tmp_path):
     eng = Engine(seed=3, meta={"command": "t", "config": {"k": 1}})
-    eng.schedule(1.0, "a", data={"n": 1})
-    eng.schedule(2.0, "b")
+    eng.schedule_at(1.0, "a", data={"n": 1})
+    eng.schedule_at(2.0, "b")
     trace = eng.run_until(5.0)
     path = tmp_path / "t.jsonl"
     digest = trace.write(path)
@@ -145,7 +138,7 @@ def test_trace_write_read_roundtrip(tmp_path):
 
 def test_corrupt_trace_reports_line_number(tmp_path):
     eng = Engine(seed=3, meta={"command": "t", "config": {}})
-    eng.schedule(1.0, "a")
+    eng.schedule_at(1.0, "a")
     eng.run_until(5.0).write(tmp_path / "t.jsonl")
     lines = (tmp_path / "t.jsonl").read_text().splitlines()
     lines[1] = lines[1][:4]
@@ -165,16 +158,16 @@ def _empty_trace():
 
 def _normal_trace():
     eng = Engine(seed=5, meta={"command": "t", "config": {"k": [1, 2.5]}})
-    eng.schedule_every(1.0, "tick", lambda e, ev: {"draw": e.stream("s").random()},
+    eng.schedule_every(1.0, "tick", lambda at, data: {"draw": eng.stream("s").random()},
                        data={"label": "caf\u00e9"})
     return eng.run_until(50.0)
 
 
 def _truncated_trace():
     eng = Engine(seed=6, meta={"command": "t", "config": {}})
-    eng.schedule(1.0, "ok", fn=lambda e, ev: {"v": 0.1})
-    eng.schedule(2.0, "boom", fn=lambda e, ev: 1 / 0)
-    eng.schedule(3.0, "never")
+    eng.schedule_at(1.0, "ok", fn=lambda at, data: {"v": 0.1})
+    eng.schedule_at(2.0, "boom", fn=lambda at, data: 1 / 0)
+    eng.schedule_at(3.0, "never")
     trace = eng.run_until(10.0)
     assert trace.failed
     return trace
