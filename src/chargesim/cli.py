@@ -13,11 +13,12 @@ from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, PRESETS, resolve
-from .experiments import COMMANDS, ExperimentOutput, cmd_replay, run
+from .experiments import COMMANDS, ExperimentOutput, cmd_replay, run, trace_file
 from .sim import TraceParseError
 
-# command -> (ExperimentConfig -> ExperimentOutput); main calls through this
-# dict, so a caller may replace its entries (the benchmark's tracer does)
+# command -> ((ExperimentConfig, out_dir) -> ExperimentOutput); main calls
+# through this dict, so a caller may replace its entries (the benchmark's
+# tracer does)
 _RUNNERS = {name: partial(run, name) for name in COMMANDS}
 
 
@@ -82,11 +83,11 @@ def _write_svg_hist(path: Path, header, rows, title: str) -> None:
 
 
 def _emit(out: ExperimentOutput, out_dir: Path, fmt: str) -> None:
+    """Print each trace's digest (the run already wrote the trace files),
+    then write the CSVs and ``summary.txt`` and print the summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, trace in out.traces:
-        suffix = "" if name == "trace" else f"_{name}"
-        digest = trace.write(out_dir / f"trace{suffix}.jsonl")
-        print(f"trace{suffix}.jsonl digest {digest}")
+        print(f"{trace_file(name)} digest {trace.digest()}")
     for fname, (header, rows) in out.csvs.items():
         _write_csv(out_dir / fname, header, rows)
         if fmt == "svg" and fname.startswith("hist_"):
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
         overrides["duration_s"] = args.duration
     try:
         cfg = resolve(preset=args.preset, config_path=args.config, overrides=overrides)
-        out = _RUNNERS[args.command](cfg)
+        out = _RUNNERS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ config digest, so a trace file alone is enough to replay its experiment.
 from __future__ import annotations
 
 import copy
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -24,6 +25,16 @@ from .latency import (HOURS_PER_WEEK, DiurnalProfile, LatencyModel, LinkKind, Li
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field path."""
+
+
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads an exponent written without a dot
+    (``1e-6``) as a float, as JSON and YAML 1.2 do; YAML 1.1 reads it as a
+    string."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), list("-+0123456789"))
 
 
 # Most events one series (the trials, the sweep points, a periodic timer) may
@@ -471,7 +482,7 @@ def resolve(preset: str = "default", config_path=None, overrides: dict | None = 
     if config_path is not None:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh)
+                loaded = yaml.load(fh, Loader=_Loader)
         except OSError as exc:
             raise ConfigError(f"config file: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -1,17 +1,20 @@
 """Experiment harness: each command schedules its scenario on seeded
-engines, runs them, and post-processes the traces into CSV rows, a summary,
+engines, runs them, and folds the trace records into CSV rows, a summary,
 and pass/fail checks.
 
-Every CSV row and summary figure is derived from trace records alone: a
-command's post-processor is a pure function of the config and each trace's
-record list, so a written trace file is sufficient to reproduce (and verify)
-a run.
+Each command has a fold, built from the config. The fold is handed every
+record of every trace, in order, as ``add(name, record)`` with the trace's
+name, while the engine runs; ``finish()`` then returns ``(csvs, summary,
+checks)``. A fold keeps tuples and counters, never record dicts, and reads
+nothing but the config and the records, so a written trace file streamed
+through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 from . import pic, proto, sched
 from .config import ConfigError, ExperimentConfig, from_dict
@@ -33,7 +36,7 @@ from .domain import (
     unplug_ev,
 )
 from .latency import LinkKind, TimingBudget, count_modes, histogram_of, worst_case_budget
-from .sim import Engine, EventTrace, ParsedTrace, ordered_sum, read_trace, substream
+from .sim import Engine, EventTrace, ordered_sum, read_trace, substream
 
 RTT_LINKS = (LinkKind.ETHERNET, LinkKind.WIFI, LinkKind.THREE_G)
 MODE_BINS = 45
@@ -49,7 +52,7 @@ class Check:
 @dataclass
 class ExperimentOutput:
     command: str
-    traces: list = field(default_factory=list)   # (name, EventTrace)
+    traces: list = field(default_factory=list)   # (name, EventTrace), records not kept
     csvs: dict = field(default_factory=dict)     # filename -> (header tuple, rows)
     summary: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
@@ -103,69 +106,78 @@ def _trace_rtt_dist(eng: Engine, cfg: ExperimentConfig) -> float:
     return cfg.duration_s
 
 
-def _post_rtt_dist(cfg: ExperimentConfig, records: dict):
-    links = cfg.links
-    cloud = links.t_server_cloud + links.t_cloud
-    csvs: dict = {}
-    summary: dict = {}
+class _RttDistFold:
+    """rtt-dist: per-link ``(at, seg, rtt)`` of every probe."""
 
-    samples: dict = {link: [] for link in RTT_LINKS}
-    for rec in records["trace"]:
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.samples: dict = {link: [] for link in RTT_LINKS}
+
+    def add(self, name: str, rec: dict) -> None:
         if rec["kind"] == "rtt-probe":
-            link = LinkKind(rec["data"]["link"])
-            samples[link].append((rec["at"], rec["state"]["seg"], rec["state"]["rtt"]))
+            state = rec["state"]
+            self.samples[LinkKind(rec["data"]["link"])].append(
+                (rec["at"], state["seg"], state["rtt"]))
 
-    met_max = links.metering.hard_max
-    for link, rows in samples.items():
-        segs = [s for _, s, _ in rows]
-        rtts = [r for _, _, r in rows]
-        seg_hist = histogram_of(segs, MODE_BINS, 0.0, links.for_link(link).hard_max)
-        rtt_hist = histogram_of(rtts, MODE_BINS, 0.0,
-                                links.for_link(link).hard_max + met_max + cloud)
-        csvs[f"hist_{link.value}.csv"] = (
-            ("bin_low", "bin_high", "count"), rtt_hist.rows())
-        csvs[f"hist_{link.value}_segment.csv"] = (
-            ("bin_low", "bin_high", "count"), seg_hist.rows())
-        summary[link.value] = {
-            "probes": len(rows),
-            "seg_min": min(segs) if segs else None,
-            "seg_max": max(segs) if segs else None,
-            "rtt_mean": ordered_sum(rtts) / len(rtts) if rtts else None,
-            "modes": count_modes(seg_hist.counts),
-        }
+    def finish(self):
+        cfg = self.cfg
+        links = cfg.links
+        cloud = links.t_server_cloud + links.t_cloud
+        csvs: dict = {}
+        summary: dict = {}
+        samples = self.samples
 
-    # per-day breakdown of the cellular segment (day 0 = the week's first day)
-    day_rows = []
-    threeg = samples[LinkKind.THREE_G]
-    for day in range(7):
-        day_segs = [s for at, s, _ in threeg if int(at // 86400.0) % 7 == day]
-        if not day_segs:
-            continue
-        hist = histogram_of(day_segs, MODE_BINS, 0.0, links.threeg.hard_max)
-        day_rows.extend((day, lo, hi, c) for lo, hi, c in hist.rows())
-    csvs["threeg_by_day.csv"] = (("day", "bin_low", "bin_high", "count"), day_rows)
+        met_max = links.metering.hard_max
+        for link, rows in samples.items():
+            segs = [s for _, s, _ in rows]
+            rtts = [r for _, _, r in rows]
+            seg_hist = histogram_of(segs, MODE_BINS, 0.0, links.for_link(link).hard_max)
+            rtt_hist = histogram_of(rtts, MODE_BINS, 0.0,
+                                    links.for_link(link).hard_max + met_max + cloud)
+            csvs[f"hist_{link.value}.csv"] = (
+                ("bin_low", "bin_high", "count"), rtt_hist.rows())
+            csvs[f"hist_{link.value}_segment.csv"] = (
+                ("bin_low", "bin_high", "count"), seg_hist.rows())
+            summary[link.value] = {
+                "probes": len(rows),
+                "seg_min": min(segs) if segs else None,
+                "seg_max": max(segs) if segs else None,
+                "rtt_mean": ordered_sum(rtts) / len(rtts) if rtts else None,
+                "modes": count_modes(seg_hist.counts),
+            }
 
-    expect = cfg.expect
-    modes_min = expect["threeg_modes_min"]
-    eth = samples[LinkKind.ETHERNET]
-    band_lo, band_hi = expect["ethernet_rtt_band"]
-    frac_needed = expect["ethernet_rtt_frac"]
-    eth_rtts = [r for _, _, r in eth]
-    in_band = (
-        sum(1 for r in eth_rtts if band_lo <= r <= band_hi) / len(eth_rtts)
-        if eth_rtts else 0.0
-    )
-    seg_max = summary["threeg"]["seg_max"] or 0.0
-    summary["ethernet_rtt_in_band"] = in_band
-    checks = [
-        Check("threeg-modes", summary["threeg"]["modes"] >= modes_min,
-              f"detected {summary['threeg']['modes']} modes, need >= {modes_min}"),
-        Check("threeg-hard-max", seg_max <= links.threeg.hard_max + 1e-12,
-              f"max sample {seg_max:.3f} s vs bound {links.threeg.hard_max} s"),
-        Check("ethernet-rtt-band", in_band >= frac_needed,
-              f"{in_band:.3f} of Ethernet RTTs in [{band_lo}, {band_hi}] s, need >= {frac_needed}"),
-    ]
-    return csvs, summary, checks
+        # per-day breakdown of the cellular segment (day 0 = the week's first day)
+        day_rows = []
+        threeg = samples[LinkKind.THREE_G]
+        for day in range(7):
+            day_segs = [s for at, s, _ in threeg if int(at // 86400.0) % 7 == day]
+            if not day_segs:
+                continue
+            hist = histogram_of(day_segs, MODE_BINS, 0.0, links.threeg.hard_max)
+            day_rows.extend((day, lo, hi, c) for lo, hi, c in hist.rows())
+        csvs["threeg_by_day.csv"] = (("day", "bin_low", "bin_high", "count"), day_rows)
+
+        expect = cfg.expect
+        modes_min = expect["threeg_modes_min"]
+        eth = samples[LinkKind.ETHERNET]
+        band_lo, band_hi = expect["ethernet_rtt_band"]
+        frac_needed = expect["ethernet_rtt_frac"]
+        eth_rtts = [r for _, _, r in eth]
+        in_band = (
+            sum(1 for r in eth_rtts if band_lo <= r <= band_hi) / len(eth_rtts)
+            if eth_rtts else 0.0
+        )
+        seg_max = summary["threeg"]["seg_max"] or 0.0
+        summary["ethernet_rtt_in_band"] = in_band
+        checks = [
+            Check("threeg-modes", summary["threeg"]["modes"] >= modes_min,
+                  f"detected {summary['threeg']['modes']} modes, need >= {modes_min}"),
+            Check("threeg-hard-max", seg_max <= links.threeg.hard_max + 1e-12,
+                  f"max sample {seg_max:.3f} s vs bound {links.threeg.hard_max} s"),
+            Check("ethernet-rtt-band", in_band >= frac_needed,
+                  f"{in_band:.3f} of Ethernet RTTs in [{band_lo}, {band_hi}] s, need >= {frac_needed}"),
+        ]
+        return csvs, summary, checks
 
 
 # --------------------------------------------------------------------------
@@ -289,95 +301,115 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     return cfg.trials * cfg.trial_spacing_s if cfg.trials > 0 else cfg.duration_s
 
 
-def _post_compare(cfg: ExperimentConfig, records: dict):
-    links = cfg.links
-    meters = cfg.stations[0].outlets
-    trace = records["trace"]
+class _Trial(NamedTuple):
+    trial: int
+    legacy4: float
+    rc4: int
+    legacy8: float
+    rc8: int
+    pic: float
+    rc1: int
+    push_cycle: float
 
-    trials = [r for r in trace if r["kind"] == "trial"]
-    stale_records = [
-        r for r in trace
-        if r["kind"] in ("stale-probe", "push-arrive")
-        and r.get("state", {}).get("stale_max") is not None
-    ]
 
-    rows = []
-    counts_ok = True
-    for r in trials:
-        s = r["state"]
-        i = r["data"]["trial"]
-        rows.append((i, "legacy_pull_power", s["legacy4"], s["rc4"]))
-        rows.append((i, "legacy_pull_full", s["legacy8"], s["rc8"]))
-        rows.append((i, "pic_pull", s["pic"], s["rc1"]))
-        rows.append((i, "pic_push_cycle", s["push_cycle"], 0))
-        counts_ok = counts_ok and s["rc4"] == meters and s["rc8"] == 2 * meters and s["rc1"] == 1
-    csvs = {
-        "retrievals.csv": (("trial", "protocol", "wall_s", "requests"), rows),
-        "staleness.csv": (
-            ("at", "source", "stale_max_s"),
-            [(r["at"], r["kind"], r["state"]["stale_max"]) for r in stale_records],
-        ),
-    }
+class _CompareFold:
+    """compare-protocols: one ``_Trial`` per trial record, and one
+    ``(at, source, stale_max)`` row per staleness record that has one."""
 
-    def mean(key):
-        return ordered_sum(t["state"][key] for t in trials) / len(trials) if trials else None
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.trials: list = []
+        self.stale: list = []
 
-    m4, m8, mp, mc = mean("legacy4"), mean("legacy8"), mean("pic"), mean("push_cycle")
-    speedup_power = (m4 / mp) if (m4 is not None and mp) else None
-    speedup_full = (m8 / mp) if (m8 is not None and mp) else None
-    # analytic counterparts of the measured means, from the mixture models
-    means = TimingBudget(t_ethernet=links.local_bus.analytic_mean(),
-                         t_3g=links.threeg.analytic_mean(),
-                         t_metering=links.metering.analytic_mean())
-    analytic_legacy = proto.legacy_retrieval_time(means, meters)
-    analytic_cycle = proto.push_cycle_time(means, meters)
-    analytic_save = proto.t_save(means, meters)
-    empirical_save = (m4 - mc) if (m4 is not None and mc is not None) else None
-    stale_max = max((r["state"]["stale_max"] for r in stale_records), default=None)
-    bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links), meters)
+    def add(self, name: str, rec: dict) -> None:
+        kind = rec["kind"]
+        if kind == "trial":
+            s = rec["state"]
+            self.trials.append(_Trial(rec["data"]["trial"], s["legacy4"], s["rc4"], s["legacy8"],
+                                      s["rc8"], s["pic"], s["rc1"], s["push_cycle"]))
+        elif kind == "stale-probe" or kind == "push-arrive":
+            stale_max = rec["state"].get("stale_max")
+            if stale_max is not None:
+                self.stale.append((rec["at"], kind, stale_max))
 
-    summary = {
-        "trials": len(trials),
-        "mean_legacy_power_s": m4,
-        "mean_legacy_full_s": m8,
-        "mean_pic_pull_s": mp,
-        "mean_push_cycle_s": mc,
-        "analytic_legacy_power_s": analytic_legacy,
-        "analytic_push_cycle_s": analytic_cycle,
-        "speedup_power": speedup_power,
-        "speedup_full": speedup_full,
-        "savings_empirical_s": empirical_save,
-        "savings_analytic_s": analytic_save,
-        "staleness_max_s": stale_max,
-        "staleness_bound_s": bound,
-    }
+    def finish(self):
+        cfg = self.cfg
+        links = cfg.links
+        meters = cfg.stations[0].outlets
+        trials = self.trials
 
-    checks = [Check(
-        "request-counts",
-        counts_ok,
-        f"legacy power={meters}, legacy full={2 * meters}, aggregated pull=1 on every trial",
-    )]
-    if stale_max is not None:
-        checks.append(Check(
-            "staleness-bound", stale_max <= bound,
-            f"max staleness {stale_max:.3f} s vs bound {bound:.3f} s"))
-    if len(trials) >= 1000 and analytic_save > 0 and empirical_save is not None:
-        rel = abs(empirical_save - analytic_save) / analytic_save
-        checks.append(Check(
-            "savings-identity", rel <= 0.02,
-            f"empirical {empirical_save:.3f} s vs analytic {analytic_save:.3f} s ({rel:.3%})"))
-        rel4 = abs(m4 - analytic_legacy) / analytic_legacy
-        relc = abs(mc - analytic_cycle) / analytic_cycle
-        checks.append(Check(
-            "retrieval-identities", rel4 <= 0.02 and relc <= 0.02,
-            f"legacy mean {m4:.3f} s vs analytic {analytic_legacy:.3f} s ({rel4:.2%}); "
-            f"push cycle {mc:.3f} s vs analytic {analytic_cycle:.3f} s ({relc:.2%})"))
-    expect = cfg.expect
-    checks += _expect_exact(expect, "legacy_wall_s", "legacy-worst-case",
-                            "legacy power retrieval", m4)
-    checks += _expect_ratio(expect, "speedup_power", "speedup-power", speedup_power)
-    checks += _expect_ratio(expect, "speedup_full", "speedup-full", speedup_full)
-    return csvs, summary, checks
+        rows = []
+        counts_ok = True
+        for t in trials:
+            rows.append((t.trial, "legacy_pull_power", t.legacy4, t.rc4))
+            rows.append((t.trial, "legacy_pull_full", t.legacy8, t.rc8))
+            rows.append((t.trial, "pic_pull", t.pic, t.rc1))
+            rows.append((t.trial, "pic_push_cycle", t.push_cycle, 0))
+            counts_ok = counts_ok and t.rc4 == meters and t.rc8 == 2 * meters and t.rc1 == 1
+        csvs = {
+            "retrievals.csv": (("trial", "protocol", "wall_s", "requests"), rows),
+            "staleness.csv": (("at", "source", "stale_max_s"), self.stale),
+        }
+
+        def mean(key):
+            return ordered_sum(getattr(t, key) for t in trials) / len(trials) if trials else None
+
+        m4, m8, mp, mc = mean("legacy4"), mean("legacy8"), mean("pic"), mean("push_cycle")
+        speedup_power = (m4 / mp) if (m4 is not None and mp) else None
+        speedup_full = (m8 / mp) if (m8 is not None and mp) else None
+        # analytic counterparts of the measured means, from the mixture models
+        means = TimingBudget(t_ethernet=links.local_bus.analytic_mean(),
+                             t_3g=links.threeg.analytic_mean(),
+                             t_metering=links.metering.analytic_mean())
+        analytic_legacy = proto.legacy_retrieval_time(means, meters)
+        analytic_cycle = proto.push_cycle_time(means, meters)
+        analytic_save = proto.t_save(means, meters)
+        empirical_save = (m4 - mc) if (m4 is not None and mc is not None) else None
+        stale_max = max((stale for _, _, stale in self.stale), default=None)
+        bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links), meters)
+
+        summary = {
+            "trials": len(trials),
+            "mean_legacy_power_s": m4,
+            "mean_legacy_full_s": m8,
+            "mean_pic_pull_s": mp,
+            "mean_push_cycle_s": mc,
+            "analytic_legacy_power_s": analytic_legacy,
+            "analytic_push_cycle_s": analytic_cycle,
+            "speedup_power": speedup_power,
+            "speedup_full": speedup_full,
+            "savings_empirical_s": empirical_save,
+            "savings_analytic_s": analytic_save,
+            "staleness_max_s": stale_max,
+            "staleness_bound_s": bound,
+        }
+
+        checks = [Check(
+            "request-counts",
+            counts_ok,
+            f"legacy power={meters}, legacy full={2 * meters}, aggregated pull=1 on every trial",
+        )]
+        if stale_max is not None:
+            checks.append(Check(
+                "staleness-bound", stale_max <= bound,
+                f"max staleness {stale_max:.3f} s vs bound {bound:.3f} s"))
+        if len(trials) >= 1000 and analytic_save > 0 and empirical_save is not None:
+            rel = abs(empirical_save - analytic_save) / analytic_save
+            checks.append(Check(
+                "savings-identity", rel <= 0.02,
+                f"empirical {empirical_save:.3f} s vs analytic {analytic_save:.3f} s ({rel:.3%})"))
+            rel4 = abs(m4 - analytic_legacy) / analytic_legacy
+            relc = abs(mc - analytic_cycle) / analytic_cycle
+            checks.append(Check(
+                "retrieval-identities", rel4 <= 0.02 and relc <= 0.02,
+                f"legacy mean {m4:.3f} s vs analytic {analytic_legacy:.3f} s ({rel4:.2%}); "
+                f"push cycle {mc:.3f} s vs analytic {analytic_cycle:.3f} s ({relc:.2%})"))
+        expect = cfg.expect
+        checks += _expect_exact(expect, "legacy_wall_s", "legacy-worst-case",
+                                "legacy power retrieval", m4)
+        checks += _expect_ratio(expect, "speedup_power", "speedup-power", speedup_power)
+        checks += _expect_ratio(expect, "speedup_full", "speedup-full", speedup_full)
+        return csvs, summary, checks
 
 
 # --------------------------------------------------------------------------
@@ -427,35 +459,61 @@ def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
     return steps * 3600.0
 
 
-def _post_duty_cycle(cfg: ExperimentConfig, records: dict):
-    points = [r["state"] for r in records["trace"] if r["kind"] == "duty-point"]
-    csvs = {"duty_sweep.csv": (
-        ("delta_a", "t_ev_s", "adaptive_wait_s", "fixed_wait_s", "outcome", "reads", "latency_s"),
-        [(p["delta"], p["t_ev"], p["adaptive_wait"], p["fixed_wait"], p["outcome"],
-          p["reads"], p["latency"]) for p in points],
-    )}
-    confirmed = all(p["outcome"] == "confirmed" for p in points)
-    adaptive_ok = all(p["adaptive_wait"] <= p["fixed_wait"] + 1e-12 for p in points)
-    mean_adaptive = ordered_sum(p["adaptive_wait"] for p in points) / len(points) if points else None
-    fixed = points[0]["fixed_wait"] if points else None
-    summary = {
-        "points": len(points),
-        "fixed_wait_s": fixed,
-        "mean_adaptive_wait_s": mean_adaptive,
-        "max_adaptive_wait_s": max((p["adaptive_wait"] for p in points), default=None),
-        "all_confirmed": confirmed,
-    }
-    checks = [
-        Check("all-confirmed", confirmed, "every sweep point ended confirmed"),
-        Check("adaptive-within-fixed", adaptive_ok,
-              "adaptive wait never exceeds the fixed worst-case wait"),
-    ]
-    if points:
-        checks.append(Check(
-            "adaptive-mean-below-fixed", mean_adaptive < fixed,
-            f"mean adaptive {mean_adaptive:.3f} s vs fixed {fixed:.3f} s"))
-    checks += _expect_exact(cfg.expect, "fixed_wait_s", "fixed-wait-value", "fixed wait", fixed)
-    return csvs, summary, checks
+class _DutyPoint(NamedTuple):
+    delta_a: float
+    t_ev_s: float
+    adaptive_wait_s: float
+    fixed_wait_s: float
+    outcome: str
+    reads: int
+    latency_s: float
+
+
+class _DutyCycleFold:
+    """duty-cycle: one ``_DutyPoint`` (a ``duty_sweep.csv`` row) per point."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.points: list = []
+
+    def add(self, name: str, rec: dict) -> None:
+        if rec["kind"] == "duty-point":
+            p = rec["state"]
+            self.points.append(_DutyPoint(p["delta"], p["t_ev"], p["adaptive_wait"],
+                                          p["fixed_wait"], p["outcome"], p["reads"],
+                                          p["latency"]))
+
+    def finish(self):
+        points = self.points
+        csvs = {"duty_sweep.csv": (
+            ("delta_a", "t_ev_s", "adaptive_wait_s", "fixed_wait_s", "outcome", "reads",
+             "latency_s"),
+            points,
+        )}
+        confirmed = all(p.outcome == "confirmed" for p in points)
+        adaptive_ok = all(p.adaptive_wait_s <= p.fixed_wait_s + 1e-12 for p in points)
+        mean_adaptive = (ordered_sum(p.adaptive_wait_s for p in points) / len(points)
+                         if points else None)
+        fixed = points[0].fixed_wait_s if points else None
+        summary = {
+            "points": len(points),
+            "fixed_wait_s": fixed,
+            "mean_adaptive_wait_s": mean_adaptive,
+            "max_adaptive_wait_s": max((p.adaptive_wait_s for p in points), default=None),
+            "all_confirmed": confirmed,
+        }
+        checks = [
+            Check("all-confirmed", confirmed, "every sweep point ended confirmed"),
+            Check("adaptive-within-fixed", adaptive_ok,
+                  "adaptive wait never exceeds the fixed worst-case wait"),
+        ]
+        if points:
+            checks.append(Check(
+                "adaptive-mean-below-fixed", mean_adaptive < fixed,
+                f"mean adaptive {mean_adaptive:.3f} s vs fixed {fixed:.3f} s"))
+        checks += _expect_exact(self.cfg.expect, "fixed_wait_s", "fixed-wait-value",
+                                "fixed wait", fixed)
+        return csvs, summary, checks
 
 
 # --------------------------------------------------------------------------
@@ -536,41 +594,72 @@ def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> floa
     return cfg.duration_s
 
 
-def _post_local_sched(cfg: ExperimentConfig, records: dict):
-    summary: dict = {}
-    checks = []
-    traffic_rows = []
-    for variant, trace in records.items():
-        slots = [r for r in trace if r["kind"] == "slot"]
-        cmds = [r for r in trace if r["kind"] == "sched-cmd"]
-        changes = sum(1 for r in slots if r["state"]["changed"])
-        worst = max((r["state"]["total"] for r in slots), default=0.0)
-        limit = slots[0]["state"]["limit"] if slots else cfg.stations[0].circuit_limit
-        violations = sum(1 for r in slots if r["state"]["total"] > r["state"]["limit"] + 1e-9)
-        traffic_rows.append((variant, len(slots), changes, len(cmds), worst, violations))
-        summary[variant] = {
-            "slots": len(slots),
-            "alloc_changes": changes,
-            "sched_messages": len(cmds),
-            "worst_total_a": worst,
-            "violations": violations,
-        }
-        if variant == "local":
+@dataclass
+class _SchedCounts:
+    """One local-sched variant's slot and scheduling-message tallies."""
+
+    slots: int = 0
+    changes: int = 0
+    cmds: int = 0
+    worst: Optional[float] = None   # the highest slot total so far
+    limit: Optional[float] = None   # the first slot's limit
+    violations: int = 0
+
+
+class _LocalSchedFold:
+    """local-sched: per-variant counters and the worst slot total."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.counts = {variant: _SchedCounts() for variant in SCHED_VARIANTS}
+
+    def add(self, name: str, rec: dict) -> None:
+        kind = rec["kind"]
+        if kind == "slot":
+            s = rec["state"]
+            c = self.counts[name]
+            total = s["total"]
+            c.slots += 1
+            c.changes += s["changed"]
+            if c.worst is None or total > c.worst:
+                c.worst = total
+            if c.limit is None:
+                c.limit = s["limit"]
+            c.violations += total > s["limit"] + 1e-9
+        elif kind == "sched-cmd":
+            self.counts[name].cmds += 1
+
+    def finish(self):
+        summary: dict = {}
+        checks = []
+        traffic_rows = []
+        for variant, c in self.counts.items():
+            worst = 0.0 if c.worst is None else c.worst
+            limit = self.cfg.stations[0].circuit_limit if c.limit is None else c.limit
+            traffic_rows.append((variant, c.slots, c.changes, c.cmds, worst, c.violations))
+            summary[variant] = {
+                "slots": c.slots,
+                "alloc_changes": c.changes,
+                "sched_messages": c.cmds,
+                "worst_total_a": worst,
+                "violations": c.violations,
+            }
+            if variant == "local":
+                checks.append(Check(
+                    "local-zero-traffic", c.cmds == 0,
+                    f"{c.cmds} scheduling messages after mode selection"))
+            else:
+                checks.append(Check(
+                    "server-traffic-per-change", c.cmds >= c.changes and c.changes > 0,
+                    f"{c.cmds} messages for {c.changes} allocation changes"))
             checks.append(Check(
-                "local-zero-traffic", len(cmds) == 0,
-                f"{len(cmds)} scheduling messages after mode selection"))
-        else:
-            checks.append(Check(
-                "server-traffic-per-change", len(cmds) >= changes and changes > 0,
-                f"{len(cmds)} messages for {changes} allocation changes"))
-        checks.append(Check(
-            f"{variant}-circuit-safety", violations == 0,
-            f"worst total {worst:.1f} A vs limit {limit:.1f} A"))
-    csvs = {"traffic.csv": (
-        ("variant", "slots", "alloc_changes", "sched_messages", "worst_total_a", "violations"),
-        traffic_rows,
-    )}
-    return csvs, summary, checks
+                f"{variant}-circuit-safety", c.violations == 0,
+                f"worst total {worst:.1f} A vs limit {limit:.1f} A"))
+        csvs = {"traffic.csv": (
+            ("variant", "slots", "alloc_changes", "sched_messages", "worst_total_a", "violations"),
+            traffic_rows,
+        )}
+        return csvs, summary, checks
 
 
 # --------------------------------------------------------------------------
@@ -581,51 +670,81 @@ def _post_local_sched(cfg: ExperimentConfig, records: dict):
 @dataclass(frozen=True)
 class Command:
     """A command's traces, each scheduled on a fresh engine by a named
-    builder, and its post-processor: a pure function of the config and each
-    trace's record list, returning ``(csvs, summary, checks)``."""
+    builder, and its fold: built from the config, handed every record as
+    ``add(trace name, record)``, and asked for ``(csvs, summary, checks)``
+    by ``finish()``."""
 
     builders: dict    # trace name -> ((Engine, ExperimentConfig) -> horizon s)
-    post: Callable
+    fold: type        # ExperimentConfig -> fold
 
+
+SCHED_VARIANTS = ("server", "local")
 
 COMMANDS = {
-    "rtt-dist": Command({"trace": _trace_rtt_dist}, _post_rtt_dist),
-    "compare-protocols": Command({"trace": _trace_compare}, _post_compare),
-    "duty-cycle": Command({"trace": _trace_duty_cycle}, _post_duty_cycle),
+    "rtt-dist": Command({"trace": _trace_rtt_dist}, _RttDistFold),
+    "compare-protocols": Command({"trace": _trace_compare}, _CompareFold),
+    "duty-cycle": Command({"trace": _trace_duty_cycle}, _DutyCycleFold),
     "local-sched": Command({variant: partial(_trace_local_sched, variant=variant)
-                            for variant in ("server", "local")}, _post_local_sched),
+                            for variant in SCHED_VARIANTS}, _LocalSchedFold),
 }
 
 
-def run(command: str, cfg: ExperimentConfig) -> ExperimentOutput:
-    """Build every trace of ``command`` and post-process their records.
+def trace_file(name: str) -> str:
+    """The file name of a command's trace ``name``."""
+    return "trace.jsonl" if name == "trace" else f"trace_{name}.jsonl"
 
-    A handler exception truncates its trace; post-processing would then read
-    state the failed event never recorded. Such a run skips it and gets one
-    failing check that names the event that failed."""
+
+def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
+    """Build every trace of ``command``, folding its records as they are
+    emitted, and streaming each trace into ``out_dir`` when one is given.
+
+    A handler exception truncates its trace; the fold would then miss state
+    the failed event never recorded. Such a run skips ``finish()`` and gets
+    one failing check that names the event that failed."""
     spec = COMMANDS[command]
+    fold = spec.fold(cfg)
     out = ExperimentOutput(command=command, traces=[
-        (name, build_trace(command, name, cfg)) for name in spec.builders])
+        (name, build_trace(command, name, cfg, partial(fold.add, name), out_dir))
+        for name in spec.builders])
     for name, trace in out.traces:
         if trace.failed:
-            last = trace.records[-1]
+            last = trace.last
             out.checks.append(Check(
                 "trace-complete", False,
                 f"{name} truncated: event {last['kind']!r} at {last['at']!r} s failed: "
                 f"{last['error']}"))
             return out
-    out.csvs, out.summary, out.checks = spec.post(
-        cfg, {name: trace.records for name, trace in out.traces})
+    out.csvs, out.summary, out.checks = fold.finish()
     return out
 
 
-def build_trace(command: str, name: str, cfg: ExperimentConfig) -> EventTrace:
-    """Schedule ``command``'s trace ``name`` on a fresh engine and run it.
+def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
+                out_dir=None) -> EventTrace:
+    """Schedule ``command``'s trace ``name`` on a fresh engine and run it,
+    handing each record to ``consume``. With ``out_dir``, the trace streams
+    into ``out_dir/trace_file(name)``, opened only once the builder has
+    scheduled its events (a builder's ``ConfigError`` leaves no file) and
+    finished with its digest footer, also when an event failed.
+
     The header config of a trace not named ``trace`` records its name as
     ``sched_variant``, which ``cmd_replay`` removes to find the builder."""
     raw = cfg.raw if name == "trace" else {**cfg.raw, "sched_variant": name}
     eng = Engine(cfg.seed, meta={"command": command, "config": raw})
-    return eng.run_until(COMMANDS[command].builders[name](eng, cfg))
+    horizon = COMMANDS[command].builders[name](eng, cfg)
+    trace = eng.trace
+    trace.consume = consume
+    if out_dir is None:
+        return eng.run_until(horizon)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / trace_file(name)
+    trace.open(path)
+    try:
+        eng.run_until(horizon)
+        trace.write(path)
+    finally:
+        trace.close()
+    return trace
 
 
 @dataclass
@@ -638,8 +757,9 @@ class ReplayVerdict:
 
 def cmd_replay(trace_path) -> ReplayVerdict:
     """Re-run a trace file's (seed, config) with the builder that wrote it
-    and compare digests."""
-    parsed: ParsedTrace = read_trace(trace_path)
+    and compare digests. The file is read as a stream, and the re-run is
+    only hashed."""
+    parsed = read_trace(trace_path)
     command = parsed.header.get("command")
     if command not in COMMANDS:
         raise ValueError(f"trace was produced by unknown command {command!r}")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .domain import ChargingStation, MeterId, MeterSnapshot, meter_snapshot
 from .latency import LinkModelSet, TimingBudget
@@ -94,7 +95,18 @@ class RetrievalResult:
     staleness: dict = field(default_factory=dict)   # MeterId -> seconds
     errors: list = field(default_factory=list)      # (MeterId | None, marker) per failed request
     responses: int = 0
-    messages: list = field(default_factory=list)    # wire Messages, in emission order
+    # builds the wire Messages; a caller that reads none pays for none
+    wire: Callable[[], list] = field(default=list, repr=False, compare=False)
+
+    @property
+    def messages(self) -> list:
+        """The wire ``Message``s, in emission order, built on each read."""
+        return self.wire()
+
+
+def _build_messages(log: list) -> list:
+    """``Message``s from a log of their field tuples."""
+    return [Message(*fields) for fields in log]
 
 
 def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
@@ -113,7 +125,7 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
     sid = station.station_id
     snapshots: dict = {}
     errors: list = []
-    messages: list = []
+    log: list = []   # each wire Message's field tuple, in emission order
     requests = 0
     responses = 0
     t = at
@@ -124,15 +136,13 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
             link_s = link_model.sample(rng, t)
             local_s = links.metering.sample(rng, t) if power else t_status_read
             rtt = cloud + link_s + local_s
-            messages.append(Message(kind=_REQUEST_KIND[power], station=sid,
-                                    meter=mid, seq=requests, sent_at=t))
+            log.append((_REQUEST_KIND[power], sid, mid, None, requests, t))
             if rtt > timeout_s:
                 if power:
                     snapshots[mid] = None
                 errors.append((mid, "timeout" if power else "status-timeout"))
-                messages.append(Message(kind=MessageKind.ERROR, station=sid,
-                                        meter=mid, payload={"reason": "timeout"}, seq=requests,
-                                        sent_at=t, received_at=t + timeout_s))
+                log.append((MessageKind.ERROR, sid, mid, {"reason": "timeout"}, requests,
+                            t, t + timeout_s))
                 t += timeout_s
                 continue
             responses += 1
@@ -144,9 +154,8 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
             else:
                 replied_at = t + 0.5 * (cloud + link_s)
                 payload = {"relay": station.channel(outlet).relay.value}
-            messages.append(Message(kind=_RESPONSE_KIND[power], station=sid,
-                                    meter=mid, payload=payload, seq=requests,
-                                    sent_at=replied_at, received_at=t + rtt))
+            log.append((_RESPONSE_KIND[power], sid, mid, payload, requests,
+                        replied_at, t + rtt))
             t += rtt
     wall = t - at
     done = at + wall
@@ -160,7 +169,7 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
         staleness=staleness,
         errors=errors,
         responses=responses,
-        messages=messages,
+        wire=partial(_build_messages, log),
     )
 
 
@@ -181,16 +190,15 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     cloud = links.t_server_cloud + links.t_cloud
     link_s = link_model.sample(rng, at)
     rtt = cloud + link_s
-    request = Message(kind=MessageKind.AGGREGATE_REQ, station=sid, seq=1, sent_at=at)
     if rtt > timeout_s:
-        marker = Message(kind=MessageKind.ERROR, station=sid, payload={"reason": "timeout"},
-                         seq=1, sent_at=at, received_at=at + timeout_s)
         return RetrievalResult(
             snapshots={MeterId(sid, outlet): None for outlet in range(len(station.meters))},
             wall_time=timeout_s,
             request_count=1,
             errors=[(None, "timeout")],
-            messages=[request, marker],
+            wire=partial(_build_messages, [
+                (MessageKind.AGGREGATE_REQ, sid, None, None, 1, at),
+                (MessageKind.ERROR, sid, None, {"reason": "timeout"}, 1, at, at + timeout_s)]),
         )
     arrive = at + 0.5 * rtt
     snaps, serve_cost = pic.serve_aggregate(arrive)
@@ -198,8 +206,12 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     done = at + wall
     snapshots = {s.meter: s for s in snaps}
     staleness = {m: done - s.captured_at for m, s in snapshots.items()}
-    reply = make_aggregate_packet(sid, snaps, seq=1, sent_at=arrive + serve_cost)
-    reply.received_at = done
+
+    def wire():
+        reply = make_aggregate_packet(sid, snaps, seq=1, sent_at=arrive + serve_cost)
+        reply.received_at = done
+        return [Message(kind=MessageKind.AGGREGATE_REQ, station=sid, seq=1, sent_at=at), reply]
+
     return RetrievalResult(
         snapshots=snapshots,
         wall_time=wall,
@@ -207,7 +219,7 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
         staleness=staleness,
         errors=[],
         responses=1,
-        messages=[request, reply],
+        wire=wire,
     )
 
 

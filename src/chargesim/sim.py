@@ -13,6 +13,11 @@ the engine calls ``fn(at, data)``; a handler that needs the engine (to
 schedule more events or draw from a stream) closes over it. A dict the
 handler returns is recorded as the event's ``state``; ``data`` and
 ``state`` enter the trace as-is and must be JSON-serializable.
+
+Traces stream: the engine hands each finished record to its ``EventTrace``
+sink, which encodes, hashes and (when a file is open) writes it at once and
+passes it on to a consumer, so no run holds its records. ``read_trace``
+streams a written file back through a consumer the same way.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 TRACE_FORMAT = "chargesim-trace/1"
@@ -72,79 +77,142 @@ def substream(master_seed: int, label: str) -> random.Random:
 Handler = Callable[[float, Optional[dict]], Optional[dict]]
 
 
-@dataclass
-class EventTrace:
-    """Ordered record of executed events.
+class _Taken:
+    """``len()`` of this is the number of records a trace has taken."""
 
-    The trace digest is a pure function of (seed, config, scheduled work):
+    __slots__ = ("count",)
+
+    def __init__(self, count: int):
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+
+class EventTrace:
+    """The sink an engine hands each finished record to.
+
+    ``take(record)`` encodes the record once, as ``"\\n" + canonical_json``,
+    adds those bytes to the running SHA-256 of the header line and every
+    record so far, writes them to the trace file if one is open, and hands
+    the record to ``consume`` if one is set. ``fail(record)`` does the same
+    for the record of a failed event, except that it is not consumed, and
+    marks the trace ``failed``. The trace keeps only the record count, the
+    last record and ``failed``: no record outlives its event.
+
+    The digest is a pure function of (seed, config, scheduled work), so
     replaying the same experiment reproduces it byte for byte.
     """
 
-    seed: int
-    config_digest: str = ""
-    meta: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
-    failed: bool = False
+    def __init__(self, seed: int, config_digest: str = "", meta: dict | None = None):
+        self.seed = seed
+        self.config_digest = config_digest
+        self.meta = {} if meta is None else meta
+        self.failed = False
+        self.count = 0
+        self.last: Optional[dict] = None
+        self.consume: Optional[Callable[[dict], None]] = None
+        self._head = canonical_json(self.header()).encode("utf-8")
+        self._hash = hashlib.sha256(self._head)
+        self._update = self._hash.update
+        self._file = None
+        self._write = None
 
     def header(self) -> dict:
         head = {"format": TRACE_FORMAT, "seed": self.seed, "config_digest": self.config_digest}
         head.update(self.meta)
         return head
 
-    def _chunks(self):
-        """The digested bytes in pieces, each record encoded once: the header
-        line, then ``"\\n" + line`` per record. Joined, they are the header
-        and record lines separated by one newline, with none at the end."""
-        yield canonical_json(self.header()).encode("utf-8")
-        for record in self.records:
-            yield ("\n" + canonical_json(record)).encode("utf-8")
+    @property
+    def records(self) -> _Taken:
+        """The records taken so far, as a count: ``len(trace.records)``, the
+        form the benchmark's tracer reads; new code reads ``count``."""
+        return _Taken(self.count)
+
+    def open(self, path) -> None:
+        """Stream the trace into a new file at ``path``: the header line now,
+        each record as it is taken, the digest footer at ``write(path)``."""
+        if self.count:
+            raise ValueError("a trace file must be opened before the first record")
+        self._file = open(path, "wb")
+        self._write = self._file.write
+        self._write(self._head)
+
+    def take(self, record: dict) -> None:
+        line = ("\n" + _encode(record)).encode("utf-8")
+        self._update(line)
+        if self._write is not None:
+            self._write(line)
+        if self.consume is not None:
+            self.consume(record)
+        self.count += 1
+        self.last = record
+
+    def fail(self, record: dict) -> None:
+        """Take the record of the event that failed; the trace ends with it."""
+        line = ("\n" + _encode(record)).encode("utf-8")
+        self._update(line)
+        if self._write is not None:
+            self._write(line)
+        self.count += 1
+        self.last = record
+        self.failed = True
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for chunk in self._chunks():
-            h.update(chunk)
-        return h.hexdigest()
+        """SHA-256 of the header line and the ``"\\n"``-prefixed records so far."""
+        return self._hash.hexdigest()
 
     def write(self, path) -> str:
-        """Write header, one record per line, and a digest footer. Returns the
-        digest, hashed from the same bytes as they are written."""
-        h = hashlib.sha256()
-        with open(path, "wb") as fh:
-            for chunk in self._chunks():
-                h.update(chunk)
-                fh.write(chunk)
-            digest = h.hexdigest()
-            fh.write(("\n" + canonical_json({"trace_digest": digest}) + "\n").encode("utf-8"))
+        """Finish the file opened on ``path``: append the digest footer and
+        close it. Returns the digest."""
+        if self._file is None:
+            raise ValueError(f"no trace file is open on {path}")
+        digest = self.digest()
+        self._write(("\n" + canonical_json({"trace_digest": digest}) + "\n").encode("utf-8"))
+        self.close()
         return digest
+
+    def close(self) -> None:
+        """Close the trace file, if one is open, without a footer: a file
+        left so is incomplete, and ``read_trace`` rejects it."""
+        if self._file is not None:
+            self._file.close()
+            self._file = self._write = None
 
 
 @dataclass
 class ParsedTrace:
-    """A trace file read back for replay: header, records, and the stored digest."""
+    """A trace file's header and stored digest, as ``read_trace`` returns them."""
 
     header: dict
-    records: list
     stored_digest: str
 
 
-def read_trace(path) -> ParsedTrace:
+def read_trace(path, consume: Optional[Callable[[dict], None]] = None) -> ParsedTrace:
+    """Stream the trace file at ``path`` line by line: check the header, hand
+    each record to ``consume`` in order (when given), and return the header
+    with the footer's stored digest. Neither the file nor its records are
+    held; a structural error raises ``TraceParseError`` with its line."""
+    header = held = None
+    n = 0
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    if not raw_lines:
+        for n, line in enumerate(fh, start=1):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(f"bad JSON ({exc.msg})", n) from exc
+            if n == 1:
+                if not isinstance(obj, dict) or obj.get("format") != TRACE_FORMAT:
+                    raise TraceParseError("missing or unrecognized trace header", 1)
+                header = obj
+            elif n > 2 and consume is not None:
+                consume(held)
+            held = obj  # the last line held back: it must be the footer
+    if n == 0:
         raise TraceParseError("empty trace file", 1)
-    parsed = []
-    for i, line in enumerate(raw_lines, start=1):
-        try:
-            parsed.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"bad JSON ({exc.msg})", i) from exc
-    header = parsed[0]
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise TraceParseError("missing or unrecognized trace header", 1)
-    footer = parsed[-1]
-    if not isinstance(footer, dict) or "trace_digest" not in footer:
-        raise TraceParseError("missing digest footer", len(raw_lines))
-    return ParsedTrace(header=header, records=parsed[1:-1], stored_digest=footer["trace_digest"])
+    if not isinstance(held, dict) or "trace_digest" not in held:
+        raise TraceParseError("missing digest footer", n)
+    return ParsedTrace(header=header, stored_digest=held["trace_digest"])
 
 
 class Engine:
@@ -198,12 +266,15 @@ class Engine:
         return self.schedule_at(self.clock + period, kind, data, tick)
 
     def run_until(self, t_end: float) -> EventTrace:
-        """Execute every event with at <= t_end; on a handler exception the
-        trace is truncated with a failure record and the run stops."""
+        """Execute every event with at <= t_end, handing each record to the
+        trace as the event finishes; on a handler exception the trace ends
+        with a failure record and the run stops."""
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end!r} is before clock {self.clock!r}")
-        while self._heap and self._heap[0][0] <= t_end:
-            at, seq, kind, data, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        take = self.trace.take
+        while heap and heap[0][0] <= t_end:
+            at, seq, kind, data, fn = heapq.heappop(heap)
             self.clock = at
             record: dict = {"at": at, "seq": seq, "kind": kind}
             if data is not None:
@@ -212,11 +283,10 @@ class Engine:
                 state = fn(at, data) if fn is not None else None
             except Exception as exc:  # noqa: BLE001 - failures become trace records
                 record["error"] = f"{type(exc).__name__}: {exc}"
-                self.trace.records.append(record)
-                self.trace.failed = True
+                self.trace.fail(record)
                 return self.trace
             if isinstance(state, dict) and state:
                 record["state"] = state
-            self.trace.records.append(record)
+            take(record)
         self.clock = t_end
         return self.trace

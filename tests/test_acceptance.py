@@ -31,7 +31,7 @@ from chargesim.latency import (
 )
 from chargesim.proto import legacy_pull, pic_pull, push_cycle_time, t_save
 from chargesim.sched import RoundRobinConfig, round_robin_step
-from chargesim.sim import substream
+from chargesim.sim import read_trace, substream
 
 from fw_harness import all_merges, run_interleaving
 from test_proto import cache_serving_endpoint, charging_station, fixed_links
@@ -139,17 +139,18 @@ def test_c6_firmware_property_suite():
            "no lost commands, flag-only ISRs, one push per tick batch", t0)
 
 
-def test_c7_push_staleness_bound():
+def test_c7_push_staleness_bound(tmp_path):
     t0 = time.perf_counter()
     cfg = resolve("default", overrides={"trials": 0, "duration_s": 86400.0})
-    out = run("compare-protocols", cfg)
-    (name, trace), = out.traces
+    run("compare-protocols", cfg, tmp_path)
+    records = []
+    read_trace(tmp_path / "trace.jsonl", records.append)
     bound_config = cfg.push_period_s + push_cycle_time(cfg.budget, 4)
     bound_hard = cfg.push_period_s + push_cycle_time(worst_case_budget(cfg.links), 4)
     worst = 0.0
     checked = 0
     violations = 0
-    for rec in trace.records:
+    for rec in records:
         state = rec.get("state", {})
         if rec["kind"] in ("stale-probe", "push-arrive") and "stale" in state:
             for value in state["stale"].values():
@@ -199,10 +200,10 @@ def test_c8_scheduler_safety_and_fairness():
 def test_c9_deterministic_replay(tmp_path):
     t0 = time.perf_counter()
     cfg = resolve("default", overrides={"duration_s": 21600.0})
-    first = run("rtt-dist", cfg).traces[0][1]
+    first = run("rtt-dist", cfg, tmp_path).traces[0][1]
     second = run("rtt-dist", cfg).traces[0][1]
-    path = tmp_path / "reference.jsonl"
-    stored = first.write(path)
+    path = tmp_path / "trace.jsonl"
+    stored = read_trace(path).stored_digest
     verdict = cmd_replay(path)
     ok = first.digest() == second.digest() and verdict.identical
     report(9, ok,

@@ -52,6 +52,20 @@ class TestConfig:
         assert cfg.seed == 9
         assert cfg.push_period_s == 10.0
 
+    @pytest.mark.parametrize("name, text", [
+        ("exp.yaml", "push_period_s: 6e1\ntrial_spacing_s: 1E+2\nprobe_period_s: {tiny}\n"),
+        ("exp.json", '{{"push_period_s": 6e1, "trial_spacing_s": 1E+2, "probe_period_s": {tiny}}}'),
+    ], ids=["yaml", "json"])
+    def test_exponent_without_a_dot_is_a_number(self, tmp_path, name, text):
+        # JSON and YAML 1.2 read 6e1 as a number, where YAML 1.1 reads a string
+        path = tmp_path / name
+        path.write_text(text.format(tiny="3e2"))
+        cfg = resolve("default", config_path=path)
+        assert (cfg.push_period_s, cfg.trial_spacing_s, cfg.probe_period_s) == (60.0, 100.0, 300.0)
+        path.write_text(text.format(tiny="1e-6"))
+        with pytest.raises(ConfigError, match=r"^probe_period_s: .* more than the limit"):
+            resolve("default", config_path=path)
+
     def test_example_config_in_docs_loads(self):
         cfg = resolve("default", config_path=EXAMPLE)
         assert cfg.links.threeg.hard_max == 4.5

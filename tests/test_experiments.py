@@ -1,9 +1,11 @@
 """Experiment harness tests: trace-derived metrics, determinism, replay."""
+import tracemalloc
+
 import pytest
 
 from chargesim.cli import main
 from chargesim.config import from_dict, resolve
-from chargesim.experiments import COMMANDS, build_trace, cmd_replay, run
+from chargesim.experiments import COMMANDS, build_trace, cmd_replay, run, trace_file
 from chargesim.sim import read_trace
 
 
@@ -64,10 +66,12 @@ class TestCompareProtocols:
         out = run("compare-protocols", cfg)
         assert out.summary["speedup_power"] is None or out.summary["speedup_power"] > 0
 
-    def test_rows_derive_from_trace(self):
-        out = run("compare-protocols", resolve("worst-case-3g"))
+    def test_rows_derive_from_trace(self, tmp_path):
+        out = run("compare-protocols", resolve("worst-case-3g"), tmp_path)
         (name, trace), = out.traces
-        trial_records = [r for r in trace.records if r["kind"] == "trial"]
+        records = []
+        read_trace(tmp_path / trace_file(name), records.append)
+        trial_records = [r for r in records if r["kind"] == "trial"]
         header, rows = out.csvs["retrievals.csv"]
         assert len(rows) == 4 * len(trial_records)
 
@@ -98,10 +102,12 @@ class TestLocalSched:
         assert server["alloc_changes"] > 0
         assert server["sched_messages"] == server["alloc_changes"]
 
-    def test_allocations_always_within_limit(self):
-        out = run("local-sched", small_default())
-        for _, trace in out.traces:
-            for rec in trace.records:
+    def test_allocations_always_within_limit(self, tmp_path):
+        out = run("local-sched", small_default(), tmp_path)
+        for name, _ in out.traces:
+            records = []
+            read_trace(tmp_path / trace_file(name), records.append)
+            for rec in records:
                 if rec["kind"] == "slot":
                     assert rec["state"]["total"] <= rec["state"]["limit"] + 1e-9
 
@@ -109,9 +115,10 @@ class TestLocalSched:
         # plug events land mid-slot; allocation records only exist at
         # multiples of the slot length
         cfg = small_default()
-        trace = build_trace("local-sched", "local", cfg)
+        records = []
+        build_trace("local-sched", "local", cfg, records.append)
         slot = cfg.round_robin.slot_length_s
-        for rec in trace.records:
+        for rec in records:
             if rec["kind"] == "slot":
                 assert rec["at"] % slot == pytest.approx(0.0, abs=1e-9)
 
@@ -124,16 +131,14 @@ class TestReplay:
         assert d1 == d2
 
     def test_written_trace_replays_identically(self, tmp_path):
-        out = run("rtt-dist", small_default(duration_s=7200.0))
+        run("rtt-dist", small_default(duration_s=7200.0), tmp_path)
         path = tmp_path / "trace.jsonl"
-        out.traces[0][1].write(path)
         verdict = cmd_replay(path)
         assert verdict.identical
 
     def test_seed_change_diverges(self, tmp_path):
-        out = run("rtt-dist", small_default(duration_s=7200.0))
+        run("rtt-dist", small_default(duration_s=7200.0), tmp_path)
         path = tmp_path / "trace.jsonl"
-        out.traces[0][1].write(path)
         text = path.read_text().replace('"seed":42', '"seed":43', 1)
         tampered = tmp_path / "tampered.jsonl"
         tampered.write_text(text)
@@ -152,12 +157,9 @@ SMALL_CONFIGS = {
 @pytest.fixture(scope="module", params=sorted(COMMANDS))
 def written(request, tmp_path_factory):
     """A command's live output and the paths of its written trace files."""
-    out = run(request.param, SMALL_CONFIGS[request.param]())
     work = tmp_path_factory.mktemp(request.param)
-    paths = {}
-    for name, trace in out.traces:
-        paths[name] = work / f"{name}.jsonl"
-        trace.write(paths[name])
+    out = run(request.param, SMALL_CONFIGS[request.param](), work)
+    paths = {name: work / trace_file(name) for name, _ in out.traces}
     return out, paths
 
 
@@ -167,12 +169,16 @@ class TestTraceFiles:
         out, paths = written
         records = {}
         for name, path in paths.items():
-            parsed = read_trace(path)
+            records[name] = []
+            parsed = read_trace(path, records[name].append)
             raw = dict(parsed.header["config"])
             raw.pop("sched_variant", None)
             cfg = from_dict(raw)
-            records[name] = parsed.records
-        csvs, summary, checks = COMMANDS[out.command].post(cfg, records)
+        fold = COMMANDS[out.command].fold(cfg)
+        for name, body in records.items():
+            for rec in body:
+                fold.add(name, rec)
+        csvs, summary, checks = fold.finish()
         assert csvs == out.csvs
         assert summary == out.summary
         assert checks == out.checks
@@ -183,3 +189,31 @@ class TestTraceFiles:
         for path in paths.values():
             assert main(["replay", str(path)]) == 0
             assert capsys.readouterr().out.startswith(f"identical: {out.command} trace")
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes ``fn()`` allocates while tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_run_memory_does_not_grow_with_the_trace(self):
+        # records are folded into per-trial tuples as they are emitted, so
+        # the peak grows by under 1 KB per trial; a run that kept its
+        # records would grow by about 6 KB per trial
+        peaks = {n: _traced_peak(lambda: run("compare-protocols", resolve(
+            "default", overrides={"trials": n, "seed": 1}))) for n in (1000, 3000)}
+        per_trial = (peaks[3000] - peaks[1000]) / 2000
+        assert per_trial < 2048, f"{per_trial:.0f} bytes per trial ({peaks})"
+
+    def test_read_trace_holds_neither_the_file_nor_its_records(self, tmp_path):
+        run("compare-protocols", resolve("default", overrides={"trials": 200, "seed": 1}),
+            tmp_path)
+        path = tmp_path / "trace.jsonl"
+        peak = _traced_peak(lambda: read_trace(path, lambda record: None))
+        assert peak < path.stat().st_size, (peak, path.stat().st_size)

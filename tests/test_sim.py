@@ -25,10 +25,12 @@ def test_zero_delay_runs_after_current_event_same_timestamp():
         eng.schedule_at(at, "second", fn=lambda at2, data2: order.append("second") or {"t": at2})
 
     eng.schedule_at(1.0, "first", fn=first)
-    trace = eng.run_until(2.0)
+    records = []
+    eng.trace.consume = records.append
+    eng.run_until(2.0)
     assert order == ["first", "second"]
-    assert [r["at"] for r in trace.records] == [1.0, 1.0]
-    assert trace.records[0]["seq"] < trace.records[1]["seq"]
+    assert [r["at"] for r in records] == [1.0, 1.0]
+    assert records[0]["seq"] < records[1]["seq"]
 
 
 def test_same_time_events_run_in_schedule_order():
@@ -48,16 +50,20 @@ def test_pop_order_matches_sort_oracle():
     for _ in range(100_000):
         at, seq, *_ = eng.schedule_at(rng.random() * 1000.0, "e")
         scheduled.append((at, seq))
-    trace = eng.run_until(1001.0)
+    records = []
+    eng.trace.consume = records.append
+    eng.run_until(1001.0)
     oracle = sorted(scheduled)
-    got = [(r["at"], r["seq"]) for r in trace.records]
+    got = [(r["at"], r["seq"]) for r in records]
     assert got == oracle
 
 
 def test_empty_queue_advances_clock():
     eng = Engine(seed=1)
-    trace = eng.run_until(10.0)
-    assert trace.records == []
+    records = []
+    eng.trace.consume = records.append
+    eng.run_until(10.0)
+    assert records == []
     assert eng.clock == 10.0
 
 
@@ -96,7 +102,7 @@ def test_handler_failure_truncates_trace():
     trace = eng.run_until(10.0)
     assert trace.failed
     assert len(trace.records) == 2
-    assert "ZeroDivisionError" in trace.records[-1]["error"]
+    assert "ZeroDivisionError" in trace.last["error"]
 
 
 def test_stream_labels_do_not_collide():
@@ -127,18 +133,21 @@ def test_trace_write_read_roundtrip(tmp_path):
     eng = Engine(seed=3, meta={"command": "t", "config": {"k": 1}})
     eng.schedule_at(1.0, "a", data={"n": 1})
     eng.schedule_at(2.0, "b")
-    trace = eng.run_until(5.0)
     path = tmp_path / "t.jsonl"
+    eng.trace.open(path)
+    trace = eng.run_until(5.0)
     digest = trace.write(path)
-    parsed = read_trace(path)
+    records = []
+    parsed = read_trace(path, records.append)
     assert parsed.stored_digest == digest
     assert parsed.header["seed"] == 3
-    assert len(parsed.records) == 2
+    assert len(records) == 2
 
 
 def test_corrupt_trace_reports_line_number(tmp_path):
     eng = Engine(seed=3, meta={"command": "t", "config": {}})
     eng.schedule_at(1.0, "a")
+    eng.trace.open(tmp_path / "t.jsonl")
     eng.run_until(5.0).write(tmp_path / "t.jsonl")
     lines = (tmp_path / "t.jsonl").read_text().splitlines()
     lines[1] = lines[1][:4]
@@ -152,41 +161,52 @@ def _reference_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _empty_trace():
-    return Engine(seed=4, meta={"command": "t", "config": {}}).run_until(10.0)
+def _run_taking(eng, t_end, path):
+    """Run ``eng`` streaming into ``path``; returns the trace and every
+    record it took, the failure record (which is not consumed) included."""
+    taken = []
+    eng.trace.consume = taken.append
+    eng.trace.open(path)
+    trace = eng.run_until(t_end)
+    return trace, taken + ([trace.last] if trace.failed else [])
 
 
-def _normal_trace():
+def _empty_trace(path):
+    return _run_taking(Engine(seed=4, meta={"command": "t", "config": {}}), 10.0, path)
+
+
+def _normal_trace(path):
     eng = Engine(seed=5, meta={"command": "t", "config": {"k": [1, 2.5]}})
     eng.schedule_every(1.0, "tick", lambda at, data: {"draw": eng.stream("s").random()},
                        data={"label": "caf\u00e9"})
-    return eng.run_until(50.0)
+    return _run_taking(eng, 50.0, path)
 
 
-def _truncated_trace():
+def _truncated_trace(path):
     eng = Engine(seed=6, meta={"command": "t", "config": {}})
     eng.schedule_at(1.0, "ok", fn=lambda at, data: {"v": 0.1})
     eng.schedule_at(2.0, "boom", fn=lambda at, data: 1 / 0)
     eng.schedule_at(3.0, "never")
-    trace = eng.run_until(10.0)
+    trace, taken = _run_taking(eng, 10.0, path)
     assert trace.failed
-    return trace
+    return trace, taken
 
 
 @pytest.mark.parametrize("build", [_empty_trace, _normal_trace, _truncated_trace],
                          ids=["empty", "normal", "truncated"])
 def test_streamed_trace_matches_joined_lines(tmp_path, build):
-    trace = build()
-    lines = [_reference_json(trace.header())] + [_reference_json(r) for r in trace.records]
+    path = tmp_path / "t.jsonl"
+    trace, records = build(path)
+    lines = [_reference_json(trace.header())] + [_reference_json(r) for r in records]
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert trace.digest() == digest
 
-    path = tmp_path / "t.jsonl"
     assert trace.write(path) == digest
     expected = "\n".join(lines) + "\n" + _reference_json({"trace_digest": digest}) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
 
-    parsed = read_trace(path)
+    parsed_records = []
+    parsed = read_trace(path, parsed_records.append)
     assert parsed.header == trace.header()
-    assert parsed.records == trace.records
+    assert parsed_records == records
     assert parsed.stored_digest == digest
