@@ -165,8 +165,8 @@ SCHEMA = Section({
         "t_cloud": Leaf(float, 0.0, ge=0.0),
     }, default=None),  # null: latency.default_models()
     "fleet": Section({
-        # Every command simulates stations[0], so a second station would be
-        # ignored. The default one has EVs on outlets 0-2.
+        # Every command simulates the one station (`ExperimentConfig.station`),
+        # so a second one is rejected. The default one has EVs on outlets 0-2.
         "stations": ListOf(_STATION, [{
             **_defaults(_STATION),
             "evs": [{"outlet": k, "max_current_a": 32.0} for k in range(3)],
@@ -367,7 +367,7 @@ class ExperimentConfig:
     t_status_read_s: float
     budget: TimingBudget
     links: LinkModelSet
-    stations: list
+    station: StationSpec
     round_robin: sched.RoundRobinConfig
     schedule_time: Optional[sched.ScheduleTimeConfig]
     duty_sweep: dict   # {"i_final_a": float, "steps": int}
@@ -378,7 +378,7 @@ def _links(spec: Optional[dict]) -> LinkModelSet:
     defaults = default_models()
     if spec is None:
         return defaults
-    changes = {"t_server_cloud": spec["t_server_cloud"], "t_cloud": spec["t_cloud"]}
+    changes = {"cloud": spec["t_server_cloud"] + spec["t_cloud"]}
     models = {name: spec[name] for name in _LINK_MODELS if spec[name] is not None}
     for name, model in models.items():
         try:
@@ -467,7 +467,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         budget=TimingBudget(t_ethernet=c["budget"]["t_ethernet"], t_3g=c["budget"]["t_3g"],
                             t_metering=c["budget"]["t_metering"]),
         links=_links(c["latency"]),
-        stations=[station],
+        station=station,
         round_robin=round_robin,
         schedule_time=schedule_time,
     )

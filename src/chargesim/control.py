@@ -103,7 +103,7 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
     i_final = duty_to_current(duty_percent)
 
     link_model = links.for_link(station.link)
-    cloud = links.t_server_cloud + links.t_cloud
+    cloud = links.cloud
     link_s = link_model.sample(rng, now)
     rtt = cloud + link_s
     if not station.online or rtt > timeout_s:
@@ -120,7 +120,7 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
     t_ack = now + rtt
 
     model = settle_model if settle_model is not None else ch.ev
-    t_ev = ev_settle_time(model, i_init, i_final)
+    t_ev = ev_settle_time(model, i_init, ch.ev.draw(i_final))
     t_wait = compute_t_waiting(t_ev, budget)
 
     reads = []

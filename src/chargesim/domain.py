@@ -86,6 +86,11 @@ class EvModel:
     settle_rate: float = 0.15625  # seconds per ampere of step
     settle_cap: float = 6.0
 
+    def draw(self, amps: float) -> float:
+        """The current the EV draws when offered ``amps``: never above its
+        own maximum."""
+        return min(amps, self.max_current)
+
 
 def ev_settle_time(ev: EvModel, i_init: float, i_final: float) -> float:
     """Seconds for the EV to settle after a current step; symmetric in its
@@ -126,13 +131,13 @@ class MeterChannel:
         frac = (now - self.ramp_start) / (self.ramp_end - self.ramp_start)
         return self.ramp_from + (self.ramp_to - self.ramp_from) * frac
 
-    def ramp(self, start: float, target: float, now: float) -> None:
-        """Ramp the plugged EV's current from ``start`` to ``target``,
-        beginning at ``now`` and taking the EV's settle time."""
+    def ramp(self, start: float, now: float) -> None:
+        """Ramp the plugged EV's current from ``start`` to what it draws of
+        the allocation, beginning at ``now`` and taking the EV's settle time."""
         self.ramp_from = start
-        self.ramp_to = target
+        self.ramp_to = self.ev.draw(self.allocated_amps)
         self.ramp_start = now
-        self.ramp_end = now + ev_settle_time(self.ev, start, target)
+        self.ramp_end = now + ev_settle_time(self.ev, start, self.ramp_to)
 
     def pin(self, amps: float, now: float) -> None:
         """Hold the drawn current at ``amps`` from ``now``, with no transient.
@@ -228,7 +233,7 @@ def apply_relay(station: ChargingStation, outlet: int, state: RelayState,
         _check_circuit(station, outlet, ch.allocated_amps)
         ch.relay = RelayState.ON
         if ch.ev is not None:
-            ch.ramp(0.0, min(ch.allocated_amps, ch.ev.max_current), now)
+            ch.ramp(0.0, now)
     elif state is RelayState.OFF and ch.relay is RelayState.ON:
         meter_snapshot(station, outlet, now)  # bank the energy up to the cut
         ch.relay = RelayState.OFF
@@ -249,7 +254,7 @@ def set_current(station: ChargingStation, outlet: int, amps: float,
     meter_snapshot(station, outlet, now)
     ch.allocated_amps = amps
     if ch.relay is RelayState.ON and ch.ev is not None:
-        ch.ramp(ch.amps_at(now), min(amps, ch.ev.max_current), now)
+        ch.ramp(ch.amps_at(now), now)
 
 
 def plug_ev(station: ChargingStation, outlet: int, ev: EvModel, now: float = 0.0) -> None:
@@ -257,7 +262,7 @@ def plug_ev(station: ChargingStation, outlet: int, ev: EvModel, now: float = 0.0
     meter_snapshot(station, outlet, now)
     ch.ev = ev
     if ch.relay is RelayState.ON:
-        ch.ramp(0.0, min(ch.allocated_amps, ev.max_current), now)
+        ch.ramp(0.0, now)
 
 
 def unplug_ev(station: ChargingStation, outlet: int, now: float = 0.0) -> None:

@@ -31,6 +31,7 @@ from .domain import (
     RelayState,
     allocated_current_total,
     apply_relay,
+    ev_settle_time,
     plug_ev,
     set_current,
     unplug_ev,
@@ -92,14 +93,13 @@ def _expect_ratio(expect: dict, key: str, name: str, value) -> list:
 
 def _trace_rtt_dist(eng: Engine, cfg: ExperimentConfig) -> float:
     links = cfg.links
-    cloud = links.t_server_cloud + links.t_cloud
 
     def probe(at, data):
         link = LinkKind(data["link"])
         rng = eng.stream(f"rtt:{link.value}")
         seg = links.for_link(link).sample(rng, at)
         met = links.metering.sample(rng, at)
-        return {"seg": seg, "rtt": cloud + seg + met}
+        return {"seg": seg, "rtt": links.cloud + seg + met}
 
     for link in RTT_LINKS:
         eng.schedule_every(cfg.probe_period_s, "rtt-probe", probe, data={"link": link.value})
@@ -122,7 +122,6 @@ class _RttDistFold:
     def finish(self):
         cfg = self.cfg
         links = cfg.links
-        cloud = links.t_server_cloud + links.t_cloud
         csvs: dict = {}
         summary: dict = {}
         samples = self.samples
@@ -133,7 +132,7 @@ class _RttDistFold:
             rtts = [r for _, _, r in rows]
             seg_hist = histogram_of(segs, MODE_BINS, 0.0, links.for_link(link).hard_max)
             rtt_hist = histogram_of(rtts, MODE_BINS, 0.0,
-                                    links.for_link(link).hard_max + met_max + cloud)
+                                    links.for_link(link).hard_max + met_max + links.cloud)
             csvs[f"hist_{link.value}.csv"] = (
                 ("bin_low", "bin_high", "count"), rtt_hist.rows())
             csvs[f"hist_{link.value}_segment.csv"] = (
@@ -185,23 +184,37 @@ class _RttDistFold:
 # --------------------------------------------------------------------------
 
 
+def _collector(eng: Engine, cfg: ExperimentConfig, station: ChargingStation, stream: str,
+               push_enabled: bool) -> pic.PicEndpoint:
+    """A started collector on ``station``, its meter bus drawing from the
+    engine's stream named ``stream``."""
+    bus = pic.MeterBus(station, cfg.links.local_bus, cfg.links.metering, eng.stream(stream))
+    state = pic.startup_init(bus, push_period=cfg.push_period_s,
+                             push_enabled=push_enabled, serve_cache=cfg.serve_cache)
+    return pic.PicEndpoint(state=state, bus=bus)
+
+
+def _stale_state(staleness: dict) -> dict:
+    """The trace state of a non-empty staleness report: its maximum and each
+    outlet's value."""
+    return {"stale_max": max(staleness.values()),
+            "stale": {str(m.outlet): s for m, s in staleness.items()}}
+
+
 def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
     """Wire a push-mode collector into the engine: periodic timer ticks drive
     collections and uplink packets into a server store; store consumption and
     probes record staleness."""
-    spec = cfg.stations[0]
+    spec = cfg.station
     station = spec.build()
     plugged = [o for o in range(len(station.meters)) if station.meters[o].ev is not None]
     per_ev = min(16.0, spec.circuit_limit / max(1, len(plugged)))
     for outlet in plugged:
         set_current(station, outlet, per_ev, 0.0)
         apply_relay(station, outlet, RelayState.ON, 0.0)
-    bus = pic.MeterBus(station, cfg.links.local_bus, cfg.links.metering,
-                       eng.stream(f"bus:{spec.station_id}"))
-    state = pic.startup_init(bus, push_period=cfg.push_period_s,
-                             push_enabled=True, serve_cache=cfg.serve_cache)
-    uplink_rng = eng.stream(f"uplink:{spec.station_id}")
     sid = spec.station_id
+    collector = _collector(eng, cfg, station, f"bus:{sid}", push_enabled=True)
+    uplink_rng = eng.stream(f"uplink:{sid}")
     store = proto.ServerStore()
 
     def consume(at, packet):
@@ -209,16 +222,11 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
         staleness = proto.push_consume(store, packet, at)
         if staleness is None:
             return {"station": sid, "seq": packet.seq, "discarded": True}
-        return {
-            "station": sid,
-            "seq": packet.seq,
-            "stale_max": max(staleness.values()),
-            "stale": {str(m.outlet): s for m, s in staleness.items()},
-        }
+        return {"station": sid, "seq": packet.seq, **_stale_state(staleness)}
 
     def step(at, data):
         sent: list = []
-        msgs = pic.main_loop_step(state, bus, sent.append, at)
+        msgs = pic.main_loop_step(collector.state, collector.bus, sent.append, at)
         for packet in sent:
             transit = 0.5 * cfg.links.threeg.sample(uplink_rng, packet.sent_at)
             eng.schedule_at(
@@ -229,7 +237,7 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
         return {"station": sid, "pushes": len(sent), "messages": len(msgs)}
 
     def tick(at, data):
-        pic.on_timer_interrupt(state)
+        pic.on_timer_interrupt(collector.state)
         eng.schedule_at(at, "push-step", fn=step)
         return None
 
@@ -237,12 +245,7 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
         staleness = store.staleness_at(sid, at)
         if not staleness:
             return {"station": sid, "stored": False}
-        return {
-            "station": sid,
-            "stored": True,
-            "stale_max": max(staleness.values()),
-            "stale": {str(m.outlet): s for m, s in staleness.items()},
-        }
+        return {"station": sid, "stored": True, **_stale_state(staleness)}
 
     eng.schedule_every(cfg.push_period_s, "push-tick", tick)
     eng.schedule_every(cfg.probe_period_s, "stale-probe", probe)
@@ -250,21 +253,17 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
 
 def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     links = cfg.links
-    spec = cfg.stations[0]
+    spec = cfg.station
     st_legacy4 = spec.build()
     st_legacy8 = spec.build()
 
     # Aggregated-pull endpoint with its own periodic collection keeping the
     # cache fresh, so pulls are served without a metering term.
     st_pic = spec.build()
-    pull_bus = pic.MeterBus(st_pic, links.local_bus, links.metering,
-                            eng.stream("pull-bus"))
-    pull_state = pic.startup_init(pull_bus, push_period=cfg.push_period_s,
-                                  push_enabled=False, serve_cache=cfg.serve_cache)
-    endpoint = pic.PicEndpoint(state=pull_state, bus=pull_bus)
+    endpoint = _collector(eng, cfg, st_pic, "pull-bus", push_enabled=False)
 
     def refresh(at, data):
-        duration = pic.collect_all(pull_state, pull_bus, at)
+        duration = pic.collect_all(endpoint.state, endpoint.bus, at)
         return {"duration": duration}
 
     eng.schedule_at(0.0, "pic-collect", fn=refresh)
@@ -335,7 +334,7 @@ class _CompareFold:
     def finish(self):
         cfg = self.cfg
         links = cfg.links
-        meters = cfg.stations[0].outlets
+        meters = cfg.station.outlets
         trials = self.trials
 
         rows = []
@@ -418,7 +417,7 @@ class _CompareFold:
 
 
 def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
-    spec = cfg.stations[0]
+    spec = cfg.station
     if not spec.evs:
         raise ConfigError("fleet.stations[0].evs: the duty-cycle sweep needs at least one EV")
     outlet, swept = spec.evs[0]
@@ -443,8 +442,7 @@ def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
                                    cfg.budget, now=at, timeout_s=cfg.timeout_s)
         return {
             "delta": delta,
-            "t_ev": (0.0 if delta == 0 else min(ch.ev.settle_cap,
-                                                ch.ev.settle_t0 + ch.ev.settle_rate * delta)),
+            "t_ev": ev_settle_time(ch.ev, 0.0, delta),
             "adaptive_wait": change.t_waiting,
             "fixed_wait": fixed_wait,
             "outcome": change.outcome.value,
@@ -452,9 +450,9 @@ def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
             "latency": change.completed_at - at,
         }
 
-    span = i_final
     for k in range(steps):
-        delta = span * k / (steps - 1) if steps > 1 else 0.0
+        # the clamp keeps a last point that rounds above i_final inside the sweep
+        delta = min(i_final, i_final * k / (steps - 1)) if steps > 1 else 0.0
         eng.schedule_at(k * 3600.0, "duty-point", data={"delta": delta}, fn=run_point)
     return steps * 3600.0
 
@@ -485,11 +483,7 @@ class _DutyCycleFold:
 
     def finish(self):
         points = self.points
-        csvs = {"duty_sweep.csv": (
-            ("delta_a", "t_ev_s", "adaptive_wait_s", "fixed_wait_s", "outcome", "reads",
-             "latency_s"),
-            points,
-        )}
+        csvs = {"duty_sweep.csv": (_DutyPoint._fields, points)}
         confirmed = all(p.outcome == "confirmed" for p in points)
         adaptive_ok = all(p.adaptive_wait_s <= p.fixed_wait_s + 1e-12 for p in points)
         mean_adaptive = (ordered_sum(p.adaptive_wait_s for p in points) / len(points)
@@ -522,7 +516,7 @@ class _DutyCycleFold:
 
 
 def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> float:
-    spec = cfg.stations[0]
+    spec = cfg.station
     # EVs arrive through the scenario's plug events, so start with bare outlets.
     station = ChargingStation(
         station_id=spec.station_id, circuit_limit=spec.circuit_limit,
@@ -630,20 +624,17 @@ class _LocalSchedFold:
             self.counts[name].cmds += 1
 
     def finish(self):
+        header = ("variant", "slots", "alloc_changes", "sched_messages", "worst_total_a",
+                  "violations")
         summary: dict = {}
         checks = []
         traffic_rows = []
         for variant, c in self.counts.items():
             worst = 0.0 if c.worst is None else c.worst
-            limit = self.cfg.stations[0].circuit_limit if c.limit is None else c.limit
-            traffic_rows.append((variant, c.slots, c.changes, c.cmds, worst, c.violations))
-            summary[variant] = {
-                "slots": c.slots,
-                "alloc_changes": c.changes,
-                "sched_messages": c.cmds,
-                "worst_total_a": worst,
-                "violations": c.violations,
-            }
+            limit = self.cfg.station.circuit_limit if c.limit is None else c.limit
+            row = (variant, c.slots, c.changes, c.cmds, worst, c.violations)
+            traffic_rows.append(row)
+            summary[variant] = dict(zip(header[1:], row[1:]))
             if variant == "local":
                 checks.append(Check(
                     "local-zero-traffic", c.cmds == 0,
@@ -655,10 +646,7 @@ class _LocalSchedFold:
             checks.append(Check(
                 f"{variant}-circuit-safety", c.violations == 0,
                 f"worst total {worst:.1f} A vs limit {limit:.1f} A"))
-        csvs = {"traffic.csv": (
-            ("variant", "slots", "alloc_changes", "sched_messages", "worst_total_a", "violations"),
-            traffic_rows,
-        )}
+        csvs = {"traffic.csv": (header, traffic_rows)}
         return csvs, summary, checks
 
 

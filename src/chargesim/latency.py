@@ -157,7 +157,8 @@ class LinkModelSet:
 
     ``metering`` is the time a meter takes to produce a reading (its local
     radio hop folded in); ``local_bus`` is the collector's wired hop to a
-    meter inside the station.
+    meter inside the station. ``cloud`` is the fixed server-to-cloud plus
+    in-cloud time that every server round trip adds to its link transit.
     """
 
     ethernet: LatencyModel
@@ -165,8 +166,7 @@ class LinkModelSet:
     threeg: LatencyModel
     local_bus: LatencyModel
     metering: LatencyModel
-    t_server_cloud: float = 0.0
-    t_cloud: float = 0.0
+    cloud: float = 0.0
 
     def for_link(self, link: LinkKind) -> LatencyModel:
         return {

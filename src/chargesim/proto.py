@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from .domain import ChargingStation, MeterId, MeterSnapshot, meter_snapshot
 from .latency import LinkModelSet, TimingBudget
@@ -95,18 +94,20 @@ class RetrievalResult:
     staleness: dict = field(default_factory=dict)   # MeterId -> seconds
     errors: list = field(default_factory=list)      # (MeterId | None, marker) per failed request
     responses: int = 0
-    # builds the wire Messages; a caller that reads none pays for none
-    wire: Callable[[], list] = field(default=list, repr=False, compare=False)
+    # each wire Message's field tuple, in emission order; a caller that reads
+    # no messages pays for none
+    log: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def messages(self) -> list:
         """The wire ``Message``s, in emission order, built on each read."""
-        return self.wire()
+        return [Message(*fields) for fields in self.log]
 
 
-def _build_messages(log: list) -> list:
-    """``Message``s from a log of their field tuples."""
-    return [Message(*fields) for fields in log]
+def staleness(snapshots: dict, now: float) -> dict:
+    """Age at ``now`` of each snapshot in ``snapshots`` (meter -> snapshot or
+    None), skipping meters with no snapshot."""
+    return {m: now - s.captured_at for m, s in snapshots.items() if s is not None}
 
 
 def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
@@ -121,11 +122,11 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
     clock; the rest of the retrieval continues.
     """
     link_model = links.for_link(station.link)
-    cloud = links.t_server_cloud + links.t_cloud
+    cloud = links.cloud
     sid = station.station_id
     snapshots: dict = {}
     errors: list = []
-    log: list = []   # each wire Message's field tuple, in emission order
+    log: list = []
     requests = 0
     responses = 0
     t = at
@@ -158,18 +159,14 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
                         replied_at, t + rtt))
             t += rtt
     wall = t - at
-    done = at + wall
-    staleness = {
-        mid: done - snap.captured_at for mid, snap in snapshots.items() if snap is not None
-    }
     return RetrievalResult(
         snapshots=snapshots,
         wall_time=wall,
         request_count=requests,
-        staleness=staleness,
+        staleness=staleness(snapshots, at + wall),
         errors=errors,
         responses=responses,
-        wire=partial(_build_messages, log),
+        log=log,
     )
 
 
@@ -186,40 +183,31 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     """
     station = pic.station
     sid = station.station_id
-    link_model = links.for_link(station.link)
-    cloud = links.t_server_cloud + links.t_cloud
-    link_s = link_model.sample(rng, at)
-    rtt = cloud + link_s
+    link_s = links.for_link(station.link).sample(rng, at)
+    rtt = links.cloud + link_s
     if rtt > timeout_s:
         return RetrievalResult(
             snapshots={MeterId(sid, outlet): None for outlet in range(len(station.meters))},
             wall_time=timeout_s,
             request_count=1,
             errors=[(None, "timeout")],
-            wire=partial(_build_messages, [
-                (MessageKind.AGGREGATE_REQ, sid, None, None, 1, at),
-                (MessageKind.ERROR, sid, None, {"reason": "timeout"}, 1, at, at + timeout_s)]),
+            log=[(MessageKind.AGGREGATE_REQ, sid, None, None, 1, at),
+                 (MessageKind.ERROR, sid, None, {"reason": "timeout"}, 1, at, at + timeout_s)],
         )
     arrive = at + 0.5 * rtt
     snaps, serve_cost = pic.serve_aggregate(arrive)
     wall = rtt + serve_cost
     done = at + wall
     snapshots = {s.meter: s for s in snaps}
-    staleness = {m: done - s.captured_at for m, s in snapshots.items()}
-
-    def wire():
-        reply = make_aggregate_packet(sid, snaps, seq=1, sent_at=arrive + serve_cost)
-        reply.received_at = done
-        return [Message(kind=MessageKind.AGGREGATE_REQ, station=sid, seq=1, sent_at=at), reply]
-
     return RetrievalResult(
         snapshots=snapshots,
         wall_time=wall,
         request_count=1,
-        staleness=staleness,
+        staleness=staleness(snapshots, done),
         errors=[],
         responses=1,
-        wire=wire,
+        log=[(MessageKind.AGGREGATE_REQ, sid, None, None, 1, at),
+             (MessageKind.AGGREGATE_PACKET, sid, None, snaps, 1, arrive + serve_cost, done)],
     )
 
 
@@ -259,9 +247,7 @@ class ServerStore:
     def staleness_at(self, station_id: int, now: float) -> dict:
         """Age of each stored snapshot at ``now``; empty if nothing stored."""
         record = self.stations.get(station_id)
-        if record is None:
-            return {}
-        return {m: now - s.captured_at for m, s in record.snapshots.items()}
+        return {} if record is None else staleness(record.snapshots, now)
 
 
 @dataclass
@@ -292,6 +278,6 @@ def push_consume(store: ServerStore, packet: Message, now: float):
             f"(stored seq {current.packet_seq})"
         )
         return None
-    store.stations[packet.station] = _StationRecord(
+    record = store.stations[packet.station] = _StationRecord(
         snapshots={s.meter: s for s in snaps}, packet_seq=packet.seq)
-    return {s.meter: now - s.captured_at for s in snaps}
+    return staleness(record.snapshots, now)

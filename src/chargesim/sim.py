@@ -95,10 +95,11 @@ class EventTrace:
     ``take(record)`` encodes the record once, as ``"\\n" + canonical_json``,
     adds those bytes to the running SHA-256 of the header line and every
     record so far, writes them to the trace file if one is open, and hands
-    the record to ``consume`` if one is set. ``fail(record)`` does the same
-    for the record of a failed event, except that it is not consumed, and
-    marks the trace ``failed``. The trace keeps only the record count, the
-    last record and ``failed``: no record outlives its event.
+    the record to ``consume`` if one is set. ``fail(record)`` marks the
+    trace ``failed``, drops ``consume`` and takes the failed event's record,
+    which is thus written and hashed but not consumed. The trace keeps only
+    the record count, the last record and ``failed``: no record outlives its
+    event.
 
     The digest is a pure function of (seed, config, scheduled work), so
     replaying the same experiment reproduces it byte for byte.
@@ -149,14 +150,11 @@ class EventTrace:
         self.last = record
 
     def fail(self, record: dict) -> None:
-        """Take the record of the event that failed; the trace ends with it."""
-        line = ("\n" + _encode(record)).encode("utf-8")
-        self._update(line)
-        if self._write is not None:
-            self._write(line)
-        self.count += 1
-        self.last = record
+        """Take the record of the event that failed, without consuming it;
+        the trace ends with it."""
         self.failed = True
+        self.consume = None
+        self.take(record)
 
     def digest(self) -> str:
         """SHA-256 of the header line and the ``"\\n"``-prefixed records so far."""

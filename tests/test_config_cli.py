@@ -33,7 +33,7 @@ class TestConfig:
     def test_default_preset_resolves(self):
         cfg = resolve("default")
         assert cfg.seed == 42
-        assert cfg.stations[0].outlets == 4
+        assert cfg.station.outlets == 4
         assert cfg.links.threeg.hard_max == 4.5
 
     def test_unknown_preset_rejected(self):
@@ -131,8 +131,8 @@ class TestConfig:
 
     def test_station_spec_builds_fresh_instances(self):
         cfg = resolve("default")
-        s1 = cfg.stations[0].build()
-        s2 = cfg.stations[0].build()
+        s1 = cfg.station.build()
+        s2 = cfg.station.build()
         assert s1 is not s2
         assert s1.link is LinkKind.THREE_G
         assert s1.local_algorithm is AlgorithmMode.NONE

@@ -88,6 +88,19 @@ class TestDutyCycle:
         out = run("duty-cycle", resolve("duty-3g"))
         assert out.summary["mean_adaptive_wait_s"] < out.summary["fixed_wait_s"]
 
+    @pytest.mark.parametrize("overrides", [
+        # 6.004 * 3 / 3 rounds above 6.004: the last point must stay at the span
+        {"duty_sweep": {"i_final_a": 6.004, "steps": 4}},
+        # 0.6 * (6.08 / 0.6) rounds above the EV's own 6.08 A limit
+        {"duty_sweep": {"i_final_a": 6.08, "steps": 4},
+         "fleet": {"stations": [{"id": 0, "evs": [{"outlet": 0, "max_current_a": 6.08}]}]}},
+    ], ids=["last-point-overshoot", "duty-round-trip-above-ev-limit"])
+    def test_sweep_at_a_rounding_edge_completes(self, overrides):
+        out = run("duty-cycle", resolve("duty-3g", overrides=overrides))
+        assert out.ok, [c for c in out.checks if not c.ok]
+        points = out.csvs["duty_sweep.csv"][1]
+        assert [p.delta_a for p in points][-1] == overrides["duty_sweep"]["i_final_a"]
+
 
 class TestLocalSched:
     def test_local_mode_sends_no_scheduling_traffic(self):

@@ -26,6 +26,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
 DAY_S = 86400.0
 WEEK_S = 7 * DAY_S
+CLOUD = {"latency": {"t_server_cloud": 0.05, "t_cloud": 0.1}}
 
 # name -> (CLI arguments, config file contents or None)
 CASES = {
@@ -62,6 +63,13 @@ CASES = {
              "outlets": 8, "algorithm": "none",
              "evs": [{"outlet": k, "max_current_a": 32.0} for k in range(8)],
          }]}}),
+    # non-zero cloud hops: every round trip carries t_server_cloud + t_cloud
+    "rtt-dist-cloud-1d": (
+        ["rtt-dist", "--seed", "3", "--duration", str(DAY_S)], CLOUD),
+    "compare-protocols-cloud-100": (
+        ["compare-protocols", "--seed", "3", "--trials", "100"], CLOUD),
+    "duty-cycle-cloud-21": (
+        ["duty-cycle", "--seed", "3"], {**CLOUD, "duty_sweep": {"i_final_a": 32.0, "steps": 21}}),
 }
 
 # replay case name -> (case whose trace is replayed, trace file name)
