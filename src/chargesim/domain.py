@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .latency import LinkKind
 from .sim import ordered_sum
@@ -37,13 +37,15 @@ class CircuitLimitError(RuntimeError):
     """An allocation change would push the station past its circuit limit."""
 
 
-@dataclass(frozen=True, order=True)
-class MeterId:
+class MeterId(NamedTuple):
+    """One outlet's meter. A tuple, so it is built, hashed and ordered in C,
+    with the hash and the ``(station, outlet)`` order of a frozen dataclass."""
+
     station: int
     outlet: int
 
 
-@dataclass
+@dataclass(slots=True)
 class MeterSnapshot:
     """One outlet's power sample plus relay state, the atom of all telemetry."""
 
@@ -202,22 +204,16 @@ def meter_snapshot(station: ChargingStation, outlet: int, now: float) -> MeterSn
     """Read one outlet: updates the channel's cumulative energy (trapezoid
     over the ramp) and returns the sample. Energy never decreases."""
     ch = station.channel(outlet)
+    volts = station.voltage
     amps = ch.amps_at(now)
     if now > ch.metered_at:
         avg = 0.5 * (ch.metered_amps + amps)
-        ch.energy_kwh += station.voltage * avg * (now - ch.metered_at) / 3.6e6
+        ch.energy_kwh += volts * avg * (now - ch.metered_at) / 3.6e6
         ch.metered_at = now
         ch.metered_amps = amps
-    watts = station.voltage * amps
-    return MeterSnapshot(
-        meter=MeterId(station.station_id, outlet),
-        volts=station.voltage,
-        amps=amps,
-        watts=watts,
-        energy_kwh=ch.energy_kwh,
-        relay=ch.relay,
-        captured_at=now,
-    )
+    # positional, in field order: meter, volts, amps, watts, energy_kwh, relay, captured_at
+    return MeterSnapshot(MeterId(station.station_id, outlet), volts, amps, volts * amps,
+                         ch.energy_kwh, ch.relay, now)
 
 
 def apply_relay(station: ChargingStation, outlet: int, state: RelayState,

@@ -85,35 +85,39 @@ class LatencyModel:
     components: tuple
     hard_max: float
     diurnal: DiurnalProfile = field(default_factory=DiurnalProfile)
+    # (cumulative weight, location, spread) per component; the weights are
+    # added left to right, the order a plain per-draw sum adds them in
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
             raise ValueError("latency model needs at least one mixture component")
         total = 0.0
+        table = []
         for i, c in enumerate(self.components):
             if c.weight <= 0:
                 raise ValueError(f"component [{i}] weight {c.weight!r} must be positive")
             if c.location < 0 or c.spread < 0:
                 raise ValueError(f"component [{i}] location/spread must be non-negative")
             total += c.weight
+            table.append((total, c.location, c.spread))
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
         if self.hard_max <= 0:
             raise ValueError(f"hard_max {self.hard_max!r} must be positive")
+        object.__setattr__(self, "_table", tuple(table))
 
     def sample(self, rng, at: float = 0.0) -> float:
         u = rng.random()
-        acc = 0.0
-        comp = self.components[-1]
-        for c in self.components:
-            acc += c.weight
+        for acc, loc, spread in self._table:
             if u <= acc:
-                comp = c
                 break
+        # a u above the last cumulative weight (it may sum to just under 1)
+        # leaves the loop on the last component
         diurnal = self.diurnal
-        # x * 1.0 == x exactly, so a flat profile needs no multiply
-        loc = comp.location if diurnal.is_flat else comp.location * diurnal.multiplier(at)
-        value = loc if comp.spread == 0.0 else loc + comp.spread * _near_gauss(rng)
+        if not diurnal.is_flat:  # x * 1.0 == x exactly, so a flat profile needs no multiply
+            loc = loc * diurnal.multiplier(at)
+        value = loc if spread == 0.0 else loc + spread * _near_gauss(rng)
         if value < MIN_LATENCY_S:
             value = MIN_LATENCY_S
         if value > self.hard_max:
@@ -169,12 +173,8 @@ class LinkModelSet:
     cloud: float = 0.0
 
     def for_link(self, link: LinkKind) -> LatencyModel:
-        return {
-            LinkKind.ETHERNET: self.ethernet,
-            LinkKind.WIFI: self.wifi,
-            LinkKind.THREE_G: self.threeg,
-            LinkKind.LOCAL_BUS: self.local_bus,
-        }[link]
+        # each LinkKind's value is the name of its model's field
+        return getattr(self, link.value)
 
 
 # --- default models -------------------------------------------------------

@@ -122,28 +122,31 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
     clock; the rest of the retrieval continues.
     """
     link_model = links.for_link(station.link)
+    metering = links.metering
     cloud = links.cloud
     sid = station.station_id
     snapshots: dict = {}
     errors: list = []
     log: list = []
+    emit = log.append
+    kinds = (True, False) if include_status else (True,)
     requests = 0
     responses = 0
     t = at
     for outlet in range(len(station.meters)):
         mid = MeterId(sid, outlet)
-        for power in ((True, False) if include_status else (True,)):
+        for power in kinds:
             requests += 1
             link_s = link_model.sample(rng, t)
-            local_s = links.metering.sample(rng, t) if power else t_status_read
+            local_s = metering.sample(rng, t) if power else t_status_read
             rtt = cloud + link_s + local_s
-            log.append((_REQUEST_KIND[power], sid, mid, None, requests, t))
+            emit((_REQUEST_KIND[power], sid, mid, None, requests, t))
             if rtt > timeout_s:
                 if power:
                     snapshots[mid] = None
                 errors.append((mid, "timeout" if power else "status-timeout"))
-                log.append((MessageKind.ERROR, sid, mid, {"reason": "timeout"}, requests,
-                            t, t + timeout_s))
+                emit((MessageKind.ERROR, sid, mid, {"reason": "timeout"}, requests,
+                      t, t + timeout_s))
                 t += timeout_s
                 continue
             responses += 1
@@ -155,8 +158,8 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
             else:
                 replied_at = t + 0.5 * (cloud + link_s)
                 payload = {"relay": station.channel(outlet).relay.value}
-            log.append((_RESPONSE_KIND[power], sid, mid, payload, requests,
-                        replied_at, t + rtt))
+            emit((_RESPONSE_KIND[power], sid, mid, payload, requests,
+                  replied_at, t + rtt))
             t += rtt
     wall = t - at
     return RetrievalResult(

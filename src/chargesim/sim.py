@@ -39,7 +39,28 @@ class TraceParseError(ValueError):
         self.line = line
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+def _make_encode() -> Callable[[Any], str]:
+    """The canonical encoder: sorted keys, no spaces, ASCII only, and a
+    ``ValueError`` on NaN or infinity. ``JSONEncoder.encode`` builds a fresh
+    C encoder for every call; this builds one, once, and falls back to
+    ``JSONEncoder.encode`` where the C accelerator is missing. Records are
+    trees, so neither checks for circular references."""
+    enc = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                           check_circular=False)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return enc.encode
+    c_encode = make(None, enc.default, json.encoder.encode_basestring_ascii, enc.indent,
+                    enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys,
+                    enc.allow_nan)
+
+    def encode(obj: Any) -> str:
+        return "".join(c_encode(obj, 0))
+
+    return encode
+
+
+_encode = _make_encode()
 
 
 def canonical_json(obj: Any) -> str:

@@ -1,4 +1,5 @@
 """Domain tests: settle times, relays, snapshots, circuit safety."""
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from chargesim.domain import (
     ChargingStation,
     CircuitLimitError,
     EvModel,
+    MeterId,
     RelayState,
     allocated_current_total,
     apply_relay,
@@ -107,6 +109,36 @@ class TestRelayAndSnapshots:
     def test_snapshot_timestamp_is_the_read_time(self):
         st_ = make_station()
         assert meter_snapshot(st_, 0, 123.0).captured_at == 123.0
+
+
+class TestMeterIdentity:
+    def test_meter_ids_sort_by_station_then_outlet(self):
+        ids = [MeterId(1, 0), MeterId(0, 3), MeterId(0, 1)]
+        assert sorted(ids) == [MeterId(0, 1), MeterId(0, 3), MeterId(1, 0)]
+
+    def test_equal_ids_hash_equal_and_collapse_in_a_set(self):
+        assert hash(MeterId(0, 1)) == hash(MeterId(0, 1)) == hash((0, 1))
+        assert {MeterId(0, 1), MeterId(0, 1), MeterId(0, 2)} == {MeterId(0, 1), MeterId(0, 2)}
+
+    def test_meter_id_is_immutable(self):
+        mid = MeterId(0, 1)
+        with pytest.raises(AttributeError):
+            mid.outlet = 2
+        assert mid.outlet == 1
+
+    def test_meter_id_repr(self):
+        assert repr(MeterId(station=0, outlet=1)) == "MeterId(station=0, outlet=1)"
+
+    def test_replace_marks_a_snapshot_faulty(self):
+        snap = meter_snapshot(make_station(), 1, 5.0)
+        faulty = dataclasses.replace(snap, fault="bus-timeout")
+        assert faulty.fault == "bus-timeout" and snap.fault is None
+        assert dataclasses.replace(faulty, fault=None) == snap
+
+    def test_snapshot_rejects_a_misspelt_field(self):
+        snap = meter_snapshot(make_station(), 0, 0.0)
+        with pytest.raises(AttributeError):
+            snap.captured = 1.0
 
 
 class TestAllocatedTotal:

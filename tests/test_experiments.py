@@ -31,6 +31,13 @@ class TestRttDist:
         out = run("rtt-dist", resolve("default"))
         assert out.ok, [c for c in out.checks if not c.ok]
 
+    def test_ethernet_band_is_tested_less_the_cloud_term(self):
+        cloud = {"t_server_cloud": 0.05, "t_cloud": 0.1}
+        out = run("rtt-dist", small_default(latency=cloud))
+        band = next(c for c in out.checks if c.name == "ethernet-rtt-band")
+        assert band.ok, band
+        assert "Ethernet RTTs less the 0.15 s cloud term in [0.15, 0.25] s" in band.detail
+
 
 class TestCompareProtocols:
     def test_worst_case_preset_reproduces_reference_numbers(self):

@@ -8,6 +8,7 @@ from chargesim.latency import (
     MIN_LATENCY_S,
     DiurnalProfile,
     LatencyModel,
+    LinkKind,
     MixtureComponent,
     TimingBudget,
     count_modes,
@@ -107,7 +108,40 @@ class TestKernel:
             assert repr(model.sample(fast, at)) == repr(reference_sample(model, ref, at))
 
 
+class _ScriptedRng:
+    """Hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
 class TestSampling:
+    def test_draw_above_last_cumulative_weight_falls_through_to_last_component(self):
+        # weights summing to 1 - 5e-10, inside the tolerance the model allows
+        model = LatencyModel(
+            components=(MixtureComponent(0.5, 1.0, 0.0),
+                        MixtureComponent(0.5 - 5e-10, 3.0, 0.1)),
+            hard_max=5.0,
+        )
+        last = model.components[-1]
+        u = 1.0 - 1e-10
+        assert u > model.components[0].weight + last.weight
+        script = [u] + [0.75] * 12  # near-Gaussian 12 * 0.75 - 6 = 3
+        value = model.sample(_ScriptedRng(script))
+        assert value == last.location + last.spread * 3.0
+        assert repr(value) == repr(reference_sample(model, _ScriptedRng(script)))
+
+    def test_for_link_returns_the_named_model(self):
+        links = default_models()
+        named = {LinkKind.ETHERNET: links.ethernet, LinkKind.WIFI: links.wifi,
+                 LinkKind.THREE_G: links.threeg, LinkKind.LOCAL_BUS: links.local_bus}
+        assert set(named) == set(LinkKind)
+        for kind, model in named.items():
+            assert links.for_link(kind) is model
+
     def test_degenerate_model_is_constant(self):
         model = fixed_model(0.2)
         rng = substream(1, "t")

@@ -1,11 +1,15 @@
 """Engine tests: ordering, determinism, streams, trace files."""
 import hashlib
 import json
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
-from chargesim.sim import Engine, TraceParseError, read_trace, substream
+from chargesim import sim
+from chargesim.sim import Engine, TraceParseError, canonical_json, read_trace, substream
 
 
 def test_schedule_before_clock_rejected():
@@ -159,6 +163,46 @@ def test_corrupt_trace_reports_line_number(tmp_path):
 
 def _reference_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]),
+    st.text(),  # non-ASCII included: the encoder escapes it
+)
+_RECORDS = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4),
+), max_leaves=24)
+
+
+def _fallback_encode(obj):
+    """Encode ``obj`` with the encoder built where the C accelerator is absent."""
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        encode = sim._make_encode()
+        assert getattr(encode, "__func__", None) is json.JSONEncoder.encode
+        return encode(obj)
+
+
+@given(_RECORDS)
+def test_canonical_json_matches_json_dumps(obj):
+    assert canonical_json(obj) == _reference_json(obj)
+
+
+@given(_RECORDS)
+def test_fallback_encoder_gives_the_same_bytes(obj):
+    assert _fallback_encode(obj) == canonical_json(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("encode", [canonical_json, _fallback_encode], ids=["c", "fallback"])
+def test_non_finite_floats_are_rejected(encode, bad):
+    for obj in (bad, {"a": [1, {"b": bad}]}):
+        with pytest.raises(ValueError):
+            encode(obj)
+    # a failed encoding leaves nothing behind for the next record
+    assert encode({"a": [1, {"b": 2.5}]}) == '{"a":[1,{"b":2.5}]}'
 
 
 def _run_taking(eng, t_end, path):
