@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _RUNNERS:
         add_common(sub.add_parser(name, help=f"run the {name} experiment"))
 
-    replay = sub.add_parser("replay", help="re-run a trace's (seed, config) and compare digests")
+    replay = sub.add_parser("replay", help="re-run a trace's (seed, config) and compare its digest "
+                                           "with the file's footer and records")
     replay.add_argument("trace", type=Path, help="trace file produced by this tool")
     return parser
 
@@ -115,9 +116,11 @@ def main(argv=None) -> int:
         if verdict.identical:
             print(f"identical: {verdict.command} trace reproduces digest {verdict.actual_digest}")
             return 0
+        edited = (f"; its header and records hash to {verdict.file_digest}"
+                  if verdict.file_digest != verdict.expected_digest else "")
         print(
             f"diverged: {verdict.command} trace expected {verdict.expected_digest}, "
-            f"got {verdict.actual_digest}",
+            f"got {verdict.actual_digest}{edited}",
             file=sys.stderr,
         )
         return 3

@@ -1,4 +1,4 @@
-"""Experiment configuration: a single human-editable YAML/JSON document,
+"""Experiment configuration: a single human-editable YAML or JSON document,
 checked on load against one schema, with shipped presets for the standard
 scenarios.
 
@@ -8,13 +8,13 @@ config digest, so a trace file alone is enough to replay its experiment.
 from __future__ import annotations
 
 import copy
+import functools
+import json
 import re
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NoReturn, Optional
-
-import yaml
 
 from . import sched
 from .control import DutyRangeError, current_to_duty
@@ -27,14 +27,43 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field path."""
 
 
-class _Loader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that also reads an exponent written without a dot
-    (``1e-6``) as a float, as JSON and YAML 1.2 do; YAML 1.1 reads it as a
-    string."""
+# YAML 1.2's core-schema float. YAML 1.1, which PyYAML reads, wants a dot and
+# a signed exponent, so it reads 1e-6 and 3.0e2 as strings; JSON and YAML 1.2
+# read them as numbers. A plain integer still resolves as an integer first.
+_YAML12_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$")
 
 
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
-                              re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), list("-+0123456789"))
+@functools.cache
+def _yaml_loader():
+    """``yaml.SafeLoader`` that also reads every YAML 1.2 float as a float."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT,
+                                 list("-+.0123456789"))
+    return Loader
+
+
+def _load_file(config_path):
+    """The document in the config file at ``config_path``: JSON when it parses
+    as JSON, YAML otherwise."""
+    try:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file: {exc}") from exc
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    import yaml  # here, so a JSON config never pays for PyYAML's import
+
+    try:
+        return yaml.load(text, Loader=_yaml_loader())
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file: invalid YAML ({exc})") from exc
 
 
 # Most events one series (the trials, the sweep points, a periodic timer) may
@@ -480,13 +509,7 @@ def resolve(preset: str = "default", config_path=None, overrides: dict | None = 
         raise ConfigError(f"preset: unknown preset {preset!r} (have: {', '.join(sorted(PRESETS))})")
     raw = _deep_merge(DEFAULT_CONFIG, PRESETS[preset])
     if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                loaded = yaml.load(fh, Loader=_Loader)
-        except OSError as exc:
-            raise ConfigError(f"config file: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file: invalid YAML ({exc})") from exc
+        loaded = _load_file(config_path)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

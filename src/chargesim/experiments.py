@@ -37,7 +37,7 @@ from .domain import (
     unplug_ev,
 )
 from .latency import LinkKind, TimingBudget, count_modes, histogram_of, worst_case_budget
-from .sim import Engine, EventTrace, ordered_sum, read_trace, substream
+from .sim import Engine, EventTrace, ordered_sum, read_trace, substream, substream_readers
 
 RTT_LINKS = (LinkKind.ETHERNET, LinkKind.WIFI, LinkKind.THREE_G)
 MODE_BINS = 45
@@ -93,31 +93,38 @@ def _expect_ratio(expect: dict, key: str, name: str, value) -> list:
 
 def _trace_rtt_dist(eng: Engine, cfg: ExperimentConfig) -> float:
     links = cfg.links
+    cloud = links.cloud
+    metering = links.metering.sample
 
-    def probe(at, data):
-        link = LinkKind(data["link"])
+    def series(link: LinkKind):
+        """The probe handler of ``link``'s series, its model and stream bound."""
+        segment = links.for_link(link).sample
         rng = eng.stream(f"rtt:{link.value}")
-        seg = links.for_link(link).sample(rng, at)
-        met = links.metering.sample(rng, at)
-        return {"seg": seg, "rtt": links.cloud + seg + met}
+
+        def probe(at, data):
+            seg = segment(rng, at)
+            return {"seg": seg, "rtt": cloud + seg + metering(rng, at)}
+
+        return probe
 
     for link in RTT_LINKS:
-        eng.schedule_every(cfg.probe_period_s, "rtt-probe", probe, data={"link": link.value})
+        eng.schedule_every(cfg.probe_period_s, "rtt-probe", series(link),
+                           data={"link": link.value})
     return cfg.duration_s
 
 
 class _RttDistFold:
-    """rtt-dist: per-link ``(at, seg, rtt)`` of every probe."""
+    """rtt-dist: per-link ``(at, seg, rtt)`` of every probe, filed under the
+    link's value."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.samples: dict = {link: [] for link in RTT_LINKS}
+        self.samples: dict = {link.value: [] for link in RTT_LINKS}
 
     def add(self, name: str, rec: dict) -> None:
         if rec["kind"] == "rtt-probe":
             state = rec["state"]
-            self.samples[LinkKind(rec["data"]["link"])].append(
-                (rec["at"], state["seg"], state["rtt"]))
+            self.samples[rec["data"]["link"]].append((rec["at"], state["seg"], state["rtt"]))
 
     def finish(self):
         cfg = self.cfg
@@ -127,7 +134,8 @@ class _RttDistFold:
         samples = self.samples
 
         met_max = links.metering.hard_max
-        for link, rows in samples.items():
+        for link in RTT_LINKS:
+            rows = samples[link.value]
             segs = [s for _, s, _ in rows]
             rtts = [r for _, _, r in rows]
             seg_hist = histogram_of(segs, MODE_BINS, 0.0, links.for_link(link).hard_max)
@@ -147,7 +155,7 @@ class _RttDistFold:
 
         # per-day breakdown of the cellular segment (day 0 = the week's first day)
         day_rows = []
-        threeg = samples[LinkKind.THREE_G]
+        threeg = samples[LinkKind.THREE_G.value]
         for day in range(7):
             day_segs = [s for at, s, _ in threeg if int(at // 86400.0) % 7 == day]
             if not day_segs:
@@ -158,7 +166,7 @@ class _RttDistFold:
 
         expect = cfg.expect
         modes_min = expect["threeg_modes_min"]
-        eth = samples[LinkKind.ETHERNET]
+        eth = samples[LinkKind.ETHERNET.value]
         band_lo, band_hi = expect["ethernet_rtt_band"]
         frac_needed = expect["ethernet_rtt_frac"]
         # the band is the station's, so each probe's rtt is tested less the cloud term
@@ -273,16 +281,15 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     eng.schedule_every(cfg.push_period_s, "pic-collect", refresh)
 
     def trial(at, data):
-        label = f"trial:{data['trial']}"
-        r4 = proto.legacy_pull(st_legacy4, links, substream(cfg.seed, label),
+        # the four protocols run against the same draws of the trial's stream
+        rng4, rng8, rng_pic, rng_push = substream_readers(cfg.seed, f"trial:{data['trial']}", 4)
+        r4 = proto.legacy_pull(st_legacy4, links, rng4,
                                include_status=False, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
-        r8 = proto.legacy_pull(st_legacy8, links, substream(cfg.seed, label),
+        r8 = proto.legacy_pull(st_legacy8, links, rng8,
                                include_status=True, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
-        rp = proto.pic_pull(endpoint, links, substream(cfg.seed, label),
-                            at=at, timeout_s=cfg.timeout_s)
-        rng_push = substream(cfg.seed, label)
+        rp = proto.pic_pull(endpoint, links, rng_pic, at=at, timeout_s=cfg.timeout_s)
         cycle = ordered_sum(
             links.local_bus.sample(rng_push, at) + links.metering.sample(rng_push, at)
             for _ in range(len(st_pic.meters))
@@ -740,16 +747,24 @@ def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
 
 @dataclass
 class ReplayVerdict:
-    identical: bool
+    """A replay's three digests: the footer's (``expected_digest``), the
+    file's own header and record lines' (``file_digest``) and the re-run's
+    (``actual_digest``). The trace is identical only when all three agree."""
+
     command: str
     expected_digest: str
+    file_digest: str
     actual_digest: str
+
+    @property
+    def identical(self) -> bool:
+        return self.expected_digest == self.file_digest == self.actual_digest
 
 
 def cmd_replay(trace_path) -> ReplayVerdict:
     """Re-run a trace file's (seed, config) with the builder that wrote it
-    and compare digests. The file is read as a stream, and the re-run is
-    only hashed."""
+    and compare its digest with the footer's and with the file's own lines'.
+    The file is read as a stream, and the re-run is only hashed."""
     parsed = read_trace(trace_path)
     command = parsed.header.get("command")
     if command not in COMMANDS:
@@ -761,10 +776,9 @@ def cmd_replay(trace_path) -> ReplayVerdict:
     name = raw.pop("sched_variant", "trace")
     if name not in COMMANDS[command].builders:
         raise ValueError(f"{command} writes no trace named {name!r}")
-    actual = build_trace(command, name, from_dict(raw)).digest()
     return ReplayVerdict(
-        identical=actual == parsed.stored_digest,
         command=command,
         expected_digest=parsed.stored_digest,
-        actual_digest=actual,
+        file_digest=parsed.digest,
+        actual_digest=build_trace(command, name, from_dict(raw)).digest(),
     )

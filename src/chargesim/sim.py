@@ -17,12 +17,15 @@ handler returns is recorded as the event's ``state``; ``data`` and
 Traces stream: the engine hands each finished record to its ``EventTrace``
 sink, which encodes, hashes and (when a file is open) writes it at once and
 passes it on to a consumer, so no run holds its records. ``read_trace``
-streams a written file back through a consumer the same way.
+streams a written file back through a consumer the same way, and hashes the
+lines it read, so a caller can tell whether the file's records still match
+its footer.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -88,11 +91,30 @@ def substream(master_seed: int, label: str) -> random.Random:
     Distinct labels yield independent streams, and a stream depends only on
     its own label, so adding entities to a scenario never perturbs anyone
     else's draws. Re-deriving the same label gives a fresh stream that
-    replays the same sequence; protocol A/B comparisons rely on this to run
-    against identical latency draws.
+    replays the same sequence; runs that must see the same sequence without
+    deriving it again take ``substream_readers``.
     """
     digest = hashlib.sha256(f"{master_seed}:{label}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
+
+
+class _Reader:
+    """A stream as its consumers see it: ``random()`` and nothing else."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, random: Callable[[], float]):
+        self.random = random
+
+
+def substream_readers(master_seed: int, label: str, n: int) -> tuple:
+    """``n`` readers of the one stream ``substream(master_seed, label)``,
+    derived once. Each reader's ``random()`` yields that stream's uniforms
+    from the first, however many the other readers have taken, so each
+    reader replays what a fresh derivation would; protocol A/B comparisons
+    rely on this to run against identical latency draws."""
+    uniforms = iter(substream(master_seed, label).random, None)
+    return tuple(_Reader(tee.__next__) for tee in itertools.tee(uniforms, n))
 
 
 Handler = Callable[[float, Optional[dict]], Optional[dict]]
@@ -201,37 +223,70 @@ class EventTrace:
 
 @dataclass
 class ParsedTrace:
-    """A trace file's header and stored digest, as ``read_trace`` returns them."""
+    """A trace file's header, its footer's stored digest, and the SHA-256 of
+    the header and record lines as read (``digest``): the two agree unless
+    the file was edited after it was written."""
 
     header: dict
     stored_digest: str
+    digest: str
+
+
+# One scanner, built once, for every trace line. ``json.loads`` reuses a
+# decoder too, but wraps each scan in type, BOM and whitespace checks that
+# cost about a third of its time on a trace line and that a line written by
+# ``EventTrace`` never needs.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode(line: str):
+    """``json.loads(line)``, scanning a line that is one JSON value and its
+    newline directly; any other line (a scan failure, leading whitespace,
+    anything after the value) goes through ``json.loads``, so every object
+    and every error is the one it gives."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        return json.loads(line)
+    if end == len(line) or line[end:] == "\n":
+        return obj
+    return json.loads(line)
 
 
 def read_trace(path, consume: Optional[Callable[[dict], None]] = None) -> ParsedTrace:
     """Stream the trace file at ``path`` line by line: check the header, hand
-    each record to ``consume`` in order (when given), and return the header
-    with the footer's stored digest. Neither the file nor its records are
-    held; a structural error raises ``TraceParseError`` with its line."""
+    each record to ``consume`` in order (when given), and return the header,
+    the footer's stored digest and the digest of the lines before the
+    footer. Neither the file nor its records are held; a structural error
+    raises ``TraceParseError`` with its line."""
     header = held = None
     n = 0
+    hashed = hashlib.sha256()
+    update = hashed.update
+    sep = ""  # what joins the held line to the ones before it
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
+                obj = _decode(line)
             except json.JSONDecodeError as exc:
                 raise TraceParseError(f"bad JSON ({exc.msg})", n) from exc
             if n == 1:
                 if not isinstance(obj, dict) or obj.get("format") != TRACE_FORMAT:
                     raise TraceParseError("missing or unrecognized trace header", 1)
                 header = obj
-            elif n > 2 and consume is not None:
-                consume(held)
-            held = obj  # the last line held back: it must be the footer
+            else:
+                # the held line is not the footer: hash it as EventTrace did
+                update((sep + text[:-1]).encode("utf-8"))
+                sep = "\n"
+                if n > 2 and consume is not None:
+                    consume(held)
+            held, text = obj, line  # the last line held back: it must be the footer
     if n == 0:
         raise TraceParseError("empty trace file", 1)
     if not isinstance(held, dict) or "trace_digest" not in held:
         raise TraceParseError("missing digest footer", n)
-    return ParsedTrace(header=header, stored_digest=held["trace_digest"])
+    return ParsedTrace(header=header, stored_digest=held["trace_digest"],
+                       digest=hashed.hexdigest())
 
 
 class Engine:

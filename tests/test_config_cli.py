@@ -1,7 +1,10 @@
 """Config loading and CLI behavior: presets, overrides, validation errors,
 exit codes, output files."""
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +30,7 @@ COMPONENT = {"weight": 1.0, "location": 1.0, "spread": 0.1}
 MODEL = {"components": [COMPONENT], "hard_max": 4.5}
 WINDOW = {"start_s": 0.0, "end_s": 3600.0, "amps": 16.0}
 EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "config.example.yaml"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestConfig:
@@ -53,17 +57,47 @@ class TestConfig:
         assert cfg.push_period_s == 10.0
 
     @pytest.mark.parametrize("name, text", [
-        ("exp.yaml", "push_period_s: 6e1\ntrial_spacing_s: 1E+2\nprobe_period_s: {tiny}\n"),
-        ("exp.json", '{{"push_period_s": 6e1, "trial_spacing_s": 1E+2, "probe_period_s": {tiny}}}'),
+        ("exp.yaml", "push_period_s: 6e1\ntrial_spacing_s: 1E+2\nt_status_read_s: 1.5E-3\n"
+                     "probe_period_s: {tiny}\n"),
+        ("exp.json", '{{"push_period_s": 6e1, "trial_spacing_s": 1E+2, "t_status_read_s": 1.5E-3, '
+                     '"probe_period_s": {tiny}}}'),
     ], ids=["yaml", "json"])
     def test_exponent_without_a_dot_is_a_number(self, tmp_path, name, text):
-        # JSON and YAML 1.2 read 6e1 as a number, where YAML 1.1 reads a string
+        # JSON and YAML 1.2 read 6e1 and 3.0e2 as numbers, where YAML 1.1
+        # reads strings (it wants a dot and a signed exponent)
         path = tmp_path / name
-        path.write_text(text.format(tiny="3e2"))
-        cfg = resolve("default", config_path=path)
-        assert (cfg.push_period_s, cfg.trial_spacing_s, cfg.probe_period_s) == (60.0, 100.0, 300.0)
+        for tiny in ("3e2", "3.0e2"):
+            path.write_text(text.format(tiny=tiny))
+            cfg = resolve("default", config_path=path)
+            assert (cfg.push_period_s, cfg.trial_spacing_s, cfg.probe_period_s,
+                    cfg.t_status_read_s) == (60.0, 100.0, 300.0, 1.5e-3)
         path.write_text(text.format(tiny="1e-6"))
         with pytest.raises(ConfigError, match=r"^probe_period_s: .* more than the limit"):
+            resolve("default", config_path=path)
+
+    def test_yaml_integers_stay_integers(self, tmp_path):
+        # the YAML 1.2 float pattern matches digits alone; the integer form
+        # must still win, since counts must be integers
+        path = tmp_path / "exp.yaml"
+        path.write_text("seed: 9\ntrials: +12\nprobe_period_s: .5e3\n")
+        cfg = resolve("default", config_path=path)
+        assert (cfg.seed, cfg.trials, cfg.probe_period_s) == (9, 12, 500.0)
+
+    def test_json_config_and_cli_import_leave_pyyaml_unloaded(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text('{"probe_period_s": 3.0e2}')
+        script = ("import sys; import chargesim.cli; assert 'yaml' not in sys.modules; "
+                  "from chargesim.config import resolve; "
+                  "assert resolve(config_path=sys.argv[1]).probe_period_s == 300.0; "
+                  "assert 'yaml' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(b"seed: \xff\n")
+        with pytest.raises(ConfigError, match=r"^config file: .*utf-8"):
             resolve("default", config_path=path)
 
     def test_example_config_in_docs_loads(self):
@@ -197,6 +231,19 @@ class TestCli:
         tampered.write_text(trace.read_text().replace('"seed":42', '"seed":43', 1))
         assert main(["replay", str(tampered)]) == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_replay_of_an_edited_record_diverges(self, tmp_path, capsys):
+        # the footer and the re-run still agree; only the file's own record changed
+        assert main(["duty-cycle", "--preset", "duty-3g", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
+        assert '"latency":10.5' in lines[3]
+        lines[3] = lines[3].replace('"latency":10.5', '"latency":11.5')
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["replay", str(edited)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: duty-cycle trace") and "header and records hash to" in err
 
     def test_replay_corrupt_file_exits_2(self, tmp_path, capsys):
         rc = main(["duty-cycle", "--preset", "duty-3g", "--out", str(tmp_path)])

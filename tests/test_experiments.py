@@ -1,4 +1,5 @@
 """Experiment harness tests: trace-derived metrics, determinism, replay."""
+import json
 import tracemalloc
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from chargesim.cli import main
 from chargesim.config import from_dict, resolve
 from chargesim.experiments import COMMANDS, build_trace, cmd_replay, run, trace_file
-from chargesim.sim import read_trace
+from chargesim.sim import canonical_json, read_trace
 
 
 def small_default(**overrides):
@@ -163,6 +164,21 @@ class TestReplay:
         tampered = tmp_path / "tampered.jsonl"
         tampered.write_text(text)
         assert not cmd_replay(tampered).identical
+
+    def test_edited_record_diverges_though_footer_and_rerun_agree(self, tmp_path):
+        run("rtt-dist", small_default(duration_s=7200.0), tmp_path)
+        path = tmp_path / "trace.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["state"]["rtt"] += 1.0
+        lines[2] = canonical_json(record) + "\n"
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("".join(lines))
+        assert cmd_replay(path).identical
+        verdict = cmd_replay(edited)
+        assert verdict.expected_digest == verdict.actual_digest == cmd_replay(path).file_digest
+        assert verdict.file_digest != verdict.expected_digest
+        assert not verdict.identical
 
 
 # one small run per command

@@ -3,13 +3,16 @@ import hashlib
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chargesim import sim
-from chargesim.sim import Engine, TraceParseError, canonical_json, read_trace, substream
+from chargesim.sim import (Engine, TraceParseError, canonical_json, read_trace, substream,
+                           substream_readers)
 
 
 def test_schedule_before_clock_rejected():
@@ -133,6 +136,17 @@ def test_engine_stream_caches_per_label():
     assert substream(5, "x").random() == v1
 
 
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 80)), max_size=12))
+def test_substream_readers_each_replay_the_stream(takes):
+    # however the readers interleave and however much each takes, each one
+    # sees the sequence a fresh derivation gives
+    readers = substream_readers(11, "trial:3", 3)
+    fresh = [substream(11, "trial:3") for _ in readers]
+    for which, count in takes:
+        got = [readers[which].random() for _ in range(count)]
+        assert got == [fresh[which].random() for _ in range(count)]
+
+
 def test_trace_write_read_roundtrip(tmp_path):
     eng = Engine(seed=3, meta={"command": "t", "config": {"k": 1}})
     eng.schedule_at(1.0, "a", data={"n": 1})
@@ -253,4 +267,85 @@ def test_streamed_trace_matches_joined_lines(tmp_path, build):
     parsed = read_trace(path, parsed_records.append)
     assert parsed.header == trace.header()
     assert parsed_records == records
+    assert parsed.stored_digest == parsed.digest == digest
+
+
+# --- the trace-line decoder against json.loads ----------------------------
+
+
+@st.composite
+def _trace_lines(draw):
+    """A line as a trace file might hold it: a JSON value as the encoder or
+    ``json.dumps`` writes it, perhaps cut short, with perhaps whitespace or a
+    BOM before it and whitespace or garbage after it."""
+    obj = draw(_RECORDS)
+    text = canonical_json(obj) if draw(st.booleans()) else json.dumps(obj)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    lead = draw(st.sampled_from(["", " ", "\t", "  ", "\ufeff", " \ufeff"]))
+    trail = draw(st.sampled_from(["", " ", "\t ", "x", "]", "}", ",1", " {}", "\r"]))
+    return lead + text + trail + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(decode, line):
+    """What ``decode(line)`` gives: the object (as its repr, which tells
+    -0.0 from 0.0), or the decode error's type, message and position."""
+    try:
+        return "ok", repr(decode(line))
+    except json.JSONDecodeError as exc:
+        return "error", exc.msg, exc.pos, exc.lineno, exc.colno
+
+
+_PY_SCANNER = json.scanner.py_make_scanner(json.JSONDecoder())
+
+
+@given(_trace_lines())
+def test_line_decoder_matches_json_loads(line):
+    expected = _outcome(json.loads, line)
+    assert _outcome(sim._decode, line) == expected
+    # where the C accelerator is missing, the decoder's scanner is Python's
+    with mock.patch.object(sim, "_scan_once", _PY_SCANNER):
+        assert _outcome(sim._decode, line) == expected
+
+
+def _scan_nothing(line, idx):
+    raise StopIteration(idx)
+
+
+def _read_outcome(path):
+    records = []
+    try:
+        parsed = read_trace(path, records.append)
+    except TraceParseError as exc:
+        return "error", str(exc), exc.line
+    return "ok", repr(parsed), repr(records)
+
+
+@given(_trace_lines(), st.integers(1, 3))
+def test_read_trace_matches_a_json_loads_reader(line, where):
+    # the mutated line goes in as the header, a record or the footer; the
+    # reader with the scanner switched off reads every line with json.loads
+    lines = [canonical_json({"format": sim.TRACE_FORMAT, "seed": 1}) + "\n",
+             canonical_json({"at": 1.0, "kind": "a", "seq": 0}) + "\n",
+             canonical_json({"at": 2.0, "kind": "b", "seq": 1}) + "\n",
+             canonical_json({"trace_digest": "0" * 64}) + "\n"]
+    lines[where] = line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        scanned = _read_outcome(path)
+        with mock.patch.object(sim, "_scan_once", _scan_nothing):
+            assert _read_outcome(path) == scanned
+
+
+def test_read_trace_digest_is_the_written_digest_of_the_lines_read(tmp_path):
+    path = tmp_path / "t.jsonl"
+    trace, _ = _normal_trace(path)
+    digest = trace.write(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace('"draw":', '"draw":1,"was":', 1)
+    path.write_text("".join(lines))
+    parsed = read_trace(path)
     assert parsed.stored_digest == digest
+    assert parsed.digest == hashlib.sha256("".join(lines[:-1])[:-1].encode("utf-8")).hexdigest()
+    assert parsed.digest != digest
