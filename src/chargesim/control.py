@@ -86,7 +86,7 @@ class DutyCycleChange:
 
 def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float,
                       links: LinkModelSet, rng, budget: TimingBudget, now: float = 0.0,
-                      settle_model=None, timeout_s: float = 30.0) -> DutyCycleChange:
+                      timeout_s: float = 30.0) -> DutyCycleChange:
     """Send a duty-cycle change, wait the adaptive settle window, then verify
     with a power read.
 
@@ -119,8 +119,7 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
         set_current(station, outlet, i_final, t_apply)
     t_ack = now + rtt
 
-    model = settle_model if settle_model is not None else ch.ev
-    t_ev = ev_settle_time(model, i_init, ch.ev.draw(i_final))
+    t_ev = ev_settle_time(ch.ev, i_init, ch.ev.draw(i_final))
     t_wait = compute_t_waiting(t_ev, budget)
 
     reads = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .sim import ordered_sum
 
@@ -57,14 +57,6 @@ class DiurnalProfile:
 
     def multiplier(self, at: float) -> float:
         return self.scale[int(at // 3600.0) % HOURS_PER_WEEK]
-
-    @classmethod
-    def with_fast_hours(cls, hours: Iterable[int], factor: float) -> "DiurnalProfile":
-        """Profile that speeds up the given hours-of-week by ``factor``."""
-        scale = [1.0] * HOURS_PER_WEEK
-        for h in hours:
-            scale[h % HOURS_PER_WEEK] = factor
-        return cls(scale=tuple(scale))
 
 
 @dataclass(frozen=True)
@@ -255,10 +247,6 @@ class Histogram:
     edges: list
     counts: list
 
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
     def rows(self) -> list:
         """(bin_low, bin_high, count) rows, the CSV export shape."""
         return [
@@ -279,14 +267,6 @@ def histogram_of(values: Sequence[float], bins: int, low: float, high: float) ->
         counts[min(max(idx, 0), bins - 1)] += 1
     edges = [low + i * width for i in range(bins + 1)]
     return Histogram(edges=edges, counts=counts)
-
-
-def empirical_histogram(model: LatencyModel, n: int, bins: int, rng) -> Histogram:
-    """Histogram of ``n`` draws over (0, hard_max], equal-width bins."""
-    if n < 1:
-        raise ValueError(f"need at least one draw, got {n}")
-    values = [model.sample(rng) for _ in range(n)]
-    return histogram_of(values, bins, 0.0, model.hard_max)
 
 
 def count_modes(counts: Sequence[int]) -> int:

@@ -17,9 +17,9 @@ handler returns is recorded as the event's ``state``; ``data`` and
 Traces stream: the engine hands each finished record to its ``EventTrace``
 sink, which encodes, hashes and (when a file is open) writes it at once and
 passes it on to a consumer, so no run holds its records. ``read_trace``
-streams a written file back through a consumer the same way, and hashes the
-lines it read, so a caller can tell whether the file's records still match
-its footer.
+streams a written file back through a consumer the same way. It hashes every
+record line, so a caller can tell whether the file's records still match its
+footer, and decodes them only for a consumer or when they fail to match.
 """
 from __future__ import annotations
 
@@ -58,17 +58,13 @@ def _make_encode() -> Callable[[Any], str]:
                     enc.allow_nan)
 
     def encode(obj: Any) -> str:
+        """Stable one-line JSON used for trace records and digests."""
         return "".join(c_encode(obj, 0))
 
     return encode
 
 
-_encode = _make_encode()
-
-
-def canonical_json(obj: Any) -> str:
-    """Stable one-line JSON used for trace records and digests."""
-    return _encode(obj)
+canonical_json = _make_encode()
 
 
 def ordered_sum(values):
@@ -183,7 +179,7 @@ class EventTrace:
         self._write(self._head)
 
     def take(self, record: dict) -> None:
-        line = ("\n" + _encode(record)).encode("utf-8")
+        line = ("\n" + canonical_json(record)).encode("utf-8")
         self._update(line)
         if self._write is not None:
             self._write(line)
@@ -232,25 +228,12 @@ class ParsedTrace:
     digest: str
 
 
-# One scanner, built once, for every trace line. ``json.loads`` reuses a
-# decoder too, but wraps each scan in type, BOM and whitespace checks that
-# cost about a third of its time on a trace line and that a line written by
-# ``EventTrace`` never needs.
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decode(line: str):
-    """``json.loads(line)``, scanning a line that is one JSON value and its
-    newline directly; any other line (a scan failure, leading whitespace,
-    anything after the value) goes through ``json.loads``, so every object
-    and every error is the one it gives."""
+def _load(line: str, n: int):
+    """``json.loads(line)``, or a ``TraceParseError`` on line ``n``."""
     try:
-        obj, end = _scan_once(line, 0)
-    except (StopIteration, ValueError):
         return json.loads(line)
-    if end == len(line) or line[end:] == "\n":
-        return obj
-    return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceParseError(f"bad JSON ({exc.msg})", n) from exc
 
 
 def read_trace(path, consume: Optional[Callable[[dict], None]] = None) -> ParsedTrace:
@@ -258,35 +241,47 @@ def read_trace(path, consume: Optional[Callable[[dict], None]] = None) -> Parsed
     each record to ``consume`` in order (when given), and return the header,
     the footer's stored digest and the digest of the lines before the
     footer. Neither the file nor its records are held; a structural error
-    raises ``TraceParseError`` with its line."""
-    header = held = None
+    raises ``TraceParseError`` with its line.
+
+    Every record line is hashed, but decoded only for ``consume``: without
+    one, only the header and the footer are. When the footer is missing or
+    unreadable, or the lines do not hash to it, the file is read once more
+    with a consumer that drops each record, so a line that is not JSON is
+    reported as it would be with one."""
+    header = record = None
     n = 0
     hashed = hashlib.sha256()
     update = hashed.update
     sep = ""  # what joins the held line to the ones before it
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
-            try:
-                obj = _decode(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(f"bad JSON ({exc.msg})", n) from exc
             if n == 1:
-                if not isinstance(obj, dict) or obj.get("format") != TRACE_FORMAT:
+                header = record = _load(line, 1)
+                if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
                     raise TraceParseError("missing or unrecognized trace header", 1)
-                header = obj
             else:
                 # the held line is not the footer: hash it as EventTrace did
                 update((sep + text[:-1]).encode("utf-8"))
                 sep = "\n"
-                if n > 2 and consume is not None:
-                    consume(held)
-            held, text = obj, line  # the last line held back: it must be the footer
+                if consume is not None:
+                    obj = _load(line, n)
+                    if n > 2:
+                        consume(record)
+                    record = obj
+            text = line  # the last line held back: it must be the footer
     if n == 0:
         raise TraceParseError("empty trace file", 1)
-    if not isinstance(held, dict) or "trace_digest" not in held:
+    digest = hashed.hexdigest()
+    if consume is None:
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError:
+            record = None
+        if not isinstance(record, dict) or record.get("trace_digest") != digest:
+            return read_trace(path, lambda record: None)
+    if not isinstance(record, dict) or "trace_digest" not in record:
         raise TraceParseError("missing digest footer", n)
-    return ParsedTrace(header=header, stored_digest=held["trace_digest"],
-                       digest=hashed.hexdigest())
+    return ParsedTrace(header=header, stored_digest=record["trace_digest"], digest=digest)
 
 
 class Engine:

@@ -126,17 +126,14 @@ class TestChangeDutyCycle:
         assert len(change.reads) == 1
 
     def test_adversarial_slow_settle_retries_then_confirms(self):
-        # the EV settles twice as slowly as the server's calibration
-        slow = EvModel(settle_t0=2.0, settle_rate=0.3125, settle_cap=12.0)
-        station = station_with_ev(ev=slow, amps=0.0)
-        model = EvModel()  # what the server believes
+        # the budget credits a 2.5 s uplink that takes 0.5 s, so the first
+        # read comes before the EV has settled
+        station = station_with_ev(amps=0.0)
         change = change_duty_cycle(station, 0, current_to_duty(32.0),
-                                   duty_links(), substream(1, "d"), BUDGET_5S,
-                                   settle_model=model)
-        assert len(change.reads) == 2          # first read unsettled, one retry
+                                   duty_links(threeg=1.0), substream(1, "d"), BUDGET_5S)
+        # the first read unsettled, then one retry
+        assert change.reads == [(5.5, pytest.approx(80 / 3)), (13.0, 32.0)]
         assert change.outcome is DutyOutcome.CONFIRMED
-        first_read_amps = change.reads[0][1]
-        assert abs(first_read_amps - 32.0) > 1.0
 
     def test_ack_timeout_fails(self):
         station = station_with_ev(amps=8.0)

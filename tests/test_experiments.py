@@ -1,6 +1,7 @@
 """Experiment harness tests: trace-derived metrics, determinism, replay."""
 import json
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -164,6 +165,14 @@ class TestReplay:
         tampered = tmp_path / "tampered.jsonl"
         tampered.write_text(text)
         assert not cmd_replay(tampered).identical
+
+    def test_intact_trace_is_read_by_decoding_its_header_and_footer(self, tmp_path):
+        run("compare-protocols", small_default(trials=200), tmp_path)
+        path = tmp_path / "trace.jsonl"
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            parsed = read_trace(path)
+        assert loads.call_count == 2
+        assert parsed.digest == parsed.stored_digest
 
     def test_edited_record_diverges_though_footer_and_rerun_agree(self, tmp_path):
         run("rtt-dist", small_default(duration_s=7200.0), tmp_path)

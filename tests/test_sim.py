@@ -268,9 +268,10 @@ def test_streamed_trace_matches_joined_lines(tmp_path, build):
     assert parsed.header == trace.header()
     assert parsed_records == records
     assert parsed.stored_digest == parsed.digest == digest
+    assert read_trace(path) == parsed
 
 
-# --- the trace-line decoder against json.loads ----------------------------
+# --- reading a trace with and without a consumer ---------------------------
 
 
 @st.composite
@@ -287,44 +288,18 @@ def _trace_lines(draw):
     return lead + text + trail + draw(st.sampled_from(["\n", ""]))
 
 
-def _outcome(decode, line):
-    """What ``decode(line)`` gives: the object (as its repr, which tells
-    -0.0 from 0.0), or the decode error's type, message and position."""
+def _read_outcome(path, consume=None):
     try:
-        return "ok", repr(decode(line))
-    except json.JSONDecodeError as exc:
-        return "error", exc.msg, exc.pos, exc.lineno, exc.colno
-
-
-_PY_SCANNER = json.scanner.py_make_scanner(json.JSONDecoder())
-
-
-@given(_trace_lines())
-def test_line_decoder_matches_json_loads(line):
-    expected = _outcome(json.loads, line)
-    assert _outcome(sim._decode, line) == expected
-    # where the C accelerator is missing, the decoder's scanner is Python's
-    with mock.patch.object(sim, "_scan_once", _PY_SCANNER):
-        assert _outcome(sim._decode, line) == expected
-
-
-def _scan_nothing(line, idx):
-    raise StopIteration(idx)
-
-
-def _read_outcome(path):
-    records = []
-    try:
-        parsed = read_trace(path, records.append)
+        parsed = read_trace(path, consume)
     except TraceParseError as exc:
         return "error", str(exc), exc.line
-    return "ok", repr(parsed), repr(records)
+    return "ok", repr(parsed)
 
 
-@given(_trace_lines(), st.integers(1, 3))
+@given(_trace_lines(), st.integers(0, 3))
 def test_read_trace_matches_a_json_loads_reader(line, where):
-    # the mutated line goes in as the header, a record or the footer; the
-    # reader with the scanner switched off reads every line with json.loads
+    # the mutated line goes in as the header, a record or the footer; read
+    # with a consumer, every line goes through json.loads
     lines = [canonical_json({"format": sim.TRACE_FORMAT, "seed": 1}) + "\n",
              canonical_json({"at": 1.0, "kind": "a", "seq": 0}) + "\n",
              canonical_json({"at": 2.0, "kind": "b", "seq": 1}) + "\n",
@@ -333,9 +308,25 @@ def test_read_trace_matches_a_json_loads_reader(line, where):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
         path.write_text("".join(lines), encoding="utf-8")
-        scanned = _read_outcome(path)
-        with mock.patch.object(sim, "_scan_once", _scan_nothing):
-            assert _read_outcome(path) == scanned
+        records = []
+        assert _read_outcome(path) == _read_outcome(path, records.append)
+
+
+def test_unparsable_record_under_a_recomputed_footer_is_only_hashed(tmp_path):
+    # the one file the two reads tell apart: its lines hash to its footer,
+    # so without a consumer no record line is decoded
+    path = tmp_path / "t.jsonl"
+    trace, _ = _normal_trace(path)
+    trace.write(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:6] + "\n"
+    digest = hashlib.sha256("".join(lines[:-1])[:-1].encode("utf-8")).hexdigest()
+    lines[-1] = canonical_json({"trace_digest": digest}) + "\n"
+    path.write_text("".join(lines))
+    parsed = read_trace(path)
+    assert parsed.stored_digest == parsed.digest == digest
+    with pytest.raises(TraceParseError, match="^line 3: bad JSON"):
+        read_trace(path, lambda record: None)
 
 
 def test_read_trace_digest_is_the_written_digest_of_the_lines_read(tmp_path):
