@@ -18,7 +18,7 @@ from typing import NoReturn, Optional
 
 from . import sched
 from .control import DutyRangeError, current_to_duty
-from .domain import DEFAULT_VOLTAGE, AlgorithmMode, ChargingStation, EvModel, plug_ev
+from .domain import DEFAULT_VOLTAGE, AlgorithmMode, ChargingStation, EvModel, exceeds_limit, plug_ev
 from .latency import (HOURS_PER_WEEK, DiurnalProfile, LatencyModel, LinkKind, LinkModelSet,
                       MixtureComponent, TimingBudget, default_models)
 
@@ -461,7 +461,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
                                          max_concurrent=rr["max_concurrent"],
                                          per_active_current=rr["per_active_current_a"])
     peak = sched.round_robin_peak(round_robin)
-    if peak > station.circuit_limit:
+    if exceeds_limit(peak, station.circuit_limit):
         _fail("round_robin", f"{peak} A worst case exceeds station "
                              f"{station.station_id}'s {station.circuit_limit} A limit")
     schedule_time = None

@@ -159,7 +159,8 @@ class MeterChannel:
 class ChargingStation:
     """A multi-outlet charging circuit with one uplink and a shared current
     budget; the sum of allocations on live relays may never exceed
-    ``circuit_limit``."""
+    ``circuit_limit``. ``meter_ids[outlet]`` is each outlet's ``MeterId``,
+    built once."""
 
     def __init__(self, station_id: int, circuit_limit: float,
                  link: LinkKind = LinkKind.THREE_G,
@@ -174,6 +175,7 @@ class ChargingStation:
         self.voltage = voltage
         self.local_algorithm = local_algorithm
         self.meters = [MeterChannel() for _ in range(outlets)]
+        self.meter_ids = tuple(MeterId(station_id, outlet) for outlet in range(outlets))
         self.online = True
 
     def channel(self, outlet: int) -> MeterChannel:
@@ -187,13 +189,20 @@ def allocated_current_total(station: ChargingStation) -> float:
     return ordered_sum(ch.allocated_amps for ch in station.meters if ch.relay is RelayState.ON)
 
 
+def exceeds_limit(total_amps: float, limit_amps: float) -> bool:
+    """Whether ``total_amps`` exceeds ``limit_amps`` by more than float
+    rounding: the one comparison of a current total with a circuit limit,
+    made by the runtime check and the config's scheduler validation alike."""
+    return total_amps > limit_amps + _CURRENT_TOL
+
+
 def _check_circuit(station: ChargingStation, outlet: int, amps: float) -> None:
-    others = sum(
+    others = ordered_sum(
         ch.allocated_amps
         for i, ch in enumerate(station.meters)
         if i != outlet and ch.relay is RelayState.ON
     )
-    if others + amps > station.circuit_limit + _CURRENT_TOL:
+    if exceeds_limit(others + amps, station.circuit_limit):
         raise CircuitLimitError(
             f"station {station.station_id}: {others + amps:.3f} A would exceed "
             f"the {station.circuit_limit:.3f} A circuit limit"
@@ -212,7 +221,7 @@ def meter_snapshot(station: ChargingStation, outlet: int, now: float) -> MeterSn
         ch.metered_at = now
         ch.metered_amps = amps
     # positional, in field order: meter, volts, amps, watts, energy_kwh, relay, captured_at
-    return MeterSnapshot(MeterId(station.station_id, outlet), volts, amps, volts * amps,
+    return MeterSnapshot(station.meter_ids[outlet], volts, amps, volts * amps,
                          ch.energy_kwh, ch.relay, now)
 
 

@@ -32,6 +32,7 @@ from .domain import (
     allocated_current_total,
     apply_relay,
     ev_settle_time,
+    exceeds_limit,
     plug_ev,
     set_current,
     unplug_ev,
@@ -629,7 +630,7 @@ class _LocalSchedFold:
                 c.worst = total
             if c.limit is None:
                 c.limit = s["limit"]
-            c.violations += total > s["limit"] + 1e-9
+            c.violations += exceeds_limit(total, s["limit"])
         elif kind == "sched-cmd":
             self.counts[name].cmds += 1
 

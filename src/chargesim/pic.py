@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .domain import ChargingStation, MeterId, MeterSnapshot, RelayState, meter_snapshot
+from .domain import ChargingStation, MeterSnapshot, RelayState, meter_snapshot
 from .latency import LatencyModel
 from .proto import Message, MessageKind, make_aggregate_packet
 
@@ -113,19 +113,18 @@ class MeterBus:
         self.reads = 0
 
     def discover(self) -> list:
-        found = []
         for outlet in range(len(self.station.meters)):
             if outlet in self.dead_outlets:
                 raise StartupError(outlet)
-            found.append(MeterId(self.station.station_id, outlet))
-        return found
+        return list(self.station.meter_ids)
 
     def read(self, outlet: int, at: float):
         """Returns (snapshot, cost_seconds); raises BusTimeout on a dead slot."""
         self.reads += 1
         if outlet in self.dead_outlets:
             raise BusTimeout(outlet)
-        cost = self.local_bus_model.sample(self.rng, at) + self.metering_model.sample(self.rng, at)
+        rng = self.rng
+        cost = self.local_bus_model.sample(rng, at) + self.metering_model.sample(rng, at)
         return meter_snapshot(self.station, outlet, at + cost), cost
 
 
@@ -169,12 +168,14 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
     budget-violation diagnostic, since collection must fit between ticks.
     """
     t = now
+    cache = state.cache
+    read = bus.read
     for mid in state.registered_meters:
         try:
-            snap, cost = bus.read(mid.outlet, t)
+            snap, cost = read(mid.outlet, t)
         except BusTimeout:
             cost = BUS_READ_TIMEOUT_S
-            old = state.cache.get(mid)
+            old = cache.get(mid)
             if old is not None:
                 snap = replace(old, fault="bus-timeout")
             else:
@@ -182,7 +183,7 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
                     meter=mid, volts=0.0, amps=0.0, watts=0.0, energy_kwh=0.0,
                     relay=RelayState.OFF, captured_at=0.0, fault="bus-timeout",
                 )
-        state.cache[mid] = snap
+        cache[mid] = snap
         t += cost
     duration = t - now
     if state.registered_meters and duration >= state.push_period:

@@ -133,8 +133,7 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
     requests = 0
     responses = 0
     t = at
-    for outlet in range(len(station.meters)):
-        mid = MeterId(sid, outlet)
+    for outlet, mid in enumerate(station.meter_ids):
         for power in kinds:
             requests += 1
             link_s = link_model.sample(rng, t)
@@ -190,7 +189,7 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     rtt = links.cloud + link_s
     if rtt > timeout_s:
         return RetrievalResult(
-            snapshots={MeterId(sid, outlet): None for outlet in range(len(station.meters))},
+            snapshots=dict.fromkeys(station.meter_ids),
             wall_time=timeout_s,
             request_count=1,
             errors=[(None, "timeout")],

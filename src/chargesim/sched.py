@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .domain import exceeds_limit
+from .sim import ordered_sum
+
 SECONDS_PER_DAY = 86400.0
 
 
@@ -87,9 +90,11 @@ def round_robin_peak(config: RoundRobinConfig) -> float:
 
 def schedule_overload(config: ScheduleTimeConfig, circuit_limit: float) -> tuple | None:
     """``(at, total_amps)`` at the first second-of-day whose total allocation
-    exceeds ``circuit_limit``, or None if none does. The total is a step
-    function that can only change where some window starts or ends, so
-    checking each boundary instant is exact."""
+    exceeds ``circuit_limit`` as the runtime circuit check judges it, or None
+    if none does. The total is a step function that can only change where
+    some window starts or ends, so checking each boundary instant is exact;
+    it is summed in outlet order, as ``ordered_sum`` gives it on every
+    Python version."""
     boundaries = {0.0}
     for windows in config.windows.values():
         for w in windows:
@@ -97,7 +102,7 @@ def schedule_overload(config: ScheduleTimeConfig, circuit_limit: float) -> tuple
             boundaries.add(w.end_s % SECONDS_PER_DAY)
     plugged = list(config.windows.keys())
     for t in sorted(boundaries):
-        total = sum(schedule_time_step(config, plugged, t).values())
-        if total > circuit_limit:
+        total = ordered_sum(schedule_time_step(config, plugged, t).values())
+        if exceeds_limit(total, circuit_limit):
             return t, total
     return None

@@ -15,11 +15,15 @@ handler returns is recorded as the event's ``state``; ``data`` and
 ``state`` enter the trace as-is and must be JSON-serializable.
 
 Traces stream: the engine hands each finished record to its ``EventTrace``
-sink, which encodes, hashes and (when a file is open) writes it at once and
-passes it on to a consumer, so no run holds its records. ``read_trace``
-streams a written file back through a consumer the same way. It hashes every
-record line, so a caller can tell whether the file's records still match its
-footer, and decodes them only for a consumer or when they fail to match.
+sink, which gathers at most ``BLOCK_RECORDS`` of them, then encodes, hashes
+and (when a file is open) writes the block at once and passes its records on
+to a consumer in order; every ``run_until`` flushes the last block before it
+returns, so no run holds more than one block of records. A record is encoded
+after later events have run, so its ``data`` and ``state`` must not change
+once its event has finished. ``read_trace`` streams a written file back
+through a consumer the same way. It hashes every record line, so a caller
+can tell whether the file's records still match its footer, and decodes them
+only for a consumer or when they fail to match.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 TRACE_FORMAT = "chargesim-trace/1"
+BLOCK_RECORDS = 256  # records an EventTrace gathers before it encodes them
 
 
 class TraceParseError(ValueError):
@@ -109,7 +114,7 @@ def substream_readers(master_seed: int, label: str, n: int) -> tuple:
     from the first, however many the other readers have taken, so each
     reader replays what a fresh derivation would; protocol A/B comparisons
     rely on this to run against identical latency draws."""
-    uniforms = iter(substream(master_seed, label).random, None)
+    uniforms = itertools.starmap(substream(master_seed, label).random, itertools.repeat(()))
     return tuple(_Reader(tee.__next__) for tee in itertools.tee(uniforms, n))
 
 
@@ -117,7 +122,7 @@ Handler = Callable[[float, Optional[dict]], Optional[dict]]
 
 
 class _Taken:
-    """``len()`` of this is the number of records a trace has taken."""
+    """``len()`` of this is the number of records a trace has flushed."""
 
     __slots__ = ("count",)
 
@@ -131,17 +136,22 @@ class _Taken:
 class EventTrace:
     """The sink an engine hands each finished record to.
 
-    ``take(record)`` encodes the record once, as ``"\\n" + canonical_json``,
-    adds those bytes to the running SHA-256 of the header line and every
-    record so far, writes them to the trace file if one is open, and hands
-    the record to ``consume`` if one is set. ``fail(record)`` marks the
-    trace ``failed``, drops ``consume`` and takes the failed event's record,
-    which is thus written and hashed but not consumed. The trace keeps only
-    the record count, the last record and ``failed``: no record outlives its
-    event.
+    ``take(record)`` adds the record to a pending block. ``flush()``, called
+    when the block holds ``BLOCK_RECORDS`` records and by the engine before
+    each ``run_until`` returns, encodes the block once, as
+    ``"\\n" + canonical_json`` of each record, adds those bytes to the running
+    SHA-256 of the header line and every record so far, writes them to the
+    trace file if one is open, and hands the records to ``consume`` in order
+    if one is set. ``fail(record)`` flushes, marks the trace ``failed``,
+    drops ``consume`` and takes and flushes the failed event's record, which
+    is thus written and hashed but not consumed. The trace keeps only the
+    pending block, the flushed record count, the last flushed record and
+    ``failed``: no record outlives its block.
 
-    The digest is a pure function of (seed, config, scheduled work), so
-    replaying the same experiment reproduces it byte for byte.
+    A record is encoded only when its block is flushed, so its ``data`` and
+    ``state`` must not change after its event. The digest is a pure function
+    of (seed, config, scheduled work), so replaying the same experiment
+    reproduces it byte for byte.
     """
 
     def __init__(self, seed: int, config_digest: str = "", meta: dict | None = None):
@@ -152,6 +162,7 @@ class EventTrace:
         self.count = 0
         self.last: Optional[dict] = None
         self.consume: Optional[Callable[[dict], None]] = None
+        self._pending: list = []
         self._head = canonical_json(self.header()).encode("utf-8")
         self._hash = hashlib.sha256(self._head)
         self._update = self._hash.update
@@ -165,38 +176,56 @@ class EventTrace:
 
     @property
     def records(self) -> _Taken:
-        """The records taken so far, as a count: ``len(trace.records)``, the
+        """The records flushed so far, as a count: ``len(trace.records)``, the
         form the benchmark's tracer reads; new code reads ``count``."""
         return _Taken(self.count)
 
     def open(self, path) -> None:
         """Stream the trace into a new file at ``path``: the header line now,
-        each record as it is taken, the digest footer at ``write(path)``."""
-        if self.count:
+        each block of records as it is flushed, the digest footer at
+        ``write(path)``."""
+        if self.count or self._pending:
             raise ValueError("a trace file must be opened before the first record")
         self._file = open(path, "wb")
         self._write = self._file.write
         self._write(self._head)
 
     def take(self, record: dict) -> None:
-        line = ("\n" + canonical_json(record)).encode("utf-8")
-        self._update(line)
+        pending = self._pending
+        pending.append(record)
+        if len(pending) >= BLOCK_RECORDS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Encode, hash, write and consume the pending block, in take order."""
+        block = self._pending
+        if not block:
+            return
+        self._pending = []
+        data = ("\n" + "\n".join(map(canonical_json, block))).encode("utf-8")
+        self._update(data)
         if self._write is not None:
-            self._write(line)
-        if self.consume is not None:
-            self.consume(record)
-        self.count += 1
-        self.last = record
+            self._write(data)
+        consume = self.consume
+        if consume is not None:
+            for record in block:
+                consume(record)
+        self.count += len(block)
+        self.last = block[-1]
 
     def fail(self, record: dict) -> None:
         """Take the record of the event that failed, without consuming it;
         the trace ends with it."""
+        self.flush()
         self.failed = True
         self.consume = None
         self.take(record)
+        self.flush()
 
     def digest(self) -> str:
-        """SHA-256 of the header line and the ``"\\n"``-prefixed records so far."""
+        """SHA-256 of the header line and the ``"\\n"``-prefixed records so
+        far, the pending ones flushed first."""
+        self.flush()
         return self._hash.hexdigest()
 
     def write(self, path) -> str:
@@ -336,8 +365,9 @@ class Engine:
 
     def run_until(self, t_end: float) -> EventTrace:
         """Execute every event with at <= t_end, handing each record to the
-        trace as the event finishes; on a handler exception the trace ends
-        with a failure record and the run stops."""
+        trace as the event finishes, and flush the trace before returning; on
+        a handler exception the trace ends with a failure record and the run
+        stops."""
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end!r} is before clock {self.clock!r}")
         heap = self._heap
@@ -357,5 +387,6 @@ class Engine:
             if isinstance(state, dict) and state:
                 record["state"] = state
             take(record)
+        self.trace.flush()
         self.clock = t_end
         return self.trace

@@ -96,6 +96,14 @@ class TestRelayAndSnapshots:
         with pytest.raises(IndexError):
             apply_relay(st_, -1, RelayState.ON, 0.0)
 
+    def test_snapshot_of_an_outlet_out_of_range_raises_index_error(self):
+        # meter_ids[-1] exists, so only the bounds check keeps outlet -1 out
+        st_ = make_station()
+        for outlet in (-1, len(st_.meters)):
+            with pytest.raises(IndexError):
+                meter_snapshot(st_, outlet, 0.0)
+        assert meter_snapshot(st_, 3, 0.0).meter == MeterId(0, 3)
+
     def test_watts_tracks_volts_times_amps_when_on(self):
         st_ = make_station()
         plug_ev(st_, 1, EvModel(), 0.0)

@@ -171,6 +171,18 @@ class TestValidation:
         })
         assert schedule_overload(cfg, 40.0) is not None
 
+    def test_overload_totals_agree_across_python_versions(self):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 summed left to right, but
+        # 0.6 under the compensated sum() of Python 3.12+; the validator
+        # sums as the runtime circuit check does and allows it the same margin
+        cfg = ScheduleTimeConfig(windows={
+            0: (ChargeWindow(0.0, 3600.0, 0.1),),
+            1: (ChargeWindow(0.0, 3600.0, 0.2),),
+            2: (ChargeWindow(0.0, 3600.0, 0.3),),
+        })
+        assert schedule_overload(cfg, 0.6) is None
+        assert schedule_overload(cfg, 0.5) == (0.0, 0.6000000000000001)
+
     def test_empty_config_ok(self):
         assert schedule_overload(ScheduleTimeConfig(windows={}), 40.0) is None
 

@@ -271,6 +271,106 @@ def test_streamed_trace_matches_joined_lines(tmp_path, build):
     assert read_trace(path) == parsed
 
 
+# --- the block sink against a sink that flushes every record --------------
+
+
+class _PerRecordTrace(sim.EventTrace):
+    """The reference sink: each record is encoded, hashed, written and
+    consumed as it is taken, with no block pending."""
+
+    def take(self, record):
+        super().take(record)
+        self.flush()
+
+
+def _numbered_events(n, fail_at=None):
+    """A scenario of ``n`` events, one a second, whose records carry data and
+    a state with a stream draw; event number ``fail_at`` raises."""
+    def schedule(eng):
+        def handler(at, data):
+            if data["i"] == fail_at:
+                raise RuntimeError(f"event {data['i']}")
+            return {"draw": eng.stream("s").random(), "sq": data["i"] ** 2}
+        for i in range(n):
+            eng.schedule_at(float(i), "e", data={"i": i}, fn=handler)
+    return schedule
+
+
+def _run_both_sinks(tmp_path, schedule, ends):
+    """Run ``schedule`` streaming into a file, on an engine with the block
+    sink and on one with the per-record sink, calling ``run_until`` at each
+    of ``ends``. Returns, for each: the file bytes, ``digest()``, the
+    consumed records, ``(count, last)`` after each run, and ``failed``."""
+    outcomes = []
+    for sink in (sim.EventTrace, _PerRecordTrace):
+        eng = Engine(seed=8, meta={"command": "t", "config": {"n": 1}})
+        eng.trace = sink(eng.seed, eng.trace.config_digest, eng.meta)
+        schedule(eng)
+        trace = eng.trace
+        consumed = []
+        trace.consume = consumed.append
+        path = tmp_path / f"{sink.__name__}.jsonl"
+        trace.open(path)
+        after_each = []
+        for t_end in ends:
+            eng.run_until(t_end)
+            after_each.append((trace.count, trace.last))
+        digest = trace.digest()
+        trace.write(path)
+        outcomes.append((path.read_bytes(), digest, consumed, after_each, trace.failed))
+    return outcomes
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+def test_block_sink_matches_a_per_record_sink(tmp_path, n):
+    block, reference = _run_both_sinks(tmp_path, _numbered_events(n), [float(n)])
+    assert block == reference
+    _, _, consumed, [(count, last)], failed = block
+    assert count == len(consumed) == n and not failed
+    assert [r["data"]["i"] for r in consumed] == list(range(n))
+    assert last == (consumed[-1] if n else None)
+
+
+def test_block_sink_holds_at_most_one_block():
+    # while event i runs, the i records before it are flushed in whole blocks
+    eng = Engine(seed=1)
+    seen = []
+    for i in range(600):
+        eng.schedule_at(float(i), "e", fn=lambda at, data: seen.append(eng.trace.count))
+    assert len(eng.run_until(600.0).records) == 600
+    assert seen == [i // sim.BLOCK_RECORDS * sim.BLOCK_RECORDS for i in range(600)]
+
+
+def test_failure_with_records_pending_ends_the_trace(tmp_path):
+    # 290 records are taken, 34 of them pending, when event 290 raises
+    block, reference = _run_both_sinks(tmp_path, _numbered_events(300, fail_at=290), [300.0])
+    assert block == reference
+    data, _, consumed, [(count, last)], failed = block
+    assert failed and count == 291
+    assert [r["data"]["i"] for r in consumed] == list(range(290))
+    assert last["error"] == "RuntimeError: event 290" and last["data"] == {"i": 290}
+    lines = data.decode("utf-8").splitlines()
+    assert [json.loads(line) for line in lines[1:-1]] == consumed + [last]
+
+
+def test_successive_runs_each_flush(tmp_path):
+    block, reference = _run_both_sinks(tmp_path, _numbered_events(401), [100.5, 400.5])
+    assert block == reference
+    _, _, consumed, after_each, _ = block
+    assert after_each == [(101, consumed[100]), (401, consumed[400])]
+    one_run, _ = _run_both_sinks(tmp_path, _numbered_events(401), [400.5])
+    assert one_run[:3] == block[:3]
+
+
+def test_open_after_an_unflushed_take_raises(tmp_path):
+    trace = sim.EventTrace(seed=1)
+    trace.take({"at": 0.0, "kind": "x", "seq": 0})
+    assert trace.count == 0  # the record is pending, not yet flushed
+    with pytest.raises(ValueError, match="before the first record"):
+        trace.open(tmp_path / "t.jsonl")
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 # --- reading a trace with and without a consumer ---------------------------
 
 
