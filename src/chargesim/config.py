@@ -454,8 +454,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
                           voltage=st["voltage_v"], outlets=outlets, algorithm=st["algorithm"],
                           evs=list(evs.items()))
 
-    # Scheduler configs must be provably safe for the station; local-sched
-    # runs round robin on it whatever its algorithm.
+    # Scheduler configs must be provably safe for the station. Round robin is
+    # checked whatever the station's algorithm, since `none` runs it too.
     rr = c["round_robin"]
     round_robin = sched.RoundRobinConfig(slot_length_s=rr["slot_length_s"],
                                          max_concurrent=rr["max_concurrent"],
@@ -465,6 +465,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
         _fail("round_robin", f"{peak} A worst case exceeds station "
                              f"{station.station_id}'s {station.circuit_limit} A limit")
     schedule_time = None
+    if c["schedule_time"] is None and station.algorithm is AlgorithmMode.SCHEDULE_TIME:
+        _fail("schedule_time", "missing, but fleet.stations[0].algorithm is schedule_time")
     if c["schedule_time"] is not None:
         windows = c["schedule_time"]["windows"]
         for outlet in windows:

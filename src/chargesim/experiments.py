@@ -11,7 +11,7 @@ through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -27,7 +27,6 @@ from .control import (
 from .domain import (
     AlgorithmMode,
     ChargingStation,
-    EvModel,
     RelayState,
     allocated_current_total,
     apply_relay,
@@ -529,21 +528,21 @@ class _DutyCycleFold:
 def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> float:
     spec = cfg.station
     # EVs arrive through the scenario's plug events, so start with bare outlets.
-    station = ChargingStation(
-        station_id=spec.station_id, circuit_limit=spec.circuit_limit,
-        link=spec.link, outlets=spec.outlets, voltage=spec.voltage,
-    )
+    station = replace(spec, evs=[]).build()
+    evs = dict(spec.evs)
     rr = cfg.round_robin
     plugged: set = set()
     last_alloc: dict = {}
 
     def apply_alloc(alloc: dict, now: float):
-        # drop loads first so the circuit never transiently over-commits
+        # lower loads first so the circuit never transiently over-commits
         targets = {outlet: alloc.get(outlet, 0.0) for outlet in range(len(station.meters))}
         for outlet, amps in targets.items():
-            if amps == 0.0 and station.meters[outlet].relay is RelayState.ON:
-                apply_relay(station, outlet, RelayState.OFF, now)
-                set_current(station, outlet, 0.0, now)
+            ch = station.meters[outlet]
+            if ch.relay is RelayState.ON and amps < ch.allocated_amps:
+                if amps == 0.0:
+                    apply_relay(station, outlet, RelayState.OFF, now)
+                set_current(station, outlet, amps, now)
         for outlet, amps in targets.items():
             if amps > 0.0:
                 set_current(station, outlet, amps, now)
@@ -552,7 +551,8 @@ def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> floa
 
     def slot_boundary(at, data):
         nonlocal last_alloc
-        alloc = sched.round_robin_step(rr, plugged, at)
+        mode = spec.algorithm if variant == "server" else station.local_algorithm
+        alloc = sched.allocate(mode, rr, cfg.schedule_time, plugged, at)
         changed = alloc != last_alloc
         if variant == "server" and changed:
             eng.schedule_at(at, "sched-cmd",
@@ -571,7 +571,7 @@ def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> floa
     def plug_event(at, data):
         outlet = data["outlet"]
         plugged.add(outlet)
-        plug_ev(station, outlet, EvModel(), at)
+        plug_ev(station, outlet, evs[outlet], at)
         return {"plugged": sorted(plugged)}
 
     def unplug_event(at, data):
@@ -582,8 +582,11 @@ def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> floa
 
     if variant == "local":
         def set_mode(at, data):
-            select_algorithm_mode(station, AlgorithmMode.ROUND_ROBIN)
-            return {"mode": AlgorithmMode.ROUND_ROBIN.value}
+            mode = spec.algorithm
+            if mode is AlgorithmMode.NONE:
+                mode = AlgorithmMode.ROUND_ROBIN
+            select_algorithm_mode(station, mode)
+            return {"mode": mode.value}
         eng.schedule_at(0.0, "mode-set", fn=set_mode)
 
     rng = eng.stream("plug-scenario")

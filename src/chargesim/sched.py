@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .domain import exceeds_limit
+from .domain import AlgorithmMode, exceeds_limit
 from .sim import ordered_sum
 
 SECONDS_PER_DAY = 86400.0
@@ -81,6 +81,15 @@ def schedule_time_step(config: ScheduleTimeConfig, plugged: Iterable[int], now: 
                 break
         alloc[outlet] = amps
     return alloc
+
+
+def allocate(mode: AlgorithmMode, round_robin: RoundRobinConfig,
+             schedule_time: ScheduleTimeConfig | None, plugged: Iterable[int], now: float) -> dict:
+    """Allocation for ``now`` under algorithm ``mode``; ``none`` (no
+    algorithm chosen) runs round robin."""
+    if mode is AlgorithmMode.SCHEDULE_TIME:
+        return schedule_time_step(schedule_time, plugged, now)
+    return round_robin_step(round_robin, plugged, now)
 
 
 def round_robin_peak(config: RoundRobinConfig) -> float:

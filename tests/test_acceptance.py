@@ -10,7 +10,8 @@ Tolerances are pinned here and nowhere else:
   C5  >= 4 cellular modes, samples <= 4.5 s, Ethernet RTT near 0.2 s
   C6  zero lost commands / flag-only ISRs / one push per tick batch
   C7  push staleness <= push_period + push_cycle_time, zero violations
-  C8  zero circuit violations; round-robin counts match the oracle exactly
+  C8  zero circuit violations under either scheduler; round-robin counts
+      match the oracle exactly
   C9  byte-identical trace digests on replay
 """
 import random
@@ -20,6 +21,7 @@ import pytest
 
 from chargesim.config import resolve
 from chargesim.control import compute_t_waiting
+from chargesim.domain import exceeds_limit
 from chargesim.experiments import cmd_replay, run
 from chargesim.latency import (
     LatencyModel,
@@ -30,8 +32,16 @@ from chargesim.latency import (
     worst_case_budget,
 )
 from chargesim.proto import legacy_pull, pic_pull, push_cycle_time, t_save
-from chargesim.sched import RoundRobinConfig, round_robin_step
-from chargesim.sim import read_trace, substream
+from chargesim.sched import (
+    SECONDS_PER_DAY,
+    ChargeWindow,
+    RoundRobinConfig,
+    ScheduleTimeConfig,
+    round_robin_step,
+    schedule_overload,
+    schedule_time_step,
+)
+from chargesim.sim import ordered_sum, read_trace, substream
 
 from fw_harness import all_merges, run_interleaving
 from test_proto import cache_serving_endpoint, charging_station, fixed_links
@@ -182,6 +192,28 @@ def test_c8_scheduler_safety_and_fairness():
             alloc = round_robin_step(cfg, plugged, slot * 600.0)
             assert sum(alloc.values()) <= limit + 1e-9
 
+    # random daily windows; those the config's validator accepts never
+    # allocate past the limit, at random instants or on their own edges
+    accepted = 0
+    for _ in range(1000):
+        windows = {outlet: tuple(ChargeWindow(rng.uniform(0.0, SECONDS_PER_DAY),
+                                              rng.uniform(0.0, SECONDS_PER_DAY),
+                                              rng.uniform(0.0, limit / 2))
+                                 for _ in range(rng.randint(0, 3)))
+                   for outlet in range(rng.randint(1, 6))}
+        cfg = ScheduleTimeConfig(windows=windows)
+        if schedule_overload(cfg, limit) is not None:
+            continue
+        accepted += 1
+        edges = [t for ws in windows.values() for w in ws for t in (w.start_s, w.end_s)]
+        for _ in range(40):
+            day = rng.randrange(7) * SECONDS_PER_DAY
+            now = day + (rng.choice(edges) if edges and rng.random() < 0.5
+                         else rng.uniform(0.0, SECONDS_PER_DAY))
+            plugged = {o for o in range(6) if rng.random() < 0.8}
+            alloc = schedule_time_step(cfg, plugged, now)
+            assert not exceeds_limit(ordered_sum(alloc.values()), limit), (windows, now)
+
     instances = 0
     for bits in range(1, 64):
         plugged = {o for o in range(6) if bits & (1 << o)}
@@ -193,7 +225,8 @@ def test_c8_scheduler_safety_and_fairness():
                 assert got == want, (plugged, width, n_slots)
                 instances += 1
     report(8, True,
-           f"1000 randomized plug scenarios with zero violations; "
+           f"1000 randomized plug scenarios and {accepted} accepted random schedules "
+           f"with zero violations; "
            f"{instances} instances match the enumeration oracle exactly", t0)
 
 

@@ -354,7 +354,8 @@ class TestCli:
         assert not (tmp_path / "trace.jsonl").exists()
 
     def test_round_robin_checked_on_a_station_of_any_algorithm(self, tmp_path, capsys):
-        # local-sched runs round robin on stations[0] whatever its algorithm
+        # round robin is checked on stations[0] whatever its algorithm;
+        # local-sched runs it under `none`, the default, as here
         cfg = tmp_path / "rr.yaml"
         cfg.write_text(yaml.safe_dump(
             {"round_robin": {"max_concurrent": 3, "per_active_current_a": 16.0}}))
@@ -390,6 +391,8 @@ class TestCli:
         ({"fleet": {"stations": [{"id": 0, "evs": [{"outlet": 1}, {"outlet": 1}]}]}},
          "fleet.stations[0].evs[1].outlet"),
         ({"round_robin": {"max_concurrent": 1.5}}, "round_robin.max_concurrent"),
+        # a schedule_time station with no windows to allocate from
+        ({"fleet": {"stations": [{"id": 0, "algorithm": "schedule_time"}]}}, "schedule_time"),
         # a trace header holds strict JSON, which has no NaN or infinity
         ({"probe_period_s": float("inf")}, "probe_period_s"),
         ({"timeout_s": float("nan")}, "timeout_s"),

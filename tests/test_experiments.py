@@ -7,7 +7,15 @@ import pytest
 
 from chargesim.cli import main
 from chargesim.config import from_dict, resolve
-from chargesim.experiments import COMMANDS, build_trace, cmd_replay, run, trace_file
+from chargesim.experiments import (
+    COMMANDS,
+    SCHED_VARIANTS,
+    build_trace,
+    cmd_replay,
+    run,
+    trace_file,
+)
+from chargesim.sched import schedule_time_step
 from chargesim.sim import canonical_json, read_trace
 
 
@@ -143,6 +151,50 @@ class TestLocalSched:
         for rec in records:
             if rec["kind"] == "slot":
                 assert rec["at"] % slot == pytest.approx(0.0, abs=1e-9)
+
+    def test_schedule_time_allocates_from_the_windows_in_both_variants(self):
+        # the 22:00-06:00 window wraps midnight, outlet 1 has an EV but no
+        # window, and at 12:00:00.5 (inside a slot) outlet 2 steps up as
+        # outlet 3 steps down, the total sitting at the 32 A limit throughout
+        cfg = small_default(duration_s=3 * 86400.0, fleet={"stations": [{
+            "id": 0, "circuit_limit_a": 32.0, "algorithm": "schedule_time",
+            "evs": [{"outlet": k} for k in range(4)]}]}, schedule_time={"windows": {
+                0: [{"start_s": 79200, "end_s": 21600, "amps": 16}],
+                2: [{"start_s": 21600, "end_s": 43200.5, "amps": 8},
+                    {"start_s": 43200.5, "end_s": 79200, "amps": 24}],
+                3: [{"start_s": 21600, "end_s": 43200.5, "amps": 24},
+                    {"start_s": 43200.5, "end_s": 79200, "amps": 8}]}})
+        out = run("local-sched", cfg)
+        assert out.ok, [c for c in out.checks if not c.ok]
+        for variant in SCHED_VARIANTS:
+            assert out.summary[variant]["violations"] == 0
+            records = []
+            build_trace("local-sched", variant, cfg, records.append)
+            plugged, seen = set(), {}
+            for rec in records:
+                if rec["kind"] in ("plug", "unplug"):
+                    plugged = set(rec["state"]["plugged"])
+                elif rec["kind"] == "slot":
+                    alloc = {int(o): a for o, a in rec["state"]["alloc"].items()}
+                    assert alloc == schedule_time_step(cfg.schedule_time, plugged, rec["at"])
+                    if 86400.0 <= rec["at"] < 2 * 86400.0:  # all four EVs plugged
+                        seen[rec["at"] - 86400.0] = alloc
+            # the edge takes effect at the next slot boundary, as a plug does
+            assert (seen[43200.0][2], seen[44100.0][2]) == (8.0, 24.0)
+            assert seen[3600.0][0] == seen[82800.0][0] == 16.0
+            assert {a[1] for a in seen.values()} == {0.0}
+            if variant == "local":
+                assert records[0]["state"] == {"mode": "schedule_time"}
+
+    def test_round_robin_runs_as_no_algorithm_does(self):
+        def station(algorithm):
+            return {"stations": [{"id": 0, "algorithm": algorithm,
+                                  "evs": [{"outlet": k} for k in range(3)]}]}
+
+        none = run("local-sched", small_default(fleet=station("none")))
+        round_robin = run("local-sched", small_default(fleet=station("round_robin")))
+        assert round_robin.csvs["traffic.csv"] == none.csvs["traffic.csv"]
+        assert round_robin.summary == none.summary
 
 
 class TestReplay:
