@@ -391,8 +391,6 @@ class TestCli:
         ({"fleet": {"stations": [{"id": 0, "evs": [{"outlet": 1}, {"outlet": 1}]}]}},
          "fleet.stations[0].evs[1].outlet"),
         ({"round_robin": {"max_concurrent": 1.5}}, "round_robin.max_concurrent"),
-        # a schedule_time station with no windows to allocate from
-        ({"fleet": {"stations": [{"id": 0, "algorithm": "schedule_time"}]}}, "schedule_time"),
         # a trace header holds strict JSON, which has no NaN or infinity
         ({"probe_period_s": float("inf")}, "probe_period_s"),
         ({"timeout_s": float("nan")}, "timeout_s"),
@@ -410,6 +408,8 @@ class TestCli:
         ({"expect": {"ethernet_rtt_band": 5}}, "expect.ethernet_rtt_band"),
         ({"expect": {"threeg_modes_min": 2.7}}, "expect.threeg_modes_min"),
         ({"expect": {"threeg_modes_mn": 2}}, "expect.threeg_modes_mn"),
+        # a schedule_time station with no windows to allocate from
+        ({"fleet": {"stations": [{"id": 0, "algorithm": "schedule_time"}]}}, "schedule_time"),
     ])
     def test_input_that_would_load_silently_wrong_exits_2(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "typo.yaml"
