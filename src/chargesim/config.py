@@ -367,8 +367,8 @@ class StationSpec:
     evs: list = field(default_factory=list)  # (outlet, EvModel)
 
     def build(self) -> ChargingStation:
-        """Fresh station instance with its EVs plugged; protocols mutate
-        station state, so each run should build its own."""
+        """Fresh station instance with its EVs plugged. A trace simulates one
+        station, so each trace builds one and every protocol acts on it."""
         station = ChargingStation(
             station_id=self.station_id,
             circuit_limit=self.circuit_limit,
@@ -454,8 +454,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
                           voltage=st["voltage_v"], outlets=outlets, algorithm=st["algorithm"],
                           evs=list(evs.items()))
 
-    # Scheduler configs must be provably safe for the station. Round robin is
-    # checked whatever the station's algorithm, since `none` runs it too.
+    # Scheduler configs must be provably safe for the station, whatever its
+    # algorithm: `none` runs round robin, and a schedule is checked as given.
     rr = c["round_robin"]
     round_robin = sched.RoundRobinConfig(slot_length_s=rr["slot_length_s"],
                                          max_concurrent=rr["max_concurrent"],
@@ -474,8 +474,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
                 _fail(f"schedule_time.windows.{outlet}", f"out of range for {outlets} outlets")
         schedule_time = sched.ScheduleTimeConfig(windows={
             outlet: tuple(sched.ChargeWindow(**w) for w in ws) for outlet, ws in windows.items()})
-        overload = (sched.schedule_overload(schedule_time, station.circuit_limit)
-                    if station.algorithm is AlgorithmMode.SCHEDULE_TIME else None)
+        overload = sched.schedule_overload(schedule_time, station.circuit_limit)
         if overload is not None:
             at, total = overload
             _fail("schedule_time", f"{total} A at {at:.0f} s-of-day exceeds "

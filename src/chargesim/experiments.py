@@ -36,10 +36,10 @@ from .domain import (
     set_current,
     unplug_ev,
 )
-from .latency import LinkKind, TimingBudget, count_modes, histogram_of, worst_case_budget
+from .latency import (LatencyModel, LinkKind, TimingBudget, count_modes, histogram_of,
+                      worst_case_budget)
 from .sim import Engine, EventTrace, ordered_sum, read_trace, substream, substream_readers
 
-RTT_LINKS = (LinkKind.ETHERNET, LinkKind.WIFI, LinkKind.THREE_G)
 MODE_BINS = 45
 
 
@@ -107,7 +107,7 @@ def _trace_rtt_dist(eng: Engine, cfg: ExperimentConfig) -> float:
 
         return probe
 
-    for link in RTT_LINKS:
+    for link in LinkKind:
         eng.schedule_every(cfg.probe_period_s, "rtt-probe", series(link),
                            data={"link": link.value})
     return cfg.duration_s
@@ -119,7 +119,7 @@ class _RttDistFold:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.samples: dict = {link.value: [] for link in RTT_LINKS}
+        self.samples: dict = {link.value: [] for link in LinkKind}
 
     def add(self, name: str, rec: dict) -> None:
         if rec["kind"] == "rtt-probe":
@@ -134,7 +134,7 @@ class _RttDistFold:
         samples = self.samples
 
         met_max = links.metering.hard_max
-        for link in RTT_LINKS:
+        for link in LinkKind:
             rows = samples[link.value]
             segs = [s for _, s, _ in rows]
             rtts = [r for _, _, r in rows]
@@ -191,7 +191,7 @@ class _RttDistFold:
 
 
 # --------------------------------------------------------------------------
-# compare-protocols: matched retrieval trials plus a live push-mode station
+# compare-protocols: matched retrieval trials and live pushes on one station
 # --------------------------------------------------------------------------
 
 
@@ -212,18 +212,17 @@ def _stale_state(staleness: dict) -> dict:
             "stale": {str(m.outlet): s for m, s in staleness.items()}}
 
 
-def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
-    """Wire a push-mode collector into the engine: periodic timer ticks drive
-    collections and uplink packets into a server store; store consumption and
-    probes record staleness."""
-    spec = cfg.station
-    station = spec.build()
+def _attach_push_station(eng: Engine, cfg: ExperimentConfig, station: ChargingStation,
+                         uplink: LatencyModel) -> None:
+    """Wire a push-mode collector on ``station`` into the engine: periodic
+    timer ticks drive collections and packets over ``uplink`` into a server
+    store; store consumption and probes record staleness."""
     plugged = [o for o in range(len(station.meters)) if station.meters[o].ev is not None]
-    per_ev = min(16.0, spec.circuit_limit / max(1, len(plugged)))
+    per_ev = min(16.0, station.circuit_limit / max(1, len(plugged)))
     for outlet in plugged:
         set_current(station, outlet, per_ev, 0.0)
         apply_relay(station, outlet, RelayState.ON, 0.0)
-    sid = spec.station_id
+    sid = station.station_id
     collector = _collector(eng, cfg, station, f"bus:{sid}", push_enabled=True)
     uplink_rng = eng.stream(f"uplink:{sid}")
     store = proto.ServerStore()
@@ -239,7 +238,7 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
         sent: list = []
         msgs = pic.main_loop_step(collector.state, collector.bus, sent.append, at)
         for packet in sent:
-            transit = 0.5 * cfg.links.threeg.sample(uplink_rng, packet.sent_at)
+            transit = 0.5 * uplink.sample(uplink_rng, packet.sent_at)
             eng.schedule_at(
                 packet.sent_at + transit, "push-arrive",
                 data={"station": sid, "seq": packet.seq},
@@ -265,13 +264,14 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig) -> None:
 def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     links = cfg.links
     spec = cfg.station
-    st_legacy4 = spec.build()
-    st_legacy8 = spec.build()
+    uplink = links.for_link(spec.link)
+    # Every protocol acts on this one station. No record reads a snapshot's
+    # amps, energy or relay, so what one protocol does to them moves nothing.
+    station = spec.build()
 
     # Aggregated-pull endpoint with its own periodic collection keeping the
     # cache fresh, so pulls are served without a metering term.
-    st_pic = spec.build()
-    endpoint = _collector(eng, cfg, st_pic, "pull-bus", push_enabled=False)
+    endpoint = _collector(eng, cfg, station, "pull-bus", push_enabled=False)
 
     def refresh(at, data):
         duration = pic.collect_all(endpoint.state, endpoint.bus, at)
@@ -283,17 +283,17 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     def trial(at, data):
         # the four protocols run against the same draws of the trial's stream
         rng4, rng8, rng_pic, rng_push = substream_readers(cfg.seed, f"trial:{data['trial']}", 4)
-        r4 = proto.legacy_pull(st_legacy4, links, rng4,
+        r4 = proto.legacy_pull(station, links, rng4,
                                include_status=False, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
-        r8 = proto.legacy_pull(st_legacy8, links, rng8,
+        r8 = proto.legacy_pull(station, links, rng8,
                                include_status=True, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
         rp = proto.pic_pull(endpoint, links, rng_pic, at=at, timeout_s=cfg.timeout_s)
         cycle = ordered_sum(
             links.local_bus.sample(rng_push, at) + links.metering.sample(rng_push, at)
-            for _ in range(len(st_pic.meters))
-        ) + 0.5 * links.threeg.sample(rng_push, at)
+            for _ in range(len(station.meters))
+        ) + 0.5 * uplink.sample(rng_push, at)
         return {
             "legacy4": r4.wall_time, "rc4": r4.request_count,
             "legacy8": r8.wall_time, "rc8": r8.request_count,
@@ -305,7 +305,7 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     for i in range(cfg.trials):
         eng.schedule_at(i * cfg.trial_spacing_s, "trial", data={"trial": i}, fn=trial)
 
-    _attach_push_station(eng, cfg)
+    _attach_push_station(eng, cfg, station, uplink)
 
     return cfg.trials * cfg.trial_spacing_s if cfg.trials > 0 else cfg.duration_s
 
@@ -344,6 +344,8 @@ class _CompareFold:
     def finish(self):
         cfg = self.cfg
         links = cfg.links
+        link = cfg.station.link
+        uplink = links.for_link(link)
         meters = cfg.station.outlets
         trials = self.trials
 
@@ -368,14 +370,14 @@ class _CompareFold:
         speedup_full = (m8 / mp) if (m8 is not None and mp) else None
         # analytic counterparts of the measured means, from the mixture models
         means = TimingBudget(t_ethernet=links.local_bus.analytic_mean(),
-                             t_3g=links.threeg.analytic_mean(),
+                             t_3g=uplink.analytic_mean(),
                              t_metering=links.metering.analytic_mean())
         analytic_legacy = proto.legacy_retrieval_time(means, meters)
         analytic_cycle = proto.push_cycle_time(means, meters)
         analytic_save = proto.t_save(means, meters)
         empirical_save = (m4 - mc) if (m4 is not None and mc is not None) else None
         stale_max = max((stale for _, _, stale in self.stale), default=None)
-        bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links), meters)
+        bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links, link), meters)
 
         summary = {
             "trials": len(trials),
@@ -402,7 +404,11 @@ class _CompareFold:
             checks.append(Check(
                 "staleness-bound", stale_max <= bound,
                 f"max staleness {stale_max:.3f} s vs bound {bound:.3f} s"))
-        if len(trials) >= 1000 and analytic_save > 0 and empirical_save is not None:
+        # The identities hold in the mean of C3's 10^4 trials (the 2% band is
+        # only 1.8 standard errors at 1000 on the default models), and only if
+        # no power request can time out.
+        no_timeouts = cfg.timeout_s >= links.cloud + uplink.hard_max + links.metering.hard_max
+        if len(trials) >= 10_000 and no_timeouts and analytic_save > 0:
             rel = abs(empirical_save - analytic_save) / analytic_save
             checks.append(Check(
                 "savings-identity", rel <= 0.02,

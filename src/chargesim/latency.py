@@ -23,7 +23,6 @@ class LinkKind(Enum):
     ETHERNET = "ethernet"
     WIFI = "wifi"
     THREE_G = "threeg"
-    LOCAL_BUS = "local_bus"  # collector-to-meter hop inside a station
 
 
 def _near_gauss(rng) -> float:
@@ -128,9 +127,9 @@ class LatencyModel:
 class TimingBudget:
     """Scalar timing symbols for analytic delay budgets.
 
-    ``t_ethernet`` covers Ethernet segments in both roles: the station uplink
-    when the server is co-located, and the collector's in-station hop to a
-    meter. ``t_3g_uplink`` is derived as half the 3G round trip.
+    ``t_3g`` holds the round trip of the station's uplink, whichever link
+    that is; ``t_3g_uplink`` is derived as half of it. ``t_ethernet`` is the
+    collector's in-station hop to a meter.
     """
 
     t_ethernet: float = 0.0
@@ -226,12 +225,12 @@ def default_models() -> LinkModelSet:
     )
 
 
-def worst_case_budget(models: LinkModelSet) -> TimingBudget:
-    """Budget whose fields upper-bound every sample the model set can draw;
-    used for hard staleness bounds."""
+def worst_case_budget(models: LinkModelSet, link: LinkKind) -> TimingBudget:
+    """Budget whose fields upper-bound every sample the model set can draw
+    for a station whose uplink is ``link``; used for hard staleness bounds."""
     return TimingBudget(
         t_ethernet=models.local_bus.hard_max,
-        t_3g=models.threeg.hard_max,
+        t_3g=models.for_link(link).hard_max,
         t_metering=models.metering.hard_max,
     )
 

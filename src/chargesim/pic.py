@@ -26,8 +26,6 @@ BUS_READ_TIMEOUT_S = 2.0  # charged to a collection sweep per dead meter
 class Phase(Enum):
     INIT = "init"
     IDLE = "idle"
-    COLLECTING = "collecting"
-    PUSHING = "pushing"
 
 
 class Opcode(Enum):
@@ -204,9 +202,7 @@ def _answer_power_request(state: PicState, bus: MeterBus, now: float):
     already did the metering), otherwise after a fresh sweep."""
     if state.serve_cache_mode and all(mid in state.cache for mid in state.registered_meters):
         return _cached_snapshots(state), 0.0
-    state.phase = Phase.COLLECTING
     duration = collect_all(state, bus, now)
-    state.phase = Phase.IDLE
     return _cached_snapshots(state), duration
 
 
@@ -248,7 +244,6 @@ def main_loop_step(state: PicState, bus: MeterBus, uplink=None, now: float = 0.0
                 kind=MessageKind.ERROR, station=bus.station.station_id,
                 payload={"reason": f"unknown opcode {cmd.arg!r}"}, seq=cmd.seq, sent_at=t))
     if state.flags.push_data and state.push_enabled:
-        state.phase = Phase.PUSHING
         t += collect_all(state, bus, t)
         state.packet_seq += 1
         packet = make_aggregate_packet(
@@ -258,7 +253,6 @@ def main_loop_step(state: PicState, bus: MeterBus, uplink=None, now: float = 0.0
             uplink(packet)
         messages.append(packet)
         state.flags.push_data = False
-        state.phase = Phase.IDLE
     elif state.flags.push_data and not state.push_enabled:
         state.flags.push_data = False  # pushing disabled: tick consumed, nothing sent
     return messages

@@ -156,7 +156,8 @@ def test_c7_push_staleness_bound(tmp_path):
     records = []
     read_trace(tmp_path / "trace.jsonl", records.append)
     bound_config = cfg.push_period_s + push_cycle_time(cfg.budget, 4)
-    bound_hard = cfg.push_period_s + push_cycle_time(worst_case_budget(cfg.links), 4)
+    bound_hard = cfg.push_period_s + push_cycle_time(
+        worst_case_budget(cfg.links, cfg.station.link), 4)
     worst = 0.0
     checked = 0
     violations = 0

@@ -365,6 +365,19 @@ class TestCli:
         assert "config error: round_robin: 48.0 A worst case" in capsys.readouterr().err
         assert not (tmp_path / "trace_server.jsonl").exists()
 
+    def test_schedule_checked_on_a_station_of_any_algorithm(self, tmp_path, capsys):
+        # a schedule_time section is checked whatever the station's algorithm,
+        # as round robin is; here under `none`, the default
+        day = {"start_s": 0.0, "end_s": 86400.0, "amps": 40.0}
+        cfg = tmp_path / "schedule.yaml"
+        cfg.write_text(yaml.safe_dump({"schedule_time": {"windows": {0: [day], 1: [day]}}}))
+        rc = main(["local-sched", "--duration", "86400", "--check", "--config", str(cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: schedule_time: 80.0 A at 0 s-of-day exceeds" in err
+        assert not (tmp_path / "trace_server.jsonl").exists()
+
     def test_station_without_outlets_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "outlets.yaml"
         cfg.write_text(yaml.safe_dump({"fleet": {"stations": [{"id": 0, "outlets": 0}]}}))
@@ -410,6 +423,8 @@ class TestCli:
         ({"expect": {"threeg_modes_mn": 2}}, "expect.threeg_modes_mn"),
         # a schedule_time station with no windows to allocate from
         ({"fleet": {"stations": [{"id": 0, "algorithm": "schedule_time"}]}}, "schedule_time"),
+        # the collector's in-station hop to a meter is no station uplink
+        ({"fleet": {"stations": [{"id": 0, "link": "local_bus"}]}}, "fleet.stations[0].link"),
     ])
     def test_input_that_would_load_silently_wrong_exits_2(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "typo.yaml"

@@ -15,6 +15,8 @@ from chargesim.experiments import (
     run,
     trace_file,
 )
+from chargesim.latency import LinkKind, worst_case_budget
+from chargesim.proto import push_cycle_time
 from chargesim.sched import schedule_time_step
 from chargesim.sim import canonical_json, read_trace
 
@@ -66,11 +68,45 @@ class TestCompareProtocols:
     def test_six_outlet_station_passes_count_and_savings_checks(self):
         station = {"id": 0, "link": "threeg", "outlets": 6,
                    "evs": [{"outlet": 0}, {"outlet": 3}, {"outlet": 5}]}
-        out = run("compare-protocols", small_default(trials=1000, fleet={"stations": [station]}))
+        out = run("compare-protocols", small_default(trials=10_000, fleet={"stations": [station]}))
         checks = {c.name: c for c in out.checks}
         assert checks["request-counts"].detail == (
             "legacy power=6, legacy full=12, aggregated pull=1 on every trial")
         assert checks["savings-identity"].ok, checks["savings-identity"].detail
+        assert out.ok, [c for c in out.checks if not c.ok]
+
+    @pytest.mark.parametrize("link, identities", [("wifi", True), ("ethernet", False)])
+    def test_checks_pass_on_a_station_of_any_uplink(self, link, identities):
+        # pushes, the push cycle and both budgets take the station's uplink; on
+        # Ethernet the analytic saving is not positive, so no identity is checked
+        station = {"id": 0, "link": link, "evs": [{"outlet": k} for k in range(3)]}
+        out = run("compare-protocols", resolve("default", overrides={"fleet": {"stations": [station]}}))
+        assert out.ok, [c for c in out.checks if not c.ok]
+        names = {c.name for c in out.checks}
+        assert ({"savings-identity", "retrieval-identities"} <= names) is identities
+
+    def test_pushes_cross_the_station_uplink(self):
+        # on a WiFi station each push arrives within one worst-case WiFi
+        # collect-and-push cycle of its sweep, well inside a cellular transit
+        station = {"id": 0, "link": "wifi", "evs": [{"outlet": k} for k in range(3)]}
+        cfg = small_default(trials=0, fleet={"stations": [station]})
+        _, rows = run("compare-protocols", cfg).csvs["staleness.csv"]
+        arrivals = [stale for _, source, stale in rows if source == "push-arrive"]
+        assert len(arrivals) > 2800
+        assert max(arrivals) <= push_cycle_time(worst_case_budget(cfg.links, LinkKind.WIFI), 4)
+
+    @pytest.mark.parametrize("overrides", [
+        {"seed": 3, "trials": 1000},
+        {"seed": 8, "trials": 1000},
+        {"seed": 42, "trials": 1000},
+        {"timeout_s": 2.0},  # below the 0 + 4.5 + 0.5 s longest power request
+    ], ids=["seed3", "seed8", "seed42", "timeout2"])
+    def test_identity_checks_run_only_when_their_premises_hold(self, overrides):
+        # the identities hold in the mean of 10^4 trials in which no power
+        # request times out; each of these runs fails them
+        out = run("compare-protocols", resolve("default", overrides=overrides))
+        names = {c.name for c in out.checks}
+        assert not names & {"savings-identity", "retrieval-identities"}
         assert out.ok, [c for c in out.checks if not c.ok]
 
     def test_zero_latency_reports_undefined_ratios(self):

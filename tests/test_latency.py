@@ -142,7 +142,7 @@ class TestSampling:
     def test_for_link_returns_the_named_model(self):
         links = default_models()
         named = {LinkKind.ETHERNET: links.ethernet, LinkKind.WIFI: links.wifi,
-                 LinkKind.THREE_G: links.threeg, LinkKind.LOCAL_BUS: links.local_bus}
+                 LinkKind.THREE_G: links.threeg}
         assert set(named) == set(LinkKind)
         for kind, model in named.items():
             assert links.for_link(kind) is model
@@ -231,7 +231,7 @@ class TestRoundTrip:
 
     def test_worst_case_budget_bounds_models(self):
         models = default_models()
-        budget = worst_case_budget(models)
+        budget = worst_case_budget(models, LinkKind.THREE_G)
         assert budget.t_3g == models.threeg.hard_max
         assert budget.t_metering == models.metering.hard_max
         assert budget.t_ethernet == models.local_bus.hard_max
