@@ -39,10 +39,6 @@ class DutyRangeError(ValueError):
     """Duty percentage outside the valid pilot range."""
 
 
-class DeliveryError(RuntimeError):
-    """A command could not be delivered to the station."""
-
-
 def duty_to_current(duty_percent: float) -> float:
     """Pilot duty ratio to advertised charging current (0.6 A per percent on
     the standard encoding's linear range)."""
@@ -106,7 +102,7 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
     cloud = links.cloud
     link_s = link_model.sample(rng, now)
     rtt = cloud + link_s
-    if not station.online or rtt > timeout_s:
+    if rtt > timeout_s:
         return DutyCycleChange(i_final=i_final, t_waiting=0.0, outcome=DutyOutcome.FAILED,
                                reads=[], completed_at=now + timeout_s)
 
@@ -143,6 +139,4 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
 def select_algorithm_mode(station: ChargingStation, mode: AlgorithmMode) -> None:
     """Hand the station its local charging algorithm mode; from then on
     allocation decisions originate at the station, not the server."""
-    if not station.online:
-        raise DeliveryError(f"station {station.station_id} is offline")
     station.local_algorithm = mode

@@ -47,13 +47,11 @@ class MeterId(NamedTuple):
 
 @dataclass(slots=True)
 class MeterSnapshot:
-    """One outlet's power sample plus relay state, the atom of all telemetry."""
+    """One outlet's current sample plus relay state, the atom of all telemetry."""
 
     meter: MeterId
     volts: float
     amps: float
-    watts: float
-    energy_kwh: float
     relay: RelayState
     captured_at: float
     fault: Optional[str] = None
@@ -64,8 +62,6 @@ class MeterSnapshot:
             "outlet": self.meter.outlet,
             "volts": self.volts,
             "amps": self.amps,
-            "watts": self.watts,
-            "energy_kwh": self.energy_kwh,
             "relay": self.relay.value,
             "captured_at": self.captured_at,
         }
@@ -108,7 +104,9 @@ def ev_settle_time(ev: EvModel, i_init: float, i_final: float) -> float:
 
 @dataclass
 class MeterChannel:
-    """One outlet: relay, optional EV, allocation, and cumulative energy."""
+    """One outlet: relay, optional EV, allocation and the drawn current's
+    ramp after the latest change. The current at any time follows from these
+    alone, so a read (``meter_snapshot``) needs no state of its own."""
 
     relay: RelayState = RelayState.OFF
     ev: Optional[EvModel] = None
@@ -118,10 +116,6 @@ class MeterChannel:
     ramp_to: float = 0.0
     ramp_start: float = 0.0
     ramp_end: float = 0.0
-    # metering accumulator
-    energy_kwh: float = 0.0
-    metered_at: float = 0.0
-    metered_amps: float = 0.0
 
     def amps_at(self, now: float) -> float:
         if self.relay is RelayState.OFF or self.ev is None:
@@ -176,7 +170,6 @@ class ChargingStation:
         self.local_algorithm = local_algorithm
         self.meters = [MeterChannel() for _ in range(outlets)]
         self.meter_ids = tuple(MeterId(station_id, outlet) for outlet in range(outlets))
-        self.online = True
 
     def channel(self, outlet: int) -> MeterChannel:
         if not 0 <= outlet < len(self.meters):
@@ -210,28 +203,22 @@ def _check_circuit(station: ChargingStation, outlet: int, amps: float) -> None:
 
 
 def meter_snapshot(station: ChargingStation, outlet: int, now: float) -> MeterSnapshot:
-    """Read one outlet: updates the channel's cumulative energy (trapezoid
-    over the ramp) and returns the sample. Energy never decreases."""
+    """Read one outlet at ``now``. A pure function of the channel and ``now``:
+    it changes no state, so reads taken at any times, in any number, leave
+    the channel and every later read as they were."""
     ch = station.channel(outlet)
-    volts = station.voltage
-    amps = ch.amps_at(now)
-    if now > ch.metered_at:
-        avg = 0.5 * (ch.metered_amps + amps)
-        ch.energy_kwh += volts * avg * (now - ch.metered_at) / 3.6e6
-        ch.metered_at = now
-        ch.metered_amps = amps
-    # positional, in field order: meter, volts, amps, watts, energy_kwh, relay, captured_at
-    return MeterSnapshot(station.meter_ids[outlet], volts, amps, volts * amps,
-                         ch.energy_kwh, ch.relay, now)
+    # positional, in field order: meter, volts, amps, relay, captured_at
+    return MeterSnapshot(station.meter_ids[outlet], station.voltage, ch.amps_at(now),
+                         ch.relay, now)
 
 
 def apply_relay(station: ChargingStation, outlet: int, state: RelayState,
-                now: float = 0.0) -> MeterSnapshot:
-    """Switch an outlet's relay and return the post-change snapshot.
+                now: float = 0.0) -> None:
+    """Switch an outlet's relay.
 
     Turning ON checks the circuit limit and starts the EV ramp from zero;
-    turning OFF meters the energy drawn so far and cuts the current to zero
-    immediately. Re-applying the current state only refreshes the timestamp.
+    turning OFF cuts the current to zero immediately. Re-applying the
+    current state changes nothing.
     """
     ch = station.channel(outlet)
     if state is RelayState.ON and ch.relay is RelayState.OFF:
@@ -240,11 +227,8 @@ def apply_relay(station: ChargingStation, outlet: int, state: RelayState,
         if ch.ev is not None:
             ch.ramp(0.0, now)
     elif state is RelayState.OFF and ch.relay is RelayState.ON:
-        meter_snapshot(station, outlet, now)  # bank the energy up to the cut
         ch.relay = RelayState.OFF
         ch.pin(0.0, now)
-        ch.metered_amps = 0.0  # current is cut instantly
-    return meter_snapshot(station, outlet, now)
 
 
 def set_current(station: ChargingStation, outlet: int, amps: float,
@@ -256,7 +240,6 @@ def set_current(station: ChargingStation, outlet: int, amps: float,
         raise ValueError(f"allocation must be non-negative, got {amps!r}")
     if ch.relay is RelayState.ON:
         _check_circuit(station, outlet, amps)
-    meter_snapshot(station, outlet, now)
     ch.allocated_amps = amps
     if ch.relay is RelayState.ON and ch.ev is not None:
         ch.ramp(ch.amps_at(now), now)
@@ -264,7 +247,6 @@ def set_current(station: ChargingStation, outlet: int, amps: float,
 
 def plug_ev(station: ChargingStation, outlet: int, ev: EvModel, now: float = 0.0) -> None:
     ch = station.channel(outlet)
-    meter_snapshot(station, outlet, now)
     ch.ev = ev
     if ch.relay is RelayState.ON:
         ch.ramp(0.0, now)
@@ -272,7 +254,5 @@ def plug_ev(station: ChargingStation, outlet: int, ev: EvModel, now: float = 0.0
 
 def unplug_ev(station: ChargingStation, outlet: int, now: float = 0.0) -> None:
     ch = station.channel(outlet)
-    meter_snapshot(station, outlet, now)
     ch.ev = None
     ch.pin(0.0, now)
-    ch.metered_amps = 0.0

@@ -266,7 +266,7 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     spec = cfg.station
     uplink = links.for_link(spec.link)
     # Every protocol acts on this one station. No record reads a snapshot's
-    # amps, energy or relay, so what one protocol does to them moves nothing.
+    # amps or relay, so what one protocol does to them moves nothing.
     station = spec.build()
 
     # Aggregated-pull endpoint with its own periodic collection keeping the
@@ -372,9 +372,9 @@ class _CompareFold:
         means = TimingBudget(t_ethernet=links.local_bus.analytic_mean(),
                              t_3g=uplink.analytic_mean(),
                              t_metering=links.metering.analytic_mean())
-        analytic_legacy = proto.legacy_retrieval_time(means, meters)
+        analytic_legacy = proto.legacy_retrieval_time(means, meters, links.cloud)
         analytic_cycle = proto.push_cycle_time(means, meters)
-        analytic_save = proto.t_save(means, meters)
+        analytic_save = proto.t_save(means, meters, links.cloud)
         empirical_save = (m4 - mc) if (m4 is not None and mc is not None) else None
         stale_max = max((stale for _, _, stale in self.stale), default=None)
         bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links, link), meters)

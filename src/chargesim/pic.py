@@ -178,8 +178,8 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
                 snap = replace(old, fault="bus-timeout")
             else:
                 snap = MeterSnapshot(
-                    meter=mid, volts=0.0, amps=0.0, watts=0.0, energy_kwh=0.0,
-                    relay=RelayState.OFF, captured_at=0.0, fault="bus-timeout",
+                    meter=mid, volts=0.0, amps=0.0, relay=RelayState.OFF,
+                    captured_at=0.0, fault="bus-timeout",
                 )
         cache[mid] = snap
         t += cost

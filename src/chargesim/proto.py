@@ -221,17 +221,21 @@ def push_cycle_time(budget: TimingBudget, meter_count: int) -> float:
     return meter_count * (budget.t_ethernet + budget.t_metering) + budget.t_3g_uplink
 
 
-def legacy_retrieval_time(budget: TimingBudget, meter_count: int = 4) -> float:
-    """Analytic wall time of a sequential per-meter power pull."""
-    return meter_count * (budget.t_3g + budget.t_metering)
+def legacy_retrieval_time(budget: TimingBudget, meter_count: int = 4,
+                          cloud: float = 0.0) -> float:
+    """Analytic wall time of a sequential per-meter power pull: each reading
+    is one round trip carrying the ``cloud`` hops, the link and metering."""
+    return meter_count * (budget.t_3g + budget.t_metering + cloud)
 
 
-def t_save(budget: TimingBudget, meter_count: int = 4) -> float:
+def t_save(budget: TimingBudget, meter_count: int = 4, cloud: float = 0.0) -> float:
     """Analytic saving of push over an N-meter sequential pull:
     ``legacy_retrieval_time - push_cycle_time`` with the metering terms
-    cancelled, leaving N - 1/2 cellular round trips minus N in-station hops
-    (3.5 round trips for the paper's four meters)."""
-    return (meter_count - 0.5) * budget.t_3g - meter_count * budget.t_ethernet
+    cancelled, leaving N - 1/2 uplink round trips plus the N round trips'
+    ``cloud`` hops, minus N in-station hops (3.5 round trips for the paper's
+    four meters and no cloud term)."""
+    return ((meter_count - 0.5) * budget.t_3g + meter_count * cloud
+            - meter_count * budget.t_ethernet)
 
 
 class ServerStore:

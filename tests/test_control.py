@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chargesim.control import (
-    DeliveryError,
     DutyOutcome,
     DutyRangeError,
     change_duty_cycle,
@@ -143,13 +142,6 @@ class TestChangeDutyCycle:
         assert change.outcome is DutyOutcome.FAILED
         assert change.reads == []
 
-    def test_offline_station_fails(self):
-        station = station_with_ev(amps=8.0)
-        station.online = False
-        change = change_duty_cycle(station, 0, current_to_duty(16.0),
-                                   duty_links(), substream(1, "d"), BUDGET_5S)
-        assert change.outcome is DutyOutcome.FAILED
-
     def test_no_ev_raises(self):
         station = ChargingStation(station_id=0, circuit_limit=40.0)
         with pytest.raises(NoEvError):
@@ -171,12 +163,6 @@ class TestStoreAndModes:
         station = ChargingStation(station_id=3, circuit_limit=40.0)
         select_algorithm_mode(station, AlgorithmMode.ROUND_ROBIN)
         assert station.local_algorithm is AlgorithmMode.ROUND_ROBIN
-
-    def test_offline_station_delivery_fails(self):
-        station = ChargingStation(station_id=3, circuit_limit=40.0)
-        station.online = False
-        with pytest.raises(DeliveryError):
-            select_algorithm_mode(station, AlgorithmMode.NONE)
 
     def test_mode_change_mid_cycle_takes_effect_next_boundary(self):
         # three EVs charging under a server-pushed allocation; switching to
@@ -213,8 +199,8 @@ class TestStoreAndModes:
         from chargesim.proto import ServerStore, make_aggregate_packet, push_consume
         from chargesim.domain import MeterId, MeterSnapshot
         store = ServerStore()
-        snap = MeterSnapshot(meter=MeterId(0, 0), volts=208.0, amps=0.0, watts=0.0,
-                             energy_kwh=0.0, relay=RelayState.OFF, captured_at=10.0)
+        snap = MeterSnapshot(meter=MeterId(0, 0), volts=208.0, amps=0.0,
+                             relay=RelayState.OFF, captured_at=10.0)
         push_consume(store, make_aggregate_packet(0, [snap], seq=1, sent_at=10.0), now=12.0)
         assert store.staleness_at(0, 20.0)[MeterId(0, 0)] == pytest.approx(10.0)
         assert store.staleness_at(9, 20.0) == {}

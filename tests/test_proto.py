@@ -123,38 +123,38 @@ class TestLegacyPull:
 PINNED_LEGACY_PULLS = {
     (False, 0): ('4.687343021876445', [],
                  [(0, '4.002689524590071'), (1, '2.8629745902421218'), (2, '1.9931573087462433'),
-                  (3, '0.770821775653352')], 'bc59b5487dc19dd3'),
+                  (3, '0.770821775653352')], '5cb1940011ad134e'),
     (False, 1): ('8.828514338658806', [(1, 'timeout')],
                  [(0, '7.858168897532778'), (2, '3.4016345016971172'), (3, '1.3474732211811897')],
-                 'f113969fbda86eff'),
+                 '84f107364d1f9857'),
     (False, 2): ('6.3456461629966725', [],
                  [(0, '4.854731721569806'), (1, '2.6776706391165135'), (2, '1.3413779775555668'),
-                  (3, '0.3559954783977446')], '46756087cbb2273c'),
+                  (3, '0.3559954783977446')], '84210a4907013149'),
     (False, 3): ('8.823736655374887', [],
                  [(0, '7.3182655197106214'), (1, '5.07927574680798'), (2, '3.3365329671614745'),
-                  (3, '1.1536125776601693')], '6a6a26ddbcc92fe4'),
+                  (3, '1.1536125776601693')], 'd64799eee61d3d0b'),
     (False, 4): ('4.56980157632097', [],
                  [(0, '4.0720964639112935'), (1, '2.84673639301036'), (2, '1.4989157366126165'),
-                  (3, '0.4447706813552941')], '9e331ed5fb5c9b5d'),
+                  (3, '0.4447706813552941')], '601d6d1ee398aad8'),
     (False, 5): ('9.561669453174545', [(0, 'timeout'), (3, 'timeout')],
-                 [(1, '5.618758559015987'), (2, '3.810501484960696')], '74efd08907e560ef'),
+                 [(1, '5.618758559015987'), (2, '3.810501484960696')], '7aa15a8eadb3237d'),
     (True, 0): ('11.125973129466514', [],
                 [(0, '10.44131963218014'), (1, '8.258457373509419'), (2, '5.221098642158198'),
-                 (3, '1.2803526573501127')], '97cf744b0d1d0405'),
+                 (3, '1.2803526573501127')], '1aa7610e34959a66'),
     (True, 1): ('15.216821896975034', [(0, 'status-timeout'), (1, 'status-timeout')],
                 [(0, '14.246476455849006'), (1, '9.79402687793663'), (2, '4.762714831825633'),
-                 (3, '1.6584855231494657')], '15f03b4f81e361e9'),
+                 (3, '1.6584855231494657')], '4777d1e117023879'),
     (True, 2): ('17.411736198262588', [(2, 'status-timeout')],
                 [(0, '15.920821756835721'), (1, '11.596448253186281'), (2, '8.94270756325659'),
-                 (3, '4.088086858973838')], 'af151afda20a2192'),
+                 (3, '4.088086858973838')], '231d729d73365fb1'),
     (True, 3): ('15.58804986710311', [],
                 [(0, '14.082578731438844'), (1, '10.02461436354497'), (2, '6.688427193746975'),
-                 (3, '2.304489367712449')], '481fc3962d4495a2'),
+                 (3, '2.304489367712449')], 'ba37e9e48b41f284'),
     (True, 4): ('10.640311924562411', [],
                 [(0, '10.142606812152735'), (1, '7.546429159567197'), (2, '3.5553611532686773'),
-                 (3, '1.5046114037704683')], '42ad74b95e152d08'),
+                 (3, '1.5046114037704683')], 'c3bb29508b65472a'),
     (True, 5): ('16.11415778349692', [(0, 'timeout'), (2, 'timeout')],
-                [(1, '10.486890606811357'), (3, '1.9743201417295495')], '5240c6d7bf9a4ea2'),
+                [(1, '10.486890606811357'), (3, '1.9743201417295495')], 'd66a54315065f6a8'),
 }
 
 
@@ -241,11 +241,13 @@ class TestTimingIdentities:
         budget = TimingBudget(t_3g=5.0, t_metering=0.5, t_ethernet=0.0)
         saving = legacy_retrieval_time(budget, 4) - push_cycle_time(budget, 4)
         assert saving == pytest.approx(17.5)
-        # the same identity at other meter counts: (N - 1/2) * t_3g - N * t_eth
+        # the same identity at other meter counts and cloud terms:
+        # (N - 1/2) * t_3g + N * cloud - N * t_eth
         budget = TimingBudget(t_3g=2.0, t_metering=0.3, t_ethernet=0.001)
         for n in (1, 4, 6, 8):
-            saving = legacy_retrieval_time(budget, n) - push_cycle_time(budget, n)
-            assert saving == pytest.approx(t_save(budget, n)), n
+            for cloud in (0.0, 0.15):
+                saving = legacy_retrieval_time(budget, n, cloud) - push_cycle_time(budget, n)
+                assert saving == pytest.approx(t_save(budget, n, cloud)), (n, cloud)
 
     def test_t_save_worst_case(self):
         assert t_save(TimingBudget(t_3g=5.0, t_ethernet=0.0)) == pytest.approx(17.5)
@@ -256,6 +258,8 @@ class TestTimingIdentities:
     def test_t_save_direct_substitution(self):
         # 3.5 * 2 - 4 * 0.001 = 6.996
         assert t_save(TimingBudget(t_3g=2.0, t_ethernet=0.001)) == pytest.approx(6.996)
+        # plus one 0.15 s cloud term per legacy round trip: 6.996 + 4 * 0.15
+        assert t_save(TimingBudget(t_3g=2.0, t_ethernet=0.001), 4, 0.15) == pytest.approx(7.596)
 
     def test_negative_meter_count_rejected(self):
         with pytest.raises(ValueError):
@@ -264,8 +268,8 @@ class TestTimingIdentities:
 
 def snapshot(outlet, captured_at, amps=16.0):
     return MeterSnapshot(
-        meter=MeterId(0, outlet), volts=208.0, amps=amps, watts=208.0 * amps,
-        energy_kwh=0.0, relay=RelayState.ON, captured_at=captured_at,
+        meter=MeterId(0, outlet), volts=208.0, amps=amps, relay=RelayState.ON,
+        captured_at=captured_at,
     )
 
 
