@@ -12,9 +12,8 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from . import sched
 from .control import DutyRangeError, current_to_duty
@@ -85,8 +84,7 @@ OPTIONAL = object()
 _FIELDS = object()
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """A scalar. ``type`` is int, float (any finite number but a bool, kept
     as a float), bool, or an Enum whose values the key takes."""
 
@@ -97,22 +95,19 @@ class Leaf:
     le: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     """A key that accepts its default alone, of the same type."""
 
     default: object
 
 
-@dataclass(frozen=True)
-class ListOf:
+class ListOf(NamedTuple):
     item: object
     default: object = REQUIRED
     length: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ByOutlet:
+class ByOutlet(NamedTuple):
     """A mapping from outlet number to ``item``. JSON has only string keys,
     so a key is an integer >= 0 or a string of decimal digits."""
 
@@ -120,8 +115,7 @@ class ByOutlet:
     default: object = REQUIRED
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     fields: dict
     default: object = _FIELDS
 
@@ -144,8 +138,11 @@ _MODEL = Section({
     })),
     "hard_max": Leaf(float, gt=0.0),
     # hour-of-week multipliers of the locations; see latency.DiurnalProfile
-    "diurnal": ListOf(Leaf(float, gt=0.0, le=1.0), list(DiurnalProfile.scale), length=HOURS_PER_WEEK),
+    "diurnal": ListOf(Leaf(float, gt=0.0, le=1.0), list(DiurnalProfile().scale),
+                      length=HOURS_PER_WEEK),
 }, default=None)  # null: the library's model of that segment
+
+_EV = EvModel()  # the defaults of an EV's keys
 
 _STATION = Section({
     "id": Leaf(int, 0, ge=0),
@@ -156,12 +153,14 @@ _STATION = Section({
     "algorithm": Leaf(AlgorithmMode, "none"),
     "evs": ListOf(Section({
         "outlet": Leaf(int, ge=0),
-        "max_current_a": Leaf(float, EvModel.max_current, ge=0.0),
-        "settle_t0_s": Leaf(float, EvModel.settle_t0, ge=0.0),
-        "settle_rate_s_per_a": Leaf(float, EvModel.settle_rate, ge=0.0),
-        "settle_cap_s": Leaf(float, EvModel.settle_cap, ge=0.0),
+        "max_current_a": Leaf(float, _EV.max_current, ge=0.0),
+        "settle_t0_s": Leaf(float, _EV.settle_t0, ge=0.0),
+        "settle_rate_s_per_a": Leaf(float, _EV.settle_rate, ge=0.0),
+        "settle_cap_s": Leaf(float, _EV.settle_cap, ge=0.0),
     }), []),
 })
+
+_ROUND_ROBIN = sched.RoundRobinConfig()  # the defaults of the round_robin keys
 
 SCHEMA = Section({
     "version": Const(1),
@@ -202,9 +201,9 @@ SCHEMA = Section({
         }], length=1),
     }),
     "round_robin": Section({
-        "slot_length_s": Leaf(float, sched.RoundRobinConfig.slot_length_s, gt=0.0),
-        "max_concurrent": Leaf(int, sched.RoundRobinConfig.max_concurrent, ge=1),
-        "per_active_current_a": Leaf(float, sched.RoundRobinConfig.per_active_current, ge=0.0),
+        "slot_length_s": Leaf(float, _ROUND_ROBIN.slot_length_s, gt=0.0),
+        "max_concurrent": Leaf(int, _ROUND_ROBIN.max_concurrent, ge=1),
+        "per_active_current_a": Leaf(float, _ROUND_ROBIN.per_active_current, ge=0.0),
     }),
     "schedule_time": Section({"windows": ByOutlet(ListOf(Section({
         "start_s": Leaf(float, ge=0.0, le=sched.SECONDS_PER_DAY),
@@ -356,15 +355,14 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-@dataclass
-class StationSpec:
+class StationSpec(NamedTuple):
     station_id: int
     link: LinkKind
     circuit_limit: float
     voltage: float
     outlets: int
     algorithm: AlgorithmMode
-    evs: list = field(default_factory=list)  # (outlet, EvModel)
+    evs: list  # (outlet, EvModel)
 
     def build(self) -> ChargingStation:
         """Fresh station instance with its EVs plugged. A trace simulates one
@@ -378,12 +376,11 @@ class StationSpec:
             local_algorithm=self.algorithm,
         )
         for outlet, ev in self.evs:
-            plug_ev(station, outlet, replace(ev))
+            plug_ev(station, outlet, ev)
         return station
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     raw: dict
     seed: int
     duration_s: float
@@ -418,7 +415,7 @@ def _links(spec: Optional[dict]) -> LinkModelSet:
             )
         except ValueError as exc:
             raise ConfigError(f"latency.{name}: {exc}") from None
-    return replace(defaults, **changes)
+    return defaults._replace(**changes)
 
 
 def from_dict(raw: dict) -> ExperimentConfig:

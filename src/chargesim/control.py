@@ -1,5 +1,5 @@
 """Server-side station controller: duty-cycle changes with computed waiting
-times, and algorithm-mode selection.
+times.
 
 A duty-cycle change is confirmed by a follow-up power read. The wait before
 that read adapts to the expected settle time: by the time the change's
@@ -8,15 +8,14 @@ already elapsed, so the server only needs to cover the remainder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .domain import (
-    AlgorithmMode,
     ChargingStation,
     NoEvError,
     RelayState,
     apply_relay,
+    check_circuit,
     ev_settle_time,
     meter_snapshot,
     set_current,
@@ -65,19 +64,18 @@ def compute_t_waiting(t_ev: float, budget: TimingBudget) -> float:
     return max(0.0, t_ev - budget.t_3g_uplink)
 
 
-@dataclass
 class DutyCycleChange:
     """Record of one duty-cycle change attempt and its verification."""
 
-    i_final: float
-    t_waiting: float
-    outcome: DutyOutcome
-    reads: list          # (measured_at, amps) per verification read
-    completed_at: float
+    __slots__ = ("i_final", "t_waiting", "outcome", "reads", "completed_at")
 
-    def __post_init__(self):
-        if self.t_waiting < 0:
-            raise ValueError("waiting time cannot be negative")
+    def __init__(self, i_final: float, t_waiting: float, outcome: DutyOutcome, reads: list,
+                 completed_at: float):
+        self.i_final = i_final
+        self.t_waiting = t_waiting
+        self.outcome = outcome
+        self.reads = reads  # (measured_at, amps) per verification read
+        self.completed_at = completed_at
 
 
 def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float,
@@ -109,6 +107,7 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
     t_apply = now + 0.5 * rtt
     i_init = ch.amps_at(t_apply)
     if ch.relay is RelayState.OFF and i_final > 0:
+        check_circuit(station, outlet, i_final)  # before the outlet holds the allocation
         ch.allocated_amps = i_final
         apply_relay(station, outlet, RelayState.ON, t_apply)
     else:
@@ -135,8 +134,3 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
     return DutyCycleChange(i_final=i_final, t_waiting=t_wait, outcome=outcome, reads=reads,
                            completed_at=done)
 
-
-def select_algorithm_mode(station: ChargingStation, mode: AlgorithmMode) -> None:
-    """Hand the station its local charging algorithm mode; from then on
-    allocation decisions originate at the station, not the server."""
-    station.local_algorithm = mode

@@ -6,7 +6,6 @@ drives it, and independent instances can run on parallel engines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -38,23 +37,36 @@ class CircuitLimitError(RuntimeError):
 
 
 class MeterId(NamedTuple):
-    """One outlet's meter. A tuple, so it is built, hashed and ordered in C,
-    with the hash and the ``(station, outlet)`` order of a frozen dataclass."""
+    """One outlet's meter. A tuple, so it is built, hashed and ordered (by
+    ``(station, outlet)``) in C."""
 
     station: int
     outlet: int
 
 
-@dataclass(slots=True)
 class MeterSnapshot:
     """One outlet's current sample plus relay state, the atom of all telemetry."""
 
-    meter: MeterId
-    volts: float
-    amps: float
-    relay: RelayState
-    captured_at: float
-    fault: Optional[str] = None
+    __slots__ = ("meter", "volts", "amps", "relay", "captured_at", "fault")
+
+    def __init__(self, meter: MeterId, volts: float, amps: float, relay: RelayState,
+                 captured_at: float, fault: Optional[str] = None):
+        self.meter = meter
+        self.volts = volts
+        self.amps = amps
+        self.relay = relay
+        self.captured_at = captured_at
+        self.fault = fault
+
+    def __eq__(self, other):
+        if type(other) is not MeterSnapshot:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in MeterSnapshot.__slots__)
+
+    def with_fault(self, fault: Optional[str]) -> MeterSnapshot:
+        """This reading marked with ``fault`` (None clears the mark)."""
+        return MeterSnapshot(self.meter, self.volts, self.amps, self.relay, self.captured_at,
+                             fault)
 
     def to_record(self) -> dict:
         rec = {
@@ -70,19 +82,28 @@ class MeterSnapshot:
         return rec
 
 
-@dataclass
 class EvModel:
     """A plugged vehicle's charging envelope and settling behavior.
 
     After a pilot change the drawn current ramps to the new target over a
     settle time that grows linearly with the step size, capped at
     ``settle_cap``. The defaults make a full 0-32 A step take exactly the cap.
+    Every outlet write reads it, so its fields are slots, not tuple items.
     """
 
-    max_current: float = 32.0
-    settle_t0: float = 1.0
-    settle_rate: float = 0.15625  # seconds per ampere of step
-    settle_cap: float = 6.0
+    __slots__ = ("max_current", "settle_t0", "settle_rate", "settle_cap")
+
+    def __init__(self, max_current: float = 32.0, settle_t0: float = 1.0,
+                 settle_rate: float = 0.15625, settle_cap: float = 6.0):
+        self.max_current = max_current
+        self.settle_t0 = settle_t0
+        self.settle_rate = settle_rate  # seconds per ampere of step
+        self.settle_cap = settle_cap
+
+    def __eq__(self, other):
+        if type(other) is not EvModel:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in EvModel.__slots__)
 
     def draw(self, amps: float) -> float:
         """The current the EV draws when offered ``amps``: never above its
@@ -102,20 +123,28 @@ def ev_settle_time(ev: EvModel, i_init: float, i_final: float) -> float:
     return min(ev.settle_cap, ev.settle_t0 + ev.settle_rate * step)
 
 
-@dataclass
 class MeterChannel:
     """One outlet: relay, optional EV, allocation and the drawn current's
     ramp after the latest change. The current at any time follows from these
     alone, so a read (``meter_snapshot``) needs no state of its own."""
 
-    relay: RelayState = RelayState.OFF
-    ev: Optional[EvModel] = None
-    allocated_amps: float = 0.0
-    # physical current ramp after the latest change
-    ramp_from: float = 0.0
-    ramp_to: float = 0.0
-    ramp_start: float = 0.0
-    ramp_end: float = 0.0
+    __slots__ = ("relay", "ev", "allocated_amps",
+                 # physical current ramp after the latest change
+                 "ramp_from", "ramp_to", "ramp_start", "ramp_end")
+
+    def __init__(self):
+        self.relay = RelayState.OFF
+        self.ev: Optional[EvModel] = None
+        self.allocated_amps = 0.0
+        self.ramp_from = 0.0
+        self.ramp_to = 0.0
+        self.ramp_start = 0.0
+        self.ramp_end = 0.0
+
+    def __eq__(self, other):
+        if type(other) is not MeterChannel:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in MeterChannel.__slots__)
 
     def amps_at(self, now: float) -> float:
         if self.relay is RelayState.OFF or self.ev is None:
@@ -189,7 +218,9 @@ def exceeds_limit(total_amps: float, limit_amps: float) -> bool:
     return total_amps > limit_amps + _CURRENT_TOL
 
 
-def _check_circuit(station: ChargingStation, outlet: int, amps: float) -> None:
+def check_circuit(station: ChargingStation, outlet: int, amps: float) -> None:
+    """Raise ``CircuitLimitError`` unless ``outlet`` can carry ``amps`` on a
+    live relay alongside the other live outlets' allocations."""
     others = ordered_sum(
         ch.allocated_amps
         for i, ch in enumerate(station.meters)
@@ -222,7 +253,7 @@ def apply_relay(station: ChargingStation, outlet: int, state: RelayState,
     """
     ch = station.channel(outlet)
     if state is RelayState.ON and ch.relay is RelayState.OFF:
-        _check_circuit(station, outlet, ch.allocated_amps)
+        check_circuit(station, outlet, ch.allocated_amps)
         ch.relay = RelayState.ON
         if ch.ev is not None:
             ch.ramp(0.0, now)
@@ -239,7 +270,7 @@ def set_current(station: ChargingStation, outlet: int, amps: float,
     if amps < 0:
         raise ValueError(f"allocation must be non-negative, got {amps!r}")
     if ch.relay is RelayState.ON:
-        _check_circuit(station, outlet, amps)
+        check_circuit(station, outlet, amps)
     ch.allocated_amps = amps
     if ch.relay is RelayState.ON and ch.ev is not None:
         ch.ramp(ch.amps_at(now), now)

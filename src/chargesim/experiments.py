@@ -11,19 +11,13 @@ through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from . import pic, proto, sched
 from .config import ConfigError, ExperimentConfig, from_dict
-from .control import (
-    change_duty_cycle,
-    compute_t_waiting,
-    current_to_duty,
-    select_algorithm_mode,
-)
+from .control import change_duty_cycle, compute_t_waiting, current_to_duty
 from .domain import (
     AlgorithmMode,
     ChargingStation,
@@ -43,20 +37,23 @@ from .sim import Engine, EventTrace, ordered_sum, read_trace, substream, substre
 MODE_BINS = 45
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
 class ExperimentOutput:
-    command: str
-    traces: list = field(default_factory=list)   # (name, EventTrace), records not kept
-    csvs: dict = field(default_factory=dict)     # filename -> (header tuple, rows)
-    summary: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    """A command's traces and what its fold made of them."""
+
+    __slots__ = ("command", "traces", "csvs", "summary", "checks")
+
+    def __init__(self, command: str, traces: list):
+        self.command = command
+        self.traces = traces     # (name, EventTrace), records not kept
+        self.csvs: dict = {}     # filename -> (header tuple, rows)
+        self.summary: dict = {}
+        self.checks: list = []
 
     @property
     def ok(self) -> bool:
@@ -534,7 +531,7 @@ class _DutyCycleFold:
 def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> float:
     spec = cfg.station
     # EVs arrive through the scenario's plug events, so start with bare outlets.
-    station = replace(spec, evs=[]).build()
+    station = spec._replace(evs=[]).build()
     evs = dict(spec.evs)
     rr = cfg.round_robin
     plugged: set = set()
@@ -591,7 +588,7 @@ def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> floa
             mode = spec.algorithm
             if mode is AlgorithmMode.NONE:
                 mode = AlgorithmMode.ROUND_ROBIN
-            select_algorithm_mode(station, mode)
+            station.local_algorithm = mode
             return {"mode": mode.value}
         eng.schedule_at(0.0, "mode-set", fn=set_mode)
 
@@ -608,16 +605,18 @@ def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> floa
     return cfg.duration_s
 
 
-@dataclass
 class _SchedCounts:
     """One local-sched variant's slot and scheduling-message tallies."""
 
-    slots: int = 0
-    changes: int = 0
-    cmds: int = 0
-    worst: Optional[float] = None   # the highest slot total so far
-    limit: Optional[float] = None   # the first slot's limit
-    violations: int = 0
+    __slots__ = ("slots", "changes", "cmds", "worst", "limit", "violations")
+
+    def __init__(self):
+        self.slots = 0
+        self.changes = 0
+        self.cmds = 0
+        self.worst: Optional[float] = None   # the highest slot total so far
+        self.limit: Optional[float] = None   # the first slot's limit
+        self.violations = 0
 
 
 class _LocalSchedFold:
@@ -675,8 +674,7 @@ class _LocalSchedFold:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A command's traces, each scheduled on a fresh engine by a named
     builder, and its fold: built from the config, handed every record as
     ``add(trace name, record)``, and asked for ``(csvs, summary, checks)``
@@ -755,8 +753,7 @@ def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
     return trace
 
 
-@dataclass
-class ReplayVerdict:
+class ReplayVerdict(NamedTuple):
     """A replay's three digests: the footer's (``expected_digest``), the
     file's own header and record lines' (``file_digest``) and the re-run's
     (``actual_digest``). The trace is identical only when all three agree."""

@@ -8,9 +8,8 @@ hours). Mixture draws use a 12-uniform near-Gaussian kernel instead of libm's
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .sim import ordered_sum
 
@@ -35,7 +34,6 @@ def _near_gauss(rng) -> float:
             + r() + r() + r() + r() + r() + r()) - 6.0
 
 
-@dataclass(frozen=True)
 class DiurnalProfile:
     """Hour-of-week multipliers applied to component locations.
 
@@ -43,49 +41,51 @@ class DiurnalProfile:
     the configured hard_max stays an honest bound at every hour.
     """
 
-    scale: tuple = tuple([1.0] * HOURS_PER_WEEK)
-    is_flat: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("scale", "is_flat")
 
-    def __post_init__(self):
-        if len(self.scale) != HOURS_PER_WEEK:
-            raise ValueError(f"diurnal profile needs {HOURS_PER_WEEK} hourly multipliers, got {len(self.scale)}")
-        for i, s in enumerate(self.scale):
+    def __init__(self, scale: tuple = (1.0,) * HOURS_PER_WEEK):
+        if len(scale) != HOURS_PER_WEEK:
+            raise ValueError(f"diurnal profile needs {HOURS_PER_WEEK} hourly multipliers, got {len(scale)}")
+        for i, s in enumerate(scale):
             if not 0.0 < s <= 1.0:
                 raise ValueError(f"diurnal multiplier [{i}] = {s!r} outside (0, 1]")
-        object.__setattr__(self, "is_flat", all(s == 1.0 for s in self.scale))
+        self.scale = scale
+        self.is_flat = all(s == 1.0 for s in scale)
+
+    def __eq__(self, other):
+        if type(other) is not DiurnalProfile:
+            return NotImplemented
+        return self.scale == other.scale
 
     def multiplier(self, at: float) -> float:
         return self.scale[int(at // 3600.0) % HOURS_PER_WEEK]
 
 
-@dataclass(frozen=True)
-class MixtureComponent:
+class MixtureComponent(NamedTuple):
     weight: float
     location: float
     spread: float
 
 
-@dataclass(frozen=True)
 class LatencyModel:
     """Delay distribution for one network segment.
 
     Every sampled value lies in (0, hard_max]. The component family is a
     clamped near-Gaussian; swap components in config for other shapes.
+    ``diurnal`` defaults to a flat profile.
     """
 
-    components: tuple
-    hard_max: float
-    diurnal: DiurnalProfile = field(default_factory=DiurnalProfile)
-    # (cumulative weight, location, spread) per component; the weights are
-    # added left to right, the order a plain per-draw sum adds them in
-    _table: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("components", "hard_max", "diurnal", "_table")
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple, hard_max: float,
+                 diurnal: DiurnalProfile | None = None):
+        if not components:
             raise ValueError("latency model needs at least one mixture component")
+        # (cumulative weight, location, spread) per component; the weights
+        # are added left to right, the order a plain per-draw sum adds them in
         total = 0.0
         table = []
-        for i, c in enumerate(self.components):
+        for i, c in enumerate(components):
             if c.weight <= 0:
                 raise ValueError(f"component [{i}] weight {c.weight!r} must be positive")
             if c.location < 0 or c.spread < 0:
@@ -94,9 +94,18 @@ class LatencyModel:
             table.append((total, c.location, c.spread))
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
-        if self.hard_max <= 0:
-            raise ValueError(f"hard_max {self.hard_max!r} must be positive")
-        object.__setattr__(self, "_table", tuple(table))
+        if hard_max <= 0:
+            raise ValueError(f"hard_max {hard_max!r} must be positive")
+        self.components = components
+        self.hard_max = hard_max
+        self.diurnal = DiurnalProfile() if diurnal is None else diurnal
+        self._table = tuple(table)
+
+    def __eq__(self, other):
+        if type(other) is not LatencyModel:
+            return NotImplemented
+        return ((self.components, self.hard_max, self.diurnal)
+                == (other.components, other.hard_max, other.diurnal))
 
     def sample(self, rng, at: float = 0.0) -> float:
         u = rng.random()
@@ -123,7 +132,6 @@ class LatencyModel:
         return ordered_sum(c.weight * c.location * mult for c in self.components)
 
 
-@dataclass(frozen=True)
 class TimingBudget:
     """Scalar timing symbols for analytic delay budgets.
 
@@ -132,22 +140,29 @@ class TimingBudget:
     collector's in-station hop to a meter.
     """
 
-    t_ethernet: float = 0.0
-    t_3g: float = 0.0
-    t_metering: float = 0.0
+    __slots__ = ("t_ethernet", "t_3g", "t_metering")
 
-    def __post_init__(self):
-        for name in ("t_ethernet", "t_3g", "t_metering"):
-            if getattr(self, name) < 0:
+    def __init__(self, t_ethernet: float = 0.0, t_3g: float = 0.0, t_metering: float = 0.0):
+        for name, value in (("t_ethernet", t_ethernet), ("t_3g", t_3g),
+                            ("t_metering", t_metering)):
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+        self.t_ethernet = t_ethernet
+        self.t_3g = t_3g
+        self.t_metering = t_metering
+
+    def __eq__(self, other):
+        if type(other) is not TimingBudget:
+            return NotImplemented
+        return ((self.t_ethernet, self.t_3g, self.t_metering)
+                == (other.t_ethernet, other.t_3g, other.t_metering))
 
     @property
     def t_3g_uplink(self) -> float:
         return 0.5 * self.t_3g
 
 
-@dataclass(frozen=True)
-class LinkModelSet:
+class LinkModelSet(NamedTuple):
     """The full set of segment models one experiment samples from.
 
     ``metering`` is the time a meter takes to produce a reading (its local
@@ -241,8 +256,7 @@ MODE_REL_HEIGHT = 0.05    # a peak reaches this fraction of the tallest bin
 MODE_VALLEY_RATIO = 0.5   # peaks merge unless the valley dips below this share
 
 
-@dataclass
-class Histogram:
+class Histogram(NamedTuple):
     edges: list
     counts: list
 

@@ -12,8 +12,8 @@ boundary.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .domain import ChargingStation, MeterSnapshot, RelayState, meter_snapshot
 from .latency import LatencyModel
@@ -35,8 +35,7 @@ class Opcode(Enum):
     REJECT = "reject"  # pseudo-opcode latched for malformed commands
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     opcode: object  # Opcode, or whatever garbage arrived on the line
     seq: int
     arg: object = None
@@ -54,27 +53,33 @@ class SerialLine:
         return Command(opcode=opcode, seq=self._seq, arg=arg)
 
 
-@dataclass
 class Flags:
     """The only state interrupt handlers may touch."""
 
-    push_data: bool = False
-    pending: deque = field(default_factory=deque)
-    overflows: int = 0
+    __slots__ = ("push_data", "pending", "overflows")
+
+    def __init__(self):
+        self.push_data = False
+        self.pending: deque = deque()
+        self.overflows = 0
 
 
-@dataclass
 class PicState:
-    registered_meters: list
-    cache: dict = field(default_factory=dict)       # MeterId -> MeterSnapshot
-    flags: Flags = field(default_factory=Flags)
-    push_period: float = 30.0
-    push_enabled: bool = True
-    serve_cache_mode: bool = False
-    phase: Phase = Phase.INIT
-    packet_seq: int = 0
-    diagnostics: list = field(default_factory=list)
-    overflows_noted: int = 0  # how many queue drops the main loop has logged
+    __slots__ = ("registered_meters", "cache", "flags", "push_period", "push_enabled",
+                 "serve_cache_mode", "phase", "packet_seq", "diagnostics", "overflows_noted")
+
+    def __init__(self, registered_meters: list, push_period: float = 30.0,
+                 push_enabled: bool = True, serve_cache_mode: bool = False):
+        self.registered_meters = registered_meters
+        self.cache: dict = {}       # MeterId -> MeterSnapshot
+        self.flags = Flags()
+        self.push_period = push_period
+        self.push_enabled = push_enabled
+        self.serve_cache_mode = serve_cache_mode
+        self.phase = Phase.INIT
+        self.packet_seq = 0
+        self.diagnostics: list = []
+        self.overflows_noted = 0  # how many queue drops the main loop has logged
 
 
 class StartupError(RuntimeError):
@@ -175,7 +180,7 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
             cost = BUS_READ_TIMEOUT_S
             old = cache.get(mid)
             if old is not None:
-                snap = replace(old, fault="bus-timeout")
+                snap = old.with_fault("bus-timeout")
             else:
                 snap = MeterSnapshot(
                     meter=mid, volts=0.0, amps=0.0, relay=RelayState.OFF,
@@ -258,8 +263,7 @@ def main_loop_step(state: PicState, bus: MeterBus, uplink=None, now: float = 0.0
     return messages
 
 
-@dataclass
-class PicEndpoint:
+class PicEndpoint(NamedTuple):
     """What the aggregated-pull protocol talks to: the collector's state plus
     its meter bus."""
 

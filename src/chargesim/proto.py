@@ -7,9 +7,8 @@ shapes are documented in docs/wire.md.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .domain import ChargingStation, MeterId, MeterSnapshot, meter_snapshot
 from .latency import LinkModelSet, TimingBudget
@@ -31,19 +30,21 @@ _REQUEST_KIND = {True: MessageKind.METER_POWER_REQ, False: MessageKind.METER_STA
 _RESPONSE_KIND = {True: MessageKind.METER_POWER_RESP, False: MessageKind.METER_STATUS_RESP}
 
 
-@dataclass
 class Message:
-    kind: MessageKind
-    station: int
-    meter: Optional[MeterId] = None
-    payload: object = None
-    seq: int = 0
-    sent_at: float = 0.0
-    received_at: float = 0.0
+    __slots__ = ("kind", "station", "meter", "payload", "seq", "sent_at", "received_at")
 
-    def __post_init__(self):
-        if self.received_at and self.received_at < self.sent_at:
+    def __init__(self, kind: MessageKind, station: int, meter: Optional[MeterId] = None,
+                 payload: object = None, seq: int = 0, sent_at: float = 0.0,
+                 received_at: float = 0.0):
+        if received_at and received_at < sent_at:
             raise ValueError("received_at precedes sent_at")
+        self.kind = kind
+        self.station = station
+        self.meter = meter
+        self.payload = payload
+        self.seq = seq
+        self.sent_at = sent_at
+        self.received_at = received_at  # set on arrival
 
     def to_record(self) -> dict:
         rec: dict = {
@@ -80,7 +81,6 @@ def make_aggregate_packet(station_id: int, snapshots, seq: int, sent_at: float) 
     )
 
 
-@dataclass
 class RetrievalResult:
     """Outcome of one retrieval as seen from the server.
 
@@ -88,15 +88,20 @@ class RetrievalResult:
     request ends in exactly one terminal outcome.
     """
 
-    snapshots: dict = field(default_factory=dict)   # MeterId -> MeterSnapshot | None
-    wall_time: float = 0.0
-    request_count: int = 0
-    staleness: dict = field(default_factory=dict)   # MeterId -> seconds
-    errors: list = field(default_factory=list)      # (MeterId | None, marker) per failed request
-    responses: int = 0
-    # each wire Message's field tuple, in emission order; a caller that reads
-    # no messages pays for none
-    log: list = field(default_factory=list, repr=False, compare=False)
+    __slots__ = ("snapshots", "wall_time", "request_count", "staleness", "errors", "responses",
+                 "log")
+
+    def __init__(self, snapshots: dict, wall_time: float, request_count: int, staleness: dict,
+                 errors: list, responses: int, log: list):
+        self.snapshots = snapshots          # MeterId -> MeterSnapshot | None
+        self.wall_time = wall_time
+        self.request_count = request_count
+        self.staleness = staleness          # MeterId -> seconds
+        self.errors = errors                # (MeterId | None, marker) per failed request
+        self.responses = responses
+        # each wire Message's field tuple, in emission order; a caller that
+        # reads no messages pays for none
+        self.log = log
 
     @property
     def messages(self) -> list:
@@ -192,7 +197,9 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
             snapshots=dict.fromkeys(station.meter_ids),
             wall_time=timeout_s,
             request_count=1,
+            staleness={},
             errors=[(None, "timeout")],
+            responses=0,
             log=[(MessageKind.AGGREGATE_REQ, sid, None, None, 1, at),
                  (MessageKind.ERROR, sid, None, {"reason": "timeout"}, 1, at, at + timeout_s)],
         )
@@ -256,8 +263,7 @@ class ServerStore:
         return {} if record is None else staleness(record.snapshots, now)
 
 
-@dataclass
-class _StationRecord:
+class _StationRecord(NamedTuple):
     """Latest per-station server-side state."""
 
     snapshots: dict

@@ -8,8 +8,7 @@ effect at the next slot boundary rather than thrashing relays mid-slot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .domain import AlgorithmMode, exceeds_limit
 from .sim import ordered_sum
@@ -17,15 +16,13 @@ from .sim import ordered_sum
 SECONDS_PER_DAY = 86400.0
 
 
-@dataclass(frozen=True)
-class RoundRobinConfig:
+class RoundRobinConfig(NamedTuple):
     slot_length_s: float = 900.0
     max_concurrent: int = 1
     per_active_current: float = 16.0
 
 
-@dataclass(frozen=True)
-class ChargeWindow:
+class ChargeWindow(NamedTuple):
     """Daily window in seconds-of-day; start > end wraps past midnight and
     start == end is empty."""
 
@@ -41,8 +38,7 @@ class ChargeWindow:
         return time_of_day >= self.start_s or time_of_day < self.end_s
 
 
-@dataclass(frozen=True)
-class ScheduleTimeConfig:
+class ScheduleTimeConfig(NamedTuple):
     """Per-outlet lists of daily charge windows; the first window matching
     the current time of day wins."""
 

@@ -32,8 +32,7 @@ import heapq
 import itertools
 import json
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 TRACE_FORMAT = "chargesim-trace/1"
 BLOCK_RECORDS = 256  # records an EventTrace gathers before it encodes them
@@ -246,8 +245,7 @@ class EventTrace:
             self._file = self._write = None
 
 
-@dataclass
-class ParsedTrace:
+class ParsedTrace(NamedTuple):
     """A trace file's header, its footer's stored digest, and the SHA-256 of
     the header and record lines as read (``digest``): the two agree unless
     the file was edited after it was written."""

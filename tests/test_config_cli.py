@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -94,6 +93,21 @@ class TestConfig:
                               text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_start_up_loads_neither_dataclasses_nor_inspect(self, tmp_path):
+        # every CLI run imports the package afresh; generating dataclass
+        # methods and importing `dataclasses` (which loads `inspect`) took
+        # about a fifth of that start-up
+        path = tmp_path / "exp.json"
+        path.write_text('{"seed": 3}')
+        script = ("import sys; import chargesim.cli; from chargesim.config import resolve; "
+                  "resolve(config_path=sys.argv[1]); "
+                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", script, str(path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_bytes(b"seed: \xff\n")
@@ -178,7 +192,7 @@ class TestConfig:
 
     def test_empty_config_builds_the_default_config(self):
         # every default is written once, in the schema
-        assert replace(from_dict({}), raw=None) == replace(resolve("default"), raw=None)
+        assert from_dict({})._replace(raw=None) == resolve("default")._replace(raw=None)
 
     def test_schedule_outlet_keys_load_as_integers(self):
         # JSON config files and trace headers carry outlet keys as strings

@@ -1,5 +1,7 @@
 """Controller tests: waiting-time arithmetic, duty mapping, change/verify
 round trips, mode selection."""
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,11 +12,11 @@ from chargesim.control import (
     compute_t_waiting,
     current_to_duty,
     duty_to_current,
-    select_algorithm_mode,
 )
 from chargesim.domain import (
     AlgorithmMode,
     ChargingStation,
+    CircuitLimitError,
     EvModel,
     NoEvError,
     RelayState,
@@ -148,6 +150,19 @@ class TestChangeDutyCycle:
             change_duty_cycle(station, 0, 50.0,
                               duty_links(), substream(1, "d"), BUDGET_5S)
 
+    def test_refused_change_on_a_cut_outlet_leaves_it_untouched(self):
+        # outlet 0 draws 30 A of the 40 A circuit; a 24 A change on outlet 1,
+        # whose relay is off, would turn it on at 54 A
+        station = station_with_ev(amps=30.0)
+        plug_ev(station, 1, EvModel(), 0.0)
+        before = copy.copy(station.channel(1))
+        with pytest.raises(CircuitLimitError, match="54.000 A would exceed"):
+            change_duty_cycle(station, 1, current_to_duty(24.0),
+                              duty_links(), substream(1, "d"), BUDGET_5S)
+        assert station.channel(1) == before
+        assert station.channel(1).allocated_amps == 0.0
+        assert station.channel(1).relay is RelayState.OFF
+
     def test_confirmation_soundness(self):
         # a confirmed outcome means the measured current is within tolerance
         for target in (6.0, 16.0, 24.0, 32.0):
@@ -159,11 +174,6 @@ class TestChangeDutyCycle:
 
 
 class TestStoreAndModes:
-    def test_select_mode_updates_station(self):
-        station = ChargingStation(station_id=3, circuit_limit=40.0)
-        select_algorithm_mode(station, AlgorithmMode.ROUND_ROBIN)
-        assert station.local_algorithm is AlgorithmMode.ROUND_ROBIN
-
     def test_mode_change_mid_cycle_takes_effect_next_boundary(self):
         # three EVs charging under a server-pushed allocation; switching to
         # the local algorithm mid-slot must not disturb the running slot,
@@ -189,7 +199,7 @@ class TestStoreAndModes:
 
         apply(round_robin_step(rr, plugged, 0.0), 0.0)
         in_force = {o: station.meters[o].allocated_amps for o in plugged}
-        select_algorithm_mode(station, AlgorithmMode.ROUND_ROBIN)
+        station.local_algorithm = AlgorithmMode.ROUND_ROBIN
         assert {o: station.meters[o].allocated_amps for o in plugged} == in_force
         apply(round_robin_step(rr, plugged, 900.0), 900.0)
         after = {o: station.meters[o].allocated_amps for o in plugged}

@@ -181,6 +181,20 @@ class TestSampling:
                 hard_max=5.0,
             )
 
+    @pytest.mark.parametrize("components, hard_max, message", [
+        ((), 5.0, "latency model needs at least one mixture component"),
+        ((MixtureComponent(1.0, -0.1, 0.1),), 5.0,
+         r"component \[0\] location/spread must be non-negative"),
+        ((MixtureComponent(0.5, 1.0, 0.1), MixtureComponent(0.5, 1.0, -0.1)), 5.0,
+         r"component \[1\] location/spread must be non-negative"),
+        ((MixtureComponent(1.0, 1.0, 0.1),), 0.0, r"hard_max 0\.0 must be positive"),
+        ((MixtureComponent(1.0, 1.0, 0.1),), -1.0, r"hard_max -1\.0 must be positive"),
+    ], ids=["no-components", "negative-location", "negative-spread", "zero-hard-max",
+            "negative-hard-max"])
+    def test_invalid_model_rejected_with_its_reason(self, components, hard_max, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LatencyModel(components=components, hard_max=hard_max)
+
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_samples_always_in_support(self, seed):
         model = threeg_default()
