@@ -1,8 +1,9 @@
 """Command-line harness for the charging testbed.
 
 One subcommand per entry of ``experiments.COMMANDS``, plus replay. Exit
-codes: 0 success, 2 config or trace-file error, 3 failed checks (--check), a
-truncated trace or a diverged replay.
+codes: 0 success, 2 config, trace-file or output error (``--out`` cannot
+be written), 3 failed checks (--check), a truncated trace or a diverged
+replay.
 """
 from __future__ import annotations
 
@@ -135,11 +136,14 @@ def main(argv=None) -> int:
     try:
         cfg = resolve(preset=args.preset, config_path=args.config, overrides=overrides)
         out = _RUNNERS[args.command](cfg, args.out)
+        _emit(out, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
-    _emit(out, args.out, args.format)
     if out.truncated or (args.check and not out.ok):
         failed = ", ".join(c.name for c in out.checks if not c.ok)
         print(f"checks failed: {failed}", file=sys.stderr)

@@ -47,29 +47,23 @@ class MeterId(NamedTuple):
 class MeterSnapshot:
     """One outlet's current sample plus relay state, the atom of all telemetry."""
 
-    __slots__ = ("meter", "volts", "amps", "relay", "captured_at", "fault")
+    __slots__ = ("meter", "volts", "amps", "relay", "captured_at")
 
     def __init__(self, meter: MeterId, volts: float, amps: float, relay: RelayState,
-                 captured_at: float, fault: Optional[str] = None):
+                 captured_at: float):
         self.meter = meter
         self.volts = volts
         self.amps = amps
         self.relay = relay
         self.captured_at = captured_at
-        self.fault = fault
 
     def __eq__(self, other):
         if type(other) is not MeterSnapshot:
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in MeterSnapshot.__slots__)
 
-    def with_fault(self, fault: Optional[str]) -> MeterSnapshot:
-        """This reading marked with ``fault`` (None clears the mark)."""
-        return MeterSnapshot(self.meter, self.volts, self.amps, self.relay, self.captured_at,
-                             fault)
-
     def to_record(self) -> dict:
-        rec = {
+        return {
             "station": self.meter.station,
             "outlet": self.meter.outlet,
             "volts": self.volts,
@@ -77,9 +71,6 @@ class MeterSnapshot:
             "relay": self.relay.value,
             "captured_at": self.captured_at,
         }
-        if self.fault is not None:
-            rec["fault"] = self.fault
-        return rec
 
 
 class EvModel:

@@ -192,13 +192,12 @@ class _RttDistFold:
 # --------------------------------------------------------------------------
 
 
-def _collector(eng: Engine, cfg: ExperimentConfig, station: ChargingStation, stream: str,
-               push_enabled: bool) -> pic.PicEndpoint:
+def _collector(eng: Engine, cfg: ExperimentConfig, station: ChargingStation,
+               stream: str) -> pic.PicEndpoint:
     """A started collector on ``station``, its meter bus drawing from the
     engine's stream named ``stream``."""
     bus = pic.MeterBus(station, cfg.links.local_bus, cfg.links.metering, eng.stream(stream))
-    state = pic.startup_init(bus, push_period=cfg.push_period_s,
-                             push_enabled=push_enabled, serve_cache=cfg.serve_cache)
+    state = pic.startup_init(bus, push_period=cfg.push_period_s, serve_cache=cfg.serve_cache)
     return pic.PicEndpoint(state=state, bus=bus)
 
 
@@ -220,7 +219,7 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig, station: ChargingSt
         set_current(station, outlet, per_ev, 0.0)
         apply_relay(station, outlet, RelayState.ON, 0.0)
     sid = station.station_id
-    collector = _collector(eng, cfg, station, f"bus:{sid}", push_enabled=True)
+    collector = _collector(eng, cfg, station, f"bus:{sid}")
     uplink_rng = eng.stream(f"uplink:{sid}")
     store = proto.ServerStore()
 
@@ -268,7 +267,7 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
 
     # Aggregated-pull endpoint with its own periodic collection keeping the
     # cache fresh, so pulls are served without a metering term.
-    endpoint = _collector(eng, cfg, station, "pull-bus", push_enabled=False)
+    endpoint = _collector(eng, cfg, station, "pull-bus")
 
     def refresh(at, data):
         duration = pic.collect_all(endpoint.state, endpoint.bus, at)

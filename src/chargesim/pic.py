@@ -15,12 +15,11 @@ from collections import deque
 from enum import Enum
 from typing import NamedTuple
 
-from .domain import ChargingStation, MeterSnapshot, RelayState, meter_snapshot
+from .domain import ChargingStation, meter_snapshot
 from .latency import LatencyModel
 from .proto import Message, MessageKind, make_aggregate_packet
 
 COMMAND_QUEUE_DEPTH = 4
-BUS_READ_TIMEOUT_S = 2.0  # charged to a collection sweep per dead meter
 
 
 class Phase(Enum):
@@ -30,8 +29,6 @@ class Phase(Enum):
 
 class Opcode(Enum):
     POWER_INFO_REQUEST = "power_info_request"
-    SET_PUSH_PERIOD = "set_push_period"
-    SET_PUSH_ENABLED = "set_push_enabled"
     REJECT = "reject"  # pseudo-opcode latched for malformed commands
 
 
@@ -65,16 +62,15 @@ class Flags:
 
 
 class PicState:
-    __slots__ = ("registered_meters", "cache", "flags", "push_period", "push_enabled",
-                 "serve_cache_mode", "phase", "packet_seq", "diagnostics", "overflows_noted")
+    __slots__ = ("registered_meters", "cache", "flags", "push_period", "serve_cache_mode",
+                 "phase", "packet_seq", "diagnostics", "overflows_noted")
 
     def __init__(self, registered_meters: list, push_period: float = 30.0,
-                 push_enabled: bool = True, serve_cache_mode: bool = False):
+                 serve_cache_mode: bool = False):
         self.registered_meters = registered_meters
         self.cache: dict = {}       # MeterId -> MeterSnapshot
         self.flags = Flags()
         self.push_period = push_period
-        self.push_enabled = push_enabled
         self.serve_cache_mode = serve_cache_mode
         self.phase = Phase.INIT
         self.packet_seq = 0
@@ -82,62 +78,34 @@ class PicState:
         self.overflows_noted = 0  # how many queue drops the main loop has logged
 
 
-class StartupError(RuntimeError):
-    """A meter slot did not answer during startup registration."""
-
-    def __init__(self, outlet: int):
-        super().__init__(f"meter slot {outlet} unreachable during startup")
-        self.outlet = outlet
-
-
-class BusTimeout(RuntimeError):
-    """A registered meter did not answer a read."""
-
-    def __init__(self, outlet: int):
-        super().__init__(f"meter slot {outlet} timed out")
-        self.outlet = outlet
-
-
 class MeterBus:
     """The collector's access path to its station's meters.
 
     Reads cost one in-station hop plus the meter's reading time, both drawn
-    from the given models. ``dead_outlets`` injects faults: dead slots fail
-    discovery and time out on reads.
+    from the given models; every meter always answers.
     """
 
     def __init__(self, station: ChargingStation, local_bus_model: LatencyModel,
-                 metering_model: LatencyModel, rng, dead_outlets=()):
+                 metering_model: LatencyModel, rng):
         self.station = station
         self.local_bus_model = local_bus_model
         self.metering_model = metering_model
         self.rng = rng
-        self.dead_outlets = set(dead_outlets)
-        self.reads = 0
-
-    def discover(self) -> list:
-        for outlet in range(len(self.station.meters)):
-            if outlet in self.dead_outlets:
-                raise StartupError(outlet)
-        return list(self.station.meter_ids)
 
     def read(self, outlet: int, at: float):
-        """Returns (snapshot, cost_seconds); raises BusTimeout on a dead slot."""
-        self.reads += 1
-        if outlet in self.dead_outlets:
-            raise BusTimeout(outlet)
+        """Returns (snapshot, cost_seconds): the snapshot is taken when the
+        read completes."""
         rng = self.rng
         cost = self.local_bus_model.sample(rng, at) + self.metering_model.sample(rng, at)
         return meter_snapshot(self.station, outlet, at + cost), cost
 
 
-def startup_init(bus: MeterBus, push_period: float = 30.0, push_enabled: bool = True,
+def startup_init(bus: MeterBus, push_period: float = 30.0,
                  serve_cache: bool = False) -> PicState:
-    """Power-on initialization: arm interrupts, register every discovered
-    meter, and settle into the idle phase."""
-    state = PicState(registered_meters=[], push_period=push_period,
-                     push_enabled=push_enabled, serve_cache_mode=serve_cache)
-    state.registered_meters = bus.discover()
+    """Power-on initialization: arm interrupts, register every meter of the
+    bus's station, and settle into the idle phase."""
+    state = PicState(registered_meters=list(bus.station.meter_ids), push_period=push_period,
+                     serve_cache_mode=serve_cache)
     state.phase = Phase.IDLE
     return state
 
@@ -163,29 +131,18 @@ def on_timer_interrupt(state: PicState) -> None:
 
 
 def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
-    """Refresh the cache for every registered meter; returns the total
-    collection duration (sum of per-meter hop + read costs).
+    """Refresh the cache for every registered meter, one read after the
+    other; returns the total collection duration (sum of per-meter hop +
+    read costs).
 
-    A meter that times out keeps its previous cached snapshot, marked stale;
-    the sweep still completes. A duration at or above the push period gets a
-    budget-violation diagnostic, since collection must fit between ticks.
+    A duration at or above the push period gets a budget-violation
+    diagnostic, since collection must fit between ticks.
     """
     t = now
     cache = state.cache
     read = bus.read
     for mid in state.registered_meters:
-        try:
-            snap, cost = read(mid.outlet, t)
-        except BusTimeout:
-            cost = BUS_READ_TIMEOUT_S
-            old = cache.get(mid)
-            if old is not None:
-                snap = old.with_fault("bus-timeout")
-            else:
-                snap = MeterSnapshot(
-                    meter=mid, volts=0.0, amps=0.0, relay=RelayState.OFF,
-                    captured_at=0.0, fault="bus-timeout",
-                )
+        snap, cost = read(mid.outlet, t)
         cache[mid] = snap
         t += cost
     duration = t - now
@@ -234,21 +191,11 @@ def main_loop_step(state: PicState, bus: MeterBus, uplink=None, now: float = 0.0
             t += cost
             messages.append(make_aggregate_packet(
                 bus.station.station_id, snapshots, seq=cmd.seq, sent_at=t))
-        elif cmd.opcode is Opcode.SET_PUSH_PERIOD:
-            state.push_period = float(cmd.arg)
-            messages.append(Message(
-                kind=MessageKind.SETUP_ACK, station=bus.station.station_id,
-                payload={"push_period": state.push_period}, seq=cmd.seq, sent_at=t))
-        elif cmd.opcode is Opcode.SET_PUSH_ENABLED:
-            state.push_enabled = bool(cmd.arg)
-            messages.append(Message(
-                kind=MessageKind.SETUP_ACK, station=bus.station.station_id,
-                payload={"push_enabled": state.push_enabled}, seq=cmd.seq, sent_at=t))
         else:
             messages.append(Message(
                 kind=MessageKind.ERROR, station=bus.station.station_id,
                 payload={"reason": f"unknown opcode {cmd.arg!r}"}, seq=cmd.seq, sent_at=t))
-    if state.flags.push_data and state.push_enabled:
+    if state.flags.push_data:
         t += collect_all(state, bus, t)
         state.packet_seq += 1
         packet = make_aggregate_packet(
@@ -258,8 +205,6 @@ def main_loop_step(state: PicState, bus: MeterBus, uplink=None, now: float = 0.0
             uplink(packet)
         messages.append(packet)
         state.flags.push_data = False
-    elif state.flags.push_data and not state.push_enabled:
-        state.flags.push_data = False  # pushing disabled: tick consumed, nothing sent
     return messages
 
 

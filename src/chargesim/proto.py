@@ -21,7 +21,6 @@ class MessageKind(Enum):
     METER_STATUS_RESP = "meter_status_resp"
     AGGREGATE_REQ = "aggregate_req"
     AGGREGATE_PACKET = "aggregate_packet"
-    SETUP_ACK = "setup_ack"
     ERROR = "error"
 
 

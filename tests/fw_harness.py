@@ -32,14 +32,13 @@ def fixed_model(location, hard_max=None):
     )
 
 
-def make_bus(outlets=4, dead=(), local_bus=0.001, metering=0.2):
+def make_bus(outlets=4, local_bus=0.001, metering=0.2):
     station = ChargingStation(station_id=0, circuit_limit=80.0, outlets=outlets)
     for outlet in range(outlets):
         plug_ev(station, outlet, EvModel(), 0.0)
         set_current(station, outlet, 16.0, 0.0)
         apply_relay(station, outlet, RelayState.ON, 0.0)
-    return MeterBus(station, fixed_model(local_bus), fixed_model(metering),
-                    substream(0, "bus"), dead_outlets=dead)
+    return MeterBus(station, fixed_model(local_bus), fixed_model(metering), substream(0, "bus"))
 
 
 def state_fingerprint(state: PicState):
@@ -48,7 +47,6 @@ def state_fingerprint(state: PicState):
         tuple(state.registered_meters),
         tuple(sorted((m, s.captured_at, s.amps) for m, s in state.cache.items())),
         state.push_period,
-        state.push_enabled,
         state.serve_cache_mode,
         state.phase,
         state.packet_seq,
@@ -57,13 +55,13 @@ def state_fingerprint(state: PicState):
     )
 
 
-def run_interleaving(order, step_mask, push_enabled=True):
+def run_interleaving(order, step_mask):
     """Run one interleaving of commands ('C') and ticks ('T'); after event i
     a main-loop step runs when step_mask has bit i, and trailing steps flush
     whatever is left. Returns (actual response seqs, expected response seqs,
     push count)."""
     bus = make_bus(local_bus=1e-6, metering=1e-6)
-    state = startup_init(bus, push_enabled=push_enabled)
+    state = startup_init(bus)
     line = SerialLine()
     responses = []
     expected_responses = []
@@ -77,7 +75,7 @@ def run_interleaving(order, step_mask, push_enabled=True):
         now += 1.0
         msgs = main_loop_step(state, bus, now=now)
         n_cmds = len(ref_pending)
-        expected_push = 1 if (ref_flag and push_enabled) else 0
+        expected_push = 1 if ref_flag else 0
         assert len(msgs) == n_cmds + expected_push, (order, step_mask, msgs)
         cmd_msgs, push_msgs = msgs[:n_cmds], msgs[n_cmds:]
         responses.extend(m.seq for m in cmd_msgs)

@@ -478,3 +478,20 @@ class TestCli:
                    "--out", str(tmp_path), "--format", "svg"])
         assert rc == 0
         assert (tmp_path / "hist_threeg.svg").exists()
+
+    @pytest.mark.parametrize("blocked", ["out", "out/summary.txt"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, blocked):
+        # a regular file where the output directory goes stops the run before
+        # its trace; a directory where summary.txt goes stops the output after
+        blocker = tmp_path / blocked
+        if blocked == "out":
+            blocker.write_text("not a directory")
+        else:
+            blocker.mkdir(parents=True)
+        rc = main(["rtt-dist", "--duration", "600", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert "Traceback" not in err
+        if blocked == "out":
+            assert blocker.read_text() == "not a directory"

@@ -138,12 +138,6 @@ class TestMeterIdentity:
     def test_meter_id_repr(self):
         assert repr(MeterId(station=0, outlet=1)) == "MeterId(station=0, outlet=1)"
 
-    def test_replace_marks_a_snapshot_faulty(self):
-        snap = meter_snapshot(make_station(), 1, 5.0)
-        faulty = snap.with_fault("bus-timeout")
-        assert faulty.fault == "bus-timeout" and snap.fault is None
-        assert faulty.with_fault(None) == snap
-
     def test_snapshot_rejects_a_misspelt_field(self):
         snap = meter_snapshot(make_station(), 0, 0.0)
         with pytest.raises(AttributeError):

@@ -1,4 +1,5 @@
 """Experiment harness tests: trace-derived metrics, determinism, replay."""
+import csv
 import json
 import tracemalloc
 from unittest import mock
@@ -140,6 +141,28 @@ class TestCompareProtocols:
         trial_records = [r for r in records if r["kind"] == "trial"]
         header, rows = out.csvs["retrievals.csv"]
         assert len(rows) == 4 * len(trial_records)
+
+    def test_uncached_pulls_pay_one_fresh_sweep(self, tmp_path, capsys):
+        # with serve_cache false every pull runs collect_all; the trial's
+        # uplink draws are the same, so each pull is slower by that sweep
+        config = tmp_path / "uncached.json"
+        config.write_text(json.dumps({"serve_cache": False}))
+        pic_wall = {}
+        for name, extra in (("cached", []), ("uncached", ["--config", str(config)])):
+            out_dir = tmp_path / name
+            rc = main(["compare-protocols", "--trials", "200", "--seed", "1", "--check",
+                       "--out", str(out_dir), *extra])
+            assert rc == 0, capsys.readouterr().err
+            with open(out_dir / "retrievals.csv", newline="") as fh:
+                pic_wall[name] = {int(r["trial"]): float(r["wall_s"])
+                                  for r in csv.DictReader(fh) if r["protocol"] == "pic_pull"}
+        cfg = resolve("default")
+        sweep_max = cfg.station.outlets * (cfg.links.local_bus.hard_max
+                                           + cfg.links.metering.hard_max)
+        assert sorted(pic_wall["uncached"]) == sorted(pic_wall["cached"]) == list(range(200))
+        for trial, cached in pic_wall["cached"].items():
+            assert 0 < pic_wall["uncached"][trial] - cached <= sweep_max, trial
+        assert cmd_replay(tmp_path / "uncached" / "trace.jsonl").identical
 
 
 class TestDutyCycle:
