@@ -392,6 +392,23 @@ class TestCli:
         assert "config error: schedule_time: 80.0 A at 0 s-of-day exceeds" in err
         assert not (tmp_path / "trace_server.jsonl").exists()
 
+    @pytest.mark.parametrize("duration, config", [
+        # one slot, at t = 0, before any EV plugs in
+        (200.0, None),
+        (86400.0, {"fleet": {"stations": [{"id": 0, "evs": []}]}}),
+    ], ids=["before-any-plug", "no-evs"])
+    def test_local_sched_without_allocation_changes_passes_its_checks(
+            self, tmp_path, capsys, duration, config):
+        argv = ["local-sched", "--duration", str(duration), "--check", "--out", str(tmp_path)]
+        if config is not None:
+            cfg = tmp_path / "sched.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "check server-traffic-per-change: PASS (0 messages for 0 allocation changes)" \
+            in summary
+
     def test_station_without_outlets_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "outlets.yaml"
         cfg.write_text(yaml.safe_dump({"fleet": {"stations": [{"id": 0, "outlets": 0}]}}))

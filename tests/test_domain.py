@@ -12,12 +12,22 @@ from chargesim.domain import (
     MeterId,
     RelayState,
     allocated_current_total,
+    apply_allocation,
     apply_relay,
+    check_circuit,
     ev_settle_time,
     meter_snapshot,
     plug_ev,
     set_current,
     unplug_ev,
+)
+from chargesim.sched import (
+    SECONDS_PER_DAY,
+    ChargeWindow,
+    RoundRobinConfig,
+    ScheduleTimeConfig,
+    round_robin_step,
+    schedule_time_step,
 )
 
 
@@ -39,8 +49,14 @@ class TestSettleTime:
         assert ev_settle_time(ev, 8.0, 16.0) == pytest.approx(2.25, abs=1e-12)
 
     def test_out_of_range_current_raises(self):
-        with pytest.raises(ValueError):
-            ev_settle_time(EvModel(max_current=32.0), 0.0, 33.0)
+        ev = EvModel(max_current=32.0)
+        with pytest.raises(ValueError, match=r"^i_final=33\.0 outside \[0, 32\.0\]$"):
+            ev_settle_time(ev, 0.0, 33.0)
+        with pytest.raises(ValueError, match=r"^i_init=-1\.0 outside \[0, 32\.0\]$"):
+            ev_settle_time(ev, -1.0, 16.0)
+        # both out of range: i_init is checked first
+        with pytest.raises(ValueError, match=r"^i_init=33\.0 "):
+            ev_settle_time(ev, 33.0, -1.0)
 
     @given(
         a=st.floats(min_value=0.0, max_value=32.0),
@@ -165,12 +181,13 @@ class TestAllocatedTotal:
                 set_current(st_, outlet, rng.uniform(0, 30), 0.0)
                 if rng.random() < 0.5:
                     apply_relay(st_, outlet, RelayState.ON, 0.0)
-            # oracle: explicit per-outlet walk
-            expected = 0.0
+            # oracle: explicit per-outlet walk, left to right from the integer 0
+            # (never sum(), which is compensated from Python 3.12 on)
+            expected = 0
             for ch in st_.meters:
                 if ch.relay is RelayState.ON:
                     expected += ch.allocated_amps
-            assert allocated_current_total(st_) == pytest.approx(expected, abs=1e-12)
+            assert allocated_current_total(st_) == expected
 
 
 class TestCircuitSafety:
@@ -192,6 +209,19 @@ class TestCircuitSafety:
         set_current(st_, 1, 16.0, 0.0)
         with pytest.raises(CircuitLimitError):
             apply_relay(st_, 1, RelayState.ON, 0.0)
+
+    def test_a_load_that_fills_the_limit_exactly_is_accepted(self):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right: within the margin
+        st_ = make_station(limit=0.6)
+        for outlet, amps in ((0, 0.1), (1, 0.2)):
+            plug_ev(st_, outlet, EvModel(), 0.0)
+            set_current(st_, outlet, amps, 0.0)
+            apply_relay(st_, outlet, RelayState.ON, 0.0)
+        check_circuit(st_, 2, 0.3)
+        with pytest.raises(CircuitLimitError) as refused:
+            check_circuit(st_, 2, 0.31)
+        assert str(refused.value) == ("station 0: 0.610 A would exceed the 0.600 A "
+                                      "circuit limit")
 
     def test_total_never_exceeds_limit_under_random_load(self):
         rng = random.Random(23)
@@ -273,3 +303,79 @@ class TestPureReads:
         with pytest.raises(ValueError):
             set_current(st_, 0, -1.0, 4.0)
         assert st_.meters == before
+
+
+def _reference_apply(station, alloc, now):
+    """Slot application written out per outlet over a ``targets`` dict: the
+    reference that ``apply_allocation`` must match write for write."""
+    targets = {outlet: alloc.get(outlet, 0.0) for outlet in range(len(station.meters))}
+    for outlet, amps in targets.items():
+        ch = station.meters[outlet]
+        if ch.relay is RelayState.ON and amps < ch.allocated_amps:
+            if amps == 0.0:
+                apply_relay(station, outlet, RelayState.OFF, now)
+            set_current(station, outlet, amps, now)
+    for outlet, amps in targets.items():
+        if amps > 0.0:
+            set_current(station, outlet, amps, now)
+            if station.meters[outlet].relay is RelayState.OFF:
+                apply_relay(station, outlet, RelayState.ON, now)
+
+
+def _refusal(apply, station, alloc, now):
+    """The ``CircuitLimitError`` message of one slot application, or None."""
+    try:
+        apply(station, alloc, now)
+    except CircuitLimitError as exc:
+        return str(exc)
+    return None
+
+
+class TestApplyAllocation:
+    def test_matches_the_per_outlet_reference(self):
+        rng = random.Random(31)
+        refused = applied = 0
+        for _ in range(80):
+            outlets = rng.randint(1, 6)
+            limit = rng.choice([0.6, 16.0, 32.0, 40.0])
+            fast, ref = make_station(outlets, limit), make_station(outlets, limit)
+            rr = RoundRobinConfig(slot_length_s=300.0, max_concurrent=rng.randint(1, 3),
+                                  per_active_current=rng.choice([0.1, 0.2, 8.0, 16.0]))
+            windows = ScheduleTimeConfig({
+                outlet: (ChargeWindow(rng.uniform(0, SECONDS_PER_DAY),
+                                      rng.uniform(0, SECONDS_PER_DAY),
+                                      rng.choice([0.1, 0.2, 0.3, rng.uniform(0, 20)])),)
+                for outlet in range(outlets)})
+            evs = [EvModel(max_current=rng.choice([10.0, 32.0])) for _ in range(outlets)]
+            plugged = set()
+            now = 0.0
+            for _ in range(40):
+                # a plug change lands between two slots
+                outlet = rng.randrange(outlets)
+                at = now + rng.uniform(0.0, 300.0)
+                if outlet in plugged and rng.random() < 0.3:
+                    plugged.discard(outlet)
+                    for station in (fast, ref):
+                        unplug_ev(station, outlet, at)
+                elif outlet not in plugged:
+                    plugged.add(outlet)
+                    for station in (fast, ref):
+                        plug_ev(station, outlet, evs[outlet], at)
+                now += 300.0
+                kind = rng.random()
+                if kind < 0.4:
+                    alloc = round_robin_step(rr, plugged, now)
+                elif kind < 0.8:
+                    alloc = schedule_time_step(windows, plugged, now)
+                else:  # often over the limit, so refused part way through
+                    alloc = {o: rng.uniform(0.0, limit) for o in plugged}
+                message = _refusal(_reference_apply, ref, alloc, now)
+                assert _refusal(apply_allocation, fast, alloc, now) == message
+                for got, want in zip(fast.meters, ref.meters):
+                    assert (got.relay, got.allocated_amps, got.ramp_from, got.ramp_to,
+                            got.ramp_start, got.ramp_end) == \
+                        (want.relay, want.allocated_amps, want.ramp_from, want.ramp_to,
+                         want.ramp_start, want.ramp_end)
+                refused += message is not None
+                applied += message is None
+        assert refused > 50 and applied > 1000

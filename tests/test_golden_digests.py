@@ -63,6 +63,18 @@ CASES = {
              "outlets": 8, "algorithm": "none",
              "evs": [{"outlet": k, "max_current_a": 32.0} for k in range(8)],
          }]}}),
+    # schedule_time windows that fill a 0.6 A limit all day: every slot with
+    # the three EVs plugged records total 0.6000000000000001 (0.1 + 0.2 + 0.3
+    # left to right), which this table pins on every supported Python
+    "local-sched-schedule-time-edge-1d": (
+        ["local-sched", "--seed", "1", "--duration", str(DAY_S)],
+        {"fleet": {"stations": [{
+            "id": 0, "circuit_limit_a": 0.6, "algorithm": "schedule_time",
+            "evs": [{"outlet": 0}, {"outlet": 1}, {"outlet": 2}]}]},
+         "round_robin": {"per_active_current_a": 0.1},
+         "schedule_time": {"windows": {
+             str(outlet): [{"start_s": 0, "end_s": DAY_S, "amps": amps}]
+             for outlet, amps in ((0, 0.1), (1, 0.2), (2, 0.3))}}}),
     # non-zero cloud hops: every round trip carries t_server_cloud + t_cloud
     "rtt-dist-cloud-1d": (
         ["rtt-dist", "--seed", "3", "--duration", str(DAY_S)], CLOUD),
