@@ -70,6 +70,17 @@ def _load_file(config_path):
 MAX_SERIES_EVENTS = 10**7
 
 
+def check_series(path: str, period: float, horizon: float) -> None:
+    """Refuse the periodic series that config key ``path`` sets, one event
+    every ``period`` s, when over ``horizon`` s it would schedule more than
+    ``MAX_SERIES_EVENTS``. A command's builder calls this for each series it
+    schedules, over that command's own horizon, before it schedules anything
+    (so before its trace file opens)."""
+    if horizon / period > MAX_SERIES_EVENTS:
+        _fail(path, f"{period!r} s over {horizon!r} s is {horizon / period:.3g} events, "
+                    f"more than the limit of {MAX_SERIES_EVENTS}")
+
+
 # --- schema ----------------------------------------------------------------
 # One node per key: its type, its bounds and its default. A default is a
 # value, REQUIRED, or OPTIONAL (no value; an absent optional key stays
@@ -423,18 +434,13 @@ def from_dict(raw: dict) -> ExperimentConfig:
     span fields, and build the runtime objects. ``raw`` is kept as given."""
     c = _walk(SCHEMA, raw, "")
 
-    # A series of events too long to ever finish. Counts first: a huge
-    # integer count would overflow the float horizon below.
+    # A count of events too long to ever finish. A huge integer count would
+    # also overflow the float trial horizon compare-protocols computes; each
+    # periodic series is checked over its own command's horizon, by the
+    # builder that schedules it (check_series).
     for path, count in (("trials", c["trials"]), ("duty_sweep.steps", c["duty_sweep"]["steps"])):
         if count > MAX_SERIES_EVENTS:
             _fail(path, f"{count} events exceed the limit of {MAX_SERIES_EVENTS}")
-    horizon = max(c["duration_s"], c["trials"] * c["trial_spacing_s"])
-    for path, period in (("probe_period_s", c["probe_period_s"]),
-                         ("push_period_s", c["push_period_s"]),
-                         ("round_robin.slot_length_s", c["round_robin"]["slot_length_s"])):
-        if horizon / period > MAX_SERIES_EVENTS:
-            _fail(path, f"{period!r} s over {horizon!r} s is {horizon / period:.3g} events, "
-                        f"more than the limit of {MAX_SERIES_EVENTS}")
 
     st = c["fleet"]["stations"][0]
     outlets = st["outlets"]

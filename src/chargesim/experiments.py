@@ -11,12 +11,13 @@ through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
 """
 from __future__ import annotations
 
+import os
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from . import pic, proto, sched
-from .config import ConfigError, ExperimentConfig, from_dict
+from .config import ConfigError, ExperimentConfig, check_series, from_dict
 from .control import change_duty_cycle, compute_t_waiting, current_to_duty
 from .domain import (
     AlgorithmMode,
@@ -51,7 +52,7 @@ class ExperimentOutput:
 
     def __init__(self, command: str, traces: list):
         self.command = command
-        self.traces = traces     # (name, EventTrace), records not kept
+        self.traces = traces     # (name, EventTrace or _ChildTrace), records not kept
         self.csvs: dict = {}     # filename -> (header tuple, rows)
         self.summary: dict = {}
         self.checks: list = []
@@ -90,6 +91,7 @@ def _expect_ratio(expect: dict, key: str, name: str, value) -> list:
 
 
 def _trace_rtt_dist(eng: Engine, cfg: ExperimentConfig) -> float:
+    check_series("probe_period_s", cfg.probe_period_s, cfg.duration_s)
     links = cfg.links
     cloud = links.cloud
     metering = links.metering.sample
@@ -259,6 +261,9 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig, station: ChargingSt
 
 
 def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
+    horizon = cfg.trials * cfg.trial_spacing_s if cfg.trials > 0 else cfg.duration_s
+    check_series("probe_period_s", cfg.probe_period_s, horizon)
+    check_series("push_period_s", cfg.push_period_s, horizon)
     links = cfg.links
     spec = cfg.station
     uplink = links.for_link(spec.link)
@@ -303,8 +308,7 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
         eng.schedule_at(i * cfg.trial_spacing_s, "trial", data={"trial": i}, fn=trial)
 
     _attach_push_station(eng, cfg, station, uplink)
-
-    return cfg.trials * cfg.trial_spacing_s if cfg.trials > 0 else cfg.duration_s
+    return horizon
 
 
 class _Trial(NamedTuple):
@@ -529,11 +533,12 @@ class _DutyCycleFold:
 
 
 def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> float:
+    rr = cfg.round_robin
+    check_series("round_robin.slot_length_s", rr.slot_length_s, cfg.duration_s)
     spec = cfg.station
     # EVs arrive through the scenario's plug events, so start with bare outlets.
     station = spec._replace(evs=[]).build()
     evs = dict(spec.evs)
-    rr = cfg.round_robin
     plugged: set = set()
     last_alloc: dict = {}
 
@@ -664,7 +669,13 @@ class Command(NamedTuple):
     """A command's traces, each scheduled on a fresh engine by a named
     builder, and its fold: built from the config, handed every record as
     ``add(trace name, record)``, and asked for ``(csvs, summary, checks)``
-    by ``finish()``."""
+    by ``finish()``.
+
+    ``run`` builds each trace after the first in a forked child when the
+    platform has ``fork`` and the process runs one thread, so the fold of a
+    command with several traces keeps what each trace adds apart, in
+    ``counts[name]``: that is all of the fold a child sends back. Outputs
+    are byte-identical either way, and no child outlives the run."""
 
     builders: dict    # trace name -> ((Engine, ExperimentConfig) -> horizon s)
     fold: type        # ExperimentConfig -> fold
@@ -690,14 +701,20 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
     """Build every trace of ``command``, folding its records as they are
     emitted, and streaming each trace into ``out_dir`` when one is given.
 
+    A command with several traces builds each trace after the first in a
+    forked child, while this process builds the first, when the platform
+    has ``fork`` and the process runs one thread; otherwise it builds them
+    in turn, here. Outputs are byte-identical either way: the traces keep
+    their order, and an exception a child's build raised is raised here as
+    it would have been. No child outlives the run: each is reaped before
+    ``run`` returns or raises, and killed first if the run is abandoned
+    (which leaves its trace file without the footer ``read_trace`` needs).
+
     A handler exception truncates its trace; the fold would then miss state
     the failed event never recorded. Such a run skips ``finish()`` and gets
     one failing check that names the event that failed."""
-    spec = COMMANDS[command]
-    fold = spec.fold(cfg)
-    out = ExperimentOutput(command=command, traces=[
-        (name, build_trace(command, name, cfg, partial(fold.add, name), out_dir))
-        for name in spec.builders])
+    fold = COMMANDS[command].fold(cfg)
+    out = ExperimentOutput(command=command, traces=_build_traces(command, cfg, fold, out_dir))
     for name, trace in out.traces:
         if trace.failed:
             last = trace.last
@@ -708,6 +725,104 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
             return out
     out.csvs, out.summary, out.checks = fold.finish()
     return out
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork: ``os.fork`` exists and no second
+    thread runs (a child gets only the forking thread, so a lock another
+    thread held would stay locked in it)."""
+    if not hasattr(os, "fork"):
+        return False
+    import threading
+    return threading.active_count() == 1
+
+
+class _ChildTrace:
+    """What ``run`` keeps of a trace a forked child built: its
+    ``EventTrace``'s ``digest()``, ``count``, ``last`` and ``failed``."""
+
+    __slots__ = ("_digest", "count", "last", "failed")
+
+    def __init__(self, digest: str, count: int, last: Optional[dict], failed: bool):
+        self._digest = digest
+        self.count = count
+        self.last = last
+        self.failed = failed
+
+    def digest(self) -> str:
+        return self._digest
+
+
+def _build_in_child(command: str, name: str, cfg: ExperimentConfig, fold, out_dir,
+                    write: int) -> NoReturn:
+    """In a forked child: build trace ``name`` as ``build_trace`` does, into
+    the child's copy of ``fold``, write one pickled message to the pipe
+    ``write`` (the trace's digest, count, last record and failed flag and
+    ``fold.counts[name]``, or the exception the build raised) and leave with
+    ``os._exit``, so none of the parent's ``finally`` blocks, ``atexit``
+    hooks or buffered output runs twice."""
+    import pickle  # loaded already, by the parent before it forked
+
+    status = 1
+    try:
+        try:
+            trace = build_trace(command, name, cfg, partial(fold.add, name), out_dir)
+            message = (trace.digest(), trace.count, trace.last, trace.failed, fold.counts[name])
+        except Exception as exc:  # noqa: BLE001 - the parent raises it
+            message = exc
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(message, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _build_traces(command: str, cfg: ExperimentConfig, fold, out_dir) -> list:
+    """``run``'s ``(name, trace)`` list, in the command's order. When the
+    command has several traces and ``_may_fork()``, a child is forked per
+    trace after the first, this process builds the first meanwhile, and
+    each child's message is then taken in turn, its fold state put in
+    ``fold.counts``; otherwise this process builds every trace in turn."""
+    names = list(COMMANDS[command].builders)
+    forked = names[1:] if len(names) > 1 and _may_fork() else []
+    if forked:  # loaded here, so a run that forks nothing never loads them
+        import pickle
+        import signal
+    children: dict = {}  # pid -> (trace name, read end of its pipe), until reaped
+    try:
+        for name in forked:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _build_in_child(command, name, cfg, fold, out_dir, write)
+            os.close(write)
+            children[pid] = (name, os.fdopen(read, "rb"))
+        traces = [(name, build_trace(command, name, cfg, partial(fold.add, name), out_dir))
+                  for name in (names[:1] if forked else names)]
+        for pid, (name, pipe) in list(children.items()):
+            with pipe:
+                message = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:
+                raise RuntimeError(f"the process building trace {name!r} exited with code {code}")
+            message = pickle.loads(message)
+            if isinstance(message, Exception):
+                raise message
+            digest, count, last, failed, fold.counts[name] = message
+            traces.append((name, _ChildTrace(digest, count, last, failed)))
+        return traces
+    finally:
+        # the run is abandoned: end every child not yet reaped
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped just before an interrupt
+                pass
 
 
 def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,

@@ -319,7 +319,8 @@ class Engine:
     """Single-threaded discrete-event engine.
 
     Strictly one thread may drive an engine at a time; run many engines on
-    independent seeds for parallel experiments.
+    independent seeds for parallel experiments, as ``experiments.run`` does
+    with a command's traces, each after the first in a forked child.
     """
 
     def __init__(self, seed: int, meta: dict | None = None):

@@ -22,6 +22,7 @@ from chargesim.config import (
     resolve,
 )
 from chargesim.domain import AlgorithmMode
+from chargesim.experiments import run
 from chargesim.latency import LinkKind
 from chargesim.sim import TRACE_FORMAT
 
@@ -70,9 +71,13 @@ class TestConfig:
             cfg = resolve("default", config_path=path)
             assert (cfg.push_period_s, cfg.trial_spacing_s, cfg.probe_period_s,
                     cfg.t_status_read_s) == (60.0, 100.0, 300.0, 1.5e-3)
+        # a number too, so the run that schedules its series refuses it
         path.write_text(text.format(tiny="1e-6"))
+        cfg = resolve("default", config_path=path)
+        assert cfg.probe_period_s == 1e-6
         with pytest.raises(ConfigError, match=r"^probe_period_s: .* more than the limit"):
-            resolve("default", config_path=path)
+            run("rtt-dist", cfg, tmp_path / "out")
+        assert not (tmp_path / "out" / "trace.jsonl").exists()
 
     def test_yaml_integers_stay_integers(self, tmp_path):
         # the YAML 1.2 float pattern matches digits alone; the integer form
@@ -107,6 +112,21 @@ class TestConfig:
                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command, loaded", [
+        ("rtt-dist", []),
+        ("local-sched", ["pickle", "signal", "threading"]),
+    ])
+    def test_only_a_run_that_may_fork_loads_the_fork_modules(self, tmp_path, command, loaded):
+        # a run with one trace forks nothing, so it pays for none of them
+        script = ("import sys; from chargesim import cli; "
+                  "code = cli.main([sys.argv[1], '--duration', '3600', '--out', sys.argv[2]]); "
+                  "print(code, sorted({'pickle', 'signal', 'threading'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", script, command, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
 
     def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -173,9 +193,33 @@ class TestConfig:
         ({"trials": 10**400}, "trials"),  # too large for a float horizon
         ({"duty_sweep": {"steps": 10**7 + 1}}, "duty_sweep.steps"),
     ])
-    def test_series_too_long_to_finish_rejected_at_load(self, raw, path):
+    def test_series_too_long_to_finish_rejected_at_load(self, raw, path, tmp_path):
+        # a count at load; a period by the command that schedules its series,
+        # over that command's horizon, before the trace file opens
+        command = {"probe_period_s": "compare-protocols", "push_period_s": "compare-protocols",
+                   "round_robin.slot_length_s": "local-sched"}.get(path)
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
-            from_dict(raw)
+            run(command, from_dict(raw), tmp_path) if command else from_dict(raw)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, code", [("rtt-dist", 0), ("compare-protocols", 2)])
+    def test_series_is_judged_over_its_own_commands_horizon(self, tmp_path, capsys, command,
+                                                            code):
+        # 72,000 probes per link over rtt-dist's hour; compare-protocols'
+        # stale probes run over its 10^4 trials x 60 s, 1.2e7 of them
+        cfg = tmp_path / "probes.json"
+        cfg.write_text('{"probe_period_s": 0.05}')
+        argv = [command, "--config", str(cfg), "--duration", "3600", "--out", str(tmp_path / "o")]
+        assert main(argv) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "config error: probe_period_s: 0.05 s over 600000.0 s is 1.2e+07 events, "
+                "more than the limit of 10000000\n")
+            assert not (tmp_path / "o").exists()
+        else:
+            # the 72,000th probe's time, summed period by period, ends just past the hour
+            summary = (tmp_path / "o" / "summary.txt").read_text()
+            assert summary.count("'probes': 71999,") == len(LinkKind)
 
     def test_station_spec_builds_fresh_instances(self):
         cfg = resolve("default")

@@ -1,16 +1,22 @@
-"""Experiment harness tests: trace-derived metrics, determinism, replay."""
+"""Experiment harness tests: trace-derived metrics, determinism, replay,
+and local-sched's variant traces built in forked children."""
 import csv
 import json
+import os
+import threading
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import pytest
 
-from chargesim.cli import main
-from chargesim.config import from_dict, resolve
+from chargesim.cli import _emit, main
+from chargesim.config import ConfigError, from_dict, resolve
 from chargesim.experiments import (
     COMMANDS,
     SCHED_VARIANTS,
+    Check,
+    ExperimentOutput,
     build_trace,
     cmd_replay,
     run,
@@ -191,6 +197,23 @@ class TestDutyCycle:
         assert [p.delta_a for p in points][-1] == overrides["duty_sweep"]["i_final_a"]
 
 
+def four_evs(algorithm: str) -> dict:
+    """A fleet of one 32 A station running ``algorithm``, an EV on each of its four outlets."""
+    return {"stations": [{"id": 0, "circuit_limit_a": 32.0, "algorithm": algorithm,
+                          "evs": [{"outlet": k} for k in range(4)]}]}
+
+
+# the 22:00-06:00 window wraps midnight, outlet 1 has an EV but no window, and
+# at 12:00:00.5 (inside a slot) outlet 2 steps up as outlet 3 steps down, the
+# total sitting at the 32 A limit throughout
+SCHEDULE_TIME = {"windows": {
+    0: [{"start_s": 79200, "end_s": 21600, "amps": 16}],
+    2: [{"start_s": 21600, "end_s": 43200.5, "amps": 8},
+        {"start_s": 43200.5, "end_s": 79200, "amps": 24}],
+    3: [{"start_s": 21600, "end_s": 43200.5, "amps": 24},
+        {"start_s": 43200.5, "end_s": 79200, "amps": 8}]}}
+
+
 class TestLocalSched:
     def test_local_mode_sends_no_scheduling_traffic(self):
         out = run("local-sched", small_default())
@@ -225,17 +248,8 @@ class TestLocalSched:
                 assert rec["at"] % slot == pytest.approx(0.0, abs=1e-9)
 
     def test_schedule_time_allocates_from_the_windows_in_both_variants(self):
-        # the 22:00-06:00 window wraps midnight, outlet 1 has an EV but no
-        # window, and at 12:00:00.5 (inside a slot) outlet 2 steps up as
-        # outlet 3 steps down, the total sitting at the 32 A limit throughout
-        cfg = small_default(duration_s=3 * 86400.0, fleet={"stations": [{
-            "id": 0, "circuit_limit_a": 32.0, "algorithm": "schedule_time",
-            "evs": [{"outlet": k} for k in range(4)]}]}, schedule_time={"windows": {
-                0: [{"start_s": 79200, "end_s": 21600, "amps": 16}],
-                2: [{"start_s": 21600, "end_s": 43200.5, "amps": 8},
-                    {"start_s": 43200.5, "end_s": 79200, "amps": 24}],
-                3: [{"start_s": 21600, "end_s": 43200.5, "amps": 24},
-                    {"start_s": 43200.5, "end_s": 79200, "amps": 8}]}})
+        cfg = small_default(duration_s=3 * 86400.0, fleet=four_evs("schedule_time"),
+                            schedule_time=SCHEDULE_TIME)
         out = run("local-sched", cfg)
         assert out.ok, [c for c in out.checks if not c.ok]
         for variant in SCHED_VARIANTS:
@@ -267,6 +281,152 @@ class TestLocalSched:
         round_robin = run("local-sched", small_default(fleet=station("round_robin")))
         assert round_robin.csvs["traffic.csv"] == none.csvs["traffic.csv"]
         assert round_robin.summary == none.summary
+
+
+def no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FORK_CONFIGS = {
+    "round-robin": lambda: small_default(fleet=four_evs("round_robin")),
+    "schedule-time": lambda: small_default(fleet=four_evs("schedule_time"),
+                                           schedule_time=SCHEDULE_TIME),
+    "default-two-days": lambda: resolve("default", overrides={"duration_s": 2 * 86400.0}),
+}
+
+
+def emitted(out: ExperimentOutput, out_dir, capsys) -> tuple:
+    """What the CLI prints and every file in ``out_dir`` after it writes ``out``."""
+    _emit(out, out_dir, "csv")
+    files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    return capsys.readouterr().out, files
+
+
+def built_in_turn(cfg, out_dir) -> ExperimentOutput:
+    """The oracle: local-sched's traces built one after the other in this
+    process, into one fold."""
+    fold = COMMANDS["local-sched"].fold(cfg)
+    out = ExperimentOutput("local-sched", [
+        (name, build_trace("local-sched", name, cfg, partial(fold.add, name), out_dir))
+        for name in SCHED_VARIANTS])
+    out.csvs, out.summary, out.checks = fold.finish()
+    return out
+
+
+class TestForkedTraces:
+    @pytest.mark.parametrize("config", sorted(FORK_CONFIGS))
+    def test_forked_run_matches_the_traces_built_in_turn(self, tmp_path, capsys, config):
+        cfg = FORK_CONFIGS[config]()
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            forked = run("local-sched", cfg, tmp_path / "forked")
+        assert fork.call_count == 1
+        no_child_left()
+        oracle = built_in_turn(cfg, tmp_path / "oracle")
+        assert forked.ok, [c for c in forked.checks if not c.ok]
+        assert (forked.csvs, forked.summary, forked.checks) == \
+            (oracle.csvs, oracle.summary, oracle.checks)
+        for (name, trace), (oracle_name, want) in zip(forked.traces, oracle.traces):
+            assert name == oracle_name
+            assert (trace.digest(), trace.count, trace.last, trace.failed) == \
+                (want.digest(), want.count, want.last, want.failed)
+        assert emitted(forked, tmp_path / "forked", capsys) == \
+            emitted(oracle, tmp_path / "oracle", capsys)
+
+    def test_a_second_thread_keeps_the_build_in_process(self, tmp_path, capsys):
+        cfg = FORK_CONFIGS["round-robin"]()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60.0,))
+        thread.start()
+        try:
+            with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+                out = run("local-sched", cfg, tmp_path / "threaded")
+        finally:
+            release.set()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        no_child_left()
+        oracle = built_in_turn(cfg, tmp_path / "oracle")
+        assert (out.csvs, out.summary, out.checks) == (oracle.csvs, oracle.summary, oracle.checks)
+        assert emitted(out, tmp_path / "threaded", capsys) == \
+            emitted(oracle, tmp_path / "oracle", capsys)
+
+    @pytest.mark.parametrize("variant", SCHED_VARIANTS)
+    def test_a_failed_event_ends_in_the_same_check_in_a_child_as_here(
+            self, monkeypatch, tmp_path, capsys, variant):
+        # server's trace is built here, local's in the child
+        builders = COMMANDS["local-sched"].builders
+        build = builders[variant]
+
+        def failing(eng, cfg):
+            horizon = build(eng, cfg)
+            eng.schedule_at(3600.0, "boom", fn=lambda at, data: 1 / 0)
+            return horizon
+
+        monkeypatch.setitem(builders, variant, failing)
+        cfg = small_default()
+        forked = run("local-sched", cfg, tmp_path / "forked")
+        no_child_left()
+        assert main(["local-sched", "--duration", "86400", "--out", str(tmp_path / "cli")]) == 3
+        no_child_left()
+        monkeypatch.delattr(os, "fork")
+        in_process = run("local-sched", cfg, tmp_path / "in-process")
+        want = Check("trace-complete", False, f"{variant} truncated: event 'boom' at 3600.0 s "
+                                              f"failed: ZeroDivisionError: division by zero")
+        assert forked.checks == in_process.checks == [want]
+        assert forked.truncated and in_process.truncated
+        capsys.readouterr()
+        assert emitted(forked, tmp_path / "forked", capsys) == \
+            emitted(in_process, tmp_path / "in-process", capsys)
+
+    def test_a_builder_error_in_a_child_reaches_the_caller(self, monkeypatch, tmp_path):
+        def refuse(eng, cfg):
+            raise ConfigError("round_robin: refused by the local builder")
+
+        monkeypatch.setitem(COMMANDS["local-sched"].builders, "local", refuse)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                pytest.raises(ConfigError, match="^round_robin: refused by the local builder$"):
+            run("local-sched", small_default(), tmp_path)
+        assert fork.call_count == 1
+        no_child_left()
+        assert [p.name for p in tmp_path.iterdir()] == ["trace_server.jsonl"]
+
+    def test_the_moved_series_guard_refuses_in_parent_and_child_alike(self, tmp_path):
+        cfg = small_default(round_robin={"slot_length_s": 0.001})
+        with pytest.raises(ConfigError, match=r"^round_robin\.slot_length_s: 0\.001 s over "):
+            run("local-sched", cfg, tmp_path)
+        no_child_left()
+        assert not list(tmp_path.iterdir())
+
+    def test_a_child_that_dies_without_a_message_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(eng, cfg):
+            assert os.getpid() != parent, "the local trace was not built in a child"
+            os._exit(5)
+
+        monkeypatch.setitem(COMMANDS["local-sched"].builders, "local", die)
+        with pytest.raises(RuntimeError, match="building trace 'local' exited with code 5"):
+            run("local-sched", small_default())
+        no_child_left()
+
+    def test_an_interrupted_run_kills_and_reaps_its_child(self, monkeypatch, tmp_path):
+        builders = COMMANDS["local-sched"].builders
+        build = builders["server"]
+
+        def interrupt(at, data):
+            raise KeyboardInterrupt
+
+        def interrupted(eng, cfg):
+            horizon = build(eng, cfg)
+            eng.schedule_at(0.0, "interrupt", fn=interrupt)
+            return horizon
+
+        monkeypatch.setitem(builders, "server", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run("local-sched", resolve("default"), tmp_path)
+        no_child_left()
 
 
 class TestReplay:
