@@ -81,6 +81,14 @@ def check_series(path: str, period: float, horizon: float) -> None:
                     f"more than the limit of {MAX_SERIES_EVENTS}")
 
 
+def check_count(path: str, count: int) -> None:
+    """Refuse the ``count`` events that config key ``path`` sets when they
+    are more than ``MAX_SERIES_EVENTS``. The builder that schedules them
+    calls this before it computes anything from ``count``."""
+    if count > MAX_SERIES_EVENTS:
+        _fail(path, f"{count} events exceed the limit of {MAX_SERIES_EVENTS}")
+
+
 # --- schema ----------------------------------------------------------------
 # One node per key: its type, its bounds and its default. A default is a
 # value, REQUIRED, or OPTIONAL (no value; an absent optional key stays
@@ -433,14 +441,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
     """Check a resolved config dict against the schema, then the rules that
     span fields, and build the runtime objects. ``raw`` is kept as given."""
     c = _walk(SCHEMA, raw, "")
-
-    # A count of events too long to ever finish. A huge integer count would
-    # also overflow the float trial horizon compare-protocols computes; each
-    # periodic series is checked over its own command's horizon, by the
-    # builder that schedules it (check_series).
-    for path, count in (("trials", c["trials"]), ("duty_sweep.steps", c["duty_sweep"]["steps"])):
-        if count > MAX_SERIES_EVENTS:
-            _fail(path, f"{count} events exceed the limit of {MAX_SERIES_EVENTS}")
 
     st = c["fleet"]["stations"][0]
     outlets = st["outlets"]

@@ -67,11 +67,10 @@ def compute_t_waiting(t_ev: float, budget: TimingBudget) -> float:
 class DutyCycleChange:
     """Record of one duty-cycle change attempt and its verification."""
 
-    __slots__ = ("i_final", "t_waiting", "outcome", "reads", "completed_at")
+    __slots__ = ("t_waiting", "outcome", "reads", "completed_at")
 
-    def __init__(self, i_final: float, t_waiting: float, outcome: DutyOutcome, reads: list,
+    def __init__(self, t_waiting: float, outcome: DutyOutcome, reads: list,
                  completed_at: float):
-        self.i_final = i_final
         self.t_waiting = t_waiting
         self.outcome = outcome
         self.reads = reads  # (measured_at, amps) per verification read
@@ -101,8 +100,8 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
     link_s = link_model.sample(rng, now)
     rtt = cloud + link_s
     if rtt > timeout_s:
-        return DutyCycleChange(i_final=i_final, t_waiting=0.0, outcome=DutyOutcome.FAILED,
-                               reads=[], completed_at=now + timeout_s)
+        return DutyCycleChange(t_waiting=0.0, outcome=DutyOutcome.FAILED, reads=[],
+                               completed_at=now + timeout_s)
 
     t_apply = now + 0.5 * rtt
     i_init = ch.amps_at(t_apply)
@@ -131,6 +130,5 @@ def change_duty_cycle(station: ChargingStation, outlet: int, duty_percent: float
             outcome = DutyOutcome.CONFIRMED
             break
         t_send = done + t_ev
-    return DutyCycleChange(i_final=i_final, t_waiting=t_wait, outcome=outcome, reads=reads,
-                           completed_at=done)
+    return DutyCycleChange(t_waiting=t_wait, outcome=outcome, reads=reads, completed_at=done)
 

@@ -203,7 +203,7 @@ class ChargingStation:
         return self.meters[outlet]
 
 
-def _live_total(station: ChargingStation, skip: int = -1) -> float:
+def allocated_current_total(station: ChargingStation, skip: int = -1) -> float:
     """Sum of the allocations on live relays, leaving out outlet ``skip``:
     left to right in outlet order from the integer 0, as ``ordered_sum``
     adds, but in an explicit loop, since a generator into ``ordered_sum``
@@ -217,11 +217,6 @@ def _live_total(station: ChargingStation, skip: int = -1) -> float:
     return total
 
 
-def allocated_current_total(station: ChargingStation) -> float:
-    """Sum of allocations across outlets whose relay is live."""
-    return _live_total(station)
-
-
 def exceeds_limit(total_amps: float, limit_amps: float) -> bool:
     """Whether ``total_amps`` exceeds ``limit_amps`` by more than float
     rounding: the one comparison of a current total with a circuit limit,
@@ -232,7 +227,7 @@ def exceeds_limit(total_amps: float, limit_amps: float) -> bool:
 def check_circuit(station: ChargingStation, outlet: int, amps: float) -> None:
     """Raise ``CircuitLimitError`` unless ``outlet`` can carry ``amps`` on a
     live relay alongside the other live outlets' allocations."""
-    total = _live_total(station, outlet) + amps
+    total = allocated_current_total(station, outlet) + amps
     if exceeds_limit(total, station.circuit_limit):
         raise CircuitLimitError(
             f"station {station.station_id}: {total:.3f} A would exceed "

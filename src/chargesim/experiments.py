@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, NoReturn, Optional
 
 from . import pic, proto, sched
-from .config import ConfigError, ExperimentConfig, check_series, from_dict
+from .config import ConfigError, ExperimentConfig, check_count, check_series, from_dict
 from .control import change_duty_cycle, compute_t_waiting, current_to_duty
 from .domain import (
     AlgorithmMode,
@@ -261,6 +261,7 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig, station: ChargingSt
 
 
 def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
+    check_count("trials", cfg.trials)
     horizon = cfg.trials * cfg.trial_spacing_s if cfg.trials > 0 else cfg.duration_s
     check_series("probe_period_s", cfg.probe_period_s, horizon)
     check_series("push_period_s", cfg.push_period_s, horizon)
@@ -271,16 +272,18 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     # amps or relay, so what one protocol does to them moves nothing.
     station = spec.build()
 
-    # Aggregated-pull endpoint with its own periodic collection keeping the
-    # cache fresh, so pulls are served without a metering term.
+    # Aggregated-pull endpoint. In cache-serving mode its own periodic
+    # collection keeps the cache fresh, so pulls are served without a
+    # metering term; otherwise each pull sweeps afresh and reads no cache.
     endpoint = _collector(eng, cfg, station, "pull-bus")
 
     def refresh(at, data):
         duration = pic.collect_all(endpoint.state, endpoint.bus, at)
         return {"duration": duration}
 
-    eng.schedule_at(0.0, "pic-collect", fn=refresh)
-    eng.schedule_every(cfg.push_period_s, "pic-collect", refresh)
+    if cfg.serve_cache:
+        eng.schedule_at(0.0, "pic-collect", fn=refresh)
+        eng.schedule_every(cfg.push_period_s, "pic-collect", refresh)
 
     def trial(at, data):
         # the four protocols run against the same draws of the trial's stream
@@ -301,7 +304,7 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
             "legacy8": r8.wall_time, "rc8": r8.request_count,
             "pic": rp.wall_time, "rc1": rp.request_count,
             "push_cycle": cycle,
-            "pic_stale_max": max(rp.staleness.values()) if rp.staleness else None,
+            "pic_stale_max": rp.stale_max,
         }
 
     for i in range(cfg.trials):
@@ -434,6 +437,8 @@ class _CompareFold:
 
 
 def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
+    steps = cfg.duty_sweep["steps"]
+    check_count("duty_sweep.steps", steps)
     spec = cfg.station
     if not spec.evs:
         raise ConfigError("fleet.stations[0].evs: the duty-cycle sweep needs at least one EV")
@@ -446,7 +451,6 @@ def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
             raise ConfigError(f"duty_sweep.i_final_a: {i_final!r} A exceeds {what} ({limit!r} A)")
     station = spec.build()
     ch = station.channel(outlet)
-    steps = cfg.duty_sweep["steps"]
     duty = current_to_duty(i_final)
     fixed_wait = compute_t_waiting(ch.ev.settle_cap, cfg.budget)
 

@@ -83,21 +83,18 @@ def make_aggregate_packet(station_id: int, snapshots, seq: int, sent_at: float) 
 class RetrievalResult:
     """Outcome of one retrieval as seen from the server.
 
-    ``responses + len(errors) == request_count`` always holds: every issued
-    request ends in exactly one terminal outcome.
+    Every issued request ends in exactly one terminal message in the log: a
+    response, or an ``error`` message matching one entry of ``errors``.
     """
 
-    __slots__ = ("snapshots", "wall_time", "request_count", "staleness", "errors", "responses",
-                 "log")
+    __slots__ = ("wall_time", "request_count", "stale_max", "errors", "log")
 
-    def __init__(self, snapshots: dict, wall_time: float, request_count: int, staleness: dict,
-                 errors: list, responses: int, log: list):
-        self.snapshots = snapshots          # MeterId -> MeterSnapshot | None
+    def __init__(self, wall_time: float, request_count: int, stale_max: Optional[float],
+                 errors: list, log: list):
         self.wall_time = wall_time
         self.request_count = request_count
-        self.staleness = staleness          # MeterId -> seconds
+        self.stale_max = stale_max          # oldest reading's age at the end; None if none
         self.errors = errors                # (MeterId | None, marker) per failed request
-        self.responses = responses
         # each wire Message's field tuple, in emission order; a caller that
         # reads no messages pays for none
         self.log = log
@@ -129,13 +126,12 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
     metering = links.metering
     cloud = links.cloud
     sid = station.station_id
-    snapshots: dict = {}
     errors: list = []
     log: list = []
     emit = log.append
     kinds = (True, False) if include_status else (True,)
     requests = 0
-    responses = 0
+    oldest = None  # the first power reading's capture time: readings only get newer
     t = at
     for outlet, mid in enumerate(station.meter_ids):
         for power in kinds:
@@ -145,18 +141,16 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
             rtt = cloud + link_s + local_s
             emit((_REQUEST_KIND[power], sid, mid, None, requests, t))
             if rtt > timeout_s:
-                if power:
-                    snapshots[mid] = None
                 errors.append((mid, "timeout" if power else "status-timeout"))
                 emit((MessageKind.ERROR, sid, mid, {"reason": "timeout"}, requests,
                       t, t + timeout_s))
                 t += timeout_s
                 continue
-            responses += 1
             if power:
                 replied_at = t + 0.5 * (cloud + link_s) + local_s
                 snap = meter_snapshot(station, outlet, replied_at)
-                snapshots[mid] = snap
+                if oldest is None:
+                    oldest = snap.captured_at
                 payload = (snap,)
             else:
                 replied_at = t + 0.5 * (cloud + link_s)
@@ -166,12 +160,10 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
             t += rtt
     wall = t - at
     return RetrievalResult(
-        snapshots=snapshots,
         wall_time=wall,
         request_count=requests,
-        staleness=staleness(snapshots, at + wall),
+        stale_max=None if oldest is None else at + wall - oldest,
         errors=errors,
-        responses=responses,
         log=log,
     )
 
@@ -183,9 +175,10 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     ``pic`` is a collector endpoint exposing ``station`` and
     ``serve_aggregate(now) -> (snapshots, serve_cost)``; in cache-serving
     mode the cost is zero and no metering term reaches the server's wall
-    clock. A timed-out request fails whole: every meter maps to None, one
-    ``(None, "timeout")`` error is recorded and the timeout is charged to
-    the wall clock, as in ``legacy_pull``.
+    clock. ``stale_max`` is the oldest served snapshot's age when the reply
+    lands. A timed-out request fails whole: no reading, so no ``stale_max``,
+    one ``(None, "timeout")`` error, and the timeout charged to the wall
+    clock, as in ``legacy_pull``.
     """
     station = pic.station
     sid = station.station_id
@@ -193,12 +186,10 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     rtt = links.cloud + link_s
     if rtt > timeout_s:
         return RetrievalResult(
-            snapshots=dict.fromkeys(station.meter_ids),
             wall_time=timeout_s,
             request_count=1,
-            staleness={},
+            stale_max=None,
             errors=[(None, "timeout")],
-            responses=0,
             log=[(MessageKind.AGGREGATE_REQ, sid, None, None, 1, at),
                  (MessageKind.ERROR, sid, None, {"reason": "timeout"}, 1, at, at + timeout_s)],
         )
@@ -206,14 +197,11 @@ def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
     snaps, serve_cost = pic.serve_aggregate(arrive)
     wall = rtt + serve_cost
     done = at + wall
-    snapshots = {s.meter: s for s in snaps}
     return RetrievalResult(
-        snapshots=snapshots,
         wall_time=wall,
         request_count=1,
-        staleness=staleness(snapshots, done),
+        stale_max=done - min(s.captured_at for s in snaps) if snaps else None,
         errors=[],
-        responses=1,
         log=[(MessageKind.AGGREGATE_REQ, sid, None, None, 1, at),
              (MessageKind.AGGREGATE_PACKET, sid, None, snaps, 1, arrive + serve_cost, done)],
     )

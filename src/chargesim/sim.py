@@ -75,10 +75,10 @@ def ordered_sum(values):
     """Left-to-right sum from the integer 0, as ``sum()`` computed it before
     Python 3.12 made float sums compensated. Totals that reach a trace or a
     summary use it, so they stay bit-identical across interpreter versions.
-    The circuit totals taken on every outlet write (``domain._live_total``)
-    add the same way in an explicit loop instead, because a generator into
-    this function costs about 2.3 times as much per call; neither form may
-    use ``sum()``."""
+    The circuit totals taken on every outlet write
+    (``domain.allocated_current_total``) add the same way in an explicit
+    loop instead, because a generator into this function costs about 2.3
+    times as much per call; neither form may use ``sum()``."""
     total = 0
     for v in values:
         total += v

@@ -194,13 +194,24 @@ class TestConfig:
         ({"duty_sweep": {"steps": 10**7 + 1}}, "duty_sweep.steps"),
     ])
     def test_series_too_long_to_finish_rejected_at_load(self, raw, path, tmp_path):
-        # a count at load; a period by the command that schedules its series,
-        # over that command's horizon, before the trace file opens
+        # by the command that schedules the series, a period over that
+        # command's horizon, and before the trace file opens; the trial count
+        # before compare-protocols computes its float horizon from it
         command = {"probe_period_s": "compare-protocols", "push_period_s": "compare-protocols",
-                   "round_robin.slot_length_s": "local-sched"}.get(path)
+                   "trials": "compare-protocols", "duty_sweep.steps": "duty-cycle",
+                   "round_robin.slot_length_s": "local-sched"}[path]
+        cfg = from_dict(raw)
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
-            run(command, from_dict(raw), tmp_path) if command else from_dict(raw)
+            run(command, cfg, tmp_path)
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["rtt-dist", "local-sched"])
+    def test_trial_count_binds_only_the_command_that_runs_trials(self, tmp_path, capsys,
+                                                                 command):
+        # neither command schedules trials, so a count past the limit is no error
+        argv = [command, "--duration", "3600", "--trials", "20000000", "--out", str(tmp_path)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "summary.txt").exists()
 
     @pytest.mark.parametrize("command, code", [("rtt-dist", 0), ("compare-protocols", 2)])
     def test_series_is_judged_over_its_own_commands_horizon(self, tmp_path, capsys, command,

@@ -167,10 +167,11 @@ class TestChangeDutyCycle:
         # a confirmed outcome means the measured current is within tolerance
         for target in (6.0, 16.0, 24.0, 32.0):
             station = station_with_ev(amps=0.0)
-            change = change_duty_cycle(station, 0, current_to_duty(target),
-                                       duty_links(), substream(3, "d"), BUDGET_5S)
+            duty = current_to_duty(target)
+            change = change_duty_cycle(station, 0, duty, duty_links(), substream(3, "d"),
+                                       BUDGET_5S)
             if change.outcome is DutyOutcome.CONFIRMED:
-                assert abs(change.reads[-1][1] - change.i_final) <= 1.0
+                assert abs(change.reads[-1][1] - duty_to_current(duty)) <= 1.0
 
 
 class TestStoreAndModes:

@@ -170,6 +170,19 @@ class TestCompareProtocols:
             assert 0 < pic_wall["uncached"][trial] - cached <= sweep_max, trial
         assert cmd_replay(tmp_path / "uncached" / "trace.jsonl").identical
 
+    @pytest.mark.parametrize("serve_cache, collections", [(True, 401), (False, 0)])
+    def test_only_a_cache_serving_collector_is_refreshed(self, tmp_path, serve_cache,
+                                                          collections):
+        # the refresh at t = 0 and every push period over 200 trials x 60 s
+        # keeps the cache fresh; a collector that sweeps on each pull needs none
+        cfg = small_default(seed=1, serve_cache=serve_cache)
+        run("compare-protocols", cfg, tmp_path)
+        kinds = []
+        read_trace(tmp_path / "trace.jsonl", lambda rec: kinds.append(rec["kind"]))
+        assert kinds.count("pic-collect") == collections
+        assert kinds.count("trial") == 200
+        assert cmd_replay(tmp_path / "trace.jsonl").identical
+
 
 class TestDutyCycle:
     def test_sweep_confirms_everywhere_and_respects_fixed_bound(self):

@@ -54,6 +54,11 @@ def cache_serving_endpoint(links, outlets=4):
     return PicEndpoint(state=state, bus=bus)
 
 
+def power_responses(result):
+    """A pull's power-reading responses, in emission order."""
+    return [m for m in result.messages if m.kind is MessageKind.METER_POWER_RESP]
+
+
 class TestLegacyPull:
     def test_worst_case_four_readings_take_twenty_seconds(self):
         links = fixed_links(threeg=4.5, metering=0.5)
@@ -65,8 +70,11 @@ class TestLegacyPull:
         links = fixed_links(threeg=1e-9, metering=1e-9, local_bus=1e-9)
         result = legacy_pull(charging_station(), links, substream(1, "t"))
         assert result.wall_time == pytest.approx(0.0, abs=1e-6)
-        assert len(result.snapshots) == 4
-        assert all(s is not None for s in result.snapshots.values())
+        responses = power_responses(result)
+        assert [m.meter for m in responses] == [MeterId(0, outlet) for outlet in range(4)]
+        for m in responses:
+            (snap,) = m.payload
+            assert isinstance(snap, MeterSnapshot) and snap.meter == m.meter
 
     def test_with_status_fixed_rtt_costs_eight_round_trips(self):
         # every request pinned to the same 2.0 s round trip: metering folded
@@ -84,7 +92,8 @@ class TestLegacyPull:
         result = legacy_pull(charging_station(), links, substream(1, "t"), timeout_s=1.0)
         assert result.request_count == 4
         assert len(result.errors) == 4
-        assert all(s is None for s in result.snapshots.values())
+        assert power_responses(result) == []
+        assert result.stale_max is None
         assert result.wall_time == pytest.approx(4.0)  # four timeouts charged
 
     def test_every_request_has_exactly_one_outcome(self):
@@ -93,9 +102,9 @@ class TestLegacyPull:
         for timeout in (0.1, 5.0, 30.0):
             result = legacy_pull(charging_station(), links, substream(2, "t"),
                                  include_status=True, timeout_s=timeout)
-            assert result.responses + len(result.errors) == result.request_count
-            # the wire trail agrees: one request message and one terminal
-            # (response or error) message per issued request
+            # the wire trail: one request message and one terminal (response
+            # or error) message per issued request, and one error message per
+            # entry of errors
             requests = [m for m in result.messages
                         if m.kind in (MessageKind.METER_POWER_REQ, MessageKind.METER_STATUS_REQ)]
             terminals = [m for m in result.messages
@@ -103,58 +112,46 @@ class TestLegacyPull:
                                        MessageKind.METER_STATUS_RESP, MessageKind.ERROR)]
             assert len(requests) == result.request_count
             assert len(terminals) == result.request_count
+            assert sorted(m.seq for m in terminals) == list(range(1, result.request_count + 1))
+            errors = [m for m in result.messages if m.kind is MessageKind.ERROR]
+            assert [m.meter for m in errors] == [meter for meter, _ in result.errors]
             for m in result.messages:
                 if m.received_at:
                     assert m.received_at >= m.sent_at
 
     def test_staleness_reflects_return_path(self):
         links = fixed_links(threeg=4.0, metering=0.5)
-        result = legacy_pull(charging_station(), links, substream(1, "t"))
+        at = 7.0
+        result = legacy_pull(charging_station(), links, substream(1, "t"), at=at)
+        end = at + result.wall_time
+        ages = [end - m.payload[0].captured_at for m in power_responses(result)]
         # last meter's reading is freshest: it only ages by its uplink leg
-        last = MeterId(0, 3)
-        assert result.staleness[last] == pytest.approx(2.0)  # half of 4.0 s link
+        assert power_responses(result)[-1].meter == MeterId(0, 3)
+        assert ages[-1] == pytest.approx(2.0)  # half of 4.0 s link
+        # the first reading is the oldest, and stale_max is its age
+        assert result.stale_max == max(ages) == ages[0]
 
 
 # legacy_pull on the library's default (stochastic) links at a 3 s timeout,
 # which the cellular link sometimes exceeds: (wall_time, errors as
-# (outlet, marker), staleness as (outlet, repr), sha256 prefix of the wire
-# trail) per (include_status, seed). The reprs pin every float to the last
-# bit, so a reordered draw or float operation in the request loop shows here.
+# (outlet, marker), sha256 prefix of the wire trail) per (include_status,
+# seed). The repr and the trail, which holds every snapshot's captured_at,
+# pin every float to the last bit, so a reordered draw or float operation in
+# the request loop shows here.
 PINNED_LEGACY_PULLS = {
-    (False, 0): ('4.687343021876445', [],
-                 [(0, '4.002689524590071'), (1, '2.8629745902421218'), (2, '1.9931573087462433'),
-                  (3, '0.770821775653352')], '5cb1940011ad134e'),
-    (False, 1): ('8.828514338658806', [(1, 'timeout')],
-                 [(0, '7.858168897532778'), (2, '3.4016345016971172'), (3, '1.3474732211811897')],
-                 '84f107364d1f9857'),
-    (False, 2): ('6.3456461629966725', [],
-                 [(0, '4.854731721569806'), (1, '2.6776706391165135'), (2, '1.3413779775555668'),
-                  (3, '0.3559954783977446')], '84210a4907013149'),
-    (False, 3): ('8.823736655374887', [],
-                 [(0, '7.3182655197106214'), (1, '5.07927574680798'), (2, '3.3365329671614745'),
-                  (3, '1.1536125776601693')], 'd64799eee61d3d0b'),
-    (False, 4): ('4.56980157632097', [],
-                 [(0, '4.0720964639112935'), (1, '2.84673639301036'), (2, '1.4989157366126165'),
-                  (3, '0.4447706813552941')], '601d6d1ee398aad8'),
-    (False, 5): ('9.561669453174545', [(0, 'timeout'), (3, 'timeout')],
-                 [(1, '5.618758559015987'), (2, '3.810501484960696')], '7aa15a8eadb3237d'),
-    (True, 0): ('11.125973129466514', [],
-                [(0, '10.44131963218014'), (1, '8.258457373509419'), (2, '5.221098642158198'),
-                 (3, '1.2803526573501127')], '1aa7610e34959a66'),
+    (False, 0): ('4.687343021876445', [], '5cb1940011ad134e'),
+    (False, 1): ('8.828514338658806', [(1, 'timeout')], '84f107364d1f9857'),
+    (False, 2): ('6.3456461629966725', [], '84210a4907013149'),
+    (False, 3): ('8.823736655374887', [], 'd64799eee61d3d0b'),
+    (False, 4): ('4.56980157632097', [], '601d6d1ee398aad8'),
+    (False, 5): ('9.561669453174545', [(0, 'timeout'), (3, 'timeout')], '7aa15a8eadb3237d'),
+    (True, 0): ('11.125973129466514', [], '1aa7610e34959a66'),
     (True, 1): ('15.216821896975034', [(0, 'status-timeout'), (1, 'status-timeout')],
-                [(0, '14.246476455849006'), (1, '9.79402687793663'), (2, '4.762714831825633'),
-                 (3, '1.6584855231494657')], '4777d1e117023879'),
-    (True, 2): ('17.411736198262588', [(2, 'status-timeout')],
-                [(0, '15.920821756835721'), (1, '11.596448253186281'), (2, '8.94270756325659'),
-                 (3, '4.088086858973838')], '231d729d73365fb1'),
-    (True, 3): ('15.58804986710311', [],
-                [(0, '14.082578731438844'), (1, '10.02461436354497'), (2, '6.688427193746975'),
-                 (3, '2.304489367712449')], 'ba37e9e48b41f284'),
-    (True, 4): ('10.640311924562411', [],
-                [(0, '10.142606812152735'), (1, '7.546429159567197'), (2, '3.5553611532686773'),
-                 (3, '1.5046114037704683')], 'c3bb29508b65472a'),
-    (True, 5): ('16.11415778349692', [(0, 'timeout'), (2, 'timeout')],
-                [(1, '10.486890606811357'), (3, '1.9743201417295495')], 'd66a54315065f6a8'),
+                '4777d1e117023879'),
+    (True, 2): ('17.411736198262588', [(2, 'status-timeout')], '231d729d73365fb1'),
+    (True, 3): ('15.58804986710311', [], 'ba37e9e48b41f284'),
+    (True, 4): ('10.640311924562411', [], 'c3bb29508b65472a'),
+    (True, 5): ('16.11415778349692', [(0, 'timeout'), (2, 'timeout')], 'd66a54315065f6a8'),
 }
 
 
@@ -172,7 +169,6 @@ def test_legacy_pull_pinned_on_default_links(include_status, seed):
     actual = (
         repr(result.wall_time),
         [(m.outlet, marker) for m, marker in result.errors],
-        sorted((m.outlet, repr(s)) for m, s in result.staleness.items()),
         hashlib.sha256(trail.encode()).hexdigest()[:16],
     )
     assert actual == PINNED_LEGACY_PULLS[(include_status, seed)]
@@ -212,12 +208,20 @@ class TestPicPull:
         result = pic_pull(endpoint, links, substream(1, "t"), at=10.0, timeout_s=1.0)
         assert result.wall_time == 1.0
         assert result.request_count == 1
-        assert result.responses == 0
         assert result.errors == [(None, "timeout")]
-        assert result.snapshots == {MeterId(0, outlet): None for outlet in range(4)}
-        assert result.staleness == {}
+        assert result.stale_max is None
         assert [m.kind for m in result.messages] == [MessageKind.AGGREGATE_REQ, MessageKind.ERROR]
         assert result.messages[1].received_at == 11.0
+
+    def test_stale_max_is_the_oldest_served_readings_age_on_arrival(self):
+        links = fixed_links(threeg=4.5, metering=0.5)
+        endpoint = cache_serving_endpoint(links)  # collected from t = 0
+        result = pic_pull(endpoint, links, substream(1, "t"), at=100.0)
+        packet = result.messages[-1]
+        assert packet.kind is MessageKind.AGGREGATE_PACKET
+        assert packet.received_at == 100.0 + result.wall_time
+        ages = [packet.received_at - s.captured_at for s in packet.payload]
+        assert result.stale_max == max(ages) == ages[0]
 
     def test_fresh_mode_charges_collection_to_wall(self):
         links = fixed_links(threeg=4.5, metering=0.2, local_bus=0.001)
