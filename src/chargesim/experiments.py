@@ -8,6 +8,14 @@ name, while the engine runs; ``finish()`` then returns ``(csvs, summary,
 checks)``. A fold keeps tuples and counters, never record dicts, and reads
 nothing but the config and the records, so a written trace file streamed
 through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
+
+Two kinds of work run in a forked child when the platform has ``fork`` and
+the process runs one thread (``_may_fork``), through one helper,
+``_Forked``: each trace after a command's first (local-sched's ``local``),
+and compare-protocols' per-trial legacy pulls and push-cycle estimates,
+which the child streams back to the trial events in order, when the run
+has more than one chunk (``FORK_CHUNK``) of trials. Outputs are
+byte-identical either way, and no child outlives the run.
 """
 from __future__ import annotations
 
@@ -285,23 +293,38 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
         eng.schedule_at(0.0, "pic-collect", fn=refresh)
         eng.schedule_every(cfg.push_period_s, "pic-collect", refresh)
 
-    def trial(at, data):
-        # the four protocols run against the same draws of the trial's stream
-        rng4, rng8, rng_pic, rng_push = substream_readers(cfg.seed, f"trial:{data['trial']}", 4)
+    def outcomes(i):
+        """Trial ``i``'s two legacy pulls and push-cycle estimate, as
+        ``(legacy4, rc4, legacy8, rc8, push_cycle)``: they read the seed, the
+        trial index and the station, which nothing changes once this builder
+        has run, and no engine state, so a forked child may compute them."""
+        at = i * cfg.trial_spacing_s
+        # these and the trial's aggregated pull run against the same draws of its stream
+        rng4, rng8, rng_push = substream_readers(cfg.seed, f"trial:{i}", 3)
         r4 = proto.legacy_pull(station, links, rng4,
                                include_status=False, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
         r8 = proto.legacy_pull(station, links, rng8,
                                include_status=True, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
-        rp = proto.pic_pull(endpoint, links, rng_pic, at=at, timeout_s=cfg.timeout_s)
         cycle = ordered_sum(
             links.local_bus.sample(rng_push, at) + links.metering.sample(rng_push, at)
             for _ in range(len(station.meters))
         ) + 0.5 * uplink.sample(rng_push, at)
+        return r4.wall_time, r4.request_count, r8.wall_time, r8.request_count, cycle
+
+    def trial(at, data):
+        result = next_outcomes()
+        if isinstance(result, Exception):  # what outcomes raised in the child
+            raise result
+        legacy4, rc4, legacy8, rc8, cycle = result
+        # the pull reads the pull collector's cache, so it runs here, on a
+        # fresh derivation of the trial's stream
+        rp = proto.pic_pull(endpoint, links, substream(cfg.seed, f"trial:{data['trial']}"),
+                            at=at, timeout_s=cfg.timeout_s)
         return {
-            "legacy4": r4.wall_time, "rc4": r4.request_count,
-            "legacy8": r8.wall_time, "rc8": r8.request_count,
+            "legacy4": legacy4, "rc4": rc4,
+            "legacy8": legacy8, "rc8": rc8,
             "pic": rp.wall_time, "rc1": rp.request_count,
             "push_cycle": cycle,
             "pic_stale_max": rp.stale_max,
@@ -311,6 +334,17 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
         eng.schedule_at(i * cfg.trial_spacing_s, "trial", data={"trial": i}, fn=trial)
 
     _attach_push_station(eng, cfg, station, uplink)
+    # The station is now as every trial finds it. The trials take their
+    # outcomes in order, from a child that computes them ahead of the engine
+    # when this process may fork, or here, one per trial, otherwise. A run
+    # of at most one chunk of trials computes them here: at that size the
+    # fork, the pipe and the wait for the only chunk cost what they save.
+    if cfg.trials > FORK_CHUNK and _may_fork():
+        feed = _Forked(outcomes, range(cfg.trials), "computing compare-protocols trials")
+        eng.closing.append(feed.close)
+        next_outcomes = feed.results.__next__
+    else:
+        next_outcomes = map(outcomes, range(cfg.trials)).__next__
     return horizon
 
 
@@ -678,8 +712,11 @@ class Command(NamedTuple):
     ``run`` builds each trace after the first in a forked child when the
     platform has ``fork`` and the process runs one thread, so the fold of a
     command with several traces keeps what each trace adds apart, in
-    ``counts[name]``: that is all of the fold a child sends back. Outputs
-    are byte-identical either way, and no child outlives the run."""
+    ``counts[name]``: that is all of the fold a child sends back. A builder
+    may also hand work that reads no engine state to a child of its own, as
+    compare-protocols does with its trials' legacy pulls and push-cycle
+    estimates, registering the child's ``close`` in ``Engine.closing``.
+    Outputs are byte-identical either way, and no child outlives the run."""
 
     builders: dict    # trace name -> ((Engine, ExperimentConfig) -> horizon s)
     fold: type        # ExperimentConfig -> fold
@@ -708,11 +745,14 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
     A command with several traces builds each trace after the first in a
     forked child, while this process builds the first, when the platform
     has ``fork`` and the process runs one thread; otherwise it builds them
-    in turn, here. Outputs are byte-identical either way: the traces keep
-    their order, and an exception a child's build raised is raised here as
-    it would have been. No child outlives the run: each is reaped before
-    ``run`` returns or raises, and killed first if the run is abandoned
-    (which leaves its trace file without the footer ``read_trace`` needs).
+    in turn, here. Under the same condition, and when it runs more than
+    ``FORK_CHUNK`` trials, compare-protocols computes its trials' legacy
+    pulls and push-cycle estimates in a forked child, which streams them to
+    the trial events, and computes them at each trial event otherwise.
+    Outputs are byte-identical either way: the traces keep their order, and
+    an exception a child raised is raised here where it would have been. No child outlives the run: each is reaped before ``run``
+    returns or raises, and killed first if the run is abandoned (which
+    leaves a child's trace file without the footer ``read_trace`` needs).
 
     A handler exception truncates its trace; the fold would then miss state
     the failed event never recorded. Such a run skips ``finish()`` and gets
@@ -757,25 +797,98 @@ class _ChildTrace:
         return self._digest
 
 
-def _build_in_child(command: str, name: str, cfg: ExperimentConfig, fold, out_dir,
-                    write: int) -> NoReturn:
-    """In a forked child: build trace ``name`` as ``build_trace`` does, into
-    the child's copy of ``fold``, write one pickled message to the pipe
-    ``write`` (the trace's digest, count, last record and failed flag and
-    ``fold.counts[name]``, or the exception the build raised) and leave with
+FORK_CHUNK = 256  # results a forked child pickles and sends at once
+
+
+class _Forked:
+    """``fn`` over ``items`` in a child forked when this is made.
+
+    ``results`` yields, in the items' order, what each call returned or the
+    ``Exception`` it raised (so ``fn`` returns no exception), as the child
+    sends them in pickled chunks of ``FORK_CHUNK``. Once they end the child
+    is reaped, and an exit code other than 0 raises a ``RuntimeError`` that
+    names ``what`` the child was doing. ``close()`` kills the child if it
+    still runs and reaps it; its owner calls it in a ``finally``, so no child
+    outlives a run, however the run ends."""
+
+    __slots__ = ("_pid", "_pipe", "_what", "results")
+
+    def __init__(self, fn, items, what: str):
+        # loaded here, before the fork, so a run that forks nothing never
+        # loads it and the child finds it loaded
+        import pickle  # noqa: F401
+
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
+            os.close(read)
+            _serve(fn, items, write)
+        os.close(write)
+        self._pid: Optional[int] = pid  # None once reaped
+        self._pipe = os.fdopen(read, "rb")
+        self._what = what
+        self.results = self._read()
+
+    def _read(self):
+        from pickle import load
+
+        pipe = self._pipe
+        while True:
+            try:
+                chunk = load(pipe)
+            except EOFError:
+                break
+            yield from chunk
+        pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._pid = None
+        if code != 0:
+            raise RuntimeError(f"the process {self._what} exited with code {code}")
+
+    def close(self) -> None:
+        import signal
+
+        self.results.close()
+        self._pipe.close()
+        pid = self._pid
+        if pid is None:
+            return
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped just before an interrupt
+            pass
+        self._pid = None
+
+
+def _serve(fn, items, write: int) -> NoReturn:
+    """In a forked child: pickle what ``fn`` returns or raises for each of
+    ``items`` to the pipe ``write``, ``FORK_CHUNK`` at a time, and leave with
     ``os._exit``, so none of the parent's ``finally`` blocks, ``atexit``
     hooks or buffered output runs twice."""
     import pickle  # loaded already, by the parent before it forked
 
     status = 1
     try:
-        try:
-            trace = build_trace(command, name, cfg, partial(fold.add, name), out_dir)
-            message = (trace.digest(), trace.count, trace.last, trace.failed, fold.counts[name])
-        except Exception as exc:  # noqa: BLE001 - the parent raises it
-            message = exc
         with os.fdopen(write, "wb") as pipe:
-            pickle.dump(message, pipe)
+            chunk: list = []
+            for item in items:
+                try:
+                    chunk.append(fn(item))
+                except Exception as exc:  # noqa: BLE001 - the parent raises it
+                    chunk.append(exc)
+                if len(chunk) == FORK_CHUNK:
+                    pickle.dump(chunk, pipe)
+                    pipe.flush()
+                    chunk = []
+            if chunk:
+                pickle.dump(chunk, pipe)
         status = 0
     finally:
         os._exit(status)
@@ -785,48 +898,33 @@ def _build_traces(command: str, cfg: ExperimentConfig, fold, out_dir) -> list:
     """``run``'s ``(name, trace)`` list, in the command's order. When the
     command has several traces and ``_may_fork()``, a child is forked per
     trace after the first, this process builds the first meanwhile, and
-    each child's message is then taken in turn, its fold state put in
-    ``fold.counts``; otherwise this process builds every trace in turn."""
+    each child's message (its trace's digest, count, last record and failed
+    flag, and ``fold.counts[name]``) is then taken in turn, its fold state
+    put in ``fold.counts``; otherwise this process builds every trace in
+    turn."""
     names = list(COMMANDS[command].builders)
     forked = names[1:] if len(names) > 1 and _may_fork() else []
-    if forked:  # loaded here, so a run that forks nothing never loads them
-        import pickle
-        import signal
-    children: dict = {}  # pid -> (trace name, read end of its pipe), until reaped
+
+    def build_in_child(name):
+        trace = build_trace(command, name, cfg, partial(fold.add, name), out_dir)
+        return trace.digest(), trace.count, trace.last, trace.failed, fold.counts[name]
+
+    children: dict = {}  # trace name -> _Forked
     try:
         for name in forked:
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read)
-                _build_in_child(command, name, cfg, fold, out_dir, write)
-            os.close(write)
-            children[pid] = (name, os.fdopen(read, "rb"))
+            children[name] = _Forked(build_in_child, (name,), f"building trace {name!r}")
         traces = [(name, build_trace(command, name, cfg, partial(fold.add, name), out_dir))
-                  for name in (names[:1] if forked else names)]
-        for pid, (name, pipe) in list(children.items()):
-            with pipe:
-                message = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code != 0:
-                raise RuntimeError(f"the process building trace {name!r} exited with code {code}")
-            message = pickle.loads(message)
-            if isinstance(message, Exception):
-                raise message
-            digest, count, last, failed, fold.counts[name] = message
-            traces.append((name, _ChildTrace(digest, count, last, failed)))
+                  for name in names if name not in children]
+        for name, child in children.items():
+            for message in child.results:  # one message, then the child is reaped
+                if isinstance(message, Exception):
+                    raise message
+                digest, count, last, failed, fold.counts[name] = message
+                traces.append((name, _ChildTrace(digest, count, last, failed)))
         return traces
     finally:
-        # the run is abandoned: end every child not yet reaped
-        for pid, (_, pipe) in children.items():
-            pipe.close()
-            try:
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped just before an interrupt
-                pass
+        for child in children.values():
+            child.close()
 
 
 def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
@@ -835,27 +933,32 @@ def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
     handing each record to ``consume``. With ``out_dir``, the trace streams
     into ``out_dir/trace_file(name)``, opened only once the builder has
     scheduled its events (a builder's ``ConfigError`` leaves no file) and
-    finished with its digest footer, also when an event failed.
+    finished with its digest footer, also when an event failed. The
+    engine is closed however the run ends, so a child the builder forked
+    to feed its events is reaped, or killed first, before this returns.
 
     The header config of a trace not named ``trace`` records its name as
     ``sched_variant``, which ``cmd_replay`` removes to find the builder."""
     raw = cfg.raw if name == "trace" else {**cfg.raw, "sched_variant": name}
     eng = Engine(cfg.seed, meta={"command": command, "config": raw})
-    horizon = COMMANDS[command].builders[name](eng, cfg)
-    trace = eng.trace
-    trace.consume = consume
-    if out_dir is None:
-        return eng.run_until(horizon)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / trace_file(name)
-    trace.open(path)
     try:
-        eng.run_until(horizon)
-        trace.write(path)
+        horizon = COMMANDS[command].builders[name](eng, cfg)
+        trace = eng.trace
+        trace.consume = consume
+        if out_dir is None:
+            return eng.run_until(horizon)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / trace_file(name)
+        trace.open(path)
+        try:
+            eng.run_until(horizon)
+            trace.write(path)
+        finally:
+            trace.close()
+        return trace
     finally:
-        trace.close()
-    return trace
+        eng.close()
 
 
 class ReplayVerdict(NamedTuple):

@@ -321,12 +321,17 @@ class Engine:
     Strictly one thread may drive an engine at a time; run many engines on
     independent seeds for parallel experiments, as ``experiments.run`` does
     with a command's traces, each after the first in a forked child.
+
+    A builder that holds something for the run's handlers (a forked child
+    that feeds them, say) appends its release to ``closing``; whoever runs
+    the engine calls ``close()`` once the run is over, however it ended.
     """
 
     def __init__(self, seed: int, meta: dict | None = None):
         self.seed = seed
         self.meta = dict(meta or {})
         self.clock = 0.0
+        self.closing: list = []  # callables close() calls, latest first
         self._heap: list[tuple] = []  # (at, seq, kind, data, fn)
         self._next_seq = 0
         self._streams: dict[str, random.Random] = {}
@@ -336,6 +341,12 @@ class Engine:
             config_digest=config_digest(cfg) if cfg is not None else "",
             meta=self.meta,
         )
+
+    def close(self) -> None:
+        """Call each callable in ``closing``, latest first, once."""
+        closing = self.closing
+        while closing:
+            closing.pop()()
 
     def stream(self, label: str) -> random.Random:
         """Named random stream; the same label always returns the same stream."""

@@ -101,12 +101,14 @@ class TestConfig:
     def test_cli_start_up_loads_neither_dataclasses_nor_inspect(self, tmp_path):
         # every CLI run imports the package afresh; generating dataclass
         # methods and importing `dataclasses` (which loads `inspect`) took
-        # about a fifth of that start-up
+        # about a fifth of that start-up. Only a run that forks loads the
+        # fork modules, and start-up forks nothing.
         path = tmp_path / "exp.json"
         path.write_text('{"seed": 3}')
         script = ("import sys; import chargesim.cli; from chargesim.config import resolve; "
                   "resolve(config_path=sys.argv[1]); "
-                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+                  "print(sorted({'dataclasses', 'inspect', 'pickle', 'signal', 'threading'} "
+                  "& set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", script, str(path)],
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
@@ -116,11 +118,16 @@ class TestConfig:
     @pytest.mark.parametrize("command, loaded", [
         ("rtt-dist", []),
         ("local-sched", ["pickle", "signal", "threading"]),
+        ("duty-cycle", []),
+        ("compare-protocols", ["pickle", "signal", "threading"]),
     ])
     def test_only_a_run_that_may_fork_loads_the_fork_modules(self, tmp_path, command, loaded):
-        # a run with one trace forks nothing, so it pays for none of them
+        # a run that forks nothing pays for none of them; local-sched builds
+        # its second trace, and compare-protocols computes more than one
+        # chunk of trials, in a child
         script = ("import sys; from chargesim import cli; "
-                  "code = cli.main([sys.argv[1], '--duration', '3600', '--out', sys.argv[2]]); "
+                  "code = cli.main([sys.argv[1], '--duration', '3600', '--trials', '600', "
+                  "'--out', sys.argv[2]]); "
                   "print(code, sorted({'pickle', 'signal', 'threading'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", script, command, str(tmp_path)],
                               capture_output=True, text=True,

@@ -1,19 +1,24 @@
 """Experiment harness tests: trace-derived metrics, determinism, replay,
-and local-sched's variant traces built in forked children."""
+local-sched's variant traces built in forked children, and compare-protocols'
+trial outcomes computed in one."""
+import contextlib
 import csv
 import json
 import os
 import threading
+import time
 import tracemalloc
 from functools import partial
 from unittest import mock
 
 import pytest
 
+from chargesim import pic, proto
 from chargesim.cli import _emit, main
 from chargesim.config import ConfigError, from_dict, resolve
 from chargesim.experiments import (
     COMMANDS,
+    FORK_CHUNK,
     SCHED_VARIANTS,
     Check,
     ExperimentOutput,
@@ -302,6 +307,21 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def second_thread_running():
+    """A second thread runs meanwhile, and a call to ``os.fork`` fails."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60.0,))
+    thread.start()
+    try:
+        with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            yield
+    finally:
+        release.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
+
+
 FORK_CONFIGS = {
     "round-robin": lambda: small_default(fleet=four_evs("round_robin")),
     "schedule-time": lambda: small_default(fleet=four_evs("schedule_time"),
@@ -349,16 +369,8 @@ class TestForkedTraces:
 
     def test_a_second_thread_keeps_the_build_in_process(self, tmp_path, capsys):
         cfg = FORK_CONFIGS["round-robin"]()
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60.0,))
-        thread.start()
-        try:
-            with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
-                out = run("local-sched", cfg, tmp_path / "threaded")
-        finally:
-            release.set()
-            thread.join(timeout=60.0)
-        assert not thread.is_alive()
+        with second_thread_running():
+            out = run("local-sched", cfg, tmp_path / "threaded")
         no_child_left()
         oracle = built_in_turn(cfg, tmp_path / "oracle")
         assert (out.csvs, out.summary, out.checks) == (oracle.csvs, oracle.summary, oracle.checks)
@@ -439,6 +451,156 @@ class TestForkedTraces:
         monkeypatch.setitem(builders, "server", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run("local-sched", resolve("default"), tmp_path)
+        no_child_left()
+
+
+# trial count -> forks: only a run of more than one chunk of trials forks
+TRIAL_CONFIGS = {
+    "default": {"trials": 600},
+    "uncached": {"trials": 600, "serve_cache": False},
+    "cloud": {"trials": 600, "latency": {"t_server_cloud": 0.05, "t_cloud": 0.1}},
+    # below the 0 + 4.5 + 0.5 s longest power request
+    "timeouts": {"trials": 600, "timeout_s": 2.0},
+    "one-chunk-and-one": {"trials": FORK_CHUNK + 1},
+    "one-chunk": {"trials": FORK_CHUNK},
+    "two-hundred": {"trials": 200},
+    "no-trials": {"trials": 0},
+}
+
+
+def in_process_compare(monkeypatch, cfg, out_dir, how):
+    """compare-protocols run with its trial outcomes computed here: with
+    ``os.fork`` deleted, or with a second thread running."""
+    if how == "no-fork":
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            return run("compare-protocols", cfg, out_dir)
+    with second_thread_running():
+        return run("compare-protocols", cfg, out_dir)
+
+
+class TestForkedTrials:
+    """compare-protocols computes its trials' legacy pulls and push-cycle
+    estimates in a forked child when it may fork, and here otherwise."""
+
+    @pytest.mark.parametrize("config", sorted(TRIAL_CONFIGS))
+    def test_forked_trials_match_the_trials_computed_here(self, monkeypatch, tmp_path, capsys,
+                                                          config):
+        cfg = small_default(**TRIAL_CONFIGS[config])
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            forked = run("compare-protocols", cfg, tmp_path / "forked")
+        assert fork.call_count == (1 if cfg.trials > FORK_CHUNK else 0)
+        no_child_left()
+        assert forked.ok, [c for c in forked.checks if not c.ok]
+        want = emitted(forked, tmp_path / "forked", capsys)
+        (_, trace), = forked.traces
+        errors = []
+        legacy_pull = proto.legacy_pull
+
+        def counted(*args, **kwargs):
+            result = legacy_pull(*args, **kwargs)
+            errors.extend(result.errors)
+            return result
+
+        monkeypatch.setattr(proto, "legacy_pull", counted)
+        for how in ("no-fork", "second-thread"):
+            out = in_process_compare(monkeypatch, cfg, tmp_path / how, how)
+            no_child_left()
+            (_, oracle), = out.traces
+            assert (trace.digest(), trace.count, trace.last, trace.failed) == \
+                (oracle.digest(), oracle.count, oracle.last, oracle.failed)
+            assert (forked.csvs, forked.summary, forked.checks) == \
+                (out.csvs, out.summary, out.checks)
+            assert emitted(out, tmp_path / how, capsys) == want
+        # the low timeout is the only config whose legacy requests time out
+        assert bool(errors) == (config == "timeouts")
+
+    def test_a_trial_that_raises_in_the_child_fails_as_it_does_here(self, monkeypatch, tmp_path,
+                                                                    capsys):
+        legacy_pull = proto.legacy_pull
+
+        def failing(*args, **kwargs):
+            if kwargs["at"] == 600.0 and kwargs["include_status"]:
+                raise ValueError("no reply from meter 2")
+            return legacy_pull(*args, **kwargs)
+
+        monkeypatch.setattr(proto, "legacy_pull", failing)
+        cfg = small_default(trials=600)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            forked = run("compare-protocols", cfg, tmp_path / "forked")
+        assert fork.call_count == 1
+        no_child_left()
+        in_process = in_process_compare(monkeypatch, cfg, tmp_path / "in-process", "no-fork")
+        no_child_left()
+        want = Check("trace-complete", False, "trace truncated: event 'trial' at 600.0 s "
+                                              "failed: ValueError: no reply from meter 2")
+        assert forked.checks == in_process.checks == [want]
+        assert emitted(forked, tmp_path / "forked", capsys) == \
+            emitted(in_process, tmp_path / "in-process", capsys)
+
+    def test_an_event_failing_before_the_trials_are_read_ends_the_child_promptly(
+            self, monkeypatch, tmp_path):
+        # past its first chunk the child would take minutes to reach its next
+        # write and hours over its trials, so a run that waited for the child,
+        # or left it to meet the closed pipe, would not return within the bound
+        parent = os.getpid()
+        legacy_pull = proto.legacy_pull
+        main_loop_step = pic.main_loop_step
+
+        def slow_in_child(*args, **kwargs):
+            if os.getpid() != parent and kwargs["at"] >= 60.0 * FORK_CHUNK:
+                time.sleep(0.5)
+            return legacy_pull(*args, **kwargs)
+
+        def step_failing_at_90(state, bus, send, now):
+            if now == 90.0:
+                raise RuntimeError("bus stuck")
+            return main_loop_step(state, bus, send, now)
+
+        monkeypatch.setattr(proto, "legacy_pull", slow_in_child)
+        monkeypatch.setattr(pic, "main_loop_step", step_failing_at_90)
+        start = time.monotonic()
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            out = run("compare-protocols", resolve("default"), tmp_path)
+        assert time.monotonic() - start < 30.0
+        assert fork.call_count == 1
+        no_child_left()
+        assert out.checks == [Check("trace-complete", False,
+                                    "trace truncated: event 'push-step' at 90.0 s failed: "
+                                    "RuntimeError: bus stuck")]
+
+    def test_a_child_that_dies_names_its_exit_code(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            assert os.getpid() != parent, "the trial was not computed in a child"
+            os._exit(5)
+
+        monkeypatch.setattr(proto, "legacy_pull", die)
+        out = run("compare-protocols", small_default(trials=600))
+        no_child_left()
+        assert out.checks == [Check(
+            "trace-complete", False,
+            "trace truncated: event 'trial' at 0.0 s failed: RuntimeError: the process "
+            "computing compare-protocols trials exited with code 5")]
+
+    def test_an_interrupted_run_kills_and_reaps_its_child(self, monkeypatch, tmp_path):
+        builders = COMMANDS["compare-protocols"].builders
+        build = builders["trace"]
+
+        def interrupt(at, data):
+            raise KeyboardInterrupt
+
+        def interrupted(eng, cfg):
+            horizon = build(eng, cfg)
+            eng.schedule_at(120.0, "interrupt", fn=interrupt)
+            return horizon
+
+        monkeypatch.setitem(builders, "trace", interrupted)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                pytest.raises(KeyboardInterrupt):
+            run("compare-protocols", resolve("default"), tmp_path)
+        assert fork.call_count == 1
         no_child_left()
 
 
