@@ -12,10 +12,11 @@ through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
 Two kinds of work run in a forked child when the platform has ``fork`` and
 the process runs one thread (``_may_fork``), through one helper,
 ``_Forked``: each trace after a command's first (local-sched's ``local``),
-and compare-protocols' per-trial legacy pulls and push-cycle estimates,
-which the child streams back to the trial events in order, when the run
-has more than one chunk (``FORK_CHUNK``) of trials. Outputs are
-byte-identical either way, and no child outlives the run.
+and compare-protocols' per-trial draws (both legacy pulls, the push-cycle
+estimate and the aggregated pull's uplink delay), which the child streams
+back to the trial events in order, when the run has more than one chunk
+(``FORK_CHUNK``) of trials. Outputs are byte-identical either way, and no
+child outlives the run.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .domain import (
 )
 from .latency import (LatencyModel, LinkKind, TimingBudget, count_modes, histogram_of,
                       worst_case_budget)
-from .sim import Engine, EventTrace, ordered_sum, read_trace, substream, substream_readers
+from .sim import Engine, EventTrace, ordered_sum, read_trace, substream
 
 MODE_BINS = 45
 
@@ -294,34 +295,36 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
         eng.schedule_every(cfg.push_period_s, "pic-collect", refresh)
 
     def outcomes(i):
-        """Trial ``i``'s two legacy pulls and push-cycle estimate, as
-        ``(legacy4, rc4, legacy8, rc8, push_cycle)``: they read the seed, the
-        trial index and the station, which nothing changes once this builder
-        has run, and no engine state, so a forked child may compute them."""
+        """Trial ``i``'s draws, as ``(legacy4, rc4, legacy8, rc8, push_cycle,
+        pull_link_s)``: both legacy pulls, the push-cycle estimate and the
+        aggregated pull's uplink delay, each on its own fresh derivation of
+        the stream ``trial:i``. They read the seed, the trial index and the
+        station, which nothing changes once this builder has run, and no
+        engine state, so a forked child may compute them."""
         at = i * cfg.trial_spacing_s
-        # these and the trial's aggregated pull run against the same draws of its stream
-        rng4, rng8, rng_push = substream_readers(cfg.seed, f"trial:{i}", 3)
-        r4 = proto.legacy_pull(station, links, rng4,
+        label = f"trial:{i}"
+        r4 = proto.legacy_pull(station, links, substream(cfg.seed, label),
                                include_status=False, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
-        r8 = proto.legacy_pull(station, links, rng8,
+        r8 = proto.legacy_pull(station, links, substream(cfg.seed, label),
                                include_status=True, at=at, timeout_s=cfg.timeout_s,
                                t_status_read=cfg.t_status_read_s)
+        rng_push = substream(cfg.seed, label)
         cycle = ordered_sum(
             links.local_bus.sample(rng_push, at) + links.metering.sample(rng_push, at)
             for _ in range(len(station.meters))
         ) + 0.5 * uplink.sample(rng_push, at)
-        return r4.wall_time, r4.request_count, r8.wall_time, r8.request_count, cycle
+        pull_link_s = uplink.sample(substream(cfg.seed, label), at)
+        return (r4.wall_time, r4.request_count, r8.wall_time, r8.request_count, cycle,
+                pull_link_s)
 
     def trial(at, data):
         result = next_outcomes()
         if isinstance(result, Exception):  # what outcomes raised in the child
             raise result
-        legacy4, rc4, legacy8, rc8, cycle = result
-        # the pull reads the pull collector's cache, so it runs here, on a
-        # fresh derivation of the trial's stream
-        rp = proto.pic_pull(endpoint, links, substream(cfg.seed, f"trial:{data['trial']}"),
-                            at=at, timeout_s=cfg.timeout_s)
+        legacy4, rc4, legacy8, rc8, cycle, pull_link_s = result
+        # the pull reads the pull collector's cache, so it runs here
+        rp = proto.pic_pull(endpoint, links, pull_link_s, at=at, timeout_s=cfg.timeout_s)
         return {
             "legacy4": legacy4, "rc4": rc4,
             "legacy8": legacy8, "rc8": rc8,
@@ -714,8 +717,9 @@ class Command(NamedTuple):
     command with several traces keeps what each trace adds apart, in
     ``counts[name]``: that is all of the fold a child sends back. A builder
     may also hand work that reads no engine state to a child of its own, as
-    compare-protocols does with its trials' legacy pulls and push-cycle
-    estimates, registering the child's ``close`` in ``Engine.closing``.
+    compare-protocols does with its trials' draws (legacy pulls, push-cycle
+    estimates and the aggregated pulls' uplink delays), registering the
+    child's ``close`` in ``Engine.closing``.
     Outputs are byte-identical either way, and no child outlives the run."""
 
     builders: dict    # trace name -> ((Engine, ExperimentConfig) -> horizon s)
@@ -746,13 +750,15 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
     forked child, while this process builds the first, when the platform
     has ``fork`` and the process runs one thread; otherwise it builds them
     in turn, here. Under the same condition, and when it runs more than
-    ``FORK_CHUNK`` trials, compare-protocols computes its trials' legacy
-    pulls and push-cycle estimates in a forked child, which streams them to
-    the trial events, and computes them at each trial event otherwise.
-    Outputs are byte-identical either way: the traces keep their order, and
-    an exception a child raised is raised here where it would have been. No child outlives the run: each is reaped before ``run``
-    returns or raises, and killed first if the run is abandoned (which
-    leaves a child's trace file without the footer ``read_trace`` needs).
+    ``FORK_CHUNK`` trials, compare-protocols makes its trials' draws (legacy
+    pulls, push cycles, aggregated pulls' uplink delays) in a forked child,
+    which streams them to the trial events that serve the pulls here, and
+    makes them at each trial event otherwise. Outputs are byte-identical
+    either way: the traces keep their order, and an exception a child
+    raised is raised here where it would have been. No child outlives the
+    run: each is reaped before ``run`` returns or raises, and killed first
+    if the run is abandoned (which leaves a child's trace file without the
+    footer ``read_trace`` needs).
 
     A handler exception truncates its trace; the fold would then miss state
     the failed event never recorded. Such a run skips ``finish()`` and gets

@@ -168,21 +168,21 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
     )
 
 
-def pic_pull(pic, links: LinkModelSet, rng, at: float = 0.0,
+def pic_pull(pic, links: LinkModelSet, link_s: float, at: float = 0.0,
              timeout_s: float = 30.0) -> RetrievalResult:
     """Aggregated pull: one request over the station uplink only.
 
     ``pic`` is a collector endpoint exposing ``station`` and
     ``serve_aggregate(now) -> (snapshots, serve_cost)``; in cache-serving
     mode the cost is zero and no metering term reaches the server's wall
-    clock. ``stale_max`` is the oldest served snapshot's age when the reply
-    lands. A timed-out request fails whole: no reading, so no ``stale_max``,
-    one ``(None, "timeout")`` error, and the timeout charged to the wall
-    clock, as in ``legacy_pull``.
+    clock. ``link_s``, the request's one uplink transit, is drawn by the
+    caller; its round trip adds the ``cloud`` hops. ``stale_max`` is the
+    oldest served snapshot's age when the reply lands. A round trip longer
+    than ``timeout_s`` fails whole: no reading, so no ``stale_max``, one
+    ``(None, "timeout")`` error, and the timeout charged to the wall clock,
+    as in ``legacy_pull``.
     """
-    station = pic.station
-    sid = station.station_id
-    link_s = links.for_link(station.link).sample(rng, at)
+    sid = pic.station.station_id
     rtt = links.cloud + link_s
     if rtt > timeout_s:
         return RetrievalResult(

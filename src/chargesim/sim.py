@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 import random
 from typing import Any, Callable, NamedTuple, Optional
@@ -95,30 +94,14 @@ def substream(master_seed: int, label: str) -> random.Random:
     Distinct labels yield independent streams, and a stream depends only on
     its own label, so adding entities to a scenario never perturbs anyone
     else's draws. Re-deriving the same label gives a fresh stream that
-    replays the same sequence; runs that must see the same sequence without
-    deriving it again take ``substream_readers``.
+    replays the same sequence, and that is the one way to replay one: each
+    consumer that must see a stream's draws from the first derives it
+    afresh. compare-protocols' protocols draw a trial's latencies this way,
+    each from its own derivation of ``trial:i``, so they run against
+    identical delays.
     """
     digest = hashlib.sha256(f"{master_seed}:{label}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
-
-
-class _Reader:
-    """A stream as its consumers see it: ``random()`` and nothing else."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, random: Callable[[], float]):
-        self.random = random
-
-
-def substream_readers(master_seed: int, label: str, n: int) -> tuple:
-    """``n`` readers of the one stream ``substream(master_seed, label)``,
-    derived once. Each reader's ``random()`` yields that stream's uniforms
-    from the first, however many the other readers have taken, so each
-    reader replays what a fresh derivation would; protocol A/B comparisons
-    rely on this to run against identical latency draws."""
-    uniforms = itertools.starmap(substream(master_seed, label).random, itertools.repeat(()))
-    return tuple(_Reader(tee.__next__) for tee in itertools.tee(uniforms, n))
 
 
 Handler = Callable[[float, Optional[dict]], Optional[dict]]

@@ -44,7 +44,7 @@ from chargesim.sched import (
 from chargesim.sim import ordered_sum, read_trace, substream
 
 from fw_harness import all_merges, run_interleaving
-from test_proto import cache_serving_endpoint, charging_station, fixed_links
+from test_proto import cache_serving_endpoint, charging_station, fixed_links, uplink_draw
 from test_sched import oracle_round_robin_counts, step_counts
 
 
@@ -68,7 +68,8 @@ def test_c2_speedups_vs_legacy():
     legacy4 = legacy_pull(charging_station(), links, substream(1, "a")).wall_time
     legacy8 = legacy_pull(charging_station(), links, substream(1, "b"),
                           include_status=True).wall_time
-    agg = pic_pull(cache_serving_endpoint(links), links, substream(1, "c")).wall_time
+    endpoint = cache_serving_endpoint(links)
+    agg = pic_pull(endpoint, links, uplink_draw(endpoint, links, substream(1, "c"))).wall_time
     sp_power = legacy4 / agg
     sp_full = legacy8 / agg
     ok = abs(sp_power - 4.4) / 4.4 <= 0.05 and abs(sp_full - 8.4) / 8.4 <= 0.05

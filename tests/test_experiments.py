@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from chargesim import pic, proto
+from chargesim import experiments, pic, proto
 from chargesim.cli import _emit, main
 from chargesim.config import ConfigError, from_dict, resolve
 from chargesim.experiments import (
@@ -480,8 +480,9 @@ def in_process_compare(monkeypatch, cfg, out_dir, how):
 
 
 class TestForkedTrials:
-    """compare-protocols computes its trials' legacy pulls and push-cycle
-    estimates in a forked child when it may fork, and here otherwise."""
+    """compare-protocols draws its trials' legacy pulls, push-cycle estimates
+    and aggregated pulls' uplink delays in a forked child when it may fork,
+    and here otherwise."""
 
     @pytest.mark.parametrize("config", sorted(TRIAL_CONFIGS))
     def test_forked_trials_match_the_trials_computed_here(self, monkeypatch, tmp_path, capsys,
@@ -514,6 +515,31 @@ class TestForkedTrials:
             assert emitted(out, tmp_path / how, capsys) == want
         # the low timeout is the only config whose legacy requests time out
         assert bool(errors) == (config == "timeouts")
+
+    def test_only_the_child_derives_the_trials_streams(self, monkeypatch, tmp_path):
+        # each derivation is appended to a file as "pid label", so the
+        # child's derivations reach this process too
+        log = tmp_path / "derived.txt"
+        substream = experiments.substream
+
+        def logged(seed, label):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {label}\n")
+            return substream(seed, label)
+
+        monkeypatch.setattr(experiments, "substream", logged)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            out = run("compare-protocols", small_default(trials=600))
+        assert fork.call_count == 1
+        no_child_left()
+        assert out.ok
+        parent = str(os.getpid())
+        derived = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert [label for pid, label in derived if pid == parent] == []
+        # the child derives each trial's stream once per consumer: both
+        # legacy pulls, the push-cycle estimate and the pull's uplink delay
+        assert [label for _, label in derived] == \
+            [f"trial:{i}" for i in range(600) for _ in range(4)]
 
     def test_a_trial_that_raises_in_the_child_fails_as_it_does_here(self, monkeypatch, tmp_path,
                                                                     capsys):

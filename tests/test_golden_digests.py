@@ -4,11 +4,15 @@ Each case in ``golden_digests.json`` is one ``chargesim`` invocation at a
 small size. For every output file the table holds the trace digest (for a
 ``.jsonl`` trace, read from its footer) or the SHA-256 of the file's bytes
 (CSVs and ``summary.txt``). A speed change must leave this table unchanged;
-any edit to it is a declared digest rebase.
+any edit to an existing entry is a declared digest rebase.
 
-To re-record the table (only for a declared rebase)::
+To add the cases and replays the table lacks::
 
     PYTHONPATH=src python tests/test_golden_digests.py --record
+
+It runs every case, writes only the missing entries, and exits 2, naming
+each one, if an existing entry would change. A declared rebase deletes the
+entries it re-records from ``golden_digests.json`` first.
 """
 from __future__ import annotations
 
@@ -46,6 +50,10 @@ CASES = {
         }}}),
     "compare-protocols-default-100": (
         ["compare-protocols", "--seed", "1", "--trials", "100"], None),
+    # more trials than one chunk (experiments.FORK_CHUNK), so where the
+    # platform can fork, a child computes the trials' outcomes
+    "compare-protocols-default-600": (
+        ["compare-protocols", "--seed", "1", "--trials", "600"], None),
     "compare-protocols-worst-case-3g": (
         ["compare-protocols", "--preset", "worst-case-3g"], None),
     "duty-cycle-default-201": (
@@ -145,12 +153,18 @@ def test_replay_reproduces_golden_digest(name, golden, work):
     assert run_replay(name, work) == golden["replays"][name]
 
 
-def record(work: Path) -> dict:
-    return {
-        "python": sys.version.split()[0],
-        "cases": {name: run_case(name, work) for name in sorted(CASES)},
-        "replays": {name: run_replay(name, work) for name in sorted(REPLAYS)},
-    }
+def record(table: dict, work: Path) -> list:
+    """Run every case and replay into ``work``, add the entries ``table``
+    lacks, and return the names of those whose existing entry differs."""
+    changed = []
+    for section, names, run in (("cases", CASES, run_case), ("replays", REPLAYS, run_replay)):
+        entries = table.setdefault(section, {})
+        for name in sorted(names):
+            got = run(name, work)
+            if entries.setdefault(name, got) != got:
+                changed.append(name)
+    table.setdefault("python", sys.version.split()[0])
+    return changed
 
 
 if __name__ == "__main__":
@@ -159,7 +173,12 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         print("usage: test_golden_digests.py --record", file=sys.stderr)
         sys.exit(2)
+    table = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        table = record(Path(tmp))
+        changed = record(table, Path(tmp))
+    if changed:
+        print(f"would change existing entries: {', '.join(changed)}; a declared rebase "
+              f"deletes them from {GOLDEN_PATH.name} first", file=sys.stderr)
+        sys.exit(2)
     GOLDEN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")

@@ -54,6 +54,12 @@ def cache_serving_endpoint(links, outlets=4):
     return PicEndpoint(state=state, bus=bus)
 
 
+def uplink_draw(endpoint, links, rng, at=0.0):
+    """An aggregated pull's one round trip, drawn from the endpoint station's
+    uplink model at ``at``."""
+    return links.for_link(endpoint.station.link).sample(rng, at)
+
+
 def power_responses(result):
     """A pull's power-reading responses, in emission order."""
     return [m for m in result.messages if m.kind is MessageKind.METER_POWER_RESP]
@@ -178,7 +184,7 @@ class TestPicPull:
     def test_worst_case_single_request_wall_time(self):
         links = fixed_links(threeg=4.5, metering=0.5)
         endpoint = cache_serving_endpoint(links)
-        result = pic_pull(endpoint, links, substream(1, "t"))
+        result = pic_pull(endpoint, links, uplink_draw(endpoint, links, substream(1, "t")))
         assert result.wall_time == pytest.approx(4.5, abs=1e-12)
         assert result.request_count == 1
 
@@ -187,7 +193,8 @@ class TestPicPull:
         legacy4 = legacy_pull(charging_station(), links, substream(1, "a")).wall_time
         legacy8 = legacy_pull(charging_station(), links, substream(1, "b"),
                               include_status=True).wall_time
-        agg = pic_pull(cache_serving_endpoint(links), links, substream(1, "c")).wall_time
+        endpoint = cache_serving_endpoint(links)
+        agg = pic_pull(endpoint, links, uplink_draw(endpoint, links, substream(1, "c"))).wall_time
         assert legacy4 / agg == pytest.approx(4.444, rel=0.01)
         assert legacy8 / agg == pytest.approx(8.444, rel=0.01)
         # both inside 5% of the coarse 4.4x / 8.4x figures
@@ -197,7 +204,7 @@ class TestPicPull:
     def test_zero_latency_uplink_gives_zero_wall(self):
         links = fixed_links(threeg=1e-9, metering=0.5)
         endpoint = cache_serving_endpoint(links)
-        result = pic_pull(endpoint, links, substream(1, "t"))
+        result = pic_pull(endpoint, links, uplink_draw(endpoint, links, substream(1, "t")))
         assert result.wall_time == pytest.approx(0.0, abs=1e-6)
 
     def test_timeout_fails_whole_request(self):
@@ -205,7 +212,8 @@ class TestPicPull:
         # legacy per-meter timeout: no reading, one marker, the timeout spent
         links = fixed_links(threeg=4.5, metering=0.5)
         endpoint = cache_serving_endpoint(links)
-        result = pic_pull(endpoint, links, substream(1, "t"), at=10.0, timeout_s=1.0)
+        link_s = uplink_draw(endpoint, links, substream(1, "t"), at=10.0)
+        result = pic_pull(endpoint, links, link_s, at=10.0, timeout_s=1.0)
         assert result.wall_time == 1.0
         assert result.request_count == 1
         assert result.errors == [(None, "timeout")]
@@ -213,10 +221,22 @@ class TestPicPull:
         assert [m.kind for m in result.messages] == [MessageKind.AGGREGATE_REQ, MessageKind.ERROR]
         assert result.messages[1].received_at == 11.0
 
+    def test_a_round_trip_of_exactly_the_timeout_is_served(self):
+        links = fixed_links(threeg=4.5, metering=0.5)
+        endpoint = cache_serving_endpoint(links)
+        result = pic_pull(endpoint, links, 1.0, at=10.0, timeout_s=1.0)
+        assert result.wall_time == 1.0
+        assert result.errors == []
+        assert result.stale_max is not None
+        assert [m.kind for m in result.messages] == [MessageKind.AGGREGATE_REQ,
+                                                     MessageKind.AGGREGATE_PACKET]
+        assert result.messages[1].received_at == 11.0
+
     def test_stale_max_is_the_oldest_served_readings_age_on_arrival(self):
         links = fixed_links(threeg=4.5, metering=0.5)
         endpoint = cache_serving_endpoint(links)  # collected from t = 0
-        result = pic_pull(endpoint, links, substream(1, "t"), at=100.0)
+        link_s = uplink_draw(endpoint, links, substream(1, "t"), at=100.0)
+        result = pic_pull(endpoint, links, link_s, at=100.0)
         packet = result.messages[-1]
         assert packet.kind is MessageKind.AGGREGATE_PACKET
         assert packet.received_at == 100.0 + result.wall_time
@@ -228,7 +248,8 @@ class TestPicPull:
         station = charging_station()
         bus = MeterBus(station, links.local_bus, links.metering, substream(0, "bus"))
         state = startup_init(bus, serve_cache=False)
-        result = pic_pull(PicEndpoint(state=state, bus=bus), links, substream(1, "t"))
+        endpoint = PicEndpoint(state=state, bus=bus)
+        result = pic_pull(endpoint, links, uplink_draw(endpoint, links, substream(1, "t")))
         assert result.wall_time == pytest.approx(4.5 + 4 * 0.201, abs=1e-9)
 
 

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chargesim import sim
-from chargesim.sim import (Engine, TraceParseError, canonical_json, read_trace, substream,
-                           substream_readers)
+from chargesim.sim import Engine, TraceParseError, canonical_json, read_trace, substream
 
 
 def test_schedule_before_clock_rejected():
@@ -134,17 +133,6 @@ def test_engine_stream_caches_per_label():
     assert eng.stream("x") is s1
     # fresh derivation replays from the start
     assert substream(5, "x").random() == v1
-
-
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 80)), max_size=12))
-def test_substream_readers_each_replay_the_stream(takes):
-    # however the readers interleave and however much each takes, each one
-    # sees the sequence a fresh derivation gives
-    readers = substream_readers(11, "trial:3", 3)
-    fresh = [substream(11, "trial:3") for _ in readers]
-    for which, count in takes:
-        got = [readers[which].random() for _ in range(count)]
-        assert got == [fresh[which].random() for _ in range(count)]
 
 
 def test_trace_write_read_roundtrip(tmp_path):
