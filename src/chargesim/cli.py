@@ -89,7 +89,7 @@ def _emit(out: ExperimentOutput, out_dir: Path, fmt: str) -> None:
     then write the CSVs and ``summary.txt`` and print the summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, trace in out.traces:
-        print(f"{trace_file(name)} digest {trace.digest()}")
+        print(f"{trace_file(name)} digest {trace.digest}")
     for fname, (header, rows) in out.csvs.items():
         _write_csv(out_dir / fname, header, rows)
         if fmt == "svg" and fname.startswith("hist_"):

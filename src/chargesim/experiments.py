@@ -9,14 +9,12 @@ checks)``. A fold keeps tuples and counters, never record dicts, and reads
 nothing but the config and the records, so a written trace file streamed
 through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
 
-Two kinds of work run in a forked child when the platform has ``fork`` and
-the process runs one thread (``_may_fork``), through one helper,
-``_Forked``: each trace after a command's first (local-sched's ``local``),
-and compare-protocols' per-trial draws (both legacy pulls, the push-cycle
-estimate and the aggregated pull's uplink delay), which the child streams
-back to the trial events in order, when the run has more than one chunk
-(``FORK_CHUNK``) of trials. Outputs are byte-identical either way, and no
-child outlives the run.
+Two kinds of work go through ``_Forked``, which runs them in a forked
+child or here by the rule its docstring states: each trace after a
+command's first (local-sched's ``local``), and compare-protocols' per-trial
+draws (both legacy pulls, the push-cycle estimate and the aggregated pull's
+uplink delay), which the child streams back to the trial events in order,
+when the run has more than one chunk (``FORK_CHUNK``) of trials.
 """
 from __future__ import annotations
 
@@ -61,7 +59,7 @@ class ExperimentOutput:
 
     def __init__(self, command: str, traces: list):
         self.command = command
-        self.traces = traces     # (name, EventTrace or _ChildTrace), records not kept
+        self.traces = traces     # (name, BuiltTrace)
         self.csvs: dict = {}     # filename -> (header tuple, rows)
         self.summary: dict = {}
         self.checks: list = []
@@ -319,10 +317,7 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
                 pull_link_s)
 
     def trial(at, data):
-        result = next_outcomes()
-        if isinstance(result, Exception):  # what outcomes raised in the child
-            raise result
-        legacy4, rc4, legacy8, rc8, cycle, pull_link_s = result
+        legacy4, rc4, legacy8, rc8, cycle, pull_link_s = next_outcomes()
         # the pull reads the pull collector's cache, so it runs here
         rp = proto.pic_pull(endpoint, links, pull_link_s, at=at, timeout_s=cfg.timeout_s)
         return {
@@ -339,15 +334,13 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     _attach_push_station(eng, cfg, station, uplink)
     # The station is now as every trial finds it. The trials take their
     # outcomes in order, from a child that computes them ahead of the engine
-    # when this process may fork, or here, one per trial, otherwise. A run
-    # of at most one chunk of trials computes them here: at that size the
-    # fork, the pipe and the wait for the only chunk cost what they save.
-    if cfg.trials > FORK_CHUNK and _may_fork():
-        feed = _Forked(outcomes, range(cfg.trials), "computing compare-protocols trials")
-        eng.closing.append(feed.close)
-        next_outcomes = feed.results.__next__
-    else:
-        next_outcomes = map(outcomes, range(cfg.trials)).__next__
+    # or here, one per trial. A run of at most one chunk of trials asks for
+    # no child: at that size the fork, the pipe and the wait for the only
+    # chunk cost what they save.
+    feed = _Forked(outcomes, range(cfg.trials), "computing compare-protocols trials",
+                   fork=cfg.trials > FORK_CHUNK)
+    eng.closing.append(feed.close)
+    next_outcomes = feed.results.__next__
     return horizon
 
 
@@ -712,15 +705,14 @@ class Command(NamedTuple):
     ``add(trace name, record)``, and asked for ``(csvs, summary, checks)``
     by ``finish()``.
 
-    ``run`` builds each trace after the first in a forked child when the
-    platform has ``fork`` and the process runs one thread, so the fold of a
-    command with several traces keeps what each trace adds apart, in
-    ``counts[name]``: that is all of the fold a child sends back. A builder
-    may also hand work that reads no engine state to a child of its own, as
+    ``run`` builds each trace after the first through ``_Forked``, so in a
+    forked child when its rule allows; the fold of a command with several
+    traces therefore keeps what each trace adds apart, in ``counts[name]``:
+    that is all of the fold a child sends back. A builder may also hand
+    work that reads no engine state to a ``_Forked`` of its own, as
     compare-protocols does with its trials' draws (legacy pulls, push-cycle
-    estimates and the aggregated pulls' uplink delays), registering the
-    child's ``close`` in ``Engine.closing``.
-    Outputs are byte-identical either way, and no child outlives the run."""
+    estimates and the aggregated pulls' uplink delays), registering its
+    ``close`` in ``Engine.closing``."""
 
     builders: dict    # trace name -> ((Engine, ExperimentConfig) -> horizon s)
     fold: type        # ExperimentConfig -> fold
@@ -746,19 +738,13 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
     """Build every trace of ``command``, folding its records as they are
     emitted, and streaming each trace into ``out_dir`` when one is given.
 
-    A command with several traces builds each trace after the first in a
-    forked child, while this process builds the first, when the platform
-    has ``fork`` and the process runs one thread; otherwise it builds them
-    in turn, here. Under the same condition, and when it runs more than
-    ``FORK_CHUNK`` trials, compare-protocols makes its trials' draws (legacy
-    pulls, push cycles, aggregated pulls' uplink delays) in a forked child,
-    which streams them to the trial events that serve the pulls here, and
-    makes them at each trial event otherwise. Outputs are byte-identical
-    either way: the traces keep their order, and an exception a child
-    raised is raised here where it would have been. No child outlives the
-    run: each is reaped before ``run`` returns or raises, and killed first
-    if the run is abandoned (which leaves a child's trace file without the
-    footer ``read_trace`` needs).
+    Each trace after the first, and compare-protocols' trial draws, go
+    through ``_Forked``, which works in a forked child or here by its rule,
+    with the same outputs (the draws ask for a child past ``FORK_CHUNK``).
+    The traces keep their order, and ``run`` keeps a ``BuiltTrace`` of
+    each, wherever it was built. An abandoned run kills its children,
+    which leaves a child's trace file without the footer ``read_trace``
+    needs.
 
     A handler exception truncates its trace; the fold would then miss state
     the failed event never recorded. Such a run skips ``finish()`` and gets
@@ -787,57 +773,70 @@ def _may_fork() -> bool:
     return threading.active_count() == 1
 
 
-class _ChildTrace:
-    """What ``run`` keeps of a trace a forked child built: its
-    ``EventTrace``'s ``digest()``, ``count``, ``last`` and ``failed``."""
+class BuiltTrace(NamedTuple):
+    """What ``run`` keeps of a trace, whether this process or a forked child
+    built it: its ``EventTrace``'s ``digest()``, ``count``, ``last`` and
+    ``failed``."""
 
-    __slots__ = ("_digest", "count", "last", "failed")
+    digest: str
+    count: int
+    last: Optional[dict]
+    failed: bool
 
-    def __init__(self, digest: str, count: int, last: Optional[dict], failed: bool):
-        self._digest = digest
-        self.count = count
-        self.last = last
-        self.failed = failed
-
-    def digest(self) -> str:
-        return self._digest
+    @classmethod
+    def of(cls, trace: EventTrace) -> BuiltTrace:
+        return cls(trace.digest(), trace.count, trace.last, trace.failed)
 
 
 FORK_CHUNK = 256  # results a forked child pickles and sends at once
 
 
 class _Forked:
-    """``fn`` over ``items`` in a child forked when this is made.
+    """``fn`` over ``items``, in a child forked when this is made or here:
+    the one place that decides which.
 
-    ``results`` yields, in the items' order, what each call returned or the
-    ``Exception`` it raised (so ``fn`` returns no exception), as the child
-    sends them in pickled chunks of ``FORK_CHUNK``. Once they end the child
-    is reaped, and an exit code other than 0 raises a ``RuntimeError`` that
-    names ``what`` the child was doing. ``close()`` kills the child if it
-    still runs and reaps it; its owner calls it in a ``finally``, so no child
-    outlives a run, however the run ends."""
+    It forks only when ``fork`` is true and ``_may_fork()`` holds, and works
+    here also when ``os.pipe`` or ``os.fork`` raises ``OSError``: a refused
+    fork costs the run its overlap, not its outputs, which are byte-identical
+    either way. Here, ``results`` is the lazy ``map(fn, items)``. From a
+    child, it yields what each call returned, in the items' order, as the
+    child sends them in pickled chunks of ``FORK_CHUNK``, and raises at an
+    item's position the exception its call raised, where the child stopped
+    (so ``fn`` returns no exception). Once they end the child is reaped, and
+    an exit code other than 0 raises a ``RuntimeError`` that names ``what``
+    the child was doing. ``close()`` kills a child that still runs and reaps
+    it; its owner calls it in a ``finally``, so no child outlives a run,
+    however the run ends."""
 
     __slots__ = ("_pid", "_pipe", "_what", "results")
 
-    def __init__(self, fn, items, what: str):
+    def __init__(self, fn, items, what: str, fork: bool):
+        self._pid: Optional[int] = None  # the child's, until it is reaped
+        self._pipe = None  # the child's results, if there is a child
+        self._what = what
+        self.results = map(fn, items)
+        if not (fork and _may_fork()):
+            return
         # loaded here, before the fork, so a run that forks nothing never
         # loads it and the child finds it loaded
         import pickle  # noqa: F401
 
-        read, write = os.pipe()
+        try:
+            read, write = os.pipe()
+        except OSError:
+            return
         try:
             pid = os.fork()
         except OSError:
             os.close(read)
             os.close(write)
-            raise
+            return
         if pid == 0:
             os.close(read)
             _serve(fn, items, write)
         os.close(write)
-        self._pid: Optional[int] = pid  # None once reaped
+        self._pid = pid
         self._pipe = os.fdopen(read, "rb")
-        self._what = what
         self.results = self._read()
 
     def _read(self):
@@ -849,7 +848,10 @@ class _Forked:
                 chunk = load(pipe)
             except EOFError:
                 break
-            yield from chunk
+            for result in chunk:
+                if isinstance(result, Exception):  # what the call raised in the child
+                    raise result
+                yield result
         pipe.close()
         code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
         self._pid = None
@@ -857,6 +859,8 @@ class _Forked:
             raise RuntimeError(f"the process {self._what} exited with code {code}")
 
     def close(self) -> None:
+        if self._pipe is None:  # the work ran here
+            return
         import signal
 
         self.results.close()
@@ -874,8 +878,9 @@ class _Forked:
 
 
 def _serve(fn, items, write: int) -> NoReturn:
-    """In a forked child: pickle what ``fn`` returns or raises for each of
-    ``items`` to the pipe ``write``, ``FORK_CHUNK`` at a time, and leave with
+    """In a forked child: pickle what ``fn`` returns for each of ``items``
+    to the pipe ``write``, ``FORK_CHUNK`` at a time, up to the first
+    exception a call raises, which is sent last, and leave with
     ``os._exit``, so none of the parent's ``finally`` blocks, ``atexit``
     hooks or buffered output runs twice."""
     import pickle  # loaded already, by the parent before it forked
@@ -889,6 +894,7 @@ def _serve(fn, items, write: int) -> NoReturn:
                     chunk.append(fn(item))
                 except Exception as exc:  # noqa: BLE001 - the parent raises it
                     chunk.append(exc)
+                    break
                 if len(chunk) == FORK_CHUNK:
                     pickle.dump(chunk, pipe)
                     pipe.flush()
@@ -901,36 +907,28 @@ def _serve(fn, items, write: int) -> NoReturn:
 
 
 def _build_traces(command: str, cfg: ExperimentConfig, fold, out_dir) -> list:
-    """``run``'s ``(name, trace)`` list, in the command's order. When the
-    command has several traces and ``_may_fork()``, a child is forked per
-    trace after the first, this process builds the first meanwhile, and
-    each child's message (its trace's digest, count, last record and failed
-    flag, and ``fold.counts[name]``) is then taken in turn, its fold state
-    put in ``fold.counts``; otherwise this process builds every trace in
-    turn."""
-    names = list(COMMANDS[command].builders)
-    forked = names[1:] if len(names) > 1 and _may_fork() else []
+    """``run``'s ``(name, BuiltTrace)`` list, in the command's order. This
+    process builds the first trace. The others go through one ``_Forked``,
+    made before the first is built, so a child builds them meanwhile when
+    its rule allows; each of its results carries the trace's
+    ``fold.counts[name]``, which is put back in ``fold.counts``."""
+    first, *others = COMMANDS[command].builders
 
-    def build_in_child(name):
-        trace = build_trace(command, name, cfg, partial(fold.add, name), out_dir)
-        return trace.digest(), trace.count, trace.last, trace.failed, fold.counts[name]
+    def build(name):
+        return BuiltTrace.of(build_trace(command, name, cfg, partial(fold.add, name), out_dir))
 
-    children: dict = {}  # trace name -> _Forked
+    def build_other(name):
+        return name, build(name), fold.counts[name]
+
+    rest = _Forked(build_other, others, f"building trace {', '.join(map(repr, others))}",
+                   fork=bool(others))
     try:
-        for name in forked:
-            children[name] = _Forked(build_in_child, (name,), f"building trace {name!r}")
-        traces = [(name, build_trace(command, name, cfg, partial(fold.add, name), out_dir))
-                  for name in names if name not in children]
-        for name, child in children.items():
-            for message in child.results:  # one message, then the child is reaped
-                if isinstance(message, Exception):
-                    raise message
-                digest, count, last, failed, fold.counts[name] = message
-                traces.append((name, _ChildTrace(digest, count, last, failed)))
+        traces = [(first, build(first))]
+        for name, trace, fold.counts[name] in rest.results:
+            traces.append((name, trace))
         return traces
     finally:
-        for child in children.values():
-            child.close()
+        rest.close()
 
 
 def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,

@@ -240,6 +240,6 @@ def test_c9_deterministic_replay(tmp_path):
     path = tmp_path / "trace.jsonl"
     stored = read_trace(path).stored_digest
     verdict = cmd_replay(path)
-    ok = first.digest() == second.digest() and verdict.identical
+    ok = first.digest == second.digest and verdict.identical
     report(9, ok,
            f"two runs and a file replay all reproduce digest {stored[:16]}...", t0)

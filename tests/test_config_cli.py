@@ -115,21 +115,25 @@ class TestConfig:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("command, loaded", [
-        ("rtt-dist", []),
-        ("local-sched", ["pickle", "signal", "threading"]),
-        ("duty-cycle", []),
-        ("compare-protocols", ["pickle", "signal", "threading"]),
-    ])
-    def test_only_a_run_that_may_fork_loads_the_fork_modules(self, tmp_path, command, loaded):
+    @pytest.mark.parametrize("command, trials, loaded", [
+        ("rtt-dist", 600, []),
+        ("local-sched", 600, ["pickle", "signal", "threading"]),
+        ("duty-cycle", 600, []),
+        ("compare-protocols", 600, ["pickle", "signal", "threading"]),
+        ("compare-protocols", 256, []),
+    ], ids=["rtt-dist-loaded0", "local-sched-loaded1", "duty-cycle-loaded2",
+            "compare-protocols-loaded3", "compare-protocols-256-trials"])
+    def test_only_a_run_that_may_fork_loads_the_fork_modules(self, tmp_path, command, trials,
+                                                             loaded):
         # a run that forks nothing pays for none of them; local-sched builds
         # its second trace, and compare-protocols computes more than one
         # chunk of trials, in a child
         script = ("import sys; from chargesim import cli; "
-                  "code = cli.main([sys.argv[1], '--duration', '3600', '--trials', '600', "
+                  "code = cli.main([sys.argv[1], '--duration', '3600', '--trials', sys.argv[3], "
                   "'--out', sys.argv[2]]); "
                   "print(code, sorted({'pickle', 'signal', 'threading'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-S", "-c", script, command, str(tmp_path)],
+        proc = subprocess.run([sys.executable, "-S", "-c", script, command, str(tmp_path),
+                               str(trials)],
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
         assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ local-sched's variant traces built in forked children, and compare-protocols'
 trial outcomes computed in one."""
 import contextlib
 import csv
+import errno
 import json
 import os
 import threading
@@ -20,6 +21,7 @@ from chargesim.experiments import (
     COMMANDS,
     FORK_CHUNK,
     SCHED_VARIANTS,
+    BuiltTrace,
     Check,
     ExperimentOutput,
     build_trace,
@@ -342,7 +344,8 @@ def built_in_turn(cfg, out_dir) -> ExperimentOutput:
     process, into one fold."""
     fold = COMMANDS["local-sched"].fold(cfg)
     out = ExperimentOutput("local-sched", [
-        (name, build_trace("local-sched", name, cfg, partial(fold.add, name), out_dir))
+        (name, BuiltTrace.of(build_trace("local-sched", name, cfg, partial(fold.add, name),
+                                         out_dir)))
         for name in SCHED_VARIANTS])
     out.csvs, out.summary, out.checks = fold.finish()
     return out
@@ -362,8 +365,7 @@ class TestForkedTraces:
             (oracle.csvs, oracle.summary, oracle.checks)
         for (name, trace), (oracle_name, want) in zip(forked.traces, oracle.traces):
             assert name == oracle_name
-            assert (trace.digest(), trace.count, trace.last, trace.failed) == \
-                (want.digest(), want.count, want.last, want.failed)
+            assert trace == want
         assert emitted(forked, tmp_path / "forked", capsys) == \
             emitted(oracle, tmp_path / "oracle", capsys)
 
@@ -508,8 +510,7 @@ class TestForkedTrials:
             out = in_process_compare(monkeypatch, cfg, tmp_path / how, how)
             no_child_left()
             (_, oracle), = out.traces
-            assert (trace.digest(), trace.count, trace.last, trace.failed) == \
-                (oracle.digest(), oracle.count, oracle.last, oracle.failed)
+            assert trace == oracle
             assert (forked.csvs, forked.summary, forked.checks) == \
                 (out.csvs, out.summary, out.checks)
             assert emitted(out, tmp_path / how, capsys) == want
@@ -543,9 +544,14 @@ class TestForkedTrials:
 
     def test_a_trial_that_raises_in_the_child_fails_as_it_does_here(self, monkeypatch, tmp_path,
                                                                     capsys):
+        # each call is appended to a file as "pid at", so the child's calls
+        # reach this process too
+        log = tmp_path / "pulls.txt"
         legacy_pull = proto.legacy_pull
 
         def failing(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {kwargs['at']!r}\n")
             if kwargs["at"] == 600.0 and kwargs["include_status"]:
                 raise ValueError("no reply from meter 2")
             return legacy_pull(*args, **kwargs)
@@ -556,6 +562,10 @@ class TestForkedTrials:
             forked = run("compare-protocols", cfg, tmp_path / "forked")
         assert fork.call_count == 1
         no_child_left()
+        # the child stops at the trial that raised
+        parent = str(os.getpid())
+        pulls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert max(float(at) for pid, at in pulls if pid != parent) == 600.0
         in_process = in_process_compare(monkeypatch, cfg, tmp_path / "in-process", "no-fork")
         no_child_left()
         want = Check("trace-complete", False, "trace truncated: event 'trial' at 600.0 s "
@@ -630,11 +640,42 @@ class TestForkedTrials:
         no_child_left()
 
 
+REFUSED_FORK_ARGS = {
+    "local-sched": ["--duration", "86400"],
+    "compare-protocols": ["--trials", "600"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFUSED_FORK_ARGS))
+def test_a_fork_that_fails_leaves_the_work_here(tmp_path, capsys, command):
+    # a system that refuses the process, or the pipe, leaves the run here,
+    # with a forking run's outputs
+    def cli(out_dir):
+        assert main([command, *REFUSED_FORK_ARGS[command], "--out", str(out_dir)]) == 0
+        no_child_left()
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        return capsys.readouterr().out, files
+
+    def refused(code):
+        return OSError(code, os.strerror(code))
+
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        want = cli(tmp_path / "forked")
+    assert fork.call_count == 1
+    with mock.patch.object(os, "fork", side_effect=refused(errno.EAGAIN)) as fork:
+        assert cli(tmp_path / "no-process") == want
+    assert fork.call_count == 1
+    with mock.patch.object(os, "pipe", side_effect=refused(errno.EMFILE)) as pipe, \
+            mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert cli(tmp_path / "no-pipe") == want
+    assert pipe.call_count == 1
+
+
 class TestReplay:
     def test_same_config_twice_gives_identical_digest(self):
         cfg = small_default(trials=50)
-        d1 = run("compare-protocols", cfg).traces[0][1].digest()
-        d2 = run("compare-protocols", cfg).traces[0][1].digest()
+        d1 = run("compare-protocols", cfg).traces[0][1].digest
+        d2 = run("compare-protocols", cfg).traces[0][1].digest
         assert d1 == d2
 
     def test_written_trace_replays_identically(self, tmp_path):
