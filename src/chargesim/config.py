@@ -18,7 +18,7 @@ from typing import NamedTuple, NoReturn, Optional
 from . import sched
 from .control import DutyRangeError, current_to_duty
 from .domain import DEFAULT_VOLTAGE, AlgorithmMode, ChargingStation, EvModel, exceeds_limit, plug_ev
-from .latency import (HOURS_PER_WEEK, DiurnalProfile, LatencyModel, LinkKind, LinkModelSet,
+from .latency import (FLAT, HOURS_PER_WEEK, LatencyModel, LinkKind, LinkModelSet,
                       MixtureComponent, TimingBudget, default_models)
 
 
@@ -63,6 +63,8 @@ def _load_file(config_path):
         return yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file: invalid YAML ({exc})") from exc
+    except ValueError as exc:  # a scalar PyYAML cannot construct: 2020-02-30, a huge int
+        raise ConfigError(f"config file: {exc}") from exc
 
 
 # Most events one series (the trials, the sweep points, a periodic timer) may
@@ -156,8 +158,8 @@ _MODEL = Section({
         "spread": Leaf(float, 0.0, ge=0.0),
     })),
     "hard_max": Leaf(float, gt=0.0),
-    # hour-of-week multipliers of the locations; see latency.DiurnalProfile
-    "diurnal": ListOf(Leaf(float, gt=0.0, le=1.0), list(DiurnalProfile().scale),
+    # hour-of-week multipliers of the locations; see latency.LatencyModel
+    "diurnal": ListOf(Leaf(float, gt=0.0, le=1.0), list(FLAT),
                       length=HOURS_PER_WEEK),
 }, default=None)  # null: the library's model of that segment
 
@@ -430,7 +432,7 @@ def _links(spec: Optional[dict]) -> LinkModelSet:
             changes[name] = LatencyModel(
                 components=tuple(MixtureComponent(**c) for c in model["components"]),
                 hard_max=model["hard_max"],
-                diurnal=DiurnalProfile(scale=tuple(model["diurnal"])),
+                diurnal=tuple(model["diurnal"]),
             )
         except ValueError as exc:
             raise ConfigError(f"latency.{name}: {exc}") from None
@@ -497,7 +499,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
         **{key: c[key] for key in ("seed", "duration_s", "probe_period_s", "trials",
                                    "trial_spacing_s", "push_period_s", "serve_cache", "timeout_s",
                                    "t_status_read_s", "duty_sweep", "expect")},
-        budget=TimingBudget(t_ethernet=c["budget"]["t_ethernet"], t_3g=c["budget"]["t_3g"],
+        # `budget.t_ethernet` and `budget.t_3g` keep their names: the trace
+        # header hashes the resolved config
+        budget=TimingBudget(t_bus=c["budget"]["t_ethernet"], t_uplink=c["budget"]["t_3g"],
                             t_metering=c["budget"]["t_metering"]),
         links=_links(c["latency"]),
         station=station,

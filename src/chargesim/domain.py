@@ -7,7 +7,7 @@ drives it, and independent instances can run on parallel engines.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .latency import LinkKind
 
@@ -41,22 +41,17 @@ class CircuitLimitError(RuntimeError):
     """An allocation change would push the station past its circuit limit."""
 
 
-class MeterId(NamedTuple):
-    """One outlet's meter. A tuple, so it is built, hashed and ordered (by
-    ``(station, outlet)``) in C."""
-
-    station: int
-    outlet: int
-
-
 class MeterSnapshot:
-    """One outlet's current sample plus relay state, the atom of all telemetry."""
+    """One outlet's current sample plus relay state, the atom of all telemetry.
 
-    __slots__ = ("meter", "volts", "amps", "relay", "captured_at")
+    A run simulates one station, so the outlet alone names the meter; the
+    station travels on the message that carries the snapshot."""
 
-    def __init__(self, meter: MeterId, volts: float, amps: float, relay: RelayState,
+    __slots__ = ("outlet", "volts", "amps", "relay", "captured_at")
+
+    def __init__(self, outlet: int, volts: float, amps: float, relay: RelayState,
                  captured_at: float):
-        self.meter = meter
+        self.outlet = outlet
         self.volts = volts
         self.amps = amps
         self.relay = relay
@@ -66,16 +61,6 @@ class MeterSnapshot:
         if type(other) is not MeterSnapshot:
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in MeterSnapshot.__slots__)
-
-    def to_record(self) -> dict:
-        return {
-            "station": self.meter.station,
-            "outlet": self.meter.outlet,
-            "volts": self.volts,
-            "amps": self.amps,
-            "relay": self.relay.value,
-            "captured_at": self.captured_at,
-        }
 
 
 class EvModel:
@@ -179,8 +164,7 @@ class MeterChannel:
 class ChargingStation:
     """A multi-outlet charging circuit with one uplink and a shared current
     budget; the sum of allocations on live relays may never exceed
-    ``circuit_limit``. ``meter_ids[outlet]`` is each outlet's ``MeterId``,
-    built once."""
+    ``circuit_limit``."""
 
     def __init__(self, station_id: int, circuit_limit: float,
                  link: LinkKind = LinkKind.THREE_G,
@@ -195,7 +179,6 @@ class ChargingStation:
         self.voltage = voltage
         self.local_algorithm = local_algorithm
         self.meters = [MeterChannel() for _ in range(outlets)]
-        self.meter_ids = tuple(MeterId(station_id, outlet) for outlet in range(outlets))
 
     def channel(self, outlet: int) -> MeterChannel:
         if not 0 <= outlet < len(self.meters):
@@ -261,9 +244,8 @@ def meter_snapshot(station: ChargingStation, outlet: int, now: float) -> MeterSn
     it changes no state, so reads taken at any times, in any number, leave
     the channel and every later read as they were."""
     ch = station.channel(outlet)
-    # positional, in field order: meter, volts, amps, relay, captured_at
-    return MeterSnapshot(station.meter_ids[outlet], station.voltage, ch.amps_at(now),
-                         ch.relay, now)
+    # positional, in field order: outlet, volts, amps, relay, captured_at
+    return MeterSnapshot(outlet, station.voltage, ch.amps_at(now), ch.relay, now)
 
 
 def apply_relay(station: ChargingStation, outlet: int, state: RelayState,

@@ -106,7 +106,7 @@ def _trace_rtt_dist(eng: Engine, cfg: ExperimentConfig) -> float:
     def series(link: LinkKind):
         """The probe handler of ``link``'s series, its model and stream bound."""
         segment = links.for_link(link).sample
-        rng = eng.stream(f"rtt:{link.value}")
+        rng = substream(cfg.seed, f"rtt:{link.value}")
 
         def probe(at, data):
             seg = segment(rng, at)
@@ -202,11 +202,11 @@ class _RttDistFold:
 # --------------------------------------------------------------------------
 
 
-def _collector(eng: Engine, cfg: ExperimentConfig, station: ChargingStation,
-               stream: str) -> pic.PicEndpoint:
+def _collector(cfg: ExperimentConfig, station: ChargingStation, stream: str) -> pic.PicEndpoint:
     """A started collector on ``station``, its meter bus drawing from the
-    engine's stream named ``stream``."""
-    bus = pic.MeterBus(station, cfg.links.local_bus, cfg.links.metering, eng.stream(stream))
+    run's stream named ``stream``."""
+    bus = pic.MeterBus(station, cfg.links.local_bus, cfg.links.metering,
+                       substream(cfg.seed, stream))
     state = pic.startup_init(bus, push_period=cfg.push_period_s, serve_cache=cfg.serve_cache)
     return pic.PicEndpoint(state=state, bus=bus)
 
@@ -215,7 +215,7 @@ def _stale_state(staleness: dict) -> dict:
     """The trace state of a non-empty staleness report: its maximum and each
     outlet's value."""
     return {"stale_max": max(staleness.values()),
-            "stale": {str(m.outlet): s for m, s in staleness.items()}}
+            "stale": {str(outlet): s for outlet, s in staleness.items()}}
 
 
 def _attach_push_station(eng: Engine, cfg: ExperimentConfig, station: ChargingStation,
@@ -229,8 +229,8 @@ def _attach_push_station(eng: Engine, cfg: ExperimentConfig, station: ChargingSt
         set_current(station, outlet, per_ev, 0.0)
         apply_relay(station, outlet, RelayState.ON, 0.0)
     sid = station.station_id
-    collector = _collector(eng, cfg, station, f"bus:{sid}")
-    uplink_rng = eng.stream(f"uplink:{sid}")
+    collector = _collector(cfg, station, f"bus:{sid}")
+    uplink_rng = substream(cfg.seed, f"uplink:{sid}")
     store = proto.ServerStore()
 
     def consume(at, packet):
@@ -282,7 +282,7 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     # Aggregated-pull endpoint. In cache-serving mode its own periodic
     # collection keeps the cache fresh, so pulls are served without a
     # metering term; otherwise each pull sweeps afresh and reads no cache.
-    endpoint = _collector(eng, cfg, station, "pull-bus")
+    endpoint = _collector(cfg, station, "pull-bus")
 
     def refresh(at, data):
         duration = pic.collect_all(endpoint.state, endpoint.bus, at)
@@ -403,8 +403,8 @@ class _CompareFold:
         speedup_power = (m4 / mp) if (m4 is not None and mp) else None
         speedup_full = (m8 / mp) if (m8 is not None and mp) else None
         # analytic counterparts of the measured means, from the mixture models
-        means = TimingBudget(t_ethernet=links.local_bus.analytic_mean(),
-                             t_3g=uplink.analytic_mean(),
+        means = TimingBudget(t_bus=links.local_bus.analytic_mean(),
+                             t_uplink=uplink.analytic_mean(),
                              t_metering=links.metering.analytic_mean())
         analytic_legacy = proto.legacy_retrieval_time(means, meters, links.cloud)
         analytic_cycle = proto.push_cycle_time(means, meters)
@@ -617,7 +617,7 @@ def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> floa
             return {"mode": mode.value}
         eng.schedule_at(0.0, "mode-set", fn=set_mode)
 
-    rng = eng.stream("plug-scenario")
+    rng = substream(cfg.seed, "plug-scenario")
     for outlet, _ in spec.evs:
         t_plug = rng.uniform(0.0, cfg.duration_s * 0.25)
         t_unplug = rng.uniform(cfg.duration_s * 0.75, cfg.duration_s)
@@ -986,14 +986,14 @@ def cmd_replay(trace_path) -> ReplayVerdict:
     The file is read as a stream, and the re-run is only hashed."""
     parsed = read_trace(trace_path)
     command = parsed.header.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ValueError(f"trace was produced by unknown command {command!r}")
     raw = parsed.header.get("config")
     if not isinstance(raw, dict):
         raise ValueError("trace header carries no config; cannot replay")
     raw = dict(raw)
     name = raw.pop("sched_variant", "trace")
-    if name not in COMMANDS[command].builders:
+    if not isinstance(name, str) or name not in COMMANDS[command].builders:
         raise ValueError(f"{command} writes no trace named {name!r}")
     return ReplayVerdict(
         command=command,

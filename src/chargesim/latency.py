@@ -15,6 +15,7 @@ from .sim import ordered_sum
 
 MIN_LATENCY_S = 1e-9
 HOURS_PER_WEEK = 168
+FLAT = (1.0,) * HOURS_PER_WEEK  # the diurnal profile that scales no hour
 _WEIGHT_TOL = 1e-9
 
 
@@ -34,33 +35,6 @@ def _near_gauss(rng) -> float:
             + r() + r() + r() + r() + r() + r()) - 6.0
 
 
-class DiurnalProfile:
-    """Hour-of-week multipliers applied to component locations.
-
-    Values must lie in (0, 1]: hours can only get faster, never slower, so
-    the configured hard_max stays an honest bound at every hour.
-    """
-
-    __slots__ = ("scale", "is_flat")
-
-    def __init__(self, scale: tuple = (1.0,) * HOURS_PER_WEEK):
-        if len(scale) != HOURS_PER_WEEK:
-            raise ValueError(f"diurnal profile needs {HOURS_PER_WEEK} hourly multipliers, got {len(scale)}")
-        for i, s in enumerate(scale):
-            if not 0.0 < s <= 1.0:
-                raise ValueError(f"diurnal multiplier [{i}] = {s!r} outside (0, 1]")
-        self.scale = scale
-        self.is_flat = all(s == 1.0 for s in scale)
-
-    def __eq__(self, other):
-        if type(other) is not DiurnalProfile:
-            return NotImplemented
-        return self.scale == other.scale
-
-    def multiplier(self, at: float) -> float:
-        return self.scale[int(at // 3600.0) % HOURS_PER_WEEK]
-
-
 class MixtureComponent(NamedTuple):
     weight: float
     location: float
@@ -72,13 +46,20 @@ class LatencyModel:
 
     Every sampled value lies in (0, hard_max]. The component family is a
     clamped near-Gaussian; swap components in config for other shapes.
-    ``diurnal`` defaults to a flat profile.
+
+    ``diurnal`` holds one multiplier of the component locations per hour of
+    the week. Each lies in (0, 1]: hours can only get faster, never slower,
+    so ``hard_max`` stays an honest bound at every hour.
     """
 
-    __slots__ = ("components", "hard_max", "diurnal", "_table")
+    __slots__ = ("components", "hard_max", "diurnal", "_table", "_scale")
 
-    def __init__(self, components: tuple, hard_max: float,
-                 diurnal: DiurnalProfile | None = None):
+    def __init__(self, components: tuple, hard_max: float, diurnal: tuple = FLAT):
+        if len(diurnal) != HOURS_PER_WEEK:
+            raise ValueError(f"diurnal profile needs {HOURS_PER_WEEK} hourly multipliers, got {len(diurnal)}")
+        for i, s in enumerate(diurnal):
+            if not 0.0 < s <= 1.0:
+                raise ValueError(f"diurnal multiplier [{i}] = {s!r} outside (0, 1]")
         if not components:
             raise ValueError("latency model needs at least one mixture component")
         # (cumulative weight, location, spread) per component; the weights
@@ -98,8 +79,10 @@ class LatencyModel:
             raise ValueError(f"hard_max {hard_max!r} must be positive")
         self.components = components
         self.hard_max = hard_max
-        self.diurnal = DiurnalProfile() if diurnal is None else diurnal
+        self.diurnal = diurnal
         self._table = tuple(table)
+        # x * 1.0 == x exactly, so a flat profile needs no multiply
+        self._scale = None if all(s == 1.0 for s in diurnal) else diurnal
 
     def __eq__(self, other):
         if type(other) is not LatencyModel:
@@ -114,9 +97,9 @@ class LatencyModel:
                 break
         # a u above the last cumulative weight (it may sum to just under 1)
         # leaves the loop on the last component
-        diurnal = self.diurnal
-        if not diurnal.is_flat:  # x * 1.0 == x exactly, so a flat profile needs no multiply
-            loc = loc * diurnal.multiplier(at)
+        scale = self._scale
+        if scale is not None:
+            loc = loc * scale[int(at // 3600.0) % HOURS_PER_WEEK]
         value = loc if spread == 0.0 else loc + spread * _near_gauss(rng)
         if value < MIN_LATENCY_S:
             value = MIN_LATENCY_S
@@ -128,38 +111,22 @@ class LatencyModel:
         """Closed-form mixture mean at hour 0 of the diurnal profile (ignores
         the clamp, which is negligible when spreads are small relative to the
         distance to the bounds)."""
-        mult = self.diurnal.multiplier(0.0)
+        mult = self.diurnal[0]
         return ordered_sum(c.weight * c.location * mult for c in self.components)
 
 
-class TimingBudget:
-    """Scalar timing symbols for analytic delay budgets.
+class TimingBudget(NamedTuple):
+    """Scalar timing symbols for analytic delay budgets: the collector's
+    in-station hop to a meter, the round trip of the station's uplink
+    (whichever link that is) and a meter's reading time."""
 
-    ``t_3g`` holds the round trip of the station's uplink, whichever link
-    that is; ``t_3g_uplink`` is derived as half of it. ``t_ethernet`` is the
-    collector's in-station hop to a meter.
-    """
-
-    __slots__ = ("t_ethernet", "t_3g", "t_metering")
-
-    def __init__(self, t_ethernet: float = 0.0, t_3g: float = 0.0, t_metering: float = 0.0):
-        for name, value in (("t_ethernet", t_ethernet), ("t_3g", t_3g),
-                            ("t_metering", t_metering)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
-        self.t_ethernet = t_ethernet
-        self.t_3g = t_3g
-        self.t_metering = t_metering
-
-    def __eq__(self, other):
-        if type(other) is not TimingBudget:
-            return NotImplemented
-        return ((self.t_ethernet, self.t_3g, self.t_metering)
-                == (other.t_ethernet, other.t_3g, other.t_metering))
+    t_bus: float = 0.0
+    t_uplink: float = 0.0
+    t_metering: float = 0.0
 
     @property
-    def t_3g_uplink(self) -> float:
-        return 0.5 * self.t_3g
+    def t_uplink_one_way(self) -> float:
+        return 0.5 * self.t_uplink
 
 
 class LinkModelSet(NamedTuple):
@@ -244,8 +211,8 @@ def worst_case_budget(models: LinkModelSet, link: LinkKind) -> TimingBudget:
     """Budget whose fields upper-bound every sample the model set can draw
     for a station whose uplink is ``link``; used for hard staleness bounds."""
     return TimingBudget(
-        t_ethernet=models.local_bus.hard_max,
-        t_3g=models.for_link(link).hard_max,
+        t_bus=models.local_bus.hard_max,
+        t_uplink=models.for_link(link).hard_max,
         t_metering=models.metering.hard_max,
     )
 

@@ -68,7 +68,7 @@ class PicState:
     def __init__(self, registered_meters: list, push_period: float = 30.0,
                  serve_cache_mode: bool = False):
         self.registered_meters = registered_meters
-        self.cache: dict = {}       # MeterId -> MeterSnapshot
+        self.cache: dict = {}       # outlet -> MeterSnapshot
         self.flags = Flags()
         self.push_period = push_period
         self.serve_cache_mode = serve_cache_mode
@@ -102,10 +102,10 @@ class MeterBus:
 
 def startup_init(bus: MeterBus, push_period: float = 30.0,
                  serve_cache: bool = False) -> PicState:
-    """Power-on initialization: arm interrupts, register every meter of the
-    bus's station, and settle into the idle phase."""
-    state = PicState(registered_meters=list(bus.station.meter_ids), push_period=push_period,
-                     serve_cache_mode=serve_cache)
+    """Power-on initialization: arm interrupts, register every meter (by its
+    outlet) of the bus's station, and settle into the idle phase."""
+    state = PicState(registered_meters=list(range(len(bus.station.meters))),
+                     push_period=push_period, serve_cache_mode=serve_cache)
     state.phase = Phase.IDLE
     return state
 
@@ -141,9 +141,9 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
     t = now
     cache = state.cache
     read = bus.read
-    for mid in state.registered_meters:
-        snap, cost = read(mid.outlet, t)
-        cache[mid] = snap
+    for outlet in state.registered_meters:
+        snap, cost = read(outlet, t)
+        cache[outlet] = snap
         t += cost
     duration = t - now
     if state.registered_meters and duration >= state.push_period:
@@ -154,7 +154,7 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
 
 
 def _cached_snapshots(state: PicState) -> tuple:
-    return tuple(state.cache[mid] for mid in state.registered_meters)
+    return tuple(state.cache[outlet] for outlet in state.registered_meters)
 
 
 def _answer_power_request(state: PicState, bus: MeterBus, now: float):
@@ -162,7 +162,7 @@ def _answer_power_request(state: PicState, bus: MeterBus, now: float):
     spent on them: served from the cache in cache-serving mode once every
     meter has been collected (costing nothing, since the periodic collection
     already did the metering), otherwise after a fresh sweep."""
-    if state.serve_cache_mode and all(mid in state.cache for mid in state.registered_meters):
+    if state.serve_cache_mode and all(outlet in state.cache for outlet in state.registered_meters):
         return _cached_snapshots(state), 0.0
     duration = collect_all(state, bus, now)
     return _cached_snapshots(state), duration

@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .domain import ChargingStation, MeterId, MeterSnapshot, meter_snapshot
+from .domain import ChargingStation, MeterSnapshot, meter_snapshot
 from .latency import LinkModelSet, TimingBudget
 
 
@@ -30,16 +30,16 @@ _RESPONSE_KIND = {True: MessageKind.METER_POWER_RESP, False: MessageKind.METER_S
 
 
 class Message:
-    __slots__ = ("kind", "station", "meter", "payload", "seq", "sent_at", "received_at")
+    __slots__ = ("kind", "station", "outlet", "payload", "seq", "sent_at", "received_at")
 
-    def __init__(self, kind: MessageKind, station: int, meter: Optional[MeterId] = None,
+    def __init__(self, kind: MessageKind, station: int, outlet: Optional[int] = None,
                  payload: object = None, seq: int = 0, sent_at: float = 0.0,
                  received_at: float = 0.0):
         if received_at and received_at < sent_at:
             raise ValueError("received_at precedes sent_at")
         self.kind = kind
         self.station = station
-        self.meter = meter
+        self.outlet = outlet
         self.payload = payload
         self.seq = seq
         self.sent_at = sent_at
@@ -53,12 +53,16 @@ class Message:
             "sent_at": self.sent_at,
             "received_at": self.received_at,
         }
-        if self.meter is not None:
-            rec["outlet"] = self.meter.outlet
+        if self.outlet is not None:
+            rec["outlet"] = self.outlet
         if isinstance(self.payload, (list, tuple)) and all(
             isinstance(s, MeterSnapshot) for s in self.payload
         ):
-            rec["payload"] = {"snapshots": [s.to_record() for s in self.payload]}
+            rec["payload"] = {"snapshots": [
+                {"station": self.station, "outlet": s.outlet, "volts": s.volts, "amps": s.amps,
+                 "relay": s.relay.value, "captured_at": s.captured_at}
+                for s in self.payload
+            ]}
         elif self.payload is not None:
             rec["payload"] = self.payload
         return rec
@@ -68,7 +72,7 @@ def make_aggregate_packet(station_id: int, snapshots, seq: int, sent_at: float) 
     """Aggregate packet carrying exactly one snapshot (with relay state) per
     registered meter."""
     snaps = tuple(snapshots)
-    outlets = [s.meter.outlet for s in snaps]
+    outlets = [s.outlet for s in snaps]
     if len(set(outlets)) != len(outlets):
         raise ValueError("aggregate packet has duplicate meter entries")
     return Message(
@@ -94,7 +98,7 @@ class RetrievalResult:
         self.wall_time = wall_time
         self.request_count = request_count
         self.stale_max = stale_max          # oldest reading's age at the end; None if none
-        self.errors = errors                # (MeterId | None, marker) per failed request
+        self.errors = errors                # (outlet | None, marker) per failed request
         # each wire Message's field tuple, in emission order; a caller that
         # reads no messages pays for none
         self.log = log
@@ -106,8 +110,8 @@ class RetrievalResult:
 
 
 def staleness(snapshots: dict, now: float) -> dict:
-    """Age at ``now`` of each snapshot in ``snapshots`` (meter -> snapshot or
-    None), skipping meters with no snapshot."""
+    """Age at ``now`` of each snapshot in ``snapshots`` (outlet -> snapshot or
+    None), skipping outlets with no snapshot."""
     return {m: now - s.captured_at for m, s in snapshots.items() if s is not None}
 
 
@@ -133,16 +137,16 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
     requests = 0
     oldest = None  # the first power reading's capture time: readings only get newer
     t = at
-    for outlet, mid in enumerate(station.meter_ids):
+    for outlet in range(len(station.meters)):
         for power in kinds:
             requests += 1
             link_s = link_model.sample(rng, t)
             local_s = metering.sample(rng, t) if power else t_status_read
             rtt = cloud + link_s + local_s
-            emit((_REQUEST_KIND[power], sid, mid, None, requests, t))
+            emit((_REQUEST_KIND[power], sid, outlet, None, requests, t))
             if rtt > timeout_s:
-                errors.append((mid, "timeout" if power else "status-timeout"))
-                emit((MessageKind.ERROR, sid, mid, {"reason": "timeout"}, requests,
+                errors.append((outlet, "timeout" if power else "status-timeout"))
+                emit((MessageKind.ERROR, sid, outlet, {"reason": "timeout"}, requests,
                       t, t + timeout_s))
                 t += timeout_s
                 continue
@@ -155,7 +159,7 @@ def legacy_pull(station: ChargingStation, links: LinkModelSet, rng,
             else:
                 replied_at = t + 0.5 * (cloud + link_s)
                 payload = {"relay": station.channel(outlet).relay.value}
-            emit((_RESPONSE_KIND[power], sid, mid, payload, requests,
+            emit((_RESPONSE_KIND[power], sid, outlet, payload, requests,
                   replied_at, t + rtt))
             t += rtt
     wall = t - at
@@ -212,14 +216,14 @@ def push_cycle_time(budget: TimingBudget, meter_count: int) -> float:
     metering, then the uplink transit."""
     if meter_count < 0:
         raise ValueError(f"meter count must be non-negative, got {meter_count}")
-    return meter_count * (budget.t_ethernet + budget.t_metering) + budget.t_3g_uplink
+    return meter_count * (budget.t_bus + budget.t_metering) + budget.t_uplink_one_way
 
 
 def legacy_retrieval_time(budget: TimingBudget, meter_count: int = 4,
                           cloud: float = 0.0) -> float:
     """Analytic wall time of a sequential per-meter power pull: each reading
     is one round trip carrying the ``cloud`` hops, the link and metering."""
-    return meter_count * (budget.t_3g + budget.t_metering + cloud)
+    return meter_count * (budget.t_uplink + budget.t_metering + cloud)
 
 
 def t_save(budget: TimingBudget, meter_count: int = 4, cloud: float = 0.0) -> float:
@@ -228,8 +232,8 @@ def t_save(budget: TimingBudget, meter_count: int = 4, cloud: float = 0.0) -> fl
     cancelled, leaving N - 1/2 uplink round trips plus the N round trips'
     ``cloud`` hops, minus N in-station hops (3.5 round trips for the paper's
     four meters and no cloud term)."""
-    return ((meter_count - 0.5) * budget.t_3g + meter_count * cloud
-            - meter_count * budget.t_ethernet)
+    return ((meter_count - 0.5) * budget.t_uplink + meter_count * cloud
+            - meter_count * budget.t_bus)
 
 
 class ServerStore:
@@ -263,7 +267,7 @@ def push_consume(store: ServerStore, packet: Message, now: float):
     The per-station record is replaced in a single assignment (atomic from
     the store's point of view). Packets at or below the stored sequence are
     discarded with a diagnostic; duplicates are therefore no-ops. Returns the
-    per-meter staleness report, or None for a discarded packet.
+    per-outlet staleness report, or None for a discarded packet.
     """
     if packet.kind is not MessageKind.AGGREGATE_PACKET:
         raise ValueError(f"cannot consume {packet.kind.value} as a push packet")
@@ -278,5 +282,5 @@ def push_consume(store: ServerStore, packet: Message, now: float):
         )
         return None
     record = store.stations[packet.station] = _StationRecord(
-        snapshots={s.meter: s for s in snaps}, packet_seq=packet.seq)
+        snapshots={s.outlet: s for s in snaps}, packet_seq=packet.seq)
     return staleness(record.snapshots, now)

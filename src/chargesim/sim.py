@@ -10,9 +10,9 @@ machine.
 
 An event is its heap entry ``(at, seq, kind, data, fn)``. When it fires,
 the engine calls ``fn(at, data)``; a handler that needs the engine (to
-schedule more events or draw from a stream) closes over it. A dict the
-handler returns is recorded as the event's ``state``; ``data`` and
-``state`` enter the trace as-is and must be JSON-serializable.
+schedule more events) or a stream (from ``substream``) closes over it. A
+dict the handler returns is recorded as the event's ``state``; ``data``
+and ``state`` enter the trace as-is and must be JSON-serializable.
 
 Traces stream: the engine hands each finished record to its ``EventTrace``
 sink, which gathers at most ``BLOCK_RECORDS`` of them, then encodes, hashes
@@ -317,7 +317,6 @@ class Engine:
         self.closing: list = []  # callables close() calls, latest first
         self._heap: list[tuple] = []  # (at, seq, kind, data, fn)
         self._next_seq = 0
-        self._streams: dict[str, random.Random] = {}
         cfg = self.meta.get("config")
         self.trace = EventTrace(
             seed=seed,
@@ -330,12 +329,6 @@ class Engine:
         closing = self.closing
         while closing:
             closing.pop()()
-
-    def stream(self, label: str) -> random.Random:
-        """Named random stream; the same label always returns the same stream."""
-        if label not in self._streams:
-            self._streams[label] = substream(self.seed, label)
-        return self._streams[label]
 
     def schedule_at(self, at: float, kind: str, data: dict | None = None,
                     fn: Handler | None = None) -> tuple:

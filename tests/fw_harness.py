@@ -45,7 +45,7 @@ def state_fingerprint(state: PicState):
     """Everything an ISR must not touch (flags excluded on purpose)."""
     return (
         tuple(state.registered_meters),
-        tuple(sorted((m, s.captured_at, s.amps) for m, s in state.cache.items())),
+        tuple(sorted((outlet, s.captured_at, s.amps) for outlet, s in state.cache.items())),
         state.push_period,
         state.serve_cache_mode,
         state.phase,

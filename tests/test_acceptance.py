@@ -84,7 +84,7 @@ def test_c3_savings_identity():
     emp = out.summary["savings_empirical_s"]
     ana = out.summary["savings_analytic_s"]
     rel = abs(emp - ana) / ana
-    worst = t_save(TimingBudget(t_3g=5.0, t_ethernet=0.0))
+    worst = t_save(TimingBudget(t_uplink=5.0, t_bus=0.0))
     ok = rel <= 0.02 and worst == 17.5 and out.summary["trials"] == 10000
     report(3, ok,
            f"mean savings {emp:.3f} s vs analytic {ana:.3f} s ({rel:.2%}, tol 2%); "
@@ -93,7 +93,7 @@ def test_c3_savings_identity():
 
 def test_c4_waiting_time():
     t0 = time.perf_counter()
-    exact = compute_t_waiting(6.0, TimingBudget(t_3g=5.0))
+    exact = compute_t_waiting(6.0, TimingBudget(t_uplink=5.0))
     out = run("duty-cycle", resolve("duty-3g"))
     points = out.summary["points"]
     ok = (
@@ -103,7 +103,7 @@ def test_c4_waiting_time():
         and out.summary["max_adaptive_wait_s"] <= 3.5
     )
     report(4, ok,
-           f"compute_t_waiting(6, t_3g=5) = {exact!r} (want exactly 3.5); "
+           f"compute_t_waiting(6, t_uplink=5) = {exact!r} (want exactly 3.5); "
            f"{points} sweep points all confirmed, max adaptive wait "
            f"{out.summary['max_adaptive_wait_s']:.3f} s", t0)
 

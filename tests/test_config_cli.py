@@ -47,7 +47,7 @@ class TestConfig:
     def test_override_merges_over_preset(self):
         cfg = resolve("worst-case-3g", overrides={"seed": 7})
         assert cfg.seed == 7
-        assert cfg.budget.t_3g == 4.5
+        assert cfg.budget.t_uplink == 4.5
 
     def test_yaml_file_merges(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -144,6 +144,32 @@ class TestConfig:
         path.write_bytes(b"seed: \xff\n")
         with pytest.raises(ConfigError, match=r"^config file: .*utf-8"):
             resolve("default", config_path=path)
+
+    @pytest.mark.parametrize("text", ["seed: 2020-13-45\n", "seed: 2020-02-30\n"],
+                             ids=["month-13", "february-30"])
+    def test_date_that_cannot_exist_is_a_config_error(self, tmp_path, text):
+        # YAML reads both as timestamps, and PyYAML cannot construct them
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"^config file: "):
+            resolve("default", config_path=path)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts integer strings of any length")
+    @pytest.mark.parametrize("name, template", [("exp.json", '{{"seed": {}}}\n'),
+                                                ("exp.yaml", "seed: {}\n")],
+                             ids=["json", "yaml"])
+    def test_integer_past_the_int_string_limit_is_a_config_error(self, tmp_path, name, template):
+        path = tmp_path / name
+        path.write_text(template.format("9" * (sys.get_int_max_str_digits() + 1)))
+        with pytest.raises(ConfigError, match=r"^config file: "):
+            resolve("default", config_path=path)
+
+    def test_unconstructible_scalar_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text("seed: 2020-02-30\n")
+        assert main(["rtt-dist", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config file: ")
 
     def test_example_config_in_docs_loads(self):
         cfg = resolve("default", config_path=EXAMPLE)
@@ -340,7 +366,12 @@ class TestCli:
         ({"command": "rtt-dist"}, "carries no config"),
         ({"command": "local-sched", "config": {"sched_variant": "other"}},
          "local-sched writes no trace named 'other'"),
-    ], ids=["unknown-command", "no-config", "unknown-trace-name"])
+        # header fields of a type no command or trace name has
+        ({"command": ["rtt-dist"], "config": {}}, "unknown command"),
+        ({"command": "local-sched", "config": {"sched_variant": ["local"]}},
+         "writes no trace named"),
+    ], ids=["unknown-command", "no-config", "unknown-trace-name",
+            "command-not-a-string", "trace-name-not-a-string"])
     def test_unreplayable_trace_exits_2(self, tmp_path, capsys, header, problem):
         # an exception escaping main would fail the exit-code assertion
         trace = tmp_path / "trace.jsonl"

@@ -44,7 +44,7 @@ def duty_links(threeg=5.0, metering=0.5):
     )
 
 
-BUDGET_5S = TimingBudget(t_3g=5.0, t_metering=0.5)
+BUDGET_5S = TimingBudget(t_uplink=5.0, t_metering=0.5)
 
 
 def station_with_ev(ev=None, settled_at=0.0, amps=0.0):
@@ -63,7 +63,7 @@ class TestWaitingTime:
         assert compute_t_waiting(0.0, BUDGET_5S) == 0.0
 
     def test_direct_substitution(self):
-        assert compute_t_waiting(4.0, TimingBudget(t_3g=2.0)) == pytest.approx(3.0)
+        assert compute_t_waiting(4.0, TimingBudget(t_uplink=2.0)) == pytest.approx(3.0)
 
     def test_negative_settle_rejected(self):
         with pytest.raises(ValueError):
@@ -71,13 +71,13 @@ class TestWaitingTime:
 
     @given(
         t_ev=st.floats(min_value=0.0, max_value=60.0),
-        t_3g=st.floats(min_value=0.0, max_value=60.0),
+        t_uplink=st.floats(min_value=0.0, max_value=60.0),
     )
-    def test_clamped_and_above_raw_bound(self, t_ev, t_3g):
-        budget = TimingBudget(t_3g=t_3g)
+    def test_clamped_and_above_raw_bound(self, t_ev, t_uplink):
+        budget = TimingBudget(t_uplink=t_uplink)
         wait = compute_t_waiting(t_ev, budget)
         assert wait >= 0.0
-        assert wait >= t_ev - 0.5 * t_3g - 1e-12
+        assert wait >= t_ev - 0.5 * t_uplink - 1e-12
 
     def test_adaptive_never_exceeds_fixed_worst_case(self):
         # default calibration: settle <= 6 s and cellular round trip <= 5 s
@@ -208,10 +208,10 @@ class TestStoreAndModes:
 
     def test_staleness_at_tracks_age(self):
         from chargesim.proto import ServerStore, make_aggregate_packet, push_consume
-        from chargesim.domain import MeterId, MeterSnapshot
+        from chargesim.domain import MeterSnapshot
         store = ServerStore()
-        snap = MeterSnapshot(meter=MeterId(0, 0), volts=208.0, amps=0.0,
+        snap = MeterSnapshot(outlet=0, volts=208.0, amps=0.0,
                              relay=RelayState.OFF, captured_at=10.0)
         push_consume(store, make_aggregate_packet(0, [snap], seq=1, sent_at=10.0), now=12.0)
-        assert store.staleness_at(0, 20.0)[MeterId(0, 0)] == pytest.approx(10.0)
+        assert store.staleness_at(0, 20.0)[0] == pytest.approx(10.0)
         assert store.staleness_at(9, 20.0) == {}

@@ -9,7 +9,6 @@ from chargesim.domain import (
     ChargingStation,
     CircuitLimitError,
     EvModel,
-    MeterId,
     RelayState,
     allocated_current_total,
     apply_allocation,
@@ -116,12 +115,12 @@ class TestRelayAndSnapshots:
             apply_relay(st_, -1, RelayState.ON, 0.0)
 
     def test_snapshot_of_an_outlet_out_of_range_raises_index_error(self):
-        # meter_ids[-1] exists, so only the bounds check keeps outlet -1 out
+        # meters[-1] exists, so only the bounds check keeps outlet -1 out
         st_ = make_station()
         for outlet in (-1, len(st_.meters)):
             with pytest.raises(IndexError):
                 meter_snapshot(st_, outlet, 0.0)
-        assert meter_snapshot(st_, 3, 0.0).meter == MeterId(0, 3)
+        assert meter_snapshot(st_, 3, 0.0).outlet == 3
 
     def test_volts_is_the_station_voltage(self):
         st_ = ChargingStation(station_id=0, circuit_limit=40.0, voltage=230.0)
@@ -136,24 +135,7 @@ class TestRelayAndSnapshots:
         assert meter_snapshot(st_, 0, 123.0).captured_at == 123.0
 
 
-class TestMeterIdentity:
-    def test_meter_ids_sort_by_station_then_outlet(self):
-        ids = [MeterId(1, 0), MeterId(0, 3), MeterId(0, 1)]
-        assert sorted(ids) == [MeterId(0, 1), MeterId(0, 3), MeterId(1, 0)]
-
-    def test_equal_ids_hash_equal_and_collapse_in_a_set(self):
-        assert hash(MeterId(0, 1)) == hash(MeterId(0, 1)) == hash((0, 1))
-        assert {MeterId(0, 1), MeterId(0, 1), MeterId(0, 2)} == {MeterId(0, 1), MeterId(0, 2)}
-
-    def test_meter_id_is_immutable(self):
-        mid = MeterId(0, 1)
-        with pytest.raises(AttributeError):
-            mid.outlet = 2
-        assert mid.outlet == 1
-
-    def test_meter_id_repr(self):
-        assert repr(MeterId(station=0, outlet=1)) == "MeterId(station=0, outlet=1)"
-
+class TestMeterSnapshot:
     def test_snapshot_rejects_a_misspelt_field(self):
         snap = meter_snapshot(make_station(), 0, 0.0)
         with pytest.raises(AttributeError):

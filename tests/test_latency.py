@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chargesim.latency import (
+    HOURS_PER_WEEK,
     MIN_LATENCY_S,
-    DiurnalProfile,
     LatencyModel,
     LinkKind,
     MixtureComponent,
@@ -74,7 +74,7 @@ def reference_sample(model, rng, at=0.0):
         if u <= acc:
             comp = c
             break
-    loc = comp.location * model.diurnal.multiplier(at)
+    loc = comp.location * model.diurnal[int(at // 3600.0) % HOURS_PER_WEEK]
     if comp.spread == 0.0:
         value = loc
     else:
@@ -99,7 +99,7 @@ class TestKernel:
         threeg_default(),
         ethernet_default(),
         LatencyModel(components=threeg_default().components,
-                     hard_max=4.5, diurnal=DiurnalProfile(scale=(0.6, 1.0) * 84)),
+                     hard_max=4.5, diurnal=(0.6, 1.0) * 84),
         # hard_max below MIN_LATENCY_S: the clamp order matters
         LatencyModel(components=(MixtureComponent(1.0, 1e-10, 1e-9),), hard_max=1e-12),
         # most draws clamp at MIN_LATENCY_S
@@ -205,13 +205,14 @@ class TestSampling:
 
 class TestDiurnal:
     def test_profile_validates_length_and_range(self):
+        components = threeg_default().components
         with pytest.raises(ValueError):
-            DiurnalProfile(scale=(1.0,) * 167)
+            LatencyModel(components, hard_max=4.5, diurnal=(1.0,) * 167)
         with pytest.raises(ValueError):
-            DiurnalProfile(scale=(0.0,) + (1.0,) * 167)
+            LatencyModel(components, hard_max=4.5, diurnal=(0.0,) + (1.0,) * 167)
 
     def test_fast_hours_scale_location_but_not_support(self):
-        fast = DiurnalProfile(scale=(0.5,) * 24 + (1.0,) * 144)
+        fast = (0.5,) * 24 + (1.0,) * 144
         model = LatencyModel(
             components=threeg_default().components,
             hard_max=4.5,
@@ -228,27 +229,26 @@ class TestDiurnal:
             assert max(model.sample(rng, at=hour * 3600.0) for _ in range(2000)) <= 4.5
 
     def test_multiplier_is_week_periodic(self):
-        prof = DiurnalProfile(scale=(1.0,) * 5 + (0.25,) + (1.0,) * 162)
-        assert prof.multiplier(5 * 3600.0) == 0.25
-        assert prof.multiplier((5 + 168) * 3600.0) == 0.25
-        assert prof.multiplier(6 * 3600.0) == 1.0
+        # a pinned model (no spread) draws exactly its scaled location
+        model = LatencyModel(components=(MixtureComponent(1.0, 1.0, 0.0),), hard_max=2.0,
+                             diurnal=(1.0,) * 5 + (0.25,) + (1.0,) * 162)
+        rng = random.Random(0)
+        assert model.sample(rng, 5 * 3600.0) == 0.25
+        assert model.sample(rng, (5 + 168) * 3600.0) == 0.25
+        assert model.sample(rng, 6 * 3600.0) == 1.0
 
 
 class TestRoundTrip:
     def test_uplink_is_half_the_round_trip(self):
-        budget = TimingBudget(t_3g=5.0)
-        assert budget.t_3g_uplink == 2.5
-
-    def test_negative_budget_field_rejected(self):
-        with pytest.raises(ValueError):
-            TimingBudget(t_3g=-1.0)
+        budget = TimingBudget(t_uplink=5.0)
+        assert budget.t_uplink_one_way == 2.5
 
     def test_worst_case_budget_bounds_models(self):
         models = default_models()
         budget = worst_case_budget(models, LinkKind.THREE_G)
-        assert budget.t_3g == models.threeg.hard_max
+        assert budget.t_uplink == models.threeg.hard_max
         assert budget.t_metering == models.metering.hard_max
-        assert budget.t_ethernet == models.local_bus.hard_max
+        assert budget.t_bus == models.local_bus.hard_max
 
 
 class TestHistogram:

@@ -28,7 +28,7 @@ class TestStartup:
         bus = make_bus(4)
         state = startup_init(bus)
         assert len(state.registered_meters) == 4
-        assert state.registered_meters == list(bus.station.meter_ids)
+        assert state.registered_meters == [0, 1, 2, 3]
         assert state.phase is Phase.IDLE
 
     def test_zero_meter_bus_is_degenerate_but_idle(self):
@@ -101,7 +101,7 @@ class TestMainLoop:
         msgs = main_loop_step(state, make_bus(), now=0.0)
         snaps = msgs[0].payload
         assert len(snaps) == 4
-        assert {s.meter.outlet for s in snaps} == {0, 1, 2, 3}
+        assert {s.outlet for s in snaps} == {0, 1, 2, 3}
         assert all(s.relay is RelayState.ON for s in snaps)
 
     def test_command_response_precedes_push(self):

@@ -1,7 +1,7 @@
 """Protocol tests: wall-time arithmetic, request accounting, push consumption."""
 import pytest
 
-from chargesim.domain import ChargingStation, EvModel, MeterId, MeterSnapshot, RelayState, apply_relay, plug_ev, set_current
+from chargesim.domain import ChargingStation, EvModel, MeterSnapshot, RelayState, apply_relay, plug_ev, set_current
 from chargesim.latency import LatencyModel, LinkModelSet, MixtureComponent, TimingBudget
 from chargesim.pic import MeterBus, PicEndpoint, startup_init
 from chargesim.proto import (
@@ -77,10 +77,10 @@ class TestLegacyPull:
         result = legacy_pull(charging_station(), links, substream(1, "t"))
         assert result.wall_time == pytest.approx(0.0, abs=1e-6)
         responses = power_responses(result)
-        assert [m.meter for m in responses] == [MeterId(0, outlet) for outlet in range(4)]
+        assert [m.outlet for m in responses] == [0, 1, 2, 3]
         for m in responses:
             (snap,) = m.payload
-            assert isinstance(snap, MeterSnapshot) and snap.meter == m.meter
+            assert isinstance(snap, MeterSnapshot) and snap.outlet == m.outlet
 
     def test_with_status_fixed_rtt_costs_eight_round_trips(self):
         # every request pinned to the same 2.0 s round trip: metering folded
@@ -120,7 +120,7 @@ class TestLegacyPull:
             assert len(terminals) == result.request_count
             assert sorted(m.seq for m in terminals) == list(range(1, result.request_count + 1))
             errors = [m for m in result.messages if m.kind is MessageKind.ERROR]
-            assert [m.meter for m in errors] == [meter for meter, _ in result.errors]
+            assert [m.outlet for m in errors] == [outlet for outlet, _ in result.errors]
             for m in result.messages:
                 if m.received_at:
                     assert m.received_at >= m.sent_at
@@ -132,7 +132,7 @@ class TestLegacyPull:
         end = at + result.wall_time
         ages = [end - m.payload[0].captured_at for m in power_responses(result)]
         # last meter's reading is freshest: it only ages by its uplink leg
-        assert power_responses(result)[-1].meter == MeterId(0, 3)
+        assert power_responses(result)[-1].outlet == 3
         assert ages[-1] == pytest.approx(2.0)  # half of 4.0 s link
         # the first reading is the oldest, and stale_max is its age
         assert result.stale_max == max(ages) == ages[0]
@@ -174,7 +174,7 @@ def test_legacy_pull_pinned_on_default_links(include_status, seed):
     trail = json.dumps([m.to_record() for m in result.messages], sort_keys=True)
     actual = (
         repr(result.wall_time),
-        [(m.outlet, marker) for m, marker in result.errors],
+        result.errors,
         hashlib.sha256(trail.encode()).hexdigest()[:16],
     )
     assert actual == PINNED_LEGACY_PULLS[(include_status, seed)]
@@ -256,35 +256,35 @@ class TestPicPull:
 class TestTimingIdentities:
     def test_push_cycle_time_hand_value(self):
         # 4 * (0 + 0.5) + 0.5 * 5 = 4.5
-        budget = TimingBudget(t_3g=5.0, t_metering=0.5, t_ethernet=0.0)
+        budget = TimingBudget(t_uplink=5.0, t_metering=0.5, t_bus=0.0)
         assert push_cycle_time(budget, 4) == pytest.approx(4.5)
 
     def test_push_cycle_zero_budget(self):
         assert push_cycle_time(TimingBudget(), 4) == 0.0
 
     def test_retrieval_minus_cycle_is_seventeen_and_a_half(self):
-        budget = TimingBudget(t_3g=5.0, t_metering=0.5, t_ethernet=0.0)
+        budget = TimingBudget(t_uplink=5.0, t_metering=0.5, t_bus=0.0)
         saving = legacy_retrieval_time(budget, 4) - push_cycle_time(budget, 4)
         assert saving == pytest.approx(17.5)
         # the same identity at other meter counts and cloud terms:
-        # (N - 1/2) * t_3g + N * cloud - N * t_eth
-        budget = TimingBudget(t_3g=2.0, t_metering=0.3, t_ethernet=0.001)
+        # (N - 1/2) * t_uplink + N * cloud - N * t_bus
+        budget = TimingBudget(t_uplink=2.0, t_metering=0.3, t_bus=0.001)
         for n in (1, 4, 6, 8):
             for cloud in (0.0, 0.15):
                 saving = legacy_retrieval_time(budget, n, cloud) - push_cycle_time(budget, n)
                 assert saving == pytest.approx(t_save(budget, n, cloud)), (n, cloud)
 
     def test_t_save_worst_case(self):
-        assert t_save(TimingBudget(t_3g=5.0, t_ethernet=0.0)) == pytest.approx(17.5)
+        assert t_save(TimingBudget(t_uplink=5.0, t_bus=0.0)) == pytest.approx(17.5)
 
     def test_t_save_zero(self):
         assert t_save(TimingBudget()) == 0.0
 
     def test_t_save_direct_substitution(self):
         # 3.5 * 2 - 4 * 0.001 = 6.996
-        assert t_save(TimingBudget(t_3g=2.0, t_ethernet=0.001)) == pytest.approx(6.996)
+        assert t_save(TimingBudget(t_uplink=2.0, t_bus=0.001)) == pytest.approx(6.996)
         # plus one 0.15 s cloud term per legacy round trip: 6.996 + 4 * 0.15
-        assert t_save(TimingBudget(t_3g=2.0, t_ethernet=0.001), 4, 0.15) == pytest.approx(7.596)
+        assert t_save(TimingBudget(t_uplink=2.0, t_bus=0.001), 4, 0.15) == pytest.approx(7.596)
 
     def test_negative_meter_count_rejected(self):
         with pytest.raises(ValueError):
@@ -293,7 +293,7 @@ class TestTimingIdentities:
 
 def snapshot(outlet, captured_at, amps=16.0):
     return MeterSnapshot(
-        meter=MeterId(0, outlet), volts=208.0, amps=amps, relay=RelayState.ON,
+        outlet=outlet, volts=208.0, amps=amps, relay=RelayState.ON,
         captured_at=captured_at,
     )
 
@@ -307,7 +307,7 @@ class TestPushConsume:
         staleness = push_consume(store, packet, now=103.0)
         # oracle: now - captured_at, meter by meter
         for i in range(4):
-            assert staleness[MeterId(0, i)] == pytest.approx(103.0 - (100.0 + 0.2 * (i + 1)))
+            assert staleness[i] == pytest.approx(103.0 - (100.0 + 0.2 * (i + 1)))
 
     def test_duplicate_seq_is_noop_with_diagnostic(self):
         store = ServerStore()

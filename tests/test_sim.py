@@ -91,8 +91,9 @@ def test_causality_handler_sees_event_time():
 def test_identical_seed_and_config_reproduce_digest():
     def build():
         eng = Engine(seed=9, meta={"command": "t", "config": {"a": 1}})
+        rng = substream(9, "s")
         def h(at, data):
-            return {"draw": eng.stream("s").random()}
+            return {"draw": rng.random()}
         for i in range(50):
             eng.schedule_at(float(i), "h", fn=h)
         return eng.run_until(100.0)
@@ -124,15 +125,6 @@ def test_stream_is_stable_and_label_scoped():
     assert a1 == a2
     assert a1 != b
     assert a1 != c
-
-
-def test_engine_stream_caches_per_label():
-    eng = Engine(seed=5)
-    s1 = eng.stream("x")
-    v1 = s1.random()
-    assert eng.stream("x") is s1
-    # fresh derivation replays from the start
-    assert substream(5, "x").random() == v1
 
 
 def test_trace_write_read_roundtrip(tmp_path):
@@ -223,7 +215,8 @@ def _empty_trace(path):
 
 def _normal_trace(path):
     eng = Engine(seed=5, meta={"command": "t", "config": {"k": [1, 2.5]}})
-    eng.schedule_every(1.0, "tick", lambda at, data: {"draw": eng.stream("s").random()},
+    rng = substream(5, "s")
+    eng.schedule_every(1.0, "tick", lambda at, data: {"draw": rng.random()},
                        data={"label": "caf\u00e9"})
     return _run_taking(eng, 50.0, path)
 
@@ -275,10 +268,12 @@ def _numbered_events(n, fail_at=None):
     """A scenario of ``n`` events, one a second, whose records carry data and
     a state with a stream draw; event number ``fail_at`` raises."""
     def schedule(eng):
+        rng = substream(eng.seed, "s")
+
         def handler(at, data):
             if data["i"] == fail_at:
                 raise RuntimeError(f"event {data['i']}")
-            return {"draw": eng.stream("s").random(), "sq": data["i"] ** 2}
+            return {"draw": rng.random(), "sq": data["i"] ** 2}
         for i in range(n):
             eng.schedule_at(float(i), "e", data={"i": i}, fn=handler)
     return schedule
