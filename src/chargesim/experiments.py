@@ -10,18 +10,19 @@ nothing but the config and the records, so a written trace file streamed
 through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
 
 Two kinds of work go through ``_Forked``, which runs them in a forked
-child or here by the rule its docstring states: each trace after a
+child or here by the fork rule of ``sim.fork_child``: each trace after a
 command's first (local-sched's ``local``), and compare-protocols' per-trial
 draws (both legacy pulls, the push-cycle estimate and the aggregated pull's
 uplink delay), which the child streams back to the trial events in order,
-when the run has more than one chunk (``FORK_CHUNK``) of trials.
+when the run has more than one chunk (``FORK_CHUNK``) of trials. A third
+goes to a child by the same rule inside ``sim``: each trace's encoding,
+hashing and writing, from its first full block on.
 """
 from __future__ import annotations
 
-import os
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Optional
+from typing import NamedTuple, Optional
 
 from . import pic, proto, sched
 from .config import ConfigError, ExperimentConfig, check_count, check_series, from_dict
@@ -41,7 +42,7 @@ from .domain import (
 )
 from .latency import (LatencyModel, LinkKind, TimingBudget, count_modes, histogram_of,
                       worst_case_budget)
-from .sim import Engine, EventTrace, ordered_sum, read_trace, substream
+from .sim import Child, Engine, EventTrace, fork_child, ordered_sum, read_trace, substream
 
 MODE_BINS = 45
 
@@ -742,9 +743,9 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
     through ``_Forked``, which works in a forked child or here by its rule,
     with the same outputs (the draws ask for a child past ``FORK_CHUNK``).
     The traces keep their order, and ``run`` keeps a ``BuiltTrace`` of
-    each, wherever it was built. An abandoned run kills its children,
-    which leaves a child's trace file without the footer ``read_trace``
-    needs.
+    each, wherever it was built. An abandoned run kills its children, the
+    traces' encoder children among them, which leaves a trace file without
+    the footer ``read_trace`` needs.
 
     A handler exception truncates its trace; the fold would then miss state
     the failed event never recorded. Such a run skips ``finish()`` and gets
@@ -763,20 +764,10 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
     return out
 
 
-def _may_fork() -> bool:
-    """Whether this process may fork: ``os.fork`` exists and no second
-    thread runs (a child gets only the forking thread, so a lock another
-    thread held would stay locked in it)."""
-    if not hasattr(os, "fork"):
-        return False
-    import threading
-    return threading.active_count() == 1
-
-
 class BuiltTrace(NamedTuple):
-    """What ``run`` keeps of a trace, whether this process or a forked child
-    built it: its ``EventTrace``'s ``digest()``, ``count``, ``last`` and
-    ``failed``."""
+    """What ``build_trace`` returns, and ``run`` keeps, of a trace, whether
+    this process or a forked child built it: its ``EventTrace``'s
+    ``digest()``, ``count``, ``last`` and ``failed``."""
 
     digest: str
     count: int
@@ -792,57 +783,39 @@ FORK_CHUNK = 256  # results a forked child pickles and sends at once
 
 
 class _Forked:
-    """``fn`` over ``items``, in a child forked when this is made or here:
-    the one place that decides which.
+    """``fn`` over ``items``, in a child forked when this is made or here.
 
-    It forks only when ``fork`` is true and ``_may_fork()`` holds, and works
-    here also when ``os.pipe`` or ``os.fork`` raises ``OSError``: a refused
-    fork costs the run its overlap, not its outputs, which are byte-identical
-    either way. Here, ``results`` is the lazy ``map(fn, items)``. From a
-    child, it yields what each call returned, in the items' order, as the
-    child sends them in pickled chunks of ``FORK_CHUNK``, and raises at an
-    item's position the exception its call raised, where the child stopped
-    (so ``fn`` returns no exception). Once they end the child is reaped, and
-    an exit code other than 0 raises a ``RuntimeError`` that names ``what``
-    the child was doing. ``close()`` kills a child that still runs and reaps
-    it; its owner calls it in a ``finally``, so no child outlives a run,
-    however the run ends."""
+    It forks, through ``fork_child`` and its fork rule, only when ``fork`` is
+    true, and works here when ``fork_child`` forks nothing: outputs are
+    byte-identical either way. Here, ``results`` is the lazy
+    ``map(fn, items)``. From a child, it yields what each call returned, in
+    the items' order, as the child sends them in pickled chunks of
+    ``FORK_CHUNK``, and raises at an item's position the exception its call
+    raised, where the child stopped (so ``fn`` returns no exception). Once
+    they end the child is reaped, and an exit code other than 0 raises a
+    ``RuntimeError`` that names ``what`` the child was doing. ``close()``
+    kills a child that still runs and reaps it; its owner calls it in a
+    ``finally``, so no child outlives a run, however the run ends."""
 
-    __slots__ = ("_pid", "_pipe", "_what", "results")
+    __slots__ = ("_child", "results")
 
     def __init__(self, fn, items, what: str, fork: bool):
-        self._pid: Optional[int] = None  # the child's, until it is reaped
-        self._pipe = None  # the child's results, if there is a child
-        self._what = what
+        self._child: Optional[Child] = None
         self.results = map(fn, items)
-        if not (fork and _may_fork()):
+        if not fork:
             return
-        # loaded here, before the fork, so a run that forks nothing never
-        # loads it and the child finds it loaded
+        # loaded here, before the fork, so the child finds it loaded and a
+        # run that asks for no child never loads it
         import pickle  # noqa: F401
 
-        try:
-            read, write = os.pipe()
-        except OSError:
-            return
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            return
-        if pid == 0:
-            os.close(read)
-            _serve(fn, items, write)
-        os.close(write)
-        self._pid = pid
-        self._pipe = os.fdopen(read, "rb")
-        self.results = self._read()
+        self._child = fork_child(what, partial(_serve, fn, items))
+        if self._child is not None:
+            self.results = self._read()
 
     def _read(self):
         from pickle import load
 
-        pipe = self._pipe
+        pipe = self._child.recv
         while True:
             try:
                 chunk = load(pipe)
@@ -852,70 +825,45 @@ class _Forked:
                 if isinstance(result, Exception):  # what the call raised in the child
                     raise result
                 yield result
-        pipe.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        self._pid = None
-        if code != 0:
-            raise RuntimeError(f"the process {self._what} exited with code {code}")
+        self._child.wait()
 
     def close(self) -> None:
-        if self._pipe is None:  # the work ran here
-            return
-        import signal
-
-        self.results.close()
-        self._pipe.close()
-        pid = self._pid
-        if pid is None:
-            return
-        try:
-            if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped just before an interrupt
-            pass
-        self._pid = None
+        if self._child is not None:
+            self.results.close()
+            self._child.end()
 
 
-def _serve(fn, items, write: int) -> NoReturn:
+def _serve(fn, items, out, _inp) -> None:
     """In a forked child: pickle what ``fn`` returns for each of ``items``
-    to the pipe ``write``, ``FORK_CHUNK`` at a time, up to the first
-    exception a call raises, which is sent last, and leave with
-    ``os._exit``, so none of the parent's ``finally`` blocks, ``atexit``
-    hooks or buffered output runs twice."""
+    to ``out``, ``FORK_CHUNK`` at a time, up to the first exception a call
+    raises, which is sent last."""
     import pickle  # loaded already, by the parent before it forked
 
-    status = 1
-    try:
-        with os.fdopen(write, "wb") as pipe:
-            chunk: list = []
-            for item in items:
-                try:
-                    chunk.append(fn(item))
-                except Exception as exc:  # noqa: BLE001 - the parent raises it
-                    chunk.append(exc)
-                    break
-                if len(chunk) == FORK_CHUNK:
-                    pickle.dump(chunk, pipe)
-                    pipe.flush()
-                    chunk = []
-            if chunk:
-                pickle.dump(chunk, pipe)
-        status = 0
-    finally:
-        os._exit(status)
+    chunk: list = []
+    for item in items:
+        try:
+            chunk.append(fn(item))
+        except Exception as exc:  # noqa: BLE001 - the parent raises it
+            chunk.append(exc)
+            break
+        if len(chunk) == FORK_CHUNK:
+            pickle.dump(chunk, out)
+            out.flush()
+            chunk = []
+    if chunk:
+        pickle.dump(chunk, out)
 
 
 def _build_traces(command: str, cfg: ExperimentConfig, fold, out_dir) -> list:
     """``run``'s ``(name, BuiltTrace)`` list, in the command's order. This
     process builds the first trace. The others go through one ``_Forked``,
     made before the first is built, so a child builds them meanwhile when
-    its rule allows; each of its results carries the trace's
+    the fork rule allows; each of its results carries the trace's
     ``fold.counts[name]``, which is put back in ``fold.counts``."""
     first, *others = COMMANDS[command].builders
 
     def build(name):
-        return BuiltTrace.of(build_trace(command, name, cfg, partial(fold.add, name), out_dir))
+        return build_trace(command, name, cfg, partial(fold.add, name), out_dir)
 
     def build_other(name):
         return name, build(name), fold.counts[name]
@@ -932,14 +880,16 @@ def _build_traces(command: str, cfg: ExperimentConfig, fold, out_dir) -> list:
 
 
 def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
-                out_dir=None) -> EventTrace:
+                out_dir=None) -> BuiltTrace:
     """Schedule ``command``'s trace ``name`` on a fresh engine and run it,
-    handing each record to ``consume``. With ``out_dir``, the trace streams
-    into ``out_dir/trace_file(name)``, opened only once the builder has
-    scheduled its events (a builder's ``ConfigError`` leaves no file) and
-    finished with its digest footer, also when an event failed. The
-    engine is closed however the run ends, so a child the builder forked
-    to feed its events is reaped, or killed first, before this returns.
+    handing each record to ``consume``, and return its ``BuiltTrace``. With
+    ``out_dir``, the trace streams into ``out_dir/trace_file(name)``, opened
+    only once the builder has scheduled its events (a builder's
+    ``ConfigError`` leaves no file) and finished with its digest footer,
+    also when an event failed. The engine, and with it the trace, is closed
+    however the run ends, so a child the builder forked to feed its events
+    or the trace forked to encode its records is reaped, or killed first,
+    before this returns.
 
     The header config of a trace not named ``trace`` records its name as
     ``sched_variant``, which ``cmd_replay`` removes to find the builder."""
@@ -949,18 +899,15 @@ def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
         horizon = COMMANDS[command].builders[name](eng, cfg)
         trace = eng.trace
         trace.consume = consume
-        if out_dir is None:
-            return eng.run_until(horizon)
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / trace_file(name)
-        trace.open(path)
-        try:
-            eng.run_until(horizon)
+        if out_dir is not None:
+            out_dir = Path(out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            path = out_dir / trace_file(name)
+            trace.open(path)
+        eng.run_until(horizon)
+        if out_dir is not None:
             trace.write(path)
-        finally:
-            trace.close()
-        return trace
+        return BuiltTrace.of(trace)
     finally:
         eng.close()
 
@@ -999,5 +946,5 @@ def cmd_replay(trace_path) -> ReplayVerdict:
         command=command,
         expected_digest=parsed.stored_digest,
         file_digest=parsed.digest,
-        actual_digest=build_trace(command, name, from_dict(raw)).digest(),
+        actual_digest=build_trace(command, name, from_dict(raw)).digest,
     )

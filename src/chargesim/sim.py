@@ -15,23 +15,28 @@ dict the handler returns is recorded as the event's ``state``; ``data``
 and ``state`` enter the trace as-is and must be JSON-serializable.
 
 Traces stream: the engine hands each finished record to its ``EventTrace``
-sink, which gathers at most ``BLOCK_RECORDS`` of them, then encodes, hashes
-and (when a file is open) writes the block at once and passes its records on
-to a consumer in order; every ``run_until`` flushes the last block before it
-returns, so no run holds more than one block of records. A record is encoded
-after later events have run, so its ``data`` and ``state`` must not change
-once its event has finished. ``read_trace`` streams a written file back
-through a consumer the same way. It hashes every record line, so a caller
-can tell whether the file's records still match its footer, and decodes them
-only for a consumer or when they fail to match.
+sink, which gathers at most ``BLOCK_RECORDS`` of them, then has the block
+encoded, hashed and (when a file is open) written at once, and passes its
+records on to a consumer in order; every ``run_until`` flushes the last
+block before it returns, so no run holds more than one block of records. A
+trace of more than one block hands that byte work to an encoder child it
+forks by the fork rule (``fork_child``), and otherwise does it here, with
+the same bytes. A record is encoded after later events have run, so its
+``data`` and ``state`` must not change once its event has finished.
+``read_trace`` streams a written file back through a consumer the same
+way. It hashes every record line, so a caller can tell whether the file's
+records still match its footer, and decodes them only for a consumer or
+when they fail to match.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
 import json
+import marshal
+import os
 import random
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, NoReturn, Optional
 
 TRACE_FORMAT = "chargesim-trace/1"
 BLOCK_RECORDS = 256  # records an EventTrace gathers before it encodes them
@@ -104,6 +109,140 @@ def substream(master_seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
+# This run's processes at work, as this process counts them: itself, the
+# children it has forked and not yet reaped and, in a child, every process
+# its parent counted when it forked (the child among them).
+_at_work = 1
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """The fork rule: this process may fork when ``os.fork`` exists, no
+    second thread runs (a child gets only the forking thread, so a lock
+    another thread held would stay locked in it), and it may run on more
+    CPUs than the run has processes at work, so the child has a CPU of its
+    own instead of slowing those processes down. ``fork_child`` applies it
+    to every child the package forks."""
+    if not hasattr(os, "fork") or _cpus() <= _at_work:
+        return False
+    import threading
+    return threading.active_count() == 1
+
+
+class Child:
+    """A child that ``fork_child`` forked, and this process's ends of the two
+    pipes to it: ``recv`` reads what the child writes, ``send`` writes what
+    it reads. ``what`` says what the child does, for errors."""
+
+    __slots__ = ("pid", "what", "recv", "send")
+
+    def __init__(self, pid: int, what: str, recv, send):
+        self.pid: Optional[int] = pid  # until the child is reaped
+        self.what = what
+        self.recv = recv
+        self.send = send
+
+    def _close_pipes(self) -> None:
+        try:
+            self.send.close()
+        except BrokenPipeError:  # the child has gone: what it did not read is dropped
+            pass
+        self.recv.close()
+
+    def _reaped(self) -> None:
+        global _at_work
+        self.pid = None
+        _at_work -= 1
+
+    def wait(self) -> None:
+        """Close the pipes and reap the child, which has ended or is ending;
+        an exit code other than 0 raises a ``RuntimeError`` naming ``what``."""
+        self._close_pipes()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self._reaped()
+        if code != 0:
+            raise RuntimeError(f"the process {self.what} exited with code {code}")
+
+    def end(self) -> None:
+        """Close the pipes, kill the child if it still runs and reap it. Its
+        owner calls this in a ``finally``, so no child outlives its work,
+        however the work ends; a child already reaped is left alone."""
+        self._close_pipes()
+        pid = self.pid
+        if pid is None:
+            return
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped just before an interrupt
+            pass
+        self._reaped()
+
+
+_PIPE_BYTES = 1 << 20  # what a pipe to or from a child holds, where that can be set
+
+
+def _widen(fd: int) -> None:
+    """Let the pipe that ``fd`` is an end of hold ``_PIPE_BYTES`` on Linux
+    (64 KiB by default), so its writer runs on while the reader is not
+    scheduled, rather than stopping a few blocks ahead of it."""
+    try:
+        import fcntl
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):  # not Linux, or refused: the default
+        pass
+
+
+def fork_child(what: str, serve: Callable) -> Optional[Child]:
+    """Fork a child that runs ``serve(out, inp)``, where ``out`` writes to
+    the returned ``Child.recv`` and ``inp`` reads from its ``send``.
+
+    Returns ``None``, having forked nothing, when ``_may_fork()`` is false or
+    ``os.pipe`` or ``os.fork`` raises ``OSError``: the caller then does the
+    work itself, so a refused fork costs a run its overlap, not its outputs.
+    The child leaves with ``os._exit``, with 0 once ``serve`` returns and 1
+    if it raises, so none of this process's ``finally`` blocks, ``atexit``
+    hooks or buffered output runs twice."""
+    global _at_work
+    if not _may_fork():
+        return None
+    fds: list = []
+    try:
+        fds.extend(os.pipe())  # child -> here
+        fds.extend(os.pipe())  # here -> child
+        for fd in fds[1::2]:
+            _widen(fd)
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    _at_work += 1  # here and in the child alike
+    recv, out, inp, send = fds
+    if pid == 0:
+        status = 1
+        try:
+            os.close(recv)
+            os.close(send)
+            with os.fdopen(out, "wb") as out, os.fdopen(inp, "rb") as inp:
+                serve(out, inp)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(out)
+    os.close(inp)
+    return Child(pid, what, os.fdopen(recv, "rb"), os.fdopen(send, "wb"))
+
+
 Handler = Callable[[float, Optional[dict]], Optional[dict]]
 
 
@@ -117,6 +256,22 @@ class _Taken:
 
     def __len__(self) -> int:
         return self.count
+
+
+def _encode(block: list) -> bytes:
+    """A block's bytes as its trace holds them: ``"\\n" + canonical_json`` of
+    each record."""
+    return ("\n" + "\n".join(map(canonical_json, block))).encode("utf-8")
+
+
+# The frames a trace sends its encoder child: a tag byte, the body's length
+# as 4 little-endian bytes, the body. The child answers a digest or footer
+# request with b"d" and the 64-character hex digest, and an exception its
+# work raised with b"!" and the pickled exception, before it leaves.
+_BLOCK = b"m"  # a block of records, marshalled
+_BYTES = b"b"  # a block the parent encoded itself
+_DIGEST = b"d"  # the digest so far
+_FOOTER = b"w"  # append the digest footer, close the file and leave
 
 
 class EventTrace:
@@ -133,6 +288,19 @@ class EventTrace:
     is thus written and hashed but not consumed. The trace keeps only the
     pending block, the flushed record count, the last flushed record and
     ``failed``: no record outlives its block.
+
+    The first time it flushes a full block, the trace forks an encoder child
+    by the fork rule (``fork_child``), which inherits the running SHA-256 and
+    the open file. From then on ``flush`` sends each block to the child as
+    ``marshal`` bytes (a block ``marshal`` refuses is encoded here and sent as
+    bytes), and the child encodes, hashes and writes it as ``flush`` does
+    here; the pipe between them bounds how far ahead this process runs.
+    ``digest()`` asks the child for the digest so far, and ``write()`` has it
+    append the footer and leave. ``count``, ``last``, ``failed`` and
+    ``consume`` stay in this process, and the bytes are the same either way.
+    An error the child meets (an ``OSError`` writing the file, say) is raised
+    here at the next block or request; a child that dies raises a
+    ``RuntimeError`` naming the trace. ``close()`` ends the child.
 
     A record is encoded only when its block is flushed, so its ``data`` and
     ``state`` must not change after its event. The digest is a pure function
@@ -154,6 +322,10 @@ class EventTrace:
         self._update = self._hash.update
         self._file = None
         self._write = None
+        self._path = None  # the open file's, to name the trace in errors
+        self._awaiting_full_block = True  # the encoder forks at the first one
+        self._encoder: Optional[Child] = None  # the encoder child, once forked
+        self._written: Optional[str] = None  # the digest its footer holds
 
     def header(self) -> dict:
         head = {"format": TRACE_FORMAT, "seed": self.seed, "config_digest": self.config_digest}
@@ -175,6 +347,7 @@ class EventTrace:
         self._file = open(path, "wb")
         self._write = self._file.write
         self._write(self._head)
+        self._path = path
 
     def take(self, record: dict) -> None:
         pending = self._pending
@@ -183,15 +356,24 @@ class EventTrace:
             self.flush()
 
     def flush(self) -> None:
-        """Encode, hash, write and consume the pending block, in take order."""
+        """Encode, hash, write and consume the pending block, in take order:
+        the byte work here or, from the first full block on, in the encoder
+        child, if the fork rule lets the trace fork one."""
         block = self._pending
         if not block:
             return
         self._pending = []
-        data = ("\n" + "\n".join(map(canonical_json, block))).encode("utf-8")
-        self._update(data)
-        if self._write is not None:
-            self._write(data)
+        if self._awaiting_full_block and len(block) == BLOCK_RECORDS:
+            self._awaiting_full_block = False
+            self._fork_encoder()
+        if self._encoder is None:
+            self._put(_encode(block))
+        else:
+            try:
+                frame = _BLOCK, marshal.dumps(block)
+            except ValueError:  # marshal refuses an object: encode it here, as in process
+                frame = _BYTES, _encode(block)
+            self._send(*frame)
         consume = self.consume
         if consume is not None:
             for record in block:
@@ -212,24 +394,116 @@ class EventTrace:
         """SHA-256 of the header line and the ``"\\n"``-prefixed records so
         far, the pending ones flushed first."""
         self.flush()
-        return self._hash.hexdigest()
+        if self._encoder is None:
+            return self._hash.hexdigest()
+        return self._written or self._ask(_DIGEST)
 
     def write(self, path) -> str:
         """Finish the file opened on ``path``: append the digest footer and
         close it. Returns the digest."""
         if self._file is None:
             raise ValueError(f"no trace file is open on {path}")
-        digest = self.digest()
-        self._write(("\n" + canonical_json({"trace_digest": digest}) + "\n").encode("utf-8"))
+        if self._encoder is None:
+            digest = self.digest()
+            self._write(_footer(digest))
+        else:
+            self.flush()
+            digest = self._written = self._ask(_FOOTER)
+            self._encoder.wait()
         self.close()
         return digest
 
     def close(self) -> None:
         """Close the trace file, if one is open, without a footer: a file
-        left so is incomplete, and ``read_trace`` rejects it."""
+        left so is incomplete, and ``read_trace`` rejects it. An encoder
+        child still running is killed and reaped, so a trace closed so takes
+        no more records, and has a digest only if ``write`` finished it."""
+        if self._encoder is not None:
+            self._encoder.end()
         if self._file is not None:
             self._file.close()
             self._file = self._write = None
+
+    def _put(self, data: bytes) -> None:
+        """Hash an encoded block and write it to the file, if one is open."""
+        self._update(data)
+        if self._write is not None:
+            self._write(data)
+
+    def _fork_encoder(self) -> None:
+        if self._file is not None:
+            self._file.flush()  # the child writes on from what is written
+        name = (self._path if self._path is not None
+                else f"of {self.meta.get('command', 'a command')!r} with seed {self.seed}")
+        self._encoder = fork_child(f"encoding trace {name}", self._encode_apart)
+
+    def _encode_apart(self, out, inp) -> None:
+        """The encoder child's loop: take each frame from ``inp`` and do what
+        ``flush``, ``digest`` and ``write`` would do here, answering on
+        ``out``, until the footer is written or the pipe ends. An exception
+        is sent back pickled before the child leaves."""
+        read = inp.read
+
+        def answer(digest: str) -> None:
+            out.write(b"d" + digest.encode("ascii"))
+            out.flush()
+
+        try:
+            while True:
+                head = read(5)
+                if len(head) < 5:
+                    return  # the trace's process has gone
+                tag, body = head[:1], read(int.from_bytes(head[1:], "little"))
+                if tag == _BLOCK:
+                    self._put(_encode(marshal.loads(body)))
+                elif tag == _BYTES:
+                    self._put(body)
+                elif tag == _DIGEST:
+                    answer(self._hash.hexdigest())
+                else:  # _FOOTER
+                    digest = self._hash.hexdigest()
+                    self._write(_footer(digest))
+                    self._file.close()
+                    answer(digest)
+                    return
+        except Exception as exc:  # noqa: BLE001 - the trace's process raises it
+            import pickle
+            out.write(b"!" + pickle.dumps(exc))
+            raise
+
+    def _send(self, tag: bytes, body: bytes = b"") -> None:
+        encoder = self._encoder
+        if encoder.pid is None:
+            raise ValueError("the trace is closed: its encoder child has ended")
+        try:
+            encoder.send.write(tag + len(body).to_bytes(4, "little"))
+            encoder.send.write(body)
+            encoder.send.flush()
+        except BrokenPipeError:
+            self._encoder_failed(b"")
+
+    def _ask(self, tag: bytes) -> str:
+        self._send(tag)
+        reply = self._encoder.recv.read(65)
+        if len(reply) != 65 or reply[:1] != b"d":
+            self._encoder_failed(reply)
+        return reply[1:].decode("ascii")
+
+    def _encoder_failed(self, head: bytes) -> NoReturn:
+        """The encoder child stopped short: reap it, and raise the exception
+        it sent back or else a ``RuntimeError`` naming the trace."""
+        encoder = self._encoder
+        sent = head + encoder.recv.read()
+        if sent[:1] == b"!":
+            encoder.end()
+            import pickle
+            raise pickle.loads(sent[1:])
+        encoder.wait()
+        raise RuntimeError(f"the process {encoder.what} ended without answering")
+
+
+def _footer(digest: str) -> bytes:
+    return ("\n" + canonical_json({"trace_digest": digest}) + "\n").encode("utf-8")
 
 
 class ParsedTrace(NamedTuple):
@@ -242,10 +516,12 @@ class ParsedTrace(NamedTuple):
     digest: str
 
 
-def _load(line: str, n: int):
-    """``json.loads(line)``, or a ``TraceParseError`` on line ``n``."""
+def _load(line: bytes, n: int):
+    """The JSON value on line ``n``, or a ``TraceParseError`` naming the line."""
     try:
-        return json.loads(line)
+        return json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"not UTF-8 (byte {exc.start + 1}: {exc.reason})", n) from exc
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"bad JSON ({exc.msg})", n) from exc
 
@@ -254,20 +530,23 @@ def read_trace(path, consume: Optional[Callable[[dict], None]] = None) -> Parsed
     """Stream the trace file at ``path`` line by line: check the header, hand
     each record to ``consume`` in order (when given), and return the header,
     the footer's stored digest and the digest of the lines before the
-    footer. Neither the file nor its records are held; a structural error
-    raises ``TraceParseError`` with its line.
+    footer. Neither the file nor its records are held; a structural error,
+    a line that is not UTF-8 among them, raises ``TraceParseError`` with its
+    line.
 
-    Every record line is hashed, but decoded only for ``consume``: without
-    one, only the header and the footer are. When the footer is missing or
-    unreadable, or the lines do not hash to it, the file is read once more
-    with a consumer that drops each record, so a line that is not JSON is
-    reported as it would be with one."""
+    Lines are read as bytes and end at ``"\\n"`` alone, so a line that
+    ends in ``"\\r\\n"`` hashes with its ``"\\r"``. Every record line is
+    hashed, but decoded only for ``consume``: without one, only the header
+    and the footer are. When the footer is missing or unreadable, or the
+    lines do not hash to it, the file is read once more with a consumer that
+    drops each record, so a line that is not JSON is reported as it would be
+    with one."""
     header = record = None
     n = 0
     hashed = hashlib.sha256()
     update = hashed.update
-    sep = ""  # what joins the held line to the ones before it
-    with open(path, "r", encoding="utf-8") as fh:
+    sep = b""  # what joins the held line to the ones before it
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             if n == 1:
                 header = record = _load(line, 1)
@@ -275,21 +554,21 @@ def read_trace(path, consume: Optional[Callable[[dict], None]] = None) -> Parsed
                     raise TraceParseError("missing or unrecognized trace header", 1)
             else:
                 # the held line is not the footer: hash it as EventTrace did
-                update((sep + text[:-1]).encode("utf-8"))
-                sep = "\n"
+                update(sep + held[:-1])
+                sep = b"\n"
                 if consume is not None:
                     obj = _load(line, n)
                     if n > 2:
                         consume(record)
                     record = obj
-            text = line  # the last line held back: it must be the footer
+            held = line  # the last line held back: it must be the footer
     if n == 0:
         raise TraceParseError("empty trace file", 1)
     digest = hashed.hexdigest()
     if consume is None:
         try:
-            record = json.loads(text)
-        except json.JSONDecodeError:
+            record = _load(held, n)
+        except TraceParseError:
             record = None
         if not isinstance(record, dict) or record.get("trace_digest") != digest:
             return read_trace(path, lambda record: None)
@@ -307,7 +586,8 @@ class Engine:
 
     A builder that holds something for the run's handlers (a forked child
     that feeds them, say) appends its release to ``closing``; whoever runs
-    the engine calls ``close()`` once the run is over, however it ended.
+    the engine calls ``close()`` once the run is over, however it ended, and
+    that also closes the trace (and so ends its encoder child).
     """
 
     def __init__(self, seed: int, meta: dict | None = None):
@@ -325,10 +605,14 @@ class Engine:
         )
 
     def close(self) -> None:
-        """Call each callable in ``closing``, latest first, once."""
+        """Call each callable in ``closing``, latest first, once; then close
+        the trace."""
         closing = self.closing
-        while closing:
-            closing.pop()()
+        try:
+            while closing:
+                closing.pop()()
+        finally:
+            self.trace.close()
 
     def schedule_at(self, at: float, kind: str, data: dict | None = None,
                     fn: Handler | None = None) -> tuple:

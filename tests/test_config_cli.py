@@ -115,29 +115,44 @@ class TestConfig:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("command, trials, loaded", [
-        ("rtt-dist", 600, []),
-        ("local-sched", 600, ["pickle", "signal", "threading"]),
-        ("duty-cycle", 600, []),
-        ("compare-protocols", 600, ["pickle", "signal", "threading"]),
-        ("compare-protocols", 256, []),
+    @pytest.mark.parametrize("command, trials, children, loaded", [
+        ("rtt-dist", 600, [], []),
+        ("local-sched", 600, ["building trace 'local'"], ["pickle", "threading"]),
+        ("duty-cycle", 600, [], []),
+        ("compare-protocols", 600,
+         ["computing compare-protocols trials", "encoding trace {out}/trace.jsonl"],
+         ["pickle", "threading"]),
+        ("compare-protocols", 256, ["encoding trace {out}/trace.jsonl"], ["threading"]),
     ], ids=["rtt-dist-loaded0", "local-sched-loaded1", "duty-cycle-loaded2",
             "compare-protocols-loaded3", "compare-protocols-256-trials"])
     def test_only_a_run_that_may_fork_loads_the_fork_modules(self, tmp_path, command, trials,
-                                                             loaded):
-        # a run that forks nothing pays for none of them; local-sched builds
-        # its second trace, and compare-protocols computes more than one
-        # chunk of trials, in a child
-        script = ("import sys; from chargesim import cli; "
-                  "code = cli.main([sys.argv[1], '--duration', '3600', '--trials', sys.argv[3], "
-                  "'--out', sys.argv[2]]); "
-                  "print(code, sorted({'pickle', 'signal', 'threading'} & set(sys.modules)))")
+                                                             children, loaded):
+        # a run that forks nothing pays for none of them. local-sched builds
+        # its second trace, compare-protocols computes more than one chunk of
+        # trials, and a trace that flushes a full block encodes it, in a
+        # child; `children` lists what each child this process forks does,
+        # with CPUs enough for each. Only a child that must be killed loads
+        # `signal`.
+        script = "\n".join([
+            "import sys",
+            "from chargesim import cli, experiments, sim",
+            "sim._cpus = lambda: 64",
+            "forked, fork_child = [], sim.fork_child",
+            "def recorded(what, serve):",
+            "    forked.append(what)",
+            "    return fork_child(what, serve)",
+            "experiments.fork_child = sim.fork_child = recorded",
+            "code = cli.main([sys.argv[1], '--duration', '3600', '--trials', sys.argv[3],",
+            "                 '--out', sys.argv[2]])",
+            "print(code, forked, sorted({'pickle', 'signal', 'threading'} & set(sys.modules)))",
+        ])
         proc = subprocess.run([sys.executable, "-S", "-c", script, command, str(tmp_path),
                                str(trials)],
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+        children = [what.format(out=tmp_path) for what in children]
+        assert proc.stdout.splitlines()[-1] == f"0 {children} {loaded}"
 
     def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -360,6 +375,28 @@ class TestCli:
         corrupt.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(corrupt)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_replay_of_a_line_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["duty-cycle", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "trace.jsonl").read_bytes().split(b"\n")
+        lines[5] = lines[5][:20] + b"\xff" + lines[5][21:]
+        edited = tmp_path / "edited.jsonl"
+        edited.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["replay", str(edited)]) == 2
+        assert capsys.readouterr().err == \
+            "replay error: line 6: not UTF-8 (byte 21: invalid start byte)\n"
+
+    def test_replay_of_a_trace_saved_with_crlf_line_ends_diverges(self, tmp_path, capsys):
+        # lines end at "\n" alone: each "\r" is part of the line it ends, so
+        # the lines no longer hash to the footer, but every one still parses
+        assert main(["duty-cycle", "--out", str(tmp_path)]) == 0
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes((tmp_path / "trace.jsonl").read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        assert main(["replay", str(crlf)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: duty-cycle trace") and "header and records hash to" in err
 
     @pytest.mark.parametrize("header, problem", [
         ({"command": "no-such-command", "config": {}}, "unknown command"),

@@ -10,18 +10,18 @@ import threading
 import time
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from chargesim import experiments, pic, proto
+from chargesim import experiments, pic, proto, sim
 from chargesim.cli import _emit, main
 from chargesim.config import ConfigError, from_dict, resolve
 from chargesim.experiments import (
     COMMANDS,
     FORK_CHUNK,
     SCHED_VARIANTS,
-    BuiltTrace,
     Check,
     ExperimentOutput,
     build_trace,
@@ -309,6 +309,39 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+TRIALS = "computing compare-protocols trials"
+
+
+@contextlib.contextmanager
+def children_forked():
+    """What each child this process forks meanwhile does (``Child.what``),
+    in fork order: ``_Forked``'s children and the traces' encoder children."""
+    forked = []
+    fork_child = sim.fork_child
+
+    def recorded(what, serve):
+        child = fork_child(what, serve)
+        if child is not None:
+            forked.append(what)
+        return child
+
+    with mock.patch.object(experiments, "fork_child", recorded), \
+            mock.patch.object(sim, "fork_child", recorded):
+        yield forked
+
+
+def encoder(path) -> str:
+    """What the encoder child of the trace written to ``path`` does."""
+    return f"encoding trace {path}"
+
+
+def encoders(out_dir, traces) -> list:
+    """The encoder children of ``traces``, built in this process into
+    ``out_dir``: one for each trace that flushed a full block."""
+    return [encoder(Path(out_dir) / trace_file(name))
+            for name, trace in traces if trace.count >= sim.BLOCK_RECORDS]
+
+
 @contextlib.contextmanager
 def second_thread_running():
     """A second thread runs meanwhile, and a call to ``os.fork`` fails."""
@@ -344,8 +377,7 @@ def built_in_turn(cfg, out_dir) -> ExperimentOutput:
     process, into one fold."""
     fold = COMMANDS["local-sched"].fold(cfg)
     out = ExperimentOutput("local-sched", [
-        (name, BuiltTrace.of(build_trace("local-sched", name, cfg, partial(fold.add, name),
-                                         out_dir)))
+        (name, build_trace("local-sched", name, cfg, partial(fold.add, name), out_dir))
         for name in SCHED_VARIANTS])
     out.csvs, out.summary, out.checks = fold.finish()
     return out
@@ -355,9 +387,12 @@ class TestForkedTraces:
     @pytest.mark.parametrize("config", sorted(FORK_CONFIGS))
     def test_forked_run_matches_the_traces_built_in_turn(self, tmp_path, capsys, config):
         cfg = FORK_CONFIGS[config]()
-        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with children_forked() as children:
             forked = run("local-sched", cfg, tmp_path / "forked")
-        assert fork.call_count == 1
+        # one child builds the local trace; the server trace, built here,
+        # forks its own encoder when it flushes a full block
+        assert children == ["building trace 'local'"] + encoders(tmp_path / "forked",
+                                                                 forked.traces[:1])
         no_child_left()
         oracle = built_in_turn(cfg, tmp_path / "oracle")
         assert forked.ok, [c for c in forked.checks if not c.ok]
@@ -412,10 +447,10 @@ class TestForkedTraces:
             raise ConfigError("round_robin: refused by the local builder")
 
         monkeypatch.setitem(COMMANDS["local-sched"].builders, "local", refuse)
-        with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+        with children_forked() as children, \
                 pytest.raises(ConfigError, match="^round_robin: refused by the local builder$"):
             run("local-sched", small_default(), tmp_path)
-        assert fork.call_count == 1
+        assert children.count("building trace 'local'") == 1
         no_child_left()
         assert [p.name for p in tmp_path.iterdir()] == ["trace_server.jsonl"]
 
@@ -456,6 +491,45 @@ class TestForkedTraces:
         no_child_left()
 
 
+@pytest.mark.parametrize("cpus, children", [
+    (1, []),
+    (2, [("here", "building trace 'local'")]),
+    (3, [("here", "building trace 'local'"), ("here", "encoding trace {out}/trace_server.jsonl"),
+         ("child", "encoding trace {out}/trace_local.jsonl")]),
+], ids=["one-cpu", "two-cpus", "three-cpus"])
+def test_a_child_is_forked_only_for_a_cpu_of_its_own(monkeypatch, tmp_path, capsys, cpus,
+                                                      children):
+    # the run's processes at work: this one, and from the start the child
+    # building the local trace; each trace asks for an encoder at its first
+    # full block. Each fork is appended to a file as "pid what", so the
+    # trace child's forks reach this process too.
+    log = tmp_path / "forked.txt"
+    log.touch()
+    fork_child = sim.fork_child
+
+    def logged(what, serve):
+        child = fork_child(what, serve)
+        if child is not None:
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\t{what}\n")
+        return child
+
+    monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+    monkeypatch.setattr(sim, "fork_child", logged)
+    monkeypatch.setattr(experiments, "fork_child", logged)
+    cfg = resolve("default")
+    out = run("local-sched", cfg, tmp_path / "out")
+    no_child_left()
+    assert sim._at_work == 1
+    here = str(os.getpid())
+    forked = [line.split("\t") for line in log.read_text(encoding="utf-8").splitlines()]
+    assert sorted(("here" if pid == here else "child", what) for pid, what in forked) == \
+        sorted((who, what.format(out=tmp_path / "out")) for who, what in children)
+    assert out.ok, [c for c in out.checks if not c.ok]
+    assert emitted(out, tmp_path / "out", capsys) == \
+        emitted(built_in_turn(cfg, tmp_path / "oracle"), tmp_path / "oracle", capsys)
+
+
 # trial count -> forks: only a run of more than one chunk of trials forks
 TRIAL_CONFIGS = {
     "default": {"trials": 600},
@@ -490,9 +564,11 @@ class TestForkedTrials:
     def test_forked_trials_match_the_trials_computed_here(self, monkeypatch, tmp_path, capsys,
                                                           config):
         cfg = small_default(**TRIAL_CONFIGS[config])
-        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with children_forked() as children:
             forked = run("compare-protocols", cfg, tmp_path / "forked")
-        assert fork.call_count == (1 if cfg.trials > FORK_CHUNK else 0)
+        assert children.count(TRIALS) == (1 if cfg.trials > FORK_CHUNK else 0)
+        assert [what for what in children if what != TRIALS] == \
+            encoders(tmp_path / "forked", forked.traces)
         no_child_left()
         assert forked.ok, [c for c in forked.checks if not c.ok]
         want = emitted(forked, tmp_path / "forked", capsys)
@@ -529,9 +605,9 @@ class TestForkedTrials:
             return substream(seed, label)
 
         monkeypatch.setattr(experiments, "substream", logged)
-        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with children_forked() as children:
             out = run("compare-protocols", small_default(trials=600))
-        assert fork.call_count == 1
+        assert children.count(TRIALS) == 1
         no_child_left()
         assert out.ok
         parent = str(os.getpid())
@@ -562,9 +638,9 @@ class TestForkedTrials:
 
         monkeypatch.setattr(proto, "legacy_pull", failing)
         cfg = small_default(trials=600)
-        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with children_forked() as children:
             forked = run("compare-protocols", cfg, tmp_path / "forked")
-        assert fork.call_count == 1
+        assert children.count(TRIALS) == 1
         no_child_left()
         # the child stops at the trial that raised
         parent = str(os.getpid())
@@ -600,10 +676,10 @@ class TestForkedTrials:
         monkeypatch.setattr(proto, "legacy_pull", slow_in_child)
         monkeypatch.setattr(pic, "main_loop_step", step_failing_at_90)
         start = time.monotonic()
-        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with children_forked() as children:
             out = run("compare-protocols", resolve("default"), tmp_path)
         assert time.monotonic() - start < 30.0
-        assert fork.call_count == 1
+        assert children.count(TRIALS) == 1
         no_child_left()
         assert out.checks == [Check("trace-complete", False,
                                     "trace truncated: event 'push-step' at 90.0 s failed: "
@@ -637,10 +713,9 @@ class TestForkedTrials:
             return horizon
 
         monkeypatch.setitem(builders, "trace", interrupted)
-        with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
-                pytest.raises(KeyboardInterrupt):
+        with children_forked() as children, pytest.raises(KeyboardInterrupt):
             run("compare-protocols", resolve("default"), tmp_path)
-        assert fork.call_count == 1
+        assert children.count(TRIALS) == 1
         no_child_left()
 
 
@@ -648,6 +723,7 @@ REFUSED_FORK_ARGS = {
     "local-sched": ["--duration", "86400"],
     "compare-protocols": ["--trials", "600"],
 }
+FIRST_CHILD = {"local-sched": "building trace 'local'", "compare-protocols": TRIALS}
 
 
 @pytest.mark.parametrize("command", sorted(REFUSED_FORK_ARGS))
@@ -663,16 +739,22 @@ def test_a_fork_that_fails_leaves_the_work_here(tmp_path, capsys, command):
     def refused(code):
         return OSError(code, os.strerror(code))
 
-    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+    with children_forked() as children:
         want = cli(tmp_path / "forked")
-    assert fork.call_count == 1
+    # a trace forks an encoder where it is built, once it flushes a full block
+    full = [name for name, data in want[1].items()
+            if name.startswith("trace") and data.count(b"\n") - 2 >= sim.BLOCK_RECORDS]
+    here = trace_file(next(iter(COMMANDS[command].builders)))
+    assert children == [FIRST_CHILD[command]] + [encoder(tmp_path / "forked" / name)
+                                                 for name in full if name == here]
+    # refused, each child is asked for here: the first child and every encoder
     with mock.patch.object(os, "fork", side_effect=refused(errno.EAGAIN)) as fork:
         assert cli(tmp_path / "no-process") == want
-    assert fork.call_count == 1
+    assert fork.call_count == 1 + len(full)
     with mock.patch.object(os, "pipe", side_effect=refused(errno.EMFILE)) as pipe, \
             mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
         assert cli(tmp_path / "no-pipe") == want
-    assert pipe.call_count == 1
+    assert pipe.call_count == 1 + len(full)
 
 
 class TestReplay:

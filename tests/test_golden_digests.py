@@ -51,7 +51,7 @@ CASES = {
     "compare-protocols-default-100": (
         ["compare-protocols", "--seed", "1", "--trials", "100"], None),
     # more trials than one chunk (experiments.FORK_CHUNK), so where the
-    # platform can fork, a child computes the trials' outcomes
+    # fork rule allows, a child computes the trials' outcomes
     "compare-protocols-default-600": (
         ["compare-protocols", "--seed", "1", "--trials", "600"], None),
     "compare-protocols-worst-case-3g": (

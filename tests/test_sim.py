@@ -1,9 +1,17 @@
-"""Engine tests: ordering, determinism, streams, trace files."""
+"""Engine tests: ordering, determinism, streams, trace files and their
+encoder child."""
+import contextlib
+import errno
 import hashlib
 import json
 import math
+import os
 import random
+import re
+import signal
 import tempfile
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -58,7 +66,10 @@ def test_pop_order_matches_sort_oracle():
         scheduled.append((at, seq))
     records = []
     eng.trace.consume = records.append
-    eng.run_until(1001.0)
+    try:
+        eng.run_until(1001.0)
+    finally:
+        eng.close()
     oracle = sorted(scheduled)
     got = [(r["at"], r["seq"]) for r in records]
     assert got == oracle
@@ -76,8 +87,10 @@ def test_empty_queue_advances_clock():
 def test_week_at_five_minute_cadence_gives_2016_probes():
     eng = Engine(seed=1)
     eng.schedule_every(300.0, "probe", lambda at, data: None)
-    trace = eng.run_until(604800.0)
-    assert len(trace.records) == 2016
+    try:
+        assert len(eng.run_until(604800.0).records) == 2016
+    finally:
+        eng.close()
 
 
 def test_causality_handler_sees_event_time():
@@ -279,36 +292,83 @@ def _numbered_events(n, fail_at=None):
     return schedule
 
 
-def _run_both_sinks(tmp_path, schedule, ends):
-    """Run ``schedule`` streaming into a file, on an engine with the block
-    sink and on one with the per-record sink, calling ``run_until`` at each
-    of ``ends``. Returns, for each: the file bytes, ``digest()``, the
-    consumed records, ``(count, last)`` after each run, and ``failed``."""
-    outcomes = []
-    for sink in (sim.EventTrace, _PerRecordTrace):
-        eng = Engine(seed=8, meta={"command": "t", "config": {"n": 1}})
-        eng.trace = sink(eng.seed, eng.trace.config_digest, eng.meta)
+@contextlib.contextmanager
+def encoders_forked():
+    """Each encoder child a trace forks meanwhile, in fork order."""
+    forked = []
+    fork_child = sim.fork_child
+
+    def recorded(what, serve):
+        child = fork_child(what, serve)
+        if child is not None:
+            forked.append(child)
+        return child
+
+    with mock.patch.object(sim, "fork_child", recorded):
+        yield forked
+
+
+def no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _engine(sink=sim.EventTrace):
+    eng = Engine(seed=8, meta={"command": "t", "config": {"n": 1}})
+    eng.trace = sink(eng.seed, eng.trace.config_digest, eng.meta)
+    return eng
+
+
+def _run_each_sink(tmp_path, monkeypatch, schedule, ends):
+    """Run ``schedule`` streaming into a file with three sinks: the block
+    sink, which forks an encoder child at its first full block; the block
+    sink with ``os.fork`` deleted, which encodes here; and the per-record
+    sink. Each calls ``run_until`` at each of ``ends`` and ``digest()``
+    after each. Returns each one's file bytes, final ``digest()``, consumed
+    records, ``(count, last, digest())`` after each run and ``failed``,
+    and what each encoder child forked did."""
+    def outcome(sink, name):
+        eng = _engine(sink)
         schedule(eng)
         trace = eng.trace
         consumed = []
         trace.consume = consumed.append
-        path = tmp_path / f"{sink.__name__}.jsonl"
+        path = tmp_path / f"{name}.jsonl"
         trace.open(path)
-        after_each = []
-        for t_end in ends:
-            eng.run_until(t_end)
-            after_each.append((trace.count, trace.last))
-        digest = trace.digest()
-        trace.write(path)
-        outcomes.append((path.read_bytes(), digest, consumed, after_each, trace.failed))
-    return outcomes
+        try:
+            after_each = []
+            for t_end in ends:
+                eng.run_until(t_end)
+                after_each.append((trace.count, trace.last, trace.digest()))
+            digest = trace.digest()
+            assert trace.write(path) == digest
+        finally:
+            eng.close()
+        no_child_left()
+        return path.read_bytes(), trace.digest(), consumed, after_each, trace.failed
+
+    with encoders_forked() as forked:
+        block = outcome(sim.EventTrace, "block")
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        in_process = outcome(sim.EventTrace, "in-process")
+    reference = outcome(_PerRecordTrace, "per-record")
+    return [block, in_process, reference], [child.what for child in forked]
+
+
+def _forks_at_a_full_block(tmp_path, n):
+    """The encoder a block sink of ``n`` records into ``block.jsonl`` forks."""
+    return [f"encoding trace {tmp_path / 'block.jsonl'}"] if n >= sim.BLOCK_RECORDS else []
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
-def test_block_sink_matches_a_per_record_sink(tmp_path, n):
-    block, reference = _run_both_sinks(tmp_path, _numbered_events(n), [float(n)])
-    assert block == reference
-    _, _, consumed, [(count, last)], failed = block
+def test_block_sink_matches_a_per_record_sink(tmp_path, monkeypatch, n):
+    (block, in_process, reference), forked = _run_each_sink(
+        tmp_path, monkeypatch, _numbered_events(n), [float(n)])
+    assert forked == _forks_at_a_full_block(tmp_path, n)
+    assert block == in_process == reference
+    _, _, consumed, [(count, last, _)], failed = block
     assert count == len(consumed) == n and not failed
     assert [r["data"]["i"] for r in consumed] == list(range(n))
     assert last == (consumed[-1] if n else None)
@@ -320,15 +380,20 @@ def test_block_sink_holds_at_most_one_block():
     seen = []
     for i in range(600):
         eng.schedule_at(float(i), "e", fn=lambda at, data: seen.append(eng.trace.count))
-    assert len(eng.run_until(600.0).records) == 600
+    try:
+        assert len(eng.run_until(600.0).records) == 600
+    finally:
+        eng.close()
     assert seen == [i // sim.BLOCK_RECORDS * sim.BLOCK_RECORDS for i in range(600)]
 
 
-def test_failure_with_records_pending_ends_the_trace(tmp_path):
+def test_failure_with_records_pending_ends_the_trace(tmp_path, monkeypatch):
     # 290 records are taken, 34 of them pending, when event 290 raises
-    block, reference = _run_both_sinks(tmp_path, _numbered_events(300, fail_at=290), [300.0])
-    assert block == reference
-    data, _, consumed, [(count, last)], failed = block
+    (block, in_process, reference), forked = _run_each_sink(
+        tmp_path, monkeypatch, _numbered_events(300, fail_at=290), [300.0])
+    assert forked == _forks_at_a_full_block(tmp_path, 300)
+    assert block == in_process == reference
+    data, _, consumed, [(count, last, _)], failed = block
     assert failed and count == 291
     assert [r["data"]["i"] for r in consumed] == list(range(290))
     assert last["error"] == "RuntimeError: event 290" and last["data"] == {"i": 290}
@@ -336,13 +401,190 @@ def test_failure_with_records_pending_ends_the_trace(tmp_path):
     assert [json.loads(line) for line in lines[1:-1]] == consumed + [last]
 
 
-def test_successive_runs_each_flush(tmp_path):
-    block, reference = _run_both_sinks(tmp_path, _numbered_events(401), [100.5, 400.5])
-    assert block == reference
-    _, _, consumed, after_each, _ = block
-    assert after_each == [(101, consumed[100]), (401, consumed[400])]
-    one_run, _ = _run_both_sinks(tmp_path, _numbered_events(401), [400.5])
-    assert one_run[:3] == block[:3]
+def test_successive_runs_each_flush(tmp_path, monkeypatch):
+    # the first run ends with 101 records, none of them in a full block;
+    # the encoder forks at the second run's first full block, and digest()
+    # is asked between the runs
+    outcomes, forked = _run_each_sink(tmp_path, monkeypatch, _numbered_events(401),
+                                      [100.5, 400.5])
+    assert forked == _forks_at_a_full_block(tmp_path, 401)
+    block, in_process, reference = outcomes
+    assert block == in_process == reference
+    _, digest, consumed, after_each, _ = block
+    assert [(count, last) for count, last, _ in after_each] == \
+        [(101, consumed[100]), (401, consumed[400])]
+    assert after_each[-1][2] == digest != after_each[0][2]
+    one_run, _ = _run_each_sink(tmp_path, monkeypatch, _numbered_events(401), [400.5])
+    assert all(outcome[:3] == block[:3] for outcome in one_run)
+
+
+def _forking_run(tmp_path, name, schedule, t_end=600.0):
+    """The file bytes and digest of ``schedule`` run to ``t_end`` with the
+    block sink, streaming into ``name``, and the encoders it forked."""
+    eng = _engine()
+    schedule(eng)
+    path = tmp_path / name
+    eng.trace.open(path)
+    with encoders_forked() as forked:
+        try:
+            eng.run_until(t_end)
+            digest = eng.trace.write(path)
+        finally:
+            eng.close()
+    no_child_left()
+    return path.read_bytes(), digest, [child.what for child in forked]
+
+
+@contextlib.contextmanager
+def _second_thread():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60.0,))
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
+
+
+def _fork_refused(*args):
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("how", ["no-fork", "fork-refused", "second-thread", "one-cpu"])
+def test_an_encoder_the_fork_rule_refuses_leaves_the_same_bytes(tmp_path, monkeypatch, how):
+    data, digest, forked = _forking_run(tmp_path, "forked.jsonl", _numbered_events(513))
+    assert forked == [f"encoding trace {tmp_path / 'forked.jsonl'}"]
+    with monkeypatch.context() as patch:
+        refused = contextlib.nullcontext()
+        if how == "no-fork":
+            patch.delattr(os, "fork")
+        elif how == "fork-refused":
+            patch.setattr(os, "fork", _fork_refused)
+        elif how == "one-cpu":  # the process at work has the only CPU
+            patch.setattr(sim, "_cpus", lambda: 1)
+        else:
+            patch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+            refused = _second_thread()
+        with refused:
+            assert _forking_run(tmp_path, "here.jsonl", _numbered_events(513)) == \
+                (data, digest, [])
+
+
+class _Label(str):
+    """A string ``canonical_json`` writes as any other and ``marshal`` refuses."""
+
+
+def test_a_block_marshal_refuses_is_encoded_here_with_the_same_bytes(tmp_path, monkeypatch):
+    def schedule(eng):
+        _numbered_events(513)(eng)
+        eng.schedule_at(300.5, "label", data={"name": _Label("outlet")})
+
+    data, digest, forked = _forking_run(tmp_path, "forked.jsonl", schedule)
+    assert forked == [f"encoding trace {tmp_path / 'forked.jsonl'}"]
+    monkeypatch.delattr(os, "fork")
+    assert _forking_run(tmp_path, "here.jsonl", schedule) == (data, digest, [])
+    assert b'"data":{"name":"outlet"}' in data
+
+
+@pytest.mark.parametrize("value, error", [(object(), TypeError), (math.nan, ValueError)],
+                         ids=["marshal-refuses", "json-refuses"])
+def test_a_record_that_cannot_be_encoded_raises_what_it_raises_here(tmp_path, monkeypatch,
+                                                                    value, error):
+    # an object marshal refuses is encoded here, at its block; a NaN reaches
+    # the encoder child, whose error is raised here at the next block or
+    # request
+    def schedule(eng):
+        _numbered_events(600)(eng)
+        eng.schedule_at(300.5, "bad", fn=lambda at, data: {"v": value})
+
+    def raised():
+        with pytest.raises(error) as info:
+            _forking_run(tmp_path, "t.jsonl", schedule)
+        no_child_left()
+        return str(info.value)
+
+    with encoders_forked() as forked:
+        message = raised()
+    assert len(forked) == 1
+    monkeypatch.delattr(os, "fork")
+    assert raised() == message
+
+
+def test_an_os_error_in_the_encoder_child_is_raised_here(tmp_path, monkeypatch):
+    # a full disk, say: the CLI reports an OSError as an output error, exit 2
+    parent = os.getpid()
+    encode = sim._encode
+
+    def full(block):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return encode(block)
+
+    monkeypatch.setattr(sim, "_encode", full)
+    with encoders_forked() as forked, pytest.raises(OSError) as info:
+        _forking_run(tmp_path, "t.jsonl", _numbered_events(600))
+    assert len(forked) == 1
+    assert info.value.errno == errno.ENOSPC
+    no_child_left()
+
+
+def test_an_interrupt_once_the_encoder_runs_leaves_no_child(tmp_path):
+    def interrupt(at, data):
+        raise KeyboardInterrupt
+
+    eng = _engine()
+    _numbered_events(600)(eng)
+    eng.schedule_at(300.5, "interrupt", fn=interrupt)
+    path = tmp_path / "t.jsonl"
+    eng.trace.open(path)
+    with encoders_forked() as forked, pytest.raises(KeyboardInterrupt):
+        try:
+            eng.run_until(600.0)
+        finally:
+            eng.close()
+    assert [child.what for child in forked] == [f"encoding trace {path}"]
+    no_child_left()
+    with pytest.raises(TraceParseError, match="missing digest footer"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("file", [True, False], ids=["written", "hashed-only"])
+def test_a_killed_encoder_is_an_error_naming_its_trace(tmp_path, file):
+    eng = _engine()
+    _numbered_events(2000)(eng)
+    path = tmp_path / "t.jsonl"
+    if file:
+        eng.trace.open(path)
+    name = path if file else "of 't' with seed 8"
+    with encoders_forked() as forked:
+        eng.schedule_at(300.5, "kill", fn=lambda at, data: os.kill(forked[0].pid, signal.SIGKILL))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=rf"^the process encoding trace {re.escape(str(name))}"
+                                               r" exited with code -9$"):
+            try:
+                eng.run_until(2000.0)
+                eng.trace.write(path) if file else eng.trace.digest()
+            finally:
+                eng.close()
+    assert time.monotonic() - start < 30.0
+    no_child_left()
+
+
+def test_a_closed_trace_whose_encoder_ran_takes_no_more_records():
+    eng = _engine()
+    _numbered_events(300)(eng)
+    eng.run_until(299.0)
+    digest = eng.trace.digest()
+    eng.close()
+    no_child_left()
+    with pytest.raises(ValueError, match="encoder child has ended"):
+        eng.trace.digest()
+    # the in-process sink agrees on the digest
+    reference = _engine(_PerRecordTrace)
+    _numbered_events(300)(reference)
+    assert reference.run_until(299.0).digest() == digest
 
 
 def test_open_after_an_unflushed_take_raises(tmp_path):
@@ -410,6 +652,21 @@ def test_unparsable_record_under_a_recomputed_footer_is_only_hashed(tmp_path):
     assert parsed.stored_digest == parsed.digest == digest
     with pytest.raises(TraceParseError, match="^line 3: bad JSON"):
         read_trace(path, lambda record: None)
+
+
+@pytest.mark.parametrize("line", [1, 3, 52], ids=["header", "record", "footer"])
+def test_a_line_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, line):
+    path = tmp_path / "t.jsonl"
+    trace, _ = _normal_trace(path)
+    trace.write(path)
+    lines = path.read_bytes().split(b"\n")
+    assert len(lines) == 53 and lines[-1] == b""  # 50 records, header, footer
+    lines[line - 1] = lines[line - 1][:4] + b"\xff" + lines[line - 1][4:]
+    path.write_bytes(b"\n".join(lines))
+    for consume in (None, lambda record: None):
+        with pytest.raises(TraceParseError,
+                           match=rf"^line {line}: not UTF-8 \(byte 5: invalid start byte\)$"):
+            read_trace(path, consume)
 
 
 def test_read_trace_digest_is_the_written_digest_of_the_lines_read(tmp_path):
