@@ -27,6 +27,12 @@ the same bytes. A record is encoded after later events have run, so its
 way. It hashes every record line, so a caller can tell whether the file's
 records still match its footer, and decodes them only for a consumer or
 when they fail to match.
+
+Every child the package forks (``fork_child``) speaks one protocol: what
+its ``serve`` generator yields, ``Child.results`` yields here in order, and
+it raises here, in its place, what ended ``serve``. An encoder child
+yields the digest each request asks for, and ``_Forked``, through which
+``experiments`` forks, its results in chunks of ``FORK_CHUNK``.
 """
 from __future__ import annotations
 
@@ -36,7 +42,9 @@ import json
 import marshal
 import os
 import random
-from typing import Any, Callable, NamedTuple, NoReturn, Optional
+from functools import partial
+from itertools import chain
+from typing import Any, Callable, NamedTuple, Optional
 
 TRACE_FORMAT = "chargesim-trace/1"
 BLOCK_RECORDS = 256  # records an EventTrace gathers before it encodes them
@@ -138,16 +146,35 @@ def _may_fork() -> bool:
 
 class Child:
     """A child that ``fork_child`` forked, and this process's ends of the two
-    pipes to it: ``recv`` reads what the child writes, ``send`` writes what
-    it reads. ``what`` says what the child does, for errors."""
+    pipes to it: ``send`` writes what the child reads, ``results`` yields
+    what it sends back. ``what`` says what the child does, for errors."""
 
-    __slots__ = ("pid", "what", "recv", "send")
+    __slots__ = ("pid", "what", "recv", "send", "results")
 
     def __init__(self, pid: int, what: str, recv, send):
         self.pid: Optional[int] = pid  # until the child is reaped
         self.what = what
         self.recv = recv
         self.send = send
+        self.results = self._results()
+
+    def _results(self):
+        """What the child's ``serve`` yielded, in order; then the exception
+        that ended it, raised once the child is reaped, or the end of the
+        stream, where ``wait`` reaps the child."""
+        from pickle import load  # loaded by fork_child, before it forked
+
+        recv = self.recv
+        while True:
+            try:
+                obj = load(recv)
+            except EOFError:
+                break
+            if isinstance(obj, Exception):  # what ended serve in the child
+                self.end()
+                raise obj
+            yield obj
+        self.wait()
 
     def _close_pipes(self) -> None:
         try:
@@ -203,8 +230,11 @@ def _widen(fd: int) -> None:
 
 
 def fork_child(what: str, serve: Callable) -> Optional[Child]:
-    """Fork a child that runs ``serve(out, inp)``, where ``out`` writes to
-    the returned ``Child.recv`` and ``inp`` reads from its ``send``.
+    """Fork a child that runs the generator ``serve(inp)``, where ``inp``
+    reads what is written to the returned ``Child.send``. The child pickles
+    each object ``serve`` yields to ``Child.results`` at once, and last the
+    exception that ends ``serve``, which ``Child.results`` raises in its
+    place (so ``serve`` yields no exception).
 
     Returns ``None``, having forked nothing, when ``_may_fork()`` is false or
     ``os.pipe`` or ``os.fork`` raises ``OSError``: the caller then does the
@@ -215,6 +245,8 @@ def fork_child(what: str, serve: Callable) -> Optional[Child]:
     global _at_work
     if not _may_fork():
         return None
+    import pickle  # before the fork, so only a run that forks loads it
+
     fds: list = []
     try:
         fds.extend(os.pipe())  # child -> here
@@ -234,13 +266,64 @@ def fork_child(what: str, serve: Callable) -> Optional[Child]:
             os.close(recv)
             os.close(send)
             with os.fdopen(out, "wb") as out, os.fdopen(inp, "rb") as inp:
-                serve(out, inp)
+                try:
+                    for obj in serve(inp):
+                        pickle.dump(obj, out)
+                        out.flush()
+                except Exception as exc:  # noqa: BLE001 - Child.results raises it
+                    out.write(pickle.dumps(exc))
+                    raise
             status = 0
         finally:
             os._exit(status)
     os.close(out)
     os.close(inp)
     return Child(pid, what, os.fdopen(recv, "rb"), os.fdopen(send, "wb"))
+
+
+FORK_CHUNK = 256  # results a forked child pickles and sends at once
+
+
+class _Forked:
+    """``fn`` over ``items``, in a child forked when this is made or here.
+
+    It forks, through ``fork_child`` and its fork rule, only when ``fork`` is
+    true, and works here when ``fork_child`` forks nothing: outputs are
+    byte-identical either way. Here, ``results`` is the lazy
+    ``map(fn, items)``; from a child, it is the child's ``Child.results``
+    unchunked, so it raises at an item's position what that call raised
+    (and ``fn`` returns no exception), and at its end what ``Child.wait``
+    raises. ``close()`` kills a child that still runs and reaps it; its
+    owner calls it in a ``finally``, so no child outlives a run, however
+    the run ends."""
+
+    __slots__ = ("_child", "results")
+
+    def __init__(self, fn, items, what: str, fork: bool):
+        self._child = fork_child(what, partial(_serve, fn, items)) if fork else None
+        self.results = (map(fn, items) if self._child is None
+                        else chain.from_iterable(self._child.results))
+
+    def close(self) -> None:
+        if self._child is not None:
+            self._child.end()
+
+
+def _serve(fn, items, _inp):
+    """In a forked child: what ``fn`` returns for each of ``items``, in
+    lists of at most ``FORK_CHUNK``; a call that raises ends it, once the
+    results before it are yielded."""
+    chunk: list = []
+    try:
+        for item in items:
+            chunk.append(fn(item))
+            if len(chunk) == FORK_CHUNK:
+                yield chunk
+                chunk = []
+    except Exception:
+        yield chunk
+        raise
+    yield chunk
 
 
 Handler = Callable[[float, Optional[dict]], Optional[dict]]
@@ -265,9 +348,8 @@ def _encode(block: list) -> bytes:
 
 
 # The frames a trace sends its encoder child: a tag byte, the body's length
-# as 4 little-endian bytes, the body. The child answers a digest or footer
-# request with b"d" and the 64-character hex digest, and an exception its
-# work raised with b"!" and the pickled exception, before it leaves.
+# as 4 little-endian bytes, the body. The child yields the hex digest for
+# each digest or footer request.
 _BLOCK = b"m"  # a block of records, marshalled
 _BYTES = b"b"  # a block the parent encoded itself
 _DIGEST = b"d"  # the digest so far
@@ -437,39 +519,29 @@ class EventTrace:
                 else f"of {self.meta.get('command', 'a command')!r} with seed {self.seed}")
         self._encoder = fork_child(f"encoding trace {name}", self._encode_apart)
 
-    def _encode_apart(self, out, inp) -> None:
+    def _encode_apart(self, inp):
         """The encoder child's loop: take each frame from ``inp`` and do what
-        ``flush``, ``digest`` and ``write`` would do here, answering on
-        ``out``, until the footer is written or the pipe ends. An exception
-        is sent back pickled before the child leaves."""
+        ``flush``, ``digest`` and ``write`` would do here, yielding the
+        digest each request asks for, until the footer is written or the
+        pipe ends."""
         read = inp.read
-
-        def answer(digest: str) -> None:
-            out.write(b"d" + digest.encode("ascii"))
-            out.flush()
-
-        try:
-            while True:
-                head = read(5)
-                if len(head) < 5:
-                    return  # the trace's process has gone
-                tag, body = head[:1], read(int.from_bytes(head[1:], "little"))
-                if tag == _BLOCK:
-                    self._put(_encode(marshal.loads(body)))
-                elif tag == _BYTES:
-                    self._put(body)
-                elif tag == _DIGEST:
-                    answer(self._hash.hexdigest())
-                else:  # _FOOTER
-                    digest = self._hash.hexdigest()
-                    self._write(_footer(digest))
-                    self._file.close()
-                    answer(digest)
-                    return
-        except Exception as exc:  # noqa: BLE001 - the trace's process raises it
-            import pickle
-            out.write(b"!" + pickle.dumps(exc))
-            raise
+        while True:
+            head = read(5)
+            if len(head) < 5:
+                return  # the trace's process has gone
+            tag, body = head[:1], read(int.from_bytes(head[1:], "little"))
+            if tag == _BLOCK:
+                self._put(_encode(marshal.loads(body)))
+            elif tag == _BYTES:
+                self._put(body)
+            elif tag == _DIGEST:
+                yield self._hash.hexdigest()
+            else:  # _FOOTER
+                digest = self._hash.hexdigest()
+                self._write(_footer(digest))
+                self._file.close()
+                yield digest
+                return
 
     def _send(self, tag: bytes, body: bytes = b"") -> None:
         encoder = self._encoder
@@ -480,26 +552,15 @@ class EventTrace:
             encoder.send.write(body)
             encoder.send.flush()
         except BrokenPipeError:
-            self._encoder_failed(b"")
+            # the child has ended, having answered every request: the rest
+            # of its stream raises what ended it
+            for _ in encoder.results:
+                pass
+            raise
 
     def _ask(self, tag: bytes) -> str:
         self._send(tag)
-        reply = self._encoder.recv.read(65)
-        if len(reply) != 65 or reply[:1] != b"d":
-            self._encoder_failed(reply)
-        return reply[1:].decode("ascii")
-
-    def _encoder_failed(self, head: bytes) -> NoReturn:
-        """The encoder child stopped short: reap it, and raise the exception
-        it sent back or else a ``RuntimeError`` naming the trace."""
-        encoder = self._encoder
-        sent = head + encoder.recv.read()
-        if sent[:1] == b"!":
-            encoder.end()
-            import pickle
-            raise pickle.loads(sent[1:])
-        encoder.wait()
-        raise RuntimeError(f"the process {encoder.what} ended without answering")
+        return next(self._encoder.results)
 
 
 def _footer(digest: str) -> bytes:

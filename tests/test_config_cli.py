@@ -122,7 +122,8 @@ class TestConfig:
         ("compare-protocols", 600,
          ["computing compare-protocols trials", "encoding trace {out}/trace.jsonl"],
          ["pickle", "threading"]),
-        ("compare-protocols", 256, ["encoding trace {out}/trace.jsonl"], ["threading"]),
+        ("compare-protocols", 256, ["encoding trace {out}/trace.jsonl"],
+         ["pickle", "threading"]),
     ], ids=["rtt-dist-loaded0", "local-sched-loaded1", "duty-cycle-loaded2",
             "compare-protocols-loaded3", "compare-protocols-256-trials"])
     def test_only_a_run_that_may_fork_loads_the_fork_modules(self, tmp_path, command, trials,
@@ -135,13 +136,13 @@ class TestConfig:
         # `signal`.
         script = "\n".join([
             "import sys",
-            "from chargesim import cli, experiments, sim",
+            "from chargesim import cli, sim",
             "sim._cpus = lambda: 64",
             "forked, fork_child = [], sim.fork_child",
             "def recorded(what, serve):",
             "    forked.append(what)",
             "    return fork_child(what, serve)",
-            "experiments.fork_child = sim.fork_child = recorded",
+            "sim.fork_child = recorded",
             "code = cli.main([sys.argv[1], '--duration', '3600', '--trials', sys.argv[3],",
             "                 '--out', sys.argv[2]])",
             "print(code, forked, sorted({'pickle', 'signal', 'threading'} & set(sys.modules)))",
@@ -418,6 +419,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("replay error: ")
         assert problem in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["rtt-dist", "duty-cycle"])
+    def test_a_full_disk_is_an_output_error_that_leaves_no_child(self, tmp_path, capsys,
+                                                                 command):
+        # rtt-dist's default week (6,048 records) asks for an encoder child at
+        # its first full block, and the flush of the header before that fork
+        # meets the full disk; duty-cycle's default sweep (33 records) stays
+        # within one block, encoded in the process, and meets it at the end
+        (tmp_path / "trace.jsonl").symlink_to("/dev/full")
+        assert main([command, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_failing_check_exits_3(self, tmp_path, capsys):
         # a config whose expectations cannot hold: demand an impossible speedup
