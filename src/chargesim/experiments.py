@@ -2,19 +2,22 @@
 engines, runs them, and folds the trace records into CSV rows, a summary,
 and pass/fail checks.
 
-Each command has a fold, built from the config. The fold is handed every
-record of every trace, in order, as ``add(name, record)`` with the trace's
-name, while the engine runs; ``finish()`` then returns ``(csvs, summary,
-checks)``. A fold keeps tuples and counters, never record dicts, and reads
-nothing but the config and the records, so a written trace file streamed
-through ``read_trace`` into a fresh fold reproduces (and verifies) a run.
+Each trace of a command has its own fold, built from the config. The fold
+is handed every record of its trace, in order, as ``add(record)``, while
+the engine runs; ``finish()`` then returns ``(csvs, summary, checks)``, and
+``finish(folds)`` merges those of a command's traces. A fold keeps tuples
+and counters, never record dicts, and reads nothing but the config and its
+trace's records, so a written trace file streamed through ``read_trace``
+into a fresh fold of its trace reproduces (and verifies) that trace's share
+of a run.
 
 Two kinds of work go through ``sim._Forked``, which runs them in a forked
 child or here by the fork rule of ``sim.fork_child``: each trace after a
-command's first (local-sched's ``local``), and compare-protocols' per-trial
-draws (both legacy pulls, the push-cycle estimate and the aggregated pull's
-uplink delay), which the child streams back to the trial events in order,
-when the run has more than one chunk (``FORK_CHUNK``) of trials. A third
+command's first (local-sched's ``local``), whose child sends back each
+trace's fold whole, and compare-protocols' per-trial draws (both legacy
+pulls, the push-cycle estimate and the aggregated pull's uplink delay),
+which the child streams back to the trial events in order, when the run
+has more than one chunk (``FORK_CHUNK``) of trials. A third
 goes to a child by the same rule inside ``sim``: each trace's encoding,
 hashing and writing, from its first full block on. All three reach this
 module only through ``sim``, whose one pipe protocol streams back what a
@@ -57,7 +60,7 @@ class Check(NamedTuple):
 
 
 class ExperimentOutput:
-    """A command's traces and what its fold made of them."""
+    """A command's traces and what their folds made of them."""
 
     __slots__ = ("command", "traces", "csvs", "summary", "checks")
 
@@ -132,7 +135,7 @@ class _RttDistFold:
         self.cfg = cfg
         self.samples: dict = {link.value: [] for link in LinkKind}
 
-    def add(self, name: str, rec: dict) -> None:
+    def add(self, rec: dict) -> None:
         if rec["kind"] == "rtt-probe":
             state = rec["state"]
             self.samples[rec["data"]["link"]].append((rec["at"], state["seg"], state["rtt"]))
@@ -368,7 +371,7 @@ class _CompareFold:
         self.trials: list = []
         self.stale: list = []
 
-    def add(self, name: str, rec: dict) -> None:
+    def add(self, rec: dict) -> None:
         kind = rec["kind"]
         if kind == "trial":
             s = rec["state"]
@@ -531,7 +534,7 @@ class _DutyCycleFold:
         self.cfg = cfg
         self.points: list = []
 
-    def add(self, name: str, rec: dict) -> None:
+    def add(self, rec: dict) -> None:
         if rec["kind"] == "duty-point":
             p = rec["state"]
             self.points.append(_DutyPoint(p["delta"], p["t_ev"], p["adaptive_wait"],
@@ -636,12 +639,13 @@ def _trace_local_sched(eng: Engine, cfg: ExperimentConfig, variant: str) -> floa
     return cfg.duration_s
 
 
-class _SchedCounts:
-    """One local-sched variant's slot and scheduling-message tallies."""
+class _LocalSchedFold:
+    """local-sched: one variant's slot and scheduling-message tallies, and
+    its worst slot total; its ``traffic.csv`` row and its two checks."""
 
-    __slots__ = ("slots", "changes", "cmds", "worst", "limit", "violations")
-
-    def __init__(self):
+    def __init__(self, cfg: ExperimentConfig, variant: str):
+        self.cfg = cfg
+        self.variant = variant
         self.slots = 0
         self.changes = 0
         self.cmds = 0
@@ -649,55 +653,37 @@ class _SchedCounts:
         self.limit: Optional[float] = None   # the first slot's limit
         self.violations = 0
 
-
-class _LocalSchedFold:
-    """local-sched: per-variant counters and the worst slot total."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.counts = {variant: _SchedCounts() for variant in SCHED_VARIANTS}
-
-    def add(self, name: str, rec: dict) -> None:
+    def add(self, rec: dict) -> None:
         kind = rec["kind"]
         if kind == "slot":
             s = rec["state"]
-            c = self.counts[name]
             total = s["total"]
-            c.slots += 1
-            c.changes += s["changed"]
-            if c.worst is None or total > c.worst:
-                c.worst = total
-            if c.limit is None:
-                c.limit = s["limit"]
-            c.violations += exceeds_limit(total, s["limit"])
+            self.slots += 1
+            self.changes += s["changed"]
+            if self.worst is None or total > self.worst:
+                self.worst = total
+            if self.limit is None:
+                self.limit = s["limit"]
+            self.violations += exceeds_limit(total, s["limit"])
         elif kind == "sched-cmd":
-            self.counts[name].cmds += 1
+            self.cmds += 1
 
     def finish(self):
         header = ("variant", "slots", "alloc_changes", "sched_messages", "worst_total_a",
                   "violations")
-        summary: dict = {}
-        checks = []
-        traffic_rows = []
-        for variant, c in self.counts.items():
-            worst = 0.0 if c.worst is None else c.worst
-            limit = self.cfg.station.circuit_limit if c.limit is None else c.limit
-            row = (variant, c.slots, c.changes, c.cmds, worst, c.violations)
-            traffic_rows.append(row)
-            summary[variant] = dict(zip(header[1:], row[1:]))
-            if variant == "local":
-                checks.append(Check(
-                    "local-zero-traffic", c.cmds == 0,
-                    f"{c.cmds} scheduling messages after mode selection"))
-            else:
-                checks.append(Check(
-                    "server-traffic-per-change", c.cmds >= c.changes,
-                    f"{c.cmds} messages for {c.changes} allocation changes"))
-            checks.append(Check(
-                f"{variant}-circuit-safety", c.violations == 0,
-                f"worst total {worst:.1f} A vs limit {limit:.1f} A"))
-        csvs = {"traffic.csv": (header, traffic_rows)}
-        return csvs, summary, checks
+        variant, cmds, changes = self.variant, self.cmds, self.changes
+        worst = 0.0 if self.worst is None else self.worst
+        limit = self.cfg.station.circuit_limit if self.limit is None else self.limit
+        row = (variant, self.slots, changes, cmds, worst, self.violations)
+        if variant == "local":
+            traffic = Check("local-zero-traffic", cmds == 0,
+                            f"{cmds} scheduling messages after mode selection")
+        else:
+            traffic = Check("server-traffic-per-change", cmds >= changes,
+                            f"{cmds} messages for {changes} allocation changes")
+        checks = [traffic, Check(f"{variant}-circuit-safety", self.violations == 0,
+                                 f"worst total {worst:.1f} A vs limit {limit:.1f} A")]
+        return {"traffic.csv": (header, [row])}, {variant: dict(zip(header[1:], row[1:]))}, checks
 
 
 # --------------------------------------------------------------------------
@@ -705,33 +691,23 @@ class _LocalSchedFold:
 # --------------------------------------------------------------------------
 
 
-class Command(NamedTuple):
-    """A command's traces, each scheduled on a fresh engine by a named
-    builder, and its fold: built from the config, handed every record as
-    ``add(trace name, record)``, and asked for ``(csvs, summary, checks)``
-    by ``finish()``.
-
-    ``run`` builds each trace after the first through ``_Forked``, so in a
-    forked child when its rule allows; the fold of a command with several
-    traces therefore keeps what each trace adds apart, in ``counts[name]``:
-    that is all of the fold a child sends back. A builder may also hand
-    work that reads no engine state to a ``_Forked`` of its own, as
-    compare-protocols does with its trials' draws (legacy pulls, push-cycle
-    estimates and the aggregated pulls' uplink delays), registering its
-    ``close`` in ``Engine.closing``."""
-
-    builders: dict    # trace name -> ((Engine, ExperimentConfig) -> horizon s)
-    fold: type        # ExperimentConfig -> fold
-
-
 SCHED_VARIANTS = ("server", "local")
 
+# command -> {trace name: (builder, fold)}, in build order. A builder
+# schedules its trace on a fresh engine, ``(Engine, ExperimentConfig) ->
+# horizon s``; a fold, made from the config, is handed each of that trace's
+# records as ``add(record)`` and asked for ``(csvs, summary, checks)`` by
+# ``finish()``. A builder may hand work that reads no engine state to a
+# ``_Forked`` of its own, as compare-protocols does with its trials' draws
+# (legacy pulls, push-cycle estimates and the aggregated pulls' uplink
+# delays), registering its ``close`` in ``Engine.closing``.
 COMMANDS = {
-    "rtt-dist": Command({"trace": _trace_rtt_dist}, _RttDistFold),
-    "compare-protocols": Command({"trace": _trace_compare}, _CompareFold),
-    "duty-cycle": Command({"trace": _trace_duty_cycle}, _DutyCycleFold),
-    "local-sched": Command({variant: partial(_trace_local_sched, variant=variant)
-                            for variant in SCHED_VARIANTS}, _LocalSchedFold),
+    "rtt-dist": {"trace": (_trace_rtt_dist, _RttDistFold)},
+    "compare-protocols": {"trace": (_trace_compare, _CompareFold)},
+    "duty-cycle": {"trace": (_trace_duty_cycle, _DutyCycleFold)},
+    "local-sched": {variant: (partial(_trace_local_sched, variant=variant),
+                              partial(_LocalSchedFold, variant=variant))
+                    for variant in SCHED_VARIANTS},
 }
 
 
@@ -741,22 +717,23 @@ def trace_file(name: str) -> str:
 
 
 def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
-    """Build every trace of ``command``, folding its records as they are
-    emitted, and streaming each trace into ``out_dir`` when one is given.
+    """Build every trace of ``command``, folding each trace's records into
+    its own fold as they are emitted, and streaming each trace into
+    ``out_dir`` when one is given; then merge what the folds finish.
 
     Each trace after the first, and compare-protocols' trial draws, go
     through ``_Forked``, which works in a forked child or here by its rule,
     with the same outputs (the draws ask for a child past ``FORK_CHUNK``).
-    The traces keep their order, and ``run`` keeps a ``BuiltTrace`` of
-    each, wherever it was built. An abandoned run kills its children, the
-    traces' encoder children among them, which leaves a trace file without
-    the footer ``read_trace`` needs.
+    The traces keep their order, and ``run`` keeps a ``BuiltTrace`` and the
+    fold of each, wherever it was built. An abandoned run kills its
+    children, the traces' encoder children among them, which leaves a trace
+    file without the footer ``read_trace`` needs.
 
-    A handler exception truncates its trace; the fold would then miss state
-    the failed event never recorded. Such a run skips ``finish()`` and gets
+    A handler exception truncates its trace; its fold would then miss state
+    the failed event never recorded. Such a run finishes no fold and gets
     one failing check that names the event that failed."""
-    fold = COMMANDS[command].fold(cfg)
-    out = ExperimentOutput(command=command, traces=_build_traces(command, cfg, fold, out_dir))
+    built = _build_traces(command, cfg, out_dir)
+    out = ExperimentOutput(command=command, traces=[(name, trace) for name, trace, _ in built])
     for name, trace in out.traces:
         if trace.failed:
             last = trace.last
@@ -765,8 +742,25 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
                 f"{name} truncated: event {last['kind']!r} at {last['at']!r} s failed: "
                 f"{last['error']}"))
             return out
-    out.csvs, out.summary, out.checks = fold.finish()
+    out.csvs, out.summary, out.checks = finish(fold for _, _, fold in built)
     return out
+
+
+def finish(folds) -> tuple:
+    """``(csvs, summary, checks)`` of a command, merged from what each of its
+    traces' ``folds`` finishes, in trace order: the rows of CSVs of one name
+    follow one another under their header, the summaries update one dict,
+    and the checks follow one another."""
+    csvs: dict = {}
+    summary: dict = {}
+    checks: list = []
+    for fold in folds:
+        more_csvs, more_summary, more_checks = fold.finish()
+        for fname, (header, rows) in more_csvs.items():
+            csvs[fname] = (header, [*csvs[fname][1], *rows]) if fname in csvs else (header, rows)
+        summary.update(more_summary)
+        checks += more_checks
+    return csvs, summary, checks
 
 
 class BuiltTrace(NamedTuple):
@@ -784,27 +778,23 @@ class BuiltTrace(NamedTuple):
         return cls(trace.digest(), trace.count, trace.last, trace.failed)
 
 
-def _build_traces(command: str, cfg: ExperimentConfig, fold, out_dir) -> list:
-    """``run``'s ``(name, BuiltTrace)`` list, in the command's order. This
+def _build_traces(command: str, cfg: ExperimentConfig, out_dir) -> list:
+    """``run``'s ``(name, BuiltTrace, fold)`` list, in the command's order,
+    each fold made from ``cfg`` and handed its own trace's records. This
     process builds the first trace. The others go through one ``_Forked``,
     made before the first is built, so a child builds them meanwhile when
-    the fork rule allows; each of its results carries the trace's
-    ``fold.counts[name]``, which is put back in ``fold.counts``."""
-    first, *others = COMMANDS[command].builders
+    the fork rule allows, and sends back each one's fold whole."""
+    traces = COMMANDS[command]
+    first, *others = traces
 
     def build(name):
-        return build_trace(command, name, cfg, partial(fold.add, name), out_dir)
+        fold = traces[name][1](cfg)
+        return name, build_trace(command, name, cfg, fold.add, out_dir), fold
 
-    def build_other(name):
-        return name, build(name), fold.counts[name]
-
-    rest = _Forked(build_other, others, f"building trace {', '.join(map(repr, others))}",
+    rest = _Forked(build, others, f"building trace {', '.join(map(repr, others))}",
                    fork=bool(others))
     try:
-        traces = [(first, build(first))]
-        for name, trace, fold.counts[name] in rest.results:
-            traces.append((name, trace))
-        return traces
+        return [build(first), *rest.results]
     finally:
         rest.close()
 
@@ -812,21 +802,21 @@ def _build_traces(command: str, cfg: ExperimentConfig, fold, out_dir) -> list:
 def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
                 out_dir=None) -> BuiltTrace:
     """Schedule ``command``'s trace ``name`` on a fresh engine and run it,
-    handing each record to ``consume``, and return its ``BuiltTrace``. With
-    ``out_dir``, the trace streams into ``out_dir/trace_file(name)``, opened
-    only once the builder has scheduled its events (a builder's
-    ``ConfigError`` leaves no file) and finished with its digest footer,
-    also when an event failed. The engine, and with it the trace, is closed
-    however the run ends, so a child the builder forked to feed its events
-    or the trace forked to encode its records is reaped, or killed first,
-    before this returns.
+    handing each record to ``consume`` (in a run, its own fold's ``add``),
+    and return its ``BuiltTrace``. With ``out_dir``, the trace streams into
+    ``out_dir/trace_file(name)``, opened only once the builder has
+    scheduled its events (a builder's ``ConfigError`` leaves no file) and
+    finished with its digest footer, also when an event failed. The engine,
+    and with it the trace, is closed however the run ends, so a child the
+    builder forked to feed its events or the trace forked to encode its
+    records is reaped, or killed first, before this returns.
 
     The header config of a trace not named ``trace`` records its name as
     ``sched_variant``, which ``cmd_replay`` removes to find the builder."""
     raw = cfg.raw if name == "trace" else {**cfg.raw, "sched_variant": name}
     eng = Engine(cfg.seed, meta={"command": command, "config": raw})
     try:
-        horizon = COMMANDS[command].builders[name](eng, cfg)
+        horizon = COMMANDS[command][name][0](eng, cfg)
         trace = eng.trace
         trace.consume = consume
         if out_dir is not None:
@@ -870,7 +860,7 @@ def cmd_replay(trace_path) -> ReplayVerdict:
         raise ValueError("trace header carries no config; cannot replay")
     raw = dict(raw)
     name = raw.pop("sched_variant", "trace")
-    if not isinstance(name, str) or name not in COMMANDS[command].builders:
+    if not isinstance(name, str) or name not in COMMANDS[command]:
         raise ValueError(f"{command} writes no trace named {name!r}")
     return ReplayVerdict(
         command=command,

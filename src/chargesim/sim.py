@@ -161,8 +161,10 @@ class Child:
     def _results(self):
         """What the child's ``serve`` yielded, in order; then the exception
         that ended it, raised once the child is reaped, or the end of the
-        stream, where ``wait`` reaps the child."""
-        from pickle import load  # loaded by fork_child, before it forked
+        stream, where ``wait`` reaps the child. A stream cut short inside a
+        result ends there too, so a child killed as it wrote is named with
+        its exit code; the ``UnpicklingError`` stands only if it exited 0."""
+        from pickle import UnpicklingError, load  # loaded by fork_child, before it forked
 
         recv = self.recv
         while True:
@@ -170,6 +172,9 @@ class Child:
                 obj = load(recv)
             except EOFError:
                 break
+            except UnpicklingError:
+                self.wait()
+                raise
             if isinstance(obj, Exception):  # what ended serve in the child
                 self.end()
                 raise obj
@@ -329,18 +334,6 @@ def _serve(fn, items, _inp):
 Handler = Callable[[float, Optional[dict]], Optional[dict]]
 
 
-class _Taken:
-    """``len()`` of this is the number of records a trace has flushed."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int):
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-
 def _encode(block: list) -> bytes:
     """A block's bytes as its trace holds them: ``"\\n" + canonical_json`` of
     each record."""
@@ -415,10 +408,10 @@ class EventTrace:
         return head
 
     @property
-    def records(self) -> _Taken:
-        """The records flushed so far, as a count: ``len(trace.records)``, the
-        form the benchmark's tracer reads; new code reads ``count``."""
-        return _Taken(self.count)
+    def records(self) -> range:
+        """The records flushed so far, as ``range(count)``: ``len(trace.records)``
+        is the form the benchmark's tracer reads; new code reads ``count``."""
+        return range(self.count)
 
     def open(self, path) -> None:
         """Stream the trace into a new file at ``path``: the header line now,

@@ -17,20 +17,11 @@ Tolerances are pinned here and nowhere else:
 import random
 import time
 
-import pytest
-
 from chargesim.config import resolve
 from chargesim.control import compute_t_waiting
 from chargesim.domain import exceeds_limit
 from chargesim.experiments import cmd_replay, run
-from chargesim.latency import (
-    LatencyModel,
-    LinkKind,
-    LinkModelSet,
-    MixtureComponent,
-    TimingBudget,
-    worst_case_budget,
-)
+from chargesim.latency import TimingBudget, worst_case_budget
 from chargesim.proto import legacy_pull, pic_pull, push_cycle_time, t_save
 from chargesim.sched import (
     SECONDS_PER_DAY,

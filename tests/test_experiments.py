@@ -9,7 +9,6 @@ import os
 import threading
 import time
 import tracemalloc
-from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +25,7 @@ from chargesim.experiments import (
     ExperimentOutput,
     build_trace,
     cmd_replay,
+    finish,
     run,
     trace_file,
 )
@@ -393,14 +393,22 @@ def emitted(out: ExperimentOutput, out_dir, capsys) -> tuple:
     return capsys.readouterr().out, files
 
 
+def set_builder(monkeypatch, command, name, builder):
+    """Build ``command``'s trace ``name`` with ``builder``, into its own fold."""
+    traces = COMMANDS[command]
+    monkeypatch.setitem(traces, name, (builder, traces[name][1]))
+
+
 def built_in_turn(cfg, out_dir) -> ExperimentOutput:
     """The oracle: local-sched's traces built one after the other in this
-    process, into one fold."""
-    fold = COMMANDS["local-sched"].fold(cfg)
-    out = ExperimentOutput("local-sched", [
-        (name, build_trace("local-sched", name, cfg, partial(fold.add, name), out_dir))
-        for name in SCHED_VARIANTS])
-    out.csvs, out.summary, out.checks = fold.finish()
+    process, each into its own fold."""
+    traces, folds = [], []
+    for name, (_, make_fold) in COMMANDS["local-sched"].items():
+        fold = make_fold(cfg)
+        traces.append((name, build_trace("local-sched", name, cfg, fold.add, out_dir)))
+        folds.append(fold)
+    out = ExperimentOutput("local-sched", traces)
+    out.csvs, out.summary, out.checks = finish(folds)
     return out
 
 
@@ -439,15 +447,14 @@ class TestForkedTraces:
     def test_a_failed_event_ends_in_the_same_check_in_a_child_as_here(
             self, monkeypatch, tmp_path, capsys, variant):
         # server's trace is built here, local's in the child
-        builders = COMMANDS["local-sched"].builders
-        build = builders[variant]
+        build = COMMANDS["local-sched"][variant][0]
 
         def failing(eng, cfg):
             horizon = build(eng, cfg)
             eng.schedule_at(3600.0, "boom", fn=lambda at, data: 1 / 0)
             return horizon
 
-        monkeypatch.setitem(builders, variant, failing)
+        set_builder(monkeypatch, "local-sched", variant, failing)
         cfg = small_default()
         forked = run("local-sched", cfg, tmp_path / "forked")
         no_child_left()
@@ -467,7 +474,7 @@ class TestForkedTraces:
         def refuse(eng, cfg):
             raise ConfigError("round_robin: refused by the local builder")
 
-        monkeypatch.setitem(COMMANDS["local-sched"].builders, "local", refuse)
+        set_builder(monkeypatch, "local-sched", "local", refuse)
         with children_forked() as children, \
                 pytest.raises(ConfigError, match="^round_robin: refused by the local builder$"):
             run("local-sched", small_default(), tmp_path)
@@ -489,14 +496,13 @@ class TestForkedTraces:
             assert os.getpid() != parent, "the local trace was not built in a child"
             os._exit(5)
 
-        monkeypatch.setitem(COMMANDS["local-sched"].builders, "local", die)
+        set_builder(monkeypatch, "local-sched", "local", die)
         with pytest.raises(RuntimeError, match="building trace 'local' exited with code 5"):
             run("local-sched", small_default())
         no_child_left()
 
     def test_an_interrupted_run_kills_and_reaps_its_child(self, monkeypatch, tmp_path):
-        builders = COMMANDS["local-sched"].builders
-        build = builders["server"]
+        build = COMMANDS["local-sched"]["server"][0]
 
         def interrupt(at, data):
             raise KeyboardInterrupt
@@ -506,7 +512,7 @@ class TestForkedTraces:
             eng.schedule_at(0.0, "interrupt", fn=interrupt)
             return horizon
 
-        monkeypatch.setitem(builders, "server", interrupted)
+        set_builder(monkeypatch, "local-sched", "server", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run("local-sched", resolve("default"), tmp_path)
         no_child_left()
@@ -721,8 +727,7 @@ class TestForkedTrials:
             "computing compare-protocols trials exited with code 5")]
 
     def test_an_interrupted_run_kills_and_reaps_its_child(self, monkeypatch, tmp_path):
-        builders = COMMANDS["compare-protocols"].builders
-        build = builders["trace"]
+        build = COMMANDS["compare-protocols"]["trace"][0]
 
         def interrupt(at, data):
             raise KeyboardInterrupt
@@ -732,7 +737,7 @@ class TestForkedTrials:
             eng.schedule_at(120.0, "interrupt", fn=interrupt)
             return horizon
 
-        monkeypatch.setitem(builders, "trace", interrupted)
+        set_builder(monkeypatch, "compare-protocols", "trace", interrupted)
         with children_forked() as children, pytest.raises(KeyboardInterrupt):
             run("compare-protocols", resolve("default"), tmp_path)
         assert children.count(TRIALS) == 1
@@ -764,7 +769,7 @@ def test_a_fork_that_fails_leaves_the_work_here(tmp_path, capsys, command):
     # a trace forks an encoder where it is built, once it flushes a full block
     full = [name for name, data in want[1].items()
             if name.startswith("trace") and data.count(b"\n") - 2 >= sim.BLOCK_RECORDS]
-    here = trace_file(next(iter(COMMANDS[command].builders)))
+    here = trace_file(next(iter(COMMANDS[command])))
     assert children == [FIRST_CHILD[command]] + [encoder(tmp_path / "forked" / name)
                                                  for name in full if name == here]
     # refused, each child is asked for here: the first child and every encoder
@@ -840,29 +845,44 @@ def written(request, tmp_path_factory):
     return out, paths
 
 
+def folded_file(command, name, path):
+    """A fresh fold of ``command``'s trace ``name``, made from the config in
+    the header of the file at ``path`` and handed the file's records."""
+    records = []
+    parsed = read_trace(path, records.append)
+    raw = dict(parsed.header["config"])
+    raw.pop("sched_variant", None)
+    fold = COMMANDS[command][name][1](from_dict(raw))
+    for rec in records:
+        fold.add(rec)
+    return fold
+
+
 class TestTraceFiles:
     def test_post_processing_the_written_records_reproduces_the_run(self, written):
         # the trace files alone: config from each header, records from each body
         out, paths = written
-        records = {}
-        for name, path in paths.items():
-            records[name] = []
-            parsed = read_trace(path, records[name].append)
-            raw = dict(parsed.header["config"])
-            raw.pop("sched_variant", None)
-            cfg = from_dict(raw)
-        fold = COMMANDS[out.command].fold(cfg)
-        for name, body in records.items():
-            for rec in body:
-                fold.add(name, rec)
-        csvs, summary, checks = fold.finish()
+        csvs, summary, checks = finish(folded_file(out.command, name, path)
+                                       for name, path in paths.items())
         assert csvs == out.csvs
         assert summary == out.summary
         assert checks == out.checks
 
+    @pytest.mark.parametrize("variant", SCHED_VARIANTS)
+    def test_each_written_local_sched_trace_folds_on_its_own(self, tmp_path, variant):
+        out = run("local-sched", small_default(), tmp_path)
+        csvs, summary, checks = finish(
+            [folded_file("local-sched", variant, tmp_path / trace_file(variant))])
+        header, rows = out.csvs["traffic.csv"]
+        assert csvs == {"traffic.csv": (header, [row for row in rows if row[0] == variant])}
+        assert len(csvs["traffic.csv"][1]) == 1
+        assert summary == {variant: out.summary[variant]}
+        assert checks == [c for c in out.checks if c.name.startswith(f"{variant}-")]
+        assert len(checks) == 2
+
     def test_every_written_trace_replays_identically(self, written, capsys):
         out, paths = written
-        assert sorted(paths) == sorted(COMMANDS[out.command].builders)
+        assert sorted(paths) == sorted(COMMANDS[out.command])
         for path in paths.values():
             assert main(["replay", str(path)]) == 0
             assert capsys.readouterr().out.startswith(f"identical: {out.command} trace")

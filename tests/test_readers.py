@@ -3,8 +3,9 @@ something, or is listed in ``UNREAD`` with the reason it stays.
 
 Each command runs once on a small config that sets every optional section.
 Its config is loaded through ``from_dict`` with the checked tree wrapped so
-that every key the loader, the builders and the fold read is logged; a fresh
-fold is then handed every record of the run, each wrapped the same way.
+that every key the loader, the builders and the folds read is logged; a
+fresh fold of each trace is then handed every record of that trace, each
+wrapped the same way.
 """
 import re
 
@@ -12,7 +13,7 @@ import pytest
 
 from chargesim import config
 from chargesim.config import SCHEMA, ByOutlet, ListOf, Section, from_dict
-from chargesim.experiments import COMMANDS, build_trace
+from chargesim.experiments import COMMANDS, build_trace, finish
 
 # Unread keys, each with why it stays and the ROADMAP item that ends it.
 # Trace fields are ``kind.data.key`` or ``kind.state.key`` (a map keyed by
@@ -170,18 +171,19 @@ def audit():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(config, "_walk", logged_walk)
         cfg = from_dict(AUDIT_CONFIG)
-    for command, spec in COMMANDS.items():
-        records = {name: [] for name in spec.builders}
-        for name in spec.builders:
-            trace = build_trace(command, name, cfg, records[name].append)
+    for command, traces in COMMANDS.items():
+        folds = []
+        for name, (_, make_fold) in traces.items():
+            records = []
+            trace = build_trace(command, name, cfg, records.append)
             assert not trace.failed, trace.last
-        fold = spec.fold(cfg)
-        for name, recs in records.items():
-            for rec in recs:
-                fold.add(name, _Logged(rec, rec["kind"], field_reads))
+            fold = make_fold(cfg)
+            for rec in records:
+                fold.add(_Logged(rec, rec["kind"], field_reads))
                 body = {part: rec[part] for part in ("data", "state") if part in rec}
                 fields.update(_fields(body, rec["kind"]))
-        fold.finish()
+            folds.append(fold)
+        finish(folds)
     # a field read on any record of its kind is read
     unread_fields = fields - {_outlets(path) for path in field_reads}
     read_leaves = {_outlets(path) for path in config_reads}

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import select
 import signal
 import tempfile
 import threading
@@ -569,6 +570,25 @@ def test_a_killed_encoder_is_an_error_naming_its_trace(tmp_path, file):
             finally:
                 eng.close()
     assert time.monotonic() - start < 30.0
+    no_child_left()
+
+
+def test_a_child_killed_as_it_writes_a_result_is_named_with_its_exit_code():
+    # the result outgrows the pipe, so the child blocks inside it, and the
+    # stream it leaves is cut short mid-result
+    def serve(inp):
+        yield b"x" * (8 << 20)
+
+    child = sim.fork_child("writing a large result", serve)
+    assert child is not None
+    try:
+        assert select.select([child.recv], [], [], 30.0)[0], "the child wrote nothing"
+        os.kill(child.pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError,
+                           match="^the process writing a large result exited with code -9$"):
+            next(child.results)
+    finally:
+        child.end()
     no_child_left()
 
 
