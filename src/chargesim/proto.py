@@ -219,14 +219,13 @@ def push_cycle_time(budget: TimingBudget, meter_count: int) -> float:
     return meter_count * (budget.t_bus + budget.t_metering) + budget.t_uplink_one_way
 
 
-def legacy_retrieval_time(budget: TimingBudget, meter_count: int = 4,
-                          cloud: float = 0.0) -> float:
+def legacy_retrieval_time(budget: TimingBudget, meter_count: int, cloud: float) -> float:
     """Analytic wall time of a sequential per-meter power pull: each reading
     is one round trip carrying the ``cloud`` hops, the link and metering."""
     return meter_count * (budget.t_uplink + budget.t_metering + cloud)
 
 
-def t_save(budget: TimingBudget, meter_count: int = 4, cloud: float = 0.0) -> float:
+def t_save(budget: TimingBudget, meter_count: int, cloud: float) -> float:
     """Analytic saving of push over an N-meter sequential pull:
     ``legacy_retrieval_time - push_cycle_time`` with the metering terms
     cancelled, leaving N - 1/2 uplink round trips plus the N round trips'

@@ -82,12 +82,16 @@ class TestCompareProtocols:
     def test_six_outlet_station_passes_count_and_savings_checks(self):
         station = {"id": 0, "link": "threeg", "outlets": 6,
                    "evs": [{"outlet": 0}, {"outlet": 3}, {"outlet": 5}]}
-        out = run("compare-protocols", small_default(trials=10_000, fleet={"stations": [station]}))
+        cfg = small_default(trials=10_000, fleet={"stations": [station]})
+        out = run("compare-protocols", cfg)
         checks = {c.name: c for c in out.checks}
         assert checks["request-counts"].detail == (
             "legacy power=6, legacy full=12, aggregated pull=1 on every trial")
         assert checks["savings-identity"].ok, checks["savings-identity"].detail
         assert out.ok, [c for c in out.checks if not c.ok]
+        # the staleness bound is a worst-case cycle over all six outlets
+        assert out.summary["staleness_bound_s"] == cfg.push_period_s + push_cycle_time(
+            worst_case_budget(cfg.links, LinkKind.THREE_G), 6)
 
     @pytest.mark.parametrize("link, identities", [("wifi", True), ("ethernet", False)])
     def test_checks_pass_on_a_station_of_any_uplink(self, link, identities):

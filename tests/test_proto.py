@@ -264,7 +264,7 @@ class TestTimingIdentities:
 
     def test_retrieval_minus_cycle_is_seventeen_and_a_half(self):
         budget = TimingBudget(t_uplink=5.0, t_metering=0.5, t_bus=0.0)
-        saving = legacy_retrieval_time(budget, 4) - push_cycle_time(budget, 4)
+        saving = legacy_retrieval_time(budget, 4, 0.0) - push_cycle_time(budget, 4)
         assert saving == pytest.approx(17.5)
         # the same identity at other meter counts and cloud terms:
         # (N - 1/2) * t_uplink + N * cloud - N * t_bus
@@ -275,14 +275,14 @@ class TestTimingIdentities:
                 assert saving == pytest.approx(t_save(budget, n, cloud)), (n, cloud)
 
     def test_t_save_worst_case(self):
-        assert t_save(TimingBudget(t_uplink=5.0, t_bus=0.0)) == pytest.approx(17.5)
+        assert t_save(TimingBudget(t_uplink=5.0, t_bus=0.0), 4, 0.0) == pytest.approx(17.5)
 
     def test_t_save_zero(self):
-        assert t_save(TimingBudget()) == 0.0
+        assert t_save(TimingBudget(), 4, 0.0) == 0.0
 
     def test_t_save_direct_substitution(self):
         # 3.5 * 2 - 4 * 0.001 = 6.996
-        assert t_save(TimingBudget(t_uplink=2.0, t_bus=0.001)) == pytest.approx(6.996)
+        assert t_save(TimingBudget(t_uplink=2.0, t_bus=0.001), 4, 0.0) == pytest.approx(6.996)
         # plus one 0.15 s cloud term per legacy round trip: 6.996 + 4 * 0.15
         assert t_save(TimingBudget(t_uplink=2.0, t_bus=0.001), 4, 0.15) == pytest.approx(7.596)
 
