@@ -61,7 +61,7 @@ def compute_t_waiting(t_ev: float, budget: TimingBudget) -> float:
     zero (a negative wait is physically meaningless)."""
     if t_ev < 0:
         raise ValueError(f"settle time must be non-negative, got {t_ev!r}")
-    return max(0.0, t_ev - budget.t_uplink_one_way)
+    return max(0.0, t_ev - 0.5 * budget.t_uplink)
 
 
 class DutyCycleChange:

@@ -154,12 +154,6 @@ class MeterChannel:
         self.ramp_start = now
         self.ramp_end = now
 
-    def settle_now(self, amps: float, now: float) -> None:
-        """Scenario setup shortcut: allocate ``amps`` and pin the drawn
-        current there, as if it had settled long ago."""
-        self.allocated_amps = amps
-        self.pin(amps, now)
-
 
 class ChargingStation:
     """A multi-outlet charging circuit with one uplink and a shared current

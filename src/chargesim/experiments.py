@@ -45,10 +45,9 @@ from .domain import (
     set_current,
     unplug_ev,
 )
-from .latency import (LatencyModel, LinkKind, TimingBudget, count_modes, histogram_of,
-                      worst_case_budget)
-from .sim import (FORK_CHUNK, Engine, EventTrace, _Forked, ordered_sum, read_trace,
-                  substream)
+from .latency import (HOURS_PER_WEEK, LatencyModel, LinkKind, TimingBudget, count_modes,
+                      histogram_of, worst_case_budget)
+from .sim import FORK_CHUNK, Engine, _Forked, ordered_sum, read_trace, substream
 
 MODE_BINS = 45
 
@@ -351,32 +350,40 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
     return horizon
 
 
-class _Trial(NamedTuple):
-    trial: int
-    legacy4: float
-    rc4: int
-    legacy8: float
-    rc8: int
-    pic: float
-    rc1: int
-    push_cycle: float
-
-
 class _CompareFold:
-    """compare-protocols: one ``_Trial`` per trial record, and one
-    ``(at, source, stale_max)`` row per staleness record that has one."""
+    """compare-protocols: the four ``retrievals.csv`` rows of each trial
+    record, running totals of the four means' samples, the trials' count per
+    hour of the week, and one ``(at, source, stale_max)`` row per staleness
+    record that has one."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.trials: list = []
+        meters = cfg.station.outlets
+        self.requests = (meters, 2 * meters, 1)  # legacy power, legacy full, aggregated
+        self.rows: list = []
         self.stale: list = []
+        self.hours = [0] * HOURS_PER_WEEK
+        # each total adds left to right from the integer 0, as ordered_sum does
+        self.legacy4 = self.legacy8 = self.pic = self.push_cycle = 0
+        self.counts_ok = True
 
     def add(self, rec: dict) -> None:
         kind = rec["kind"]
         if kind == "trial":
+            i = rec["data"]["trial"]
             s = rec["state"]
-            self.trials.append(_Trial(rec["data"]["trial"], s["legacy4"], s["rc4"], s["legacy8"],
-                                      s["rc8"], s["pic"], s["rc1"], s["push_cycle"]))
+            legacy4, legacy8, pic, cycle = s["legacy4"], s["legacy8"], s["pic"], s["push_cycle"]
+            rc4, rc8, rc1 = s["rc4"], s["rc8"], s["rc1"]
+            self.rows += ((i, "legacy_pull_power", legacy4, rc4),
+                          (i, "legacy_pull_full", legacy8, rc8),
+                          (i, "pic_pull", pic, rc1),
+                          (i, "pic_push_cycle", cycle, 0))
+            self.hours[int(rec["at"] // 3600.0) % HOURS_PER_WEEK] += 1
+            self.legacy4 += legacy4
+            self.legacy8 += legacy8
+            self.pic += pic
+            self.push_cycle += cycle
+            self.counts_ok = self.counts_ok and (rc4, rc8, rc1) == self.requests
         elif kind == "stale-probe" or kind == "push-arrive":
             stale_max = rec["state"].get("stale_max")
             if stale_max is not None:
@@ -388,31 +395,22 @@ class _CompareFold:
         link = cfg.station.link
         uplink = links.for_link(link)
         meters = cfg.station.outlets
-        trials = self.trials
+        hours = self.hours
+        n = sum(hours)
 
-        rows = []
-        counts_ok = True
-        for t in trials:
-            rows.append((t.trial, "legacy_pull_power", t.legacy4, t.rc4))
-            rows.append((t.trial, "legacy_pull_full", t.legacy8, t.rc8))
-            rows.append((t.trial, "pic_pull", t.pic, t.rc1))
-            rows.append((t.trial, "pic_push_cycle", t.push_cycle, 0))
-            counts_ok = counts_ok and t.rc4 == meters and t.rc8 == 2 * meters and t.rc1 == 1
         csvs = {
-            "retrievals.csv": (("trial", "protocol", "wall_s", "requests"), rows),
+            "retrievals.csv": (("trial", "protocol", "wall_s", "requests"), self.rows),
             "staleness.csv": (("at", "source", "stale_max_s"), self.stale),
         }
-
-        def mean(key):
-            return ordered_sum(getattr(t, key) for t in trials) / len(trials) if trials else None
-
-        m4, m8, mp, mc = mean("legacy4"), mean("legacy8"), mean("pic"), mean("push_cycle")
+        m4, m8, mp, mc = ((total / n if n else None) for total in
+                          (self.legacy4, self.legacy8, self.pic, self.push_cycle))
         speedup_power = (m4 / mp) if (m4 is not None and mp) else None
         speedup_full = (m8 / mp) if (m8 is not None and mp) else None
         # analytic counterparts of the measured means, from the mixture models
-        means = TimingBudget(t_bus=links.local_bus.analytic_mean(),
-                             t_uplink=uplink.analytic_mean(),
-                             t_metering=links.metering.analytic_mean())
+        # at the trials' hours of the week
+        means = TimingBudget(t_bus=links.local_bus.analytic_mean(hours),
+                             t_uplink=uplink.analytic_mean(hours),
+                             t_metering=links.metering.analytic_mean(hours))
         analytic_legacy = proto.legacy_retrieval_time(means, meters, links.cloud)
         analytic_cycle = proto.push_cycle_time(means, meters)
         analytic_save = proto.t_save(means, meters, links.cloud)
@@ -421,7 +419,7 @@ class _CompareFold:
         bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links, link), meters)
 
         summary = {
-            "trials": len(trials),
+            "trials": n,
             "mean_legacy_power_s": m4,
             "mean_legacy_full_s": m8,
             "mean_pic_pull_s": mp,
@@ -438,7 +436,7 @@ class _CompareFold:
 
         checks = [Check(
             "request-counts",
-            counts_ok,
+            self.counts_ok,
             f"legacy power={meters}, legacy full={2 * meters}, aggregated pull=1 on every trial",
         )]
         if stale_max is not None:
@@ -450,7 +448,7 @@ class _CompareFold:
         # no power request can time out. Each is relative to its analytic
         # side, so it is checked only where that is positive.
         no_timeouts = cfg.timeout_s >= links.cloud + uplink.hard_max + links.metering.hard_max
-        if len(trials) >= 10_000 and no_timeouts and analytic_save > 0:
+        if n >= 10_000 and no_timeouts and analytic_save > 0:
             rel = abs(empirical_save - analytic_save) / analytic_save
             checks.append(Check(
                 "savings-identity", rel <= 0.02,
@@ -496,7 +494,10 @@ def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
     def run_point(at, data):
         delta = data["delta"]
         apply_relay(station, outlet, RelayState.ON, at)
-        ch.settle_now(i_final - delta, at)
+        # allocate i_final - delta and draw it, as if settled long ago
+        amps = i_final - delta
+        ch.allocated_amps = amps
+        ch.pin(amps, at)
         rng = substream(cfg.seed, f"duty:{delta}")
         change = change_duty_cycle(station, outlet, duty, cfg.links, rng,
                                    cfg.budget, now=at, timeout_s=cfg.timeout_s)
@@ -773,10 +774,6 @@ class BuiltTrace(NamedTuple):
     last: Optional[dict]
     failed: bool
 
-    @classmethod
-    def of(cls, trace: EventTrace) -> BuiltTrace:
-        return cls(trace.digest(), trace.count, trace.last, trace.failed)
-
 
 def _build_traces(command: str, cfg: ExperimentConfig, out_dir) -> list:
     """``run``'s ``(name, BuiltTrace, fold)`` list, in the command's order,
@@ -827,7 +824,8 @@ def build_trace(command: str, name: str, cfg: ExperimentConfig, consume=None,
         eng.run_until(horizon)
         if out_dir is not None:
             trace.write(path)
-        return BuiltTrace.of(trace)
+        # digest() flushes the trace, so it comes before count and last
+        return BuiltTrace(trace.digest(), trace.count, trace.last, trace.failed)
     finally:
         eng.close()
 

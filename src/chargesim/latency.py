@@ -107,11 +107,16 @@ class LatencyModel:
             value = self.hard_max
         return value
 
-    def analytic_mean(self) -> float:
-        """Closed-form mixture mean at hour 0 of the diurnal profile (ignores
-        the clamp, which is negligible when spreads are small relative to the
-        distance to the bounds)."""
-        mult = self.diurnal[0]
+    def analytic_mean(self, hours: Sequence[int]) -> float:
+        """Closed-form mixture mean of draws spread over the week as ``hours``
+        counts them, ``hours[h]`` draws at hour ``h``: each hour's multiplier
+        is weighted by its count. With no draws it reads hour 0's multiplier.
+        On a flat profile the weighted multiplier is exactly 1.0. The clamp is
+        still ignored, which is negligible when spreads are small relative to
+        the distance to the bounds."""
+        count = sum(hours)
+        mult = (ordered_sum(n * s for n, s in zip(hours, self.diurnal)) / count
+                if count else self.diurnal[0])
         return ordered_sum(c.weight * c.location * mult for c in self.components)
 
 
@@ -123,10 +128,6 @@ class TimingBudget(NamedTuple):
     t_bus: float = 0.0
     t_uplink: float = 0.0
     t_metering: float = 0.0
-
-    @property
-    def t_uplink_one_way(self) -> float:
-        return 0.5 * self.t_uplink
 
 
 class LinkModelSet(NamedTuple):
@@ -157,53 +158,25 @@ class LinkModelSet(NamedTuple):
 # worst-case figure.
 
 
-def ethernet_default() -> LatencyModel:
-    return LatencyModel(
-        components=(MixtureComponent(1.0, 5e-05, 1e-05),),
-        hard_max=1e-03,
-    )
-
-
-def wifi_default() -> LatencyModel:
-    return LatencyModel(
-        components=(MixtureComponent(1.0, 0.02005, 0.004),),
-        hard_max=0.05,
-    )
-
-
-def threeg_default() -> LatencyModel:
-    return LatencyModel(
-        components=(
-            MixtureComponent(0.4, 0.8, 0.15),
-            MixtureComponent(0.3, 1.5, 0.15),
-            MixtureComponent(0.2, 2.5, 0.15),
-            MixtureComponent(0.1, 4.0, 0.15),
-        ),
-        hard_max=4.5,
-    )
-
-
-def local_bus_default() -> LatencyModel:
-    return LatencyModel(
-        components=(MixtureComponent(1.0, 0.001, 0.0002),),
-        hard_max=0.005,
-    )
-
-
-def metering_default() -> LatencyModel:
-    return LatencyModel(
-        components=(MixtureComponent(1.0, 0.2, 0.02),),
-        hard_max=0.5,
-    )
-
-
 def default_models() -> LinkModelSet:
     return LinkModelSet(
-        ethernet=ethernet_default(),
-        wifi=wifi_default(),
-        threeg=threeg_default(),
-        local_bus=local_bus_default(),
-        metering=metering_default(),
+        ethernet=LatencyModel(components=(MixtureComponent(1.0, 5e-05, 1e-05),),
+                              hard_max=1e-03),
+        wifi=LatencyModel(components=(MixtureComponent(1.0, 0.02005, 0.004),),
+                          hard_max=0.05),
+        threeg=LatencyModel(
+            components=(
+                MixtureComponent(0.4, 0.8, 0.15),
+                MixtureComponent(0.3, 1.5, 0.15),
+                MixtureComponent(0.2, 2.5, 0.15),
+                MixtureComponent(0.1, 4.0, 0.15),
+            ),
+            hard_max=4.5,
+        ),
+        local_bus=LatencyModel(components=(MixtureComponent(1.0, 0.001, 0.0002),),
+                               hard_max=0.005),
+        metering=LatencyModel(components=(MixtureComponent(1.0, 0.2, 0.02),),
+                              hard_max=0.5),
     )
 
 

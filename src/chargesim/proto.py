@@ -216,7 +216,7 @@ def push_cycle_time(budget: TimingBudget, meter_count: int) -> float:
     metering, then the uplink transit."""
     if meter_count < 0:
         raise ValueError(f"meter count must be non-negative, got {meter_count}")
-    return meter_count * (budget.t_bus + budget.t_metering) + budget.t_uplink_one_way
+    return meter_count * (budget.t_bus + budget.t_metering) + 0.5 * budget.t_uplink
 
 
 def legacy_retrieval_time(budget: TimingBudget, meter_count: int, cloud: float) -> float:

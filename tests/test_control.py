@@ -51,7 +51,9 @@ def station_with_ev(ev=None, settled_at=0.0, amps=0.0):
     station = ChargingStation(station_id=0, circuit_limit=40.0)
     plug_ev(station, 0, ev or EvModel(), settled_at)
     apply_relay(station, 0, RelayState.ON, settled_at)
-    station.channel(0).settle_now(amps, settled_at)
+    ch = station.channel(0)
+    ch.allocated_amps = amps
+    ch.pin(amps, settled_at)
     return station
 
 

@@ -88,6 +88,20 @@ CASES = {
         ["rtt-dist", "--seed", "3", "--duration", str(DAY_S)], CLOUD),
     "compare-protocols-cloud-100": (
         ["compare-protocols", "--seed", "3", "--trials", "100"], CLOUD),
+    # the 100 trials span hours 0 and 1 of a profile that halves 3G
+    # locations after hour 0, so the analytic means weight both hours
+    "compare-protocols-diurnal-100": (
+        ["compare-protocols", "--seed", "1", "--trials", "100"],
+        {"latency": {"threeg": {
+            "components": [
+                {"weight": 0.4, "location": 0.8, "spread": 0.15},
+                {"weight": 0.3, "location": 1.5, "spread": 0.15},
+                {"weight": 0.2, "location": 2.5, "spread": 0.15},
+                {"weight": 0.1, "location": 4.0, "spread": 0.15},
+            ],
+            "hard_max": 4.5,
+            "diurnal": [1.0] + [0.5] * 167,
+        }}}),
     "duty-cycle-cloud-21": (
         ["duty-cycle", "--seed", "3"], {**CLOUD, "duty_sweep": {"i_final_a": 32.0, "steps": 21}}),
 }

@@ -10,12 +10,9 @@ from chargesim.latency import (
     LatencyModel,
     LinkKind,
     MixtureComponent,
-    TimingBudget,
     count_modes,
     default_models,
-    ethernet_default,
     histogram_of,
-    threeg_default,
     worst_case_budget,
     _near_gauss,
 )
@@ -96,9 +93,9 @@ class TestKernel:
         ]
 
     @pytest.mark.parametrize("model", [
-        threeg_default(),
-        ethernet_default(),
-        LatencyModel(components=threeg_default().components,
+        default_models().threeg,
+        default_models().ethernet,
+        LatencyModel(components=default_models().threeg.components,
                      hard_max=4.5, diurnal=(0.6, 1.0) * 84),
         # hard_max below MIN_LATENCY_S: the clamp order matters
         LatencyModel(components=(MixtureComponent(1.0, 1e-10, 1e-9),), hard_max=1e-12),
@@ -153,19 +150,19 @@ class TestSampling:
         assert all(model.sample(rng) == 0.2 for _ in range(100))
 
     def test_default_threeg_bounded_by_worst_case(self):
-        model = threeg_default()
+        model = default_models().threeg
         rng = substream(2, "t")
         draws = [model.sample(rng) for _ in range(20000)]
         assert max(draws) <= 4.5
         assert min(draws) > 0.0
 
     def test_default_ethernet_is_microsecond_band(self):
-        model = ethernet_default()
+        model = default_models().ethernet
         rng = substream(3, "t")
         assert all(model.sample(rng) <= 1e-3 for _ in range(5000))
 
     def test_default_threeg_has_four_components(self):
-        assert len(threeg_default().components) == 4
+        assert len(default_models().threeg.components) == 4
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -197,7 +194,7 @@ class TestSampling:
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_samples_always_in_support(self, seed):
-        model = threeg_default()
+        model = default_models().threeg
         rng = substream(seed, "support")
         x = model.sample(rng)
         assert 0.0 < x <= model.hard_max
@@ -205,7 +202,7 @@ class TestSampling:
 
 class TestDiurnal:
     def test_profile_validates_length_and_range(self):
-        components = threeg_default().components
+        components = default_models().threeg.components
         with pytest.raises(ValueError):
             LatencyModel(components, hard_max=4.5, diurnal=(1.0,) * 167)
         with pytest.raises(ValueError):
@@ -214,7 +211,7 @@ class TestDiurnal:
     def test_fast_hours_scale_location_but_not_support(self):
         fast = (0.5,) * 24 + (1.0,) * 144
         model = LatencyModel(
-            components=threeg_default().components,
+            components=default_models().threeg.components,
             hard_max=4.5,
             diurnal=fast,
         )
@@ -237,12 +234,20 @@ class TestDiurnal:
         assert model.sample(rng, (5 + 168) * 3600.0) == 0.25
         assert model.sample(rng, 6 * 3600.0) == 1.0
 
+    def test_analytic_mean_weights_each_hour_by_its_count(self):
+        model = LatencyModel(components=(MixtureComponent(1.0, 2.0, 0.1),), hard_max=4.0,
+                             diurnal=(1.0,) + (0.5,) * 167)
+        hours = [1, 3] + [0] * 166
+        assert model.analytic_mean(hours) == 2.0 * (1.0 + 3 * 0.5) / 4
+        # with no draws counted, hour 0's multiplier
+        assert model.analytic_mean([0] * HOURS_PER_WEEK) == 2.0
+        # a flat profile ignores the counts, bit for bit
+        flat = default_models().threeg
+        assert flat.analytic_mean([(7 * h) % 23 for h in range(HOURS_PER_WEEK)]) == \
+            flat.analytic_mean(())
+
 
 class TestRoundTrip:
-    def test_uplink_is_half_the_round_trip(self):
-        budget = TimingBudget(t_uplink=5.0)
-        assert budget.t_uplink_one_way == 2.5
-
     def test_worst_case_budget_bounds_models(self):
         models = default_models()
         budget = worst_case_budget(models, LinkKind.THREE_G)
@@ -262,13 +267,13 @@ class TestHistogram:
             histogram_of([0.2] * 10, 0, 0.0, 0.4)
 
     def test_default_threeg_shows_four_modes_at_1e5(self):
-        hist = draws_histogram(threeg_default(), 100_000, 45, substream(4, "h"))
+        hist = draws_histogram(default_models().threeg, 100_000, 45, substream(4, "h"))
         assert count_modes(hist.counts) == 4
 
     def test_mixture_mean_matches_analytic_within_one_percent(self):
         # closed form: 0.4*0.8 + 0.3*1.5 + 0.2*2.5 + 0.1*4.0 = 1.67
-        model = threeg_default()
-        assert model.analytic_mean() == pytest.approx(1.67, abs=1e-12)
+        model = default_models().threeg
+        assert model.analytic_mean(()) == pytest.approx(1.67, abs=1e-12)
         rng = substream(6, "mean")
         n = 100_000
         draws_mean = sum(model.sample(rng) for _ in range(n)) / n
@@ -281,13 +286,13 @@ class TestHistogram:
         assert count_modes([0, 0, 0]) == 0
 
     def test_same_model_different_streams_indistinguishable(self):
-        model = threeg_default()
+        model = default_models().threeg
         h1 = draws_histogram(model, 30_000, 30, substream(12, "loc-a"))
         h2 = draws_histogram(model, 30_000, 30, substream(12, "loc-b"))
         assert histograms_indistinguishable(h1, h2, alpha=0.01)
 
     def test_shifted_model_is_distinguishable(self):
-        base = threeg_default()
+        base = default_models().threeg
         shifted = LatencyModel(
             components=tuple(
                 MixtureComponent(c.weight, c.location + 0.3, c.spread)
