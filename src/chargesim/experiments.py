@@ -168,9 +168,10 @@ class _RttDistFold:
 
         # per-day breakdown of the cellular segment (day 0 = the week's first day)
         day_rows = []
-        threeg = samples[LinkKind.THREE_G.value]
-        for day in range(7):
-            day_segs = [s for at, s, _ in threeg if int(at // 86400.0) % 7 == day]
+        by_day: list = [[] for _ in range(7)]
+        for at, s, _ in samples[LinkKind.THREE_G.value]:
+            by_day[int(at // 86400.0) % 7].append(s)
+        for day, day_segs in enumerate(by_day):
             if not day_segs:
                 continue
             hist = histogram_of(day_segs, MODE_BINS, 0.0, links.threeg.hard_max)

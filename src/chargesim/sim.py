@@ -20,9 +20,11 @@ encoded, hashed and (when a file is open) written at once, and passes its
 records on to a consumer in order; every ``run_until`` flushes the last
 block before it returns, so no run holds more than one block of records. A
 trace of more than one block hands that byte work to an encoder child it
-forks by the fork rule (``fork_child``), and otherwise does it here, with
-the same bytes. A record is encoded after later events have run, so its
-``data`` and ``state`` must not change once its event has finished.
+forks by the fork rule (``fork_child``), but encodes here each block that
+comes while the child is still behind; without a child it does all of it
+here, with the same bytes. A record is encoded after later events have
+run, so its ``data`` and ``state`` must not change once its event has
+finished.
 ``read_trace`` streams a written file back through a consumer the same
 way. It hashes every record line, so a caller can tell whether the file's
 records still match its footer, and decodes them only for a consumer or
@@ -32,7 +34,9 @@ Every child the package forks (``fork_child``) speaks one protocol: what
 its ``serve`` generator yields, ``Child.results`` yields here in order, and
 it raises here, in its place, what ended ``serve``. An encoder child
 yields the digest each request asks for, and ``_Forked``, through which
-``experiments`` forks, its results in chunks of ``FORK_CHUNK``.
+``experiments`` forks, its results in chunks of ``FORK_CHUNK``. Each child
+runs off the CPU its parent ran on when it forked, so the CPU the fork rule
+counted for it is the one it gets.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ import json
 import marshal
 import os
 import random
+import sys
 from functools import partial
 from itertools import chain
 from typing import Any, Callable, NamedTuple, Optional
@@ -137,7 +142,8 @@ def _may_fork() -> bool:
     another thread held would stay locked in it), and it may run on more
     CPUs than the run has processes at work, so the child has a CPU of its
     own instead of slowing those processes down. ``fork_child`` applies it
-    to every child the package forks."""
+    to every child the package forks, and moves the child off this
+    process's CPU (``_leave_cpu``)."""
     if not hasattr(os, "fork") or _cpus() <= _at_work:
         return False
     import threading
@@ -220,17 +226,29 @@ class Child:
         self._reaped()
 
 
-_PIPE_BYTES = 1 << 20  # what a pipe to or from a child holds, where that can be set
-
-
-def _widen(fd: int) -> None:
-    """Let the pipe that ``fd`` is an end of hold ``_PIPE_BYTES`` on Linux
-    (64 KiB by default), so its writer runs on while the reader is not
-    scheduled, rather than stopping a few blocks ahead of it."""
+def _cpu_now() -> Optional[int]:
+    """The CPU this process runs on, the 39th field of Linux's
+    ``/proc/self/stat``, or ``None`` where that cannot be read."""
     try:
-        import fcntl
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):  # not Linux, or refused: the default
+        with open("/proc/self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu: Optional[int]) -> None:
+    """In a forked child: run on the CPUs this process may use other than
+    ``cpu``, the one its parent ran on at the fork, if there are any. The
+    kernel can keep a child on its parent's CPU while another CPU idles, and
+    then the two take turns on one; the fork rule counted a CPU for the
+    child, and this puts it there. A refusal leaves the child where it is."""
+    if cpu is None:
+        return
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (AttributeError, OSError):  # not Linux, or refused
         pass
 
 
@@ -241,6 +259,7 @@ def fork_child(what: str, serve: Callable) -> Optional[Child]:
     exception that ends ``serve``, which ``Child.results`` raises in its
     place (so ``serve`` yields no exception).
 
+    The child first leaves the CPU this process runs on (``_leave_cpu``).
     Returns ``None``, having forked nothing, when ``_may_fork()`` is false or
     ``os.pipe`` or ``os.fork`` raises ``OSError``: the caller then does the
     work itself, so a refused fork costs a run its overlap, not its outputs.
@@ -256,8 +275,7 @@ def fork_child(what: str, serve: Callable) -> Optional[Child]:
     try:
         fds.extend(os.pipe())  # child -> here
         fds.extend(os.pipe())  # here -> child
-        for fd in fds[1::2]:
-            _widen(fd)
+        cpu = _cpu_now()
         pid = os.fork()
     except OSError:
         for fd in fds:
@@ -268,6 +286,7 @@ def fork_child(what: str, serve: Callable) -> Optional[Child]:
     if pid == 0:
         status = 1
         try:
+            _leave_cpu(cpu)
             os.close(recv)
             os.close(send)
             with os.fdopen(out, "wb") as out, os.fdopen(inp, "rb") as inp:
@@ -367,9 +386,12 @@ class EventTrace:
     The first time it flushes a full block, the trace forks an encoder child
     by the fork rule (``fork_child``), which inherits the running SHA-256 and
     the open file. From then on ``flush`` sends each block to the child as
-    ``marshal`` bytes (a block ``marshal`` refuses is encoded here and sent as
-    bytes), and the child encodes, hashes and writes it as ``flush`` does
-    here; the pipe between them bounds how far ahead this process runs.
+    ``marshal`` bytes, and the child encodes, hashes and writes it as
+    ``flush`` does here. A block that comes while the pipe still holds
+    frames the child has not read, or that ``marshal`` refuses, is encoded
+    here and sent as bytes, which the child only hashes and writes: the
+    child takes the encoding it keeps up with, and neither process waits
+    for the other while there is a block to encode.
     ``digest()`` asks the child for the digest so far, and ``write()`` has it
     append the footer and leave. ``count``, ``last``, ``failed`` and
     ``consume`` stay in this process, and the bytes are the same either way.
@@ -433,7 +455,8 @@ class EventTrace:
     def flush(self) -> None:
         """Encode, hash, write and consume the pending block, in take order:
         the byte work here or, from the first full block on, in the encoder
-        child, if the fork rule lets the trace fork one."""
+        child, if the fork rule lets the trace fork one and the child has
+        read every frame sent before."""
         block = self._pending
         if not block:
             return
@@ -443,6 +466,8 @@ class EventTrace:
             self._fork_encoder()
         if self._encoder is None:
             self._put(_encode(block))
+        elif _unread(self._encoder.send):  # the child is behind: this block is encoded here
+            self._send(_BYTES, _encode(block))
         else:
             try:
                 frame = _BLOCK, marshal.dumps(block)
@@ -554,6 +579,18 @@ class EventTrace:
     def _ask(self, tag: bytes) -> str:
         self._send(tag)
         return next(self._encoder.results)
+
+
+def _unread(pipe) -> int:
+    """The bytes written to ``pipe`` that its reader has not yet taken
+    (``FIONREAD``), or 0 where that cannot be asked."""
+    try:
+        import fcntl
+        import termios
+        return int.from_bytes(fcntl.ioctl(pipe.fileno(), termios.FIONREAD, bytes(4)),
+                              sys.byteorder)
+    except (ImportError, AttributeError, OSError):  # not a POSIX pipe: no backlog seen
+        return 0
 
 
 def _footer(digest: str) -> bytes:

@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 from unittest import mock
 
 import pytest
@@ -531,19 +532,10 @@ class TestForkedTraces:
         no_child_left()
 
 
-@pytest.mark.parametrize("cpus, children", [
-    (1, []),
-    (2, [("here", "building trace 'local'")]),
-    (3, [("here", "building trace 'local'"), ("here", "encoding trace {out}/trace_server.jsonl"),
-         ("child", "encoding trace {out}/trace_local.jsonl")]),
-], ids=["one-cpu", "two-cpus", "three-cpus"])
-def test_a_child_is_forked_only_for_a_cpu_of_its_own(monkeypatch, tmp_path, capsys, cpus,
-                                                      children):
-    # the run's processes at work: this one, and from the start the child
-    # building the local trace; each trace asks for an encoder at its first
-    # full block. Each fork is appended to a file as "pid what", so the
-    # trace child's forks reach this process too.
-    log = tmp_path / "forked.txt"
+def forks_logged(monkeypatch, log) -> Callable[[], list]:
+    """Append each child ``sim.fork_child`` forks, from this process or any
+    child of it, to the file ``log`` as "pid what"; returns a reader of what
+    it holds as ``(who, what)`` pairs, ``who`` being "here" or "child"."""
     log.touch()
     fork_child = sim.fork_child
 
@@ -554,19 +546,67 @@ def test_a_child_is_forked_only_for_a_cpu_of_its_own(monkeypatch, tmp_path, caps
                 f.write(f"{os.getpid()}\t{what}\n")
         return child
 
-    monkeypatch.setattr(sim, "_cpus", lambda: cpus)
     monkeypatch.setattr(sim, "fork_child", logged)
+    here = str(os.getpid())
+
+    def read() -> list:
+        lines = log.read_text(encoding="utf-8").splitlines()
+        return [("here" if pid == here else "child", what)
+                for pid, what in (line.split("\t") for line in lines)]
+
+    return read
+
+
+@pytest.mark.parametrize("cpus, children", [
+    (1, []),
+    (2, [("here", "building trace 'local'")]),
+    (3, [("here", "building trace 'local'"), ("here", "encoding trace {out}/trace_server.jsonl"),
+         ("child", "encoding trace {out}/trace_local.jsonl")]),
+], ids=["one-cpu", "two-cpus", "three-cpus"])
+def test_a_child_is_forked_only_for_a_cpu_of_its_own(monkeypatch, tmp_path, capsys, cpus,
+                                                      children):
+    # the run's processes at work: this one, and from the start the child
+    # building the local trace; each trace asks for an encoder at its first
+    # full block. Each fork is logged to a file, so the trace child's forks
+    # reach this process too.
+    forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
+    monkeypatch.setattr(sim, "_cpus", lambda: cpus)
     cfg = resolve("default")
     out = run("local-sched", cfg, tmp_path / "out")
     no_child_left()
     assert sim._at_work == 1
-    here = str(os.getpid())
-    forked = [line.split("\t") for line in log.read_text(encoding="utf-8").splitlines()]
-    assert sorted(("here" if pid == here else "child", what) for pid, what in forked) == \
+    assert sorted(forked()) == \
         sorted((who, what.format(out=tmp_path / "out")) for who, what in children)
     assert out.ok, [c for c in out.checks if not c.ok]
     assert emitted(out, tmp_path / "out", capsys) == \
         emitted(built_in_turn(cfg, tmp_path / "oracle"), tmp_path / "oracle", capsys)
+
+
+@pytest.mark.parametrize("args, run_forks, replay_forks", [
+    (["rtt-dist"], ["encoding trace {out}/trace.jsonl"],
+     ["encoding trace of 'rtt-dist' with seed 42"]),
+    (["duty-cycle"], [], []),
+    (["compare-protocols", "--trials", "300"], [TRIALS], [TRIALS]),
+    (["local-sched"], ["building trace 'local'"],
+     ["encoding trace of 'local-sched' with seed 42"] * 2),
+], ids=["rtt-dist", "duty-cycle", "compare-protocols", "local-sched"])
+def test_on_two_cpus_each_command_forks_one_child_at_a_time(monkeypatch, tmp_path, args,
+                                                             run_forks, replay_forks):
+    # each command at its default preset, then a replay of each trace it
+    # wrote, with the CPUs for one child. rtt-dist's week flushes full
+    # blocks, and so does its re-run, so each forks an encoder; duty-cycle's
+    # sweep fits in one block. compare-protocols' trial child, and
+    # local-sched's trace child, leave no CPU for an encoder; a replay
+    # builds one trace, here, with an encoder.
+    forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 0
+    assert forked() == [("here", what.format(out=out)) for what in run_forks]
+    for trace in sorted(out.glob("trace*.jsonl")):
+        assert main(["replay", str(trace)]) == 0
+    no_child_left()
+    assert forked()[len(run_forks):] == [("here", what) for what in replay_forks]
 
 
 # trial count -> forks: only a run of more than one chunk of trials forks

@@ -262,6 +262,12 @@ class TestHistogram:
         assert sum(1 for c in hist.counts if c > 0) == 1
         assert sum(hist.counts) == 500
 
+    def test_values_outside_the_range_land_in_the_end_bins(self):
+        # [1, 2) in four bins of 0.25; each value is counted once
+        hist = histogram_of([0.5, 1.0, 1.3, 1.99, 2.0, 7.0, -3.0], 4, 1.0, 2.0)
+        assert hist.counts == [3, 1, 0, 3]
+        assert hist.edges == [1.0, 1.25, 1.5, 1.75, 2.0]
+
     def test_zero_bins_rejected(self):
         with pytest.raises(ValueError):
             histogram_of([0.2] * 10, 0, 0.0, 0.4)

@@ -3,6 +3,7 @@ encoder child."""
 import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -487,6 +488,63 @@ def test_a_block_marshal_refuses_is_encoded_here_with_the_same_bytes(tmp_path, m
     monkeypatch.delattr(os, "fork")
     assert _forking_run(tmp_path, "here.jsonl", schedule) == (data, digest, [])
     assert b'"data":{"name":"outlet"}' in data
+
+
+@pytest.mark.parametrize("behind", [True, False], ids=["behind", "caught-up"])
+def test_a_block_is_encoded_here_while_the_encoder_is_behind_with_the_same_bytes(
+        tmp_path, monkeypatch, behind):
+    # while the pipe to the encoder child holds frames it has not read, each
+    # block is encoded here and sent as bytes; when the pipe is empty, the
+    # block is sent for the child to encode
+    frames = []
+    send = sim.EventTrace._send
+
+    def recorded(trace, tag, body=b""):
+        frames.append(tag)
+        send(trace, tag, body)
+
+    monkeypatch.setattr(sim, "_unread", lambda pipe: int(behind))
+    monkeypatch.setattr(sim.EventTrace, "_send", recorded)
+    data, digest, forked = _forking_run(tmp_path, "forked.jsonl", _numbered_events(1000),
+                                        t_end=1000.0)
+    assert forked == [f"encoding trace {tmp_path / 'forked.jsonl'}"]
+    assert frames == [sim._BYTES if behind else sim._BLOCK] * 4 + [sim._FOOTER]
+    monkeypatch.delattr(os, "fork")
+    assert _forking_run(tmp_path, "here.jsonl", _numbered_events(1000), t_end=1000.0) == \
+        (data, digest, [])
+
+
+def test_unread_is_what_a_pipe_holds_for_its_reader():
+    r, w = os.pipe()
+    with os.fdopen(r, "rb", buffering=0) as inp, os.fdopen(w, "wb") as out:
+        assert sim._unread(out) == 0
+        out.write(b"x" * 1000)
+        out.flush()
+        assert sim._unread(out) == 1000
+        inp.read(400)
+        assert sim._unread(out) == 600
+    assert sim._unread(io.BytesIO()) == 0  # no pipe: no backlog
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="CPU affinity is Linux's")
+def test_a_forked_child_leaves_the_cpu_its_parent_runs_on(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    assert sim._cpu_now() in cpus
+    cpu = min(cpus)
+    monkeypatch.setattr(sim, "_cpu_now", lambda: cpu)
+
+    def serve(inp):
+        yield os.sched_getaffinity(0)
+
+    child = sim.fork_child("reporting its CPUs", serve)
+    assert child is not None
+    try:
+        # with one CPU to run on, the child shares it
+        assert list(child.results) == [cpus - {cpu} or cpus]
+    finally:
+        child.end()
+    no_child_left()
+    assert os.sched_getaffinity(0) == cpus
 
 
 @pytest.mark.parametrize("value, error", [(object(), TypeError), (math.nan, ValueError)],
