@@ -52,16 +52,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows: bytes) -> None:
+    """The CSV file of ``header`` and ``rows``, its rows already formatted
+    as UTF-8 CSV bytes."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.flush()
+        fh.buffer.write(rows)
 
 
-def _write_svg_hist(path: Path, header, rows, title: str) -> None:
-    """Minimal standalone SVG bar rendering of (bin_low, bin_high, count) rows."""
-    counts = [r[-1] for r in rows]
+def _write_svg_hist(path: Path, rows: bytes, title: str) -> None:
+    """Minimal standalone SVG bar rendering of the formatted (bin_low,
+    bin_high, count) rows of a histogram CSV."""
+    counts = [int(r[-1]) for r in csv.reader(rows.decode("utf-8").splitlines())]
     if not counts:
         return
     peak = max(counts) or 1
@@ -86,14 +89,15 @@ def _write_svg_hist(path: Path, header, rows, title: str) -> None:
 
 def _emit(out: ExperimentOutput, out_dir: Path, fmt: str) -> None:
     """Print each trace's digest (the run already wrote the trace files),
-    then write the CSVs and ``summary.txt`` and print the summary."""
+    then write the CSVs, whose rows the folds formatted, and ``summary.txt``
+    and print the summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, trace in out.traces:
         print(f"{trace_file(name)} digest {trace.digest}")
     for fname, (header, rows) in out.csvs.items():
         _write_csv(out_dir / fname, header, rows)
         if fmt == "svg" and fname.startswith("hist_"):
-            _write_svg_hist(out_dir / (fname[:-4] + ".svg"), header, rows, fname[:-4])
+            _write_svg_hist(out_dir / (fname[:-4] + ".svg"), rows, fname[:-4])
     lines = [f"command: {out.command}"]
     for key, value in out.summary.items():
         lines.append(f"{key}: {value}")

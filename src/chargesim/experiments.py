@@ -4,27 +4,33 @@ and pass/fail checks.
 
 Each trace of a command has its own fold, built from the config. The fold
 is handed every record of its trace, in order, as ``add(record)``, while
-the engine runs; ``finish()`` then returns ``(csvs, summary, checks)``, and
-``finish(folds)`` merges those of a command's traces. A fold keeps tuples
-and counters, never record dicts, and reads nothing but the config and its
-trace's records, so a written trace file streamed through ``read_trace``
-into a fresh fold of its trace reproduces (and verifies) that trace's share
-of a run.
+the engine runs, and formats each CSV row as its record arrives;
+``finish()`` then returns ``(csvs, summary, checks)``, each CSV as its
+header and its rows' UTF-8 bytes, and ``finish(folds)`` merges those of a
+command's traces. A fold keeps CSV bytes, running totals and counters,
+never record dicts, and reads nothing but the config and its trace's
+records, so a written trace file streamed through ``read_trace`` into a
+fresh fold of its trace reproduces (and verifies) that trace's share of a
+run.
 
-Two kinds of work go through ``sim._Forked``, which runs them in a forked
-child or here by the fork rule of ``sim.fork_child``: each trace after a
-command's first (local-sched's ``local``), whose child sends back each
-trace's fold whole, and compare-protocols' per-trial draws (both legacy
+Three kinds of work go through ``sim._Forked``, which runs them in a
+forked child or here by the fork rule of ``sim.fork_child``: each trace
+after a command's first (local-sched's ``local``), whose child sends back
+each trace's fold whole; compare-protocols' per-trial draws (both legacy
 pulls, the push-cycle estimate and the aggregated pull's uplink delay),
-which the child streams back to the trial events in order, when the run
-has more than one chunk (``FORK_CHUNK``) of trials. A third
-goes to a child by the same rule inside ``sim``: each trace's encoding,
-hashing and writing, from its first full block on. All three reach this
-module only through ``sim``, whose one pipe protocol streams back what a
-child computed and raises here what a child raised.
+when the run has more than one chunk (``FORK_CHUNK``) of trials; and
+duty-cycle's sweep points (each a duty-cycle change with its verification
+reads), when the sweep has more than one chunk of points. The last two
+children stream what they compute back to their events in order. A fourth
+kind goes to a child by the same rule inside ``sim``: each trace's
+encoding, hashing and writing, from its first full block on. All four
+reach this module only through ``sim``, whose one pipe protocol streams
+back what a child computed and raises here what a child raised.
 """
 from __future__ import annotations
 
+import csv
+import io
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -66,7 +72,7 @@ class ExperimentOutput:
     def __init__(self, command: str, traces: list):
         self.command = command
         self.traces = traces     # (name, BuiltTrace)
-        self.csvs: dict = {}     # filename -> (header tuple, rows)
+        self.csvs: dict = {}     # filename -> (header tuple, the rows' UTF-8 CSV bytes)
         self.summary: dict = {}
         self.checks: list = []
 
@@ -77,6 +83,26 @@ class ExperimentOutput:
     @property
     def truncated(self) -> bool:
         return any(trace.failed for _, trace in self.traces)
+
+
+def _csv_stream():
+    """A text stream for ``csv.writer`` that keeps what it is written as
+    UTF-8 bytes, which ``_csv_bytes`` then returns without a copy (a
+    ``StringIO``'s ``getvalue`` copies its text, doubling its peak)."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+
+
+def _csv_bytes(stream) -> bytes:
+    """What was written to a ``_csv_stream``."""
+    stream.flush()
+    return stream.buffer.getvalue()
+
+
+def _csv_rows(rows) -> bytes:
+    """``rows`` as ``csv.writer`` writes them, in UTF-8."""
+    stream = _csv_stream()
+    csv.writer(stream).writerows(rows)
+    return _csv_bytes(stream)
 
 
 def _expect_exact(expect: dict, key: str, name: str, label: str, value) -> list:
@@ -155,9 +181,9 @@ class _RttDistFold:
             rtt_hist = histogram_of(rtts, MODE_BINS, 0.0,
                                     links.for_link(link).hard_max + met_max + links.cloud)
             csvs[f"hist_{link.value}.csv"] = (
-                ("bin_low", "bin_high", "count"), rtt_hist.rows())
+                ("bin_low", "bin_high", "count"), _csv_rows(rtt_hist.rows()))
             csvs[f"hist_{link.value}_segment.csv"] = (
-                ("bin_low", "bin_high", "count"), seg_hist.rows())
+                ("bin_low", "bin_high", "count"), _csv_rows(seg_hist.rows()))
             summary[link.value] = {
                 "probes": len(rows),
                 "seg_min": min(segs) if segs else None,
@@ -176,7 +202,8 @@ class _RttDistFold:
                 continue
             hist = histogram_of(day_segs, MODE_BINS, 0.0, links.threeg.hard_max)
             day_rows.extend((day, lo, hi, c) for lo, hi, c in hist.rows())
-        csvs["threeg_by_day.csv"] = (("day", "bin_low", "bin_high", "count"), day_rows)
+        csvs["threeg_by_day.csv"] = (("day", "bin_low", "bin_high", "count"),
+                                     _csv_rows(day_rows))
 
         expect = cfg.expect
         modes_min = expect["threeg_modes_min"]
@@ -353,20 +380,24 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
 
 class _CompareFold:
     """compare-protocols: the four ``retrievals.csv`` rows of each trial
-    record, running totals of the four means' samples, the trials' count per
-    hour of the week, and one ``(at, source, stale_max)`` row per staleness
-    record that has one."""
+    record and the ``staleness.csv`` row of each staleness record that has a
+    maximum, formatted as they arrive; running totals of the four means'
+    samples, the trials' count per hour of the week, and the largest
+    staleness so far."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         meters = cfg.station.outlets
         self.requests = (meters, 2 * meters, 1)  # legacy power, legacy full, aggregated
-        self.rows: list = []
-        self.stale: list = []
+        self.retrievals = _csv_stream()
+        self.write_trial = csv.writer(self.retrievals).writerows
+        self.staleness = _csv_stream()
+        self.write_stale = csv.writer(self.staleness).writerow
         self.hours = [0] * HOURS_PER_WEEK
         # each total adds left to right from the integer 0, as ordered_sum does
         self.legacy4 = self.legacy8 = self.pic = self.push_cycle = 0
         self.counts_ok = True
+        self.stale_max: Optional[float] = None
 
     def add(self, rec: dict) -> None:
         kind = rec["kind"]
@@ -375,10 +406,10 @@ class _CompareFold:
             s = rec["state"]
             legacy4, legacy8, pic, cycle = s["legacy4"], s["legacy8"], s["pic"], s["push_cycle"]
             rc4, rc8, rc1 = s["rc4"], s["rc8"], s["rc1"]
-            self.rows += ((i, "legacy_pull_power", legacy4, rc4),
-                          (i, "legacy_pull_full", legacy8, rc8),
-                          (i, "pic_pull", pic, rc1),
-                          (i, "pic_push_cycle", cycle, 0))
+            self.write_trial(((i, "legacy_pull_power", legacy4, rc4),
+                              (i, "legacy_pull_full", legacy8, rc8),
+                              (i, "pic_pull", pic, rc1),
+                              (i, "pic_push_cycle", cycle, 0)))
             self.hours[int(rec["at"] // 3600.0) % HOURS_PER_WEEK] += 1
             self.legacy4 += legacy4
             self.legacy8 += legacy8
@@ -388,7 +419,10 @@ class _CompareFold:
         elif kind == "stale-probe" or kind == "push-arrive":
             stale_max = rec["state"].get("stale_max")
             if stale_max is not None:
-                self.stale.append((rec["at"], kind, stale_max))
+                self.write_stale((rec["at"], kind, stale_max))
+                # as max() keeps the first of equal maxima
+                if self.stale_max is None or stale_max > self.stale_max:
+                    self.stale_max = stale_max
 
     def finish(self):
         cfg = self.cfg
@@ -400,8 +434,9 @@ class _CompareFold:
         n = sum(hours)
 
         csvs = {
-            "retrievals.csv": (("trial", "protocol", "wall_s", "requests"), self.rows),
-            "staleness.csv": (("at", "source", "stale_max_s"), self.stale),
+            "retrievals.csv": (("trial", "protocol", "wall_s", "requests"),
+                               _csv_bytes(self.retrievals)),
+            "staleness.csv": (("at", "source", "stale_max_s"), _csv_bytes(self.staleness)),
         }
         m4, m8, mp, mc = ((total / n if n else None) for total in
                           (self.legacy4, self.legacy8, self.pic, self.push_cycle))
@@ -416,7 +451,7 @@ class _CompareFold:
         analytic_cycle = proto.push_cycle_time(means, meters)
         analytic_save = proto.t_save(means, meters, links.cloud)
         empirical_save = (m4 - mc) if (m4 is not None and mc is not None) else None
-        stale_max = max((stale for _, _, stale in self.stale), default=None)
+        stale_max = self.stale_max
         bound = cfg.push_period_s + proto.push_cycle_time(worst_case_budget(links, link), meters)
 
         summary = {
@@ -492,8 +527,17 @@ def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
     duty = current_to_duty(i_final)
     fixed_wait = compute_t_waiting(ch.ev.settle_cap, cfg.budget)
 
-    def run_point(at, data):
-        delta = data["delta"]
+    def delta_of(k):
+        # the clamp keeps a last point that rounds above i_final inside the sweep
+        return min(i_final, i_final * k / (steps - 1)) if steps > 1 else 0.0
+
+    def point(k):
+        """Point ``k``'s record values, in ``DUTY_FIELDS`` order. It reads the
+        config and sets the swept outlet up afresh, and no other event
+        touches this station, so a forked child may compute the points in
+        order."""
+        at = k * 3600.0
+        delta = delta_of(k)
         apply_relay(station, outlet, RelayState.ON, at)
         # allocate i_final - delta and draw it, as if settled long ago
         amps = i_final - delta
@@ -502,68 +546,79 @@ def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
         rng = substream(cfg.seed, f"duty:{delta}")
         change = change_duty_cycle(station, outlet, duty, cfg.links, rng,
                                    cfg.budget, now=at, timeout_s=cfg.timeout_s)
-        return {
-            "delta": delta,
-            "t_ev": ev_settle_time(ch.ev, 0.0, delta),
-            "adaptive_wait": change.t_waiting,
-            "fixed_wait": fixed_wait,
-            "outcome": change.outcome.value,
-            "reads": len(change.reads),
-            "latency": change.completed_at - at,
-        }
+        return (delta, ev_settle_time(ch.ev, 0.0, delta), change.t_waiting, fixed_wait,
+                change.outcome.value, len(change.reads), change.completed_at - at)
+
+    def run_point(at, data):
+        return dict(zip(DUTY_FIELDS, next_point()))
 
     for k in range(steps):
-        # the clamp keeps a last point that rounds above i_final inside the sweep
-        delta = min(i_final, i_final * k / (steps - 1)) if steps > 1 else 0.0
-        eng.schedule_at(k * 3600.0, "duty-point", data={"delta": delta}, fn=run_point)
+        eng.schedule_at(k * 3600.0, "duty-point", data={"delta": delta_of(k)}, fn=run_point)
+    # The points take their values in order, from a child that computes them
+    # ahead of the engine or here, one per point; a sweep of at most one
+    # chunk asks for no child, as compare-protocols' trials do.
+    feed = _Forked(point, range(steps), "computing duty-cycle points", fork=steps > FORK_CHUNK)
+    eng.closing.append(feed.close)
+    next_point = feed.results.__next__
     return steps * 3600.0
 
 
-class _DutyPoint(NamedTuple):
-    delta_a: float
-    t_ev_s: float
-    adaptive_wait_s: float
-    fixed_wait_s: float
-    outcome: str
-    reads: int
-    latency_s: float
+# a duty-point record's state keys, in the order of ``duty_sweep.csv``'s columns
+DUTY_FIELDS = ("delta", "t_ev", "adaptive_wait", "fixed_wait", "outcome", "reads", "latency")
+DUTY_HEADER = ("delta_a", "t_ev_s", "adaptive_wait_s", "fixed_wait_s", "outcome", "reads",
+               "latency_s")
 
 
 class _DutyCycleFold:
-    """duty-cycle: one ``_DutyPoint`` (a ``duty_sweep.csv`` row) per point."""
+    """duty-cycle: each point's ``duty_sweep.csv`` row, formatted as it
+    arrives; the running total, count and maximum of the adaptive waits, the
+    first point's fixed wait, and whether every point so far confirmed and
+    waited no longer than the fixed wait."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.points: list = []
+        self.sweep = _csv_stream()
+        self.write_row = csv.writer(self.sweep).writerow
+        self.count = 0
+        self.adaptive_total = 0  # adds left to right from the integer 0, as ordered_sum does
+        self.adaptive_max: Optional[float] = None
+        self.fixed: Optional[float] = None
+        self.confirmed = True
+        self.adaptive_ok = True
 
     def add(self, rec: dict) -> None:
         if rec["kind"] == "duty-point":
             p = rec["state"]
-            self.points.append(_DutyPoint(p["delta"], p["t_ev"], p["adaptive_wait"],
-                                          p["fixed_wait"], p["outcome"], p["reads"],
-                                          p["latency"]))
+            row = [p[key] for key in DUTY_FIELDS]
+            self.write_row(row)
+            _, _, adaptive, fixed, outcome, _, _ = row
+            if self.fixed is None:
+                self.fixed = fixed
+            self.count += 1
+            self.adaptive_total += adaptive
+            # as max() keeps the first of equal maxima
+            if self.adaptive_max is None or adaptive > self.adaptive_max:
+                self.adaptive_max = adaptive
+            self.confirmed = self.confirmed and outcome == "confirmed"
+            self.adaptive_ok = self.adaptive_ok and adaptive <= fixed + 1e-12
 
     def finish(self):
-        points = self.points
-        csvs = {"duty_sweep.csv": (_DutyPoint._fields, points)}
-        confirmed = all(p.outcome == "confirmed" for p in points)
-        adaptive_ok = all(p.adaptive_wait_s <= p.fixed_wait_s + 1e-12 for p in points)
-        mean_adaptive = (ordered_sum(p.adaptive_wait_s for p in points) / len(points)
-                         if points else None)
-        fixed = points[0].fixed_wait_s if points else None
+        n, fixed, confirmed = self.count, self.fixed, self.confirmed
+        mean_adaptive = self.adaptive_total / n if n else None
+        csvs = {"duty_sweep.csv": (DUTY_HEADER, _csv_bytes(self.sweep))}
         summary = {
-            "points": len(points),
+            "points": n,
             "fixed_wait_s": fixed,
             "mean_adaptive_wait_s": mean_adaptive,
-            "max_adaptive_wait_s": max((p.adaptive_wait_s for p in points), default=None),
+            "max_adaptive_wait_s": self.adaptive_max,
             "all_confirmed": confirmed,
         }
         checks = [
             Check("all-confirmed", confirmed, "every sweep point ended confirmed"),
-            Check("adaptive-within-fixed", adaptive_ok,
+            Check("adaptive-within-fixed", self.adaptive_ok,
                   "adaptive wait never exceeds the fixed worst-case wait"),
         ]
-        if points:
+        if n:
             checks.append(Check(
                 "adaptive-mean-below-fixed", mean_adaptive < fixed,
                 f"mean adaptive {mean_adaptive:.3f} s vs fixed {fixed:.3f} s"))
@@ -685,7 +740,8 @@ class _LocalSchedFold:
                             f"{cmds} messages for {changes} allocation changes")
         checks = [traffic, Check(f"{variant}-circuit-safety", self.violations == 0,
                                  f"worst total {worst:.1f} A vs limit {limit:.1f} A")]
-        return {"traffic.csv": (header, [row])}, {variant: dict(zip(header[1:], row[1:]))}, checks
+        return ({"traffic.csv": (header, _csv_rows([row]))},
+                {variant: dict(zip(header[1:], row[1:]))}, checks)
 
 
 # --------------------------------------------------------------------------
@@ -700,9 +756,10 @@ SCHED_VARIANTS = ("server", "local")
 # horizon s``; a fold, made from the config, is handed each of that trace's
 # records as ``add(record)`` and asked for ``(csvs, summary, checks)`` by
 # ``finish()``. A builder may hand work that reads no engine state to a
-# ``_Forked`` of its own, as compare-protocols does with its trials' draws
-# (legacy pulls, push-cycle estimates and the aggregated pulls' uplink
-# delays), registering its ``close`` in ``Engine.closing``.
+# ``_Forked`` of its own, registering its ``close`` in ``Engine.closing``:
+# compare-protocols does with its trials' draws (legacy pulls, push-cycle
+# estimates and the aggregated pulls' uplink delays), and duty-cycle with
+# its sweep points.
 COMMANDS = {
     "rtt-dist": {"trace": (_trace_rtt_dist, _RttDistFold)},
     "compare-protocols": {"trace": (_trace_compare, _CompareFold)},
@@ -723,9 +780,10 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
     its own fold as they are emitted, and streaming each trace into
     ``out_dir`` when one is given; then merge what the folds finish.
 
-    Each trace after the first, and compare-protocols' trial draws, go
-    through ``_Forked``, which works in a forked child or here by its rule,
-    with the same outputs (the draws ask for a child past ``FORK_CHUNK``).
+    Each trace after the first, compare-protocols' trial draws and
+    duty-cycle's sweep points go through ``_Forked``, which works in a
+    forked child or here by its rule, with the same outputs (the draws and
+    the points ask for a child past ``FORK_CHUNK``).
     The traces keep their order, and ``run`` keeps a ``BuiltTrace`` and the
     fold of each, wherever it was built. An abandoned run kills its
     children, the traces' encoder children among them, which leaves a trace
@@ -759,7 +817,7 @@ def finish(folds) -> tuple:
     for fold in folds:
         more_csvs, more_summary, more_checks = fold.finish()
         for fname, (header, rows) in more_csvs.items():
-            csvs[fname] = (header, [*csvs[fname][1], *rows]) if fname in csvs else (header, rows)
+            csvs[fname] = (header, csvs[fname][1] + rows) if fname in csvs else (header, rows)
         summary.update(more_summary)
         checks += more_checks
     return csvs, summary, checks

@@ -1,6 +1,6 @@
 """Experiment harness tests: trace-derived metrics, determinism, replay,
 local-sched's variant traces built in forked children, and compare-protocols'
-trial outcomes computed in one."""
+trial outcomes and duty-cycle's sweep points computed in one."""
 import contextlib
 import csv
 import errno
@@ -36,6 +36,13 @@ from chargesim.sched import schedule_time_step
 from chargesim.sim import canonical_json, read_trace
 
 
+def csv_rows(csvs: dict, fname: str) -> tuple:
+    """The header of the CSV ``fname`` in ``csvs``, and its rows parsed back
+    as lists of strings."""
+    header, rows = csvs[fname]
+    return header, list(csv.reader(rows.decode("utf-8").splitlines()))
+
+
 def small_default(**overrides):
     base = {"duration_s": 86400.0, "trials": 200, "probe_period_s": 300.0}
     base.update(overrides)
@@ -50,9 +57,9 @@ class TestRttDist:
 
     def test_histogram_rows_sum_to_probe_count(self):
         out = run("rtt-dist", small_default())
-        header, rows = out.csvs["hist_threeg.csv"]
+        header, rows = csv_rows(out.csvs, "hist_threeg.csv")
         assert header == ("bin_low", "bin_high", "count")
-        assert sum(r[2] for r in rows) == 288
+        assert sum(int(r[2]) for r in rows) == 288
 
     def test_checks_pass_on_full_week(self):
         out = run("rtt-dist", resolve("default"))
@@ -109,8 +116,8 @@ class TestCompareProtocols:
         # collect-and-push cycle of its sweep, well inside a cellular transit
         station = {"id": 0, "link": "wifi", "evs": [{"outlet": k} for k in range(3)]}
         cfg = small_default(trials=0, fleet={"stations": [station]})
-        _, rows = run("compare-protocols", cfg).csvs["staleness.csv"]
-        arrivals = [stale for _, source, stale in rows if source == "push-arrive"]
+        _, rows = csv_rows(run("compare-protocols", cfg).csvs, "staleness.csv")
+        arrivals = [float(stale) for _, source, stale in rows if source == "push-arrive"]
         assert len(arrivals) > 2800
         assert max(arrivals) <= push_cycle_time(worst_case_budget(cfg.links, LinkKind.WIFI), 4)
 
@@ -188,7 +195,7 @@ class TestCompareProtocols:
         records = []
         read_trace(tmp_path / trace_file(name), records.append)
         trial_records = [r for r in records if r["kind"] == "trial"]
-        header, rows = out.csvs["retrievals.csv"]
+        header, rows = csv_rows(out.csvs, "retrievals.csv")
         assert len(rows) == 4 * len(trial_records)
 
     def test_uncached_pulls_pay_one_fresh_sweep(self, tmp_path, capsys):
@@ -249,8 +256,9 @@ class TestDutyCycle:
     def test_sweep_at_a_rounding_edge_completes(self, overrides):
         out = run("duty-cycle", resolve("duty-3g", overrides=overrides))
         assert out.ok, [c for c in out.checks if not c.ok]
-        points = out.csvs["duty_sweep.csv"][1]
-        assert [p.delta_a for p in points][-1] == overrides["duty_sweep"]["i_final_a"]
+        header, points = csv_rows(out.csvs, "duty_sweep.csv")
+        assert header[0] == "delta_a"
+        assert [float(p[0]) for p in points][-1] == overrides["duty_sweep"]["i_final_a"]
 
 
 def four_evs(algorithm: str) -> dict:
@@ -346,6 +354,7 @@ def no_child_left():
 
 
 TRIALS = "computing compare-protocols trials"
+POINTS = "computing duty-cycle points"
 
 
 @contextlib.contextmanager
@@ -582,26 +591,39 @@ def test_a_child_is_forked_only_for_a_cpu_of_its_own(monkeypatch, tmp_path, caps
         emitted(built_in_turn(cfg, tmp_path / "oracle"), tmp_path / "oracle", capsys)
 
 
+# a duty-cycle config of more points than one chunk, so the sweep forks
+DUTY_600 = {"duty_sweep": {"steps": 600}}
+
+
+def with_config(args: list, tmp_path) -> list:
+    """``args`` with ``{duty_600}`` naming a JSON file of ``DUTY_600`` in ``tmp_path``."""
+    config = tmp_path / "duty-600.json"
+    config.write_text(json.dumps(DUTY_600), encoding="utf-8")
+    return [arg.format(duty_600=config) for arg in args]
+
+
 @pytest.mark.parametrize("args, run_forks, replay_forks", [
     (["rtt-dist"], ["encoding trace {out}/trace.jsonl"],
      ["encoding trace of 'rtt-dist' with seed 42"]),
     (["duty-cycle"], [], []),
+    (["duty-cycle", "--config", "{duty_600}"], [POINTS], [POINTS]),
     (["compare-protocols", "--trials", "300"], [TRIALS], [TRIALS]),
     (["local-sched"], ["building trace 'local'"],
      ["encoding trace of 'local-sched' with seed 42"] * 2),
-], ids=["rtt-dist", "duty-cycle", "compare-protocols", "local-sched"])
+], ids=["rtt-dist", "duty-cycle", "duty-cycle-600", "compare-protocols", "local-sched"])
 def test_on_two_cpus_each_command_forks_one_child_at_a_time(monkeypatch, tmp_path, args,
                                                              run_forks, replay_forks):
     # each command at its default preset, then a replay of each trace it
     # wrote, with the CPUs for one child. rtt-dist's week flushes full
     # blocks, and so does its re-run, so each forks an encoder; duty-cycle's
-    # sweep fits in one block. compare-protocols' trial child, and
-    # local-sched's trace child, leave no CPU for an encoder; a replay
-    # builds one trace, here, with an encoder.
+    # default sweep fits in one block. duty-cycle's point child over 600
+    # points, compare-protocols' trial child, and local-sched's trace child,
+    # leave no CPU for an encoder; a replay builds one trace, here, with an
+    # encoder.
     forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
     monkeypatch.setattr(sim, "_cpus", lambda: 2)
     out = tmp_path / "out"
-    assert main([*args, "--out", str(out)]) == 0
+    assert main([*with_config(args, tmp_path), "--out", str(out)]) == 0
     assert forked() == [("here", what.format(out=out)) for what in run_forks]
     for trace in sorted(out.glob("trace*.jsonl")):
         assert main(["replay", str(trace)]) == 0
@@ -797,19 +819,175 @@ class TestForkedTrials:
         no_child_left()
 
 
+# sweep -> (preset, overrides): only a sweep of more than one chunk forks
+DUTY_SWEEPS = {
+    "one-chunk-and-one": ("default", {"duty_sweep": {"steps": FORK_CHUNK + 1}}),
+    "one-chunk": ("default", {"duty_sweep": {"steps": FORK_CHUNK}}),
+    "duty-3g": ("duty-3g", {"duty_sweep": {"steps": 600}}),
+    # below 3G's 4.5 s hard_max, so some changes time out and end failed
+    "timeouts": ("default", {"duty_sweep": {"steps": 600}, "timeout_s": 2.0}),
+}
+
+
+def in_process_duty(monkeypatch, cfg, out_dir, how):
+    """duty-cycle run with its points computed here: with ``os.fork``
+    deleted, or with a second thread running."""
+    if how == "no-fork":
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            return run("duty-cycle", cfg, out_dir)
+    with second_thread_running():
+        return run("duty-cycle", cfg, out_dir)
+
+
+class TestForkedDutyPoints:
+    """duty-cycle computes its sweep points (each a duty-cycle change and its
+    verification reads) in a forked child when it may fork, and here
+    otherwise."""
+
+    @pytest.mark.parametrize("sweep", sorted(DUTY_SWEEPS))
+    def test_a_forked_sweep_matches_the_sweep_computed_here(self, monkeypatch, tmp_path, capsys,
+                                                             sweep):
+        preset, overrides = DUTY_SWEEPS[sweep]
+        cfg = resolve(preset, overrides=overrides)
+        steps = cfg.duty_sweep["steps"]
+        with children_forked() as children:
+            forked = run("duty-cycle", cfg, tmp_path / "forked")
+        assert children.count(POINTS) == (1 if steps > FORK_CHUNK else 0)
+        assert [what for what in children if what != POINTS] == \
+            encoders(tmp_path / "forked", forked.traces)
+        no_child_left()
+        want = emitted(forked, tmp_path / "forked", capsys)
+        (_, trace), = forked.traces
+        assert trace.count == steps
+        for how in ("no-fork", "second-thread"):
+            out = in_process_duty(monkeypatch, cfg, tmp_path / how, how)
+            no_child_left()
+            (_, oracle), = out.traces
+            assert trace == oracle
+            assert (forked.csvs, forked.summary, forked.checks) == \
+                (out.csvs, out.summary, out.checks)
+            assert emitted(out, tmp_path / how, capsys) == want
+        # the low timeout is the only sweep with failed changes
+        _, rows = csv_rows(forked.csvs, "duty_sweep.csv")
+        assert ("failed" in {row[4] for row in rows}) == (sweep == "timeouts")
+        assert forked.summary["all_confirmed"] == (sweep != "timeouts")
+
+    def test_only_the_child_derives_the_points_streams(self, monkeypatch, tmp_path):
+        # each derivation is appended to a file as "pid label", so the
+        # child's derivations reach this process too
+        log = tmp_path / "derived.txt"
+        log.touch()
+        substream = experiments.substream
+
+        def logged(seed, label):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {label}\n")
+            return substream(seed, label)
+
+        monkeypatch.setattr(experiments, "substream", logged)
+        with children_forked() as children:
+            out = run("duty-cycle", resolve("default", overrides={"duty_sweep": {"steps": 600}}))
+        assert children.count(POINTS) == 1
+        no_child_left()
+        assert out.ok
+        parent = str(os.getpid())
+        derived = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert [label for pid, label in derived if pid == parent] == []
+        _, rows = csv_rows(out.csvs, "duty_sweep.csv")
+        assert [label for pid, label in derived if pid != parent] == \
+            [f"duty:{row[0]}" for row in rows]
+
+    def test_a_point_that_raises_in_the_child_fails_as_it_does_here(self, monkeypatch, tmp_path,
+                                                                    capsys):
+        # each change is appended to a file as "pid now", so the child's
+        # changes reach this process too
+        log = tmp_path / "changes.txt"
+        change_duty_cycle = experiments.change_duty_cycle
+        failing_at = 300 * 3600.0
+
+        def failing(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {kwargs['now']!r}\n")
+            if kwargs["now"] == failing_at:
+                raise ValueError("relay welded shut")
+            return change_duty_cycle(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "change_duty_cycle", failing)
+        cfg = resolve("default", overrides={"duty_sweep": {"steps": 600}})
+        with children_forked() as children:
+            forked = run("duty-cycle", cfg, tmp_path / "forked")
+        assert children.count(POINTS) == 1
+        no_child_left()
+        # the child stops at the point that raised
+        parent = str(os.getpid())
+        changes = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert max(float(now) for pid, now in changes if pid != parent) == failing_at
+        assert not [now for pid, now in changes if pid == parent]
+        in_process = in_process_duty(monkeypatch, cfg, tmp_path / "in-process", "no-fork")
+        no_child_left()
+        want = Check("trace-complete", False, "trace truncated: event 'duty-point' at "
+                                              "1080000.0 s failed: ValueError: relay welded shut")
+        assert forked.checks == in_process.checks == [want]
+        (_, trace), = forked.traces
+        assert trace.last["error"] == "ValueError: relay welded shut"
+        assert (trace.count, trace.last) == (301, in_process.traces[0][1].last)
+        assert emitted(forked, tmp_path / "forked", capsys) == \
+            emitted(in_process, tmp_path / "in-process", capsys)
+
+    def test_a_run_that_exits_2_or_3_leaves_no_child(self, tmp_path, capsys):
+        # the point child is forked when the builder has run, before the
+        # output directory is made, so an output error (exit 2) and a failed
+        # check (exit 3) each meet a child to end
+        config = tmp_path / "timeouts.json"
+        config.write_text(json.dumps(DUTY_SWEEPS["timeouts"][1]), encoding="utf-8")
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n", encoding="utf-8")
+        with children_forked() as children:
+            assert main(["duty-cycle", "--config", str(config), "--out", str(afile)]) == 2
+            no_child_left()
+            assert main(["duty-cycle", "--config", str(config), "--check",
+                         "--out", str(tmp_path / "out")]) == 3
+            no_child_left()
+        assert children.count(POINTS) == 2
+        assert "checks failed: all-confirmed" in capsys.readouterr().err
+
+    def test_an_interrupted_sweep_kills_and_reaps_its_child(self, monkeypatch, tmp_path):
+        build = COMMANDS["duty-cycle"]["trace"][0]
+
+        def interrupt(at, data):
+            raise KeyboardInterrupt
+
+        def interrupted(eng, cfg):
+            horizon = build(eng, cfg)
+            eng.schedule_at(7200.0, "interrupt", fn=interrupt)
+            return horizon
+
+        set_builder(monkeypatch, "duty-cycle", "trace", interrupted)
+        cfg = resolve("default", overrides={"duty_sweep": {"steps": 600}})
+        with children_forked() as children, pytest.raises(KeyboardInterrupt):
+            run("duty-cycle", cfg, tmp_path)
+        assert children.count(POINTS) == 1
+        no_child_left()
+
+
 REFUSED_FORK_ARGS = {
     "local-sched": ["--duration", "86400"],
     "compare-protocols": ["--trials", "600"],
+    "duty-cycle": ["--config", "{duty_600}"],
 }
-FIRST_CHILD = {"local-sched": "building trace 'local'", "compare-protocols": TRIALS}
+FIRST_CHILD = {"local-sched": "building trace 'local'", "compare-protocols": TRIALS,
+               "duty-cycle": POINTS}
 
 
 @pytest.mark.parametrize("command", sorted(REFUSED_FORK_ARGS))
 def test_a_fork_that_fails_leaves_the_work_here(tmp_path, capsys, command):
     # a system that refuses the process, or the pipe, leaves the run here,
     # with a forking run's outputs
+    args = with_config(REFUSED_FORK_ARGS[command], tmp_path)
+
     def cli(out_dir):
-        assert main([command, *REFUSED_FORK_ARGS[command], "--out", str(out_dir)]) == 0
+        assert main([command, *args, "--out", str(out_dir)]) == 0
         no_child_left()
         files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
         return capsys.readouterr().out, files
@@ -926,9 +1104,10 @@ class TestTraceFiles:
         out = run("local-sched", small_default(), tmp_path)
         csvs, summary, checks = finish(
             [folded_file("local-sched", variant, tmp_path / trace_file(variant))])
-        header, rows = out.csvs["traffic.csv"]
-        assert csvs == {"traffic.csv": (header, [row for row in rows if row[0] == variant])}
-        assert len(csvs["traffic.csv"][1]) == 1
+        header, rows = csv_rows(out.csvs, "traffic.csv")
+        assert list(csvs) == ["traffic.csv"]
+        assert csv_rows(csvs, "traffic.csv") == (header, [row for row in rows if row[0] == variant])
+        assert len(csv_rows(csvs, "traffic.csv")[1]) == 1
         assert summary == {variant: out.summary[variant]}
         assert checks == [c for c in out.checks if c.name.startswith(f"{variant}-")]
         assert len(checks) == 2
@@ -953,9 +1132,9 @@ def _traced_peak(fn) -> int:
 
 class TestMemory:
     def test_run_memory_does_not_grow_with_the_trace(self):
-        # records are folded into per-trial tuples as they are emitted, so
-        # the peak grows by under 1 KB per trial; a run that kept its
-        # records would grow by about 6 KB per trial
+        # records are folded into CSV bytes and running totals as they are
+        # emitted, so the peak grows by under 1 KB per trial; a run that kept
+        # its records would grow by about 6 KB per trial
         peaks = {n: _traced_peak(lambda: run("compare-protocols", resolve(
             "default", overrides={"trials": n, "seed": 1}))) for n in (1000, 3000)}
         per_trial = (peaks[3000] - peaks[1000]) / 2000

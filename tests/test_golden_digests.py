@@ -60,6 +60,10 @@ CASES = {
         ["duty-cycle", "--seed", "1"], {"duty_sweep": {"i_final_a": 32.0, "steps": 201}}),
     "duty-cycle-duty-3g": (
         ["duty-cycle", "--preset", "duty-3g"], None),
+    # more points than one chunk (experiments.FORK_CHUNK), so where the
+    # fork rule allows, a child computes the sweep's points
+    "duty-cycle-default-600": (
+        ["duty-cycle", "--seed", "1"], {"duty_sweep": {"steps": 600}}),
     "local-sched-default-2d": (
         ["local-sched", "--seed", "1", "--duration", str(2 * DAY_S)], None),
     "local-sched-fleet-2d": (
