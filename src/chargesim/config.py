@@ -198,8 +198,8 @@ SCHEMA = Section({
     "timeout_s": Leaf(float, 30.0, ge=0.0),
     "t_status_read_s": Leaf(float, 0.0, ge=0.0),
     "legacy_pipelined": Const(False),
-    # In `budget`, `t_server_cloud`, `t_cloud` and `t_wifi` select nothing
-    # either, and stay for the same reason.
+    # In `budget`, only `t_3g` is read; the other five select nothing either,
+    # and stay for the same reason.
     "budget": Section({
         "t_server_cloud": Leaf(float, 0.0, ge=0.0),
         "t_cloud": Leaf(float, 0.0, ge=0.0),
@@ -499,10 +499,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
         **{key: c[key] for key in ("seed", "duration_s", "probe_period_s", "trials",
                                    "trial_spacing_s", "push_period_s", "serve_cache", "timeout_s",
                                    "t_status_read_s", "duty_sweep", "expect")},
-        # `budget.t_ethernet` and `budget.t_3g` keep their names: the trace
-        # header hashes the resolved config
-        budget=TimingBudget(t_bus=c["budget"]["t_ethernet"], t_uplink=c["budget"]["t_3g"],
-                            t_metering=c["budget"]["t_metering"]),
+        # `budget.t_3g` keeps its name (the trace header hashes the resolved
+        # config); it is the only budget term the duty-cycle wait reads
+        budget=TimingBudget(t_uplink=c["budget"]["t_3g"]),
         links=_links(c["latency"]),
         station=station,
         round_robin=round_robin,

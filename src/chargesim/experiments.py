@@ -13,19 +13,9 @@ records, so a written trace file streamed through ``read_trace`` into a
 fresh fold of its trace reproduces (and verifies) that trace's share of a
 run.
 
-Three kinds of work go through ``sim._Forked``, which runs them in a
-forked child or here by the fork rule of ``sim.fork_child``: each trace
-after a command's first (local-sched's ``local``), whose child sends back
-each trace's fold whole; compare-protocols' per-trial draws (both legacy
-pulls, the push-cycle estimate and the aggregated pull's uplink delay),
-when the run has more than one chunk (``FORK_CHUNK``) of trials; and
-duty-cycle's sweep points (each a duty-cycle change with its verification
-reads), when the sweep has more than one chunk of points. The last two
-children stream what they compute back to their events in order. A fourth
-kind goes to a child by the same rule inside ``sim``: each trace's
-encoding, hashing and writing, from its first full block on. All four
-reach this module only through ``sim``, whose one pipe protocol streams
-back what a child computed and raises here what a child raised.
+Which work a run forks, and how, is ``sim``'s story (its module docstring):
+each trace after a command's first goes through ``sim._Forked`` in
+``run``, and what a builder hands its events goes through ``Engine.feed``.
 """
 from __future__ import annotations
 
@@ -52,8 +42,8 @@ from .domain import (
     unplug_ev,
 )
 from .latency import (HOURS_PER_WEEK, LatencyModel, LinkKind, TimingBudget, count_modes,
-                      histogram_of, worst_case_budget)
-from .sim import FORK_CHUNK, Engine, _Forked, ordered_sum, read_trace, substream
+                      histogram_of, hour_of_week, worst_case_budget)
+from .sim import Engine, _Forked, ordered_sum, read_trace, substream
 
 MODE_BINS = 45
 
@@ -366,15 +356,8 @@ def _trace_compare(eng: Engine, cfg: ExperimentConfig) -> float:
         eng.schedule_at(i * cfg.trial_spacing_s, "trial", data={"trial": i}, fn=trial)
 
     _attach_push_station(eng, cfg, station, uplink)
-    # The station is now as every trial finds it. The trials take their
-    # outcomes in order, from a child that computes them ahead of the engine
-    # or here, one per trial. A run of at most one chunk of trials asks for
-    # no child: at that size the fork, the pipe and the wait for the only
-    # chunk cost what they save.
-    feed = _Forked(outcomes, range(cfg.trials), "computing compare-protocols trials",
-                   fork=cfg.trials > FORK_CHUNK)
-    eng.closing.append(feed.close)
-    next_outcomes = feed.results.__next__
+    # the station is now as every trial finds it
+    next_outcomes = eng.feed(outcomes, cfg.trials, "computing compare-protocols trials")
     return horizon
 
 
@@ -410,7 +393,7 @@ class _CompareFold:
                               (i, "legacy_pull_full", legacy8, rc8),
                               (i, "pic_pull", pic, rc1),
                               (i, "pic_push_cycle", cycle, 0)))
-            self.hours[int(rec["at"] // 3600.0) % HOURS_PER_WEEK] += 1
+            self.hours[hour_of_week(rec["at"])] += 1
             self.legacy4 += legacy4
             self.legacy8 += legacy8
             self.pic += pic
@@ -554,12 +537,7 @@ def _trace_duty_cycle(eng: Engine, cfg: ExperimentConfig) -> float:
 
     for k in range(steps):
         eng.schedule_at(k * 3600.0, "duty-point", data={"delta": delta_of(k)}, fn=run_point)
-    # The points take their values in order, from a child that computes them
-    # ahead of the engine or here, one per point; a sweep of at most one
-    # chunk asks for no child, as compare-protocols' trials do.
-    feed = _Forked(point, range(steps), "computing duty-cycle points", fork=steps > FORK_CHUNK)
-    eng.closing.append(feed.close)
-    next_point = feed.results.__next__
+    next_point = eng.feed(point, steps, "computing duty-cycle points")
     return steps * 3600.0
 
 
@@ -755,11 +733,8 @@ SCHED_VARIANTS = ("server", "local")
 # schedules its trace on a fresh engine, ``(Engine, ExperimentConfig) ->
 # horizon s``; a fold, made from the config, is handed each of that trace's
 # records as ``add(record)`` and asked for ``(csvs, summary, checks)`` by
-# ``finish()``. A builder may hand work that reads no engine state to a
-# ``_Forked`` of its own, registering its ``close`` in ``Engine.closing``:
-# compare-protocols does with its trials' draws (legacy pulls, push-cycle
-# estimates and the aggregated pulls' uplink delays), and duty-cycle with
-# its sweep points.
+# ``finish()``. A builder may hand work that reads no engine state to
+# ``Engine.feed``, as compare-protocols and duty-cycle do.
 COMMANDS = {
     "rtt-dist": {"trace": (_trace_rtt_dist, _RttDistFold)},
     "compare-protocols": {"trace": (_trace_compare, _CompareFold)},
@@ -780,14 +755,13 @@ def run(command: str, cfg: ExperimentConfig, out_dir=None) -> ExperimentOutput:
     its own fold as they are emitted, and streaming each trace into
     ``out_dir`` when one is given; then merge what the folds finish.
 
-    Each trace after the first, compare-protocols' trial draws and
-    duty-cycle's sweep points go through ``_Forked``, which works in a
-    forked child or here by its rule, with the same outputs (the draws and
-    the points ask for a child past ``FORK_CHUNK``).
-    The traces keep their order, and ``run`` keeps a ``BuiltTrace`` and the
-    fold of each, wherever it was built. An abandoned run kills its
-    children, the traces' encoder children among them, which leaves a trace
-    file without the footer ``read_trace`` needs.
+    Each trace after the first goes through ``sim._Forked``, and a
+    builder's feed through ``Engine.feed``; either works in a forked child
+    or here, with the same outputs (see ``sim``). The traces keep their
+    order, and ``run`` keeps a ``BuiltTrace`` and the fold of each, wherever
+    it was built. An abandoned run kills its children, the traces' encoder
+    children among them, which leaves a trace file without the footer
+    ``read_trace`` needs.
 
     A handler exception truncates its trace; its fold would then miss state
     the failed event never recorded. Such a run finishes no fold and gets

@@ -19,6 +19,13 @@ FLAT = (1.0,) * HOURS_PER_WEEK  # the diurnal profile that scales no hour
 _WEIGHT_TOL = 1e-9
 
 
+def hour_of_week(at: float) -> int:
+    """The hour of the week that virtual time ``at`` (s) falls in: the hour
+    whose diurnal multiplier a draw at ``at`` takes, and so the hour under
+    which ``analytic_mean``'s tally must count it."""
+    return int(at // 3600.0) % HOURS_PER_WEEK
+
+
 class LinkKind(Enum):
     ETHERNET = "ethernet"
     WIFI = "wifi"
@@ -99,7 +106,7 @@ class LatencyModel:
         # leaves the loop on the last component
         scale = self._scale
         if scale is not None:
-            loc = loc * scale[int(at // 3600.0) % HOURS_PER_WEEK]
+            loc = loc * scale[hour_of_week(at)]
         value = loc if spread == 0.0 else loc + spread * _near_gauss(rng)
         if value < MIN_LATENCY_S:
             value = MIN_LATENCY_S

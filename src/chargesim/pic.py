@@ -58,12 +58,12 @@ class Flags:
     def __init__(self):
         self.push_data = False
         self.pending: deque = deque()
-        self.overflows = 0
+        self.overflows = 0  # commands dropped on a full queue
 
 
 class PicState:
     __slots__ = ("registered_meters", "cache", "flags", "push_period", "serve_cache_mode",
-                 "phase", "packet_seq", "diagnostics", "overflows_noted")
+                 "phase", "packet_seq", "overruns")
 
     def __init__(self, registered_meters: list, push_period: float = 30.0,
                  serve_cache_mode: bool = False):
@@ -74,8 +74,7 @@ class PicState:
         self.serve_cache_mode = serve_cache_mode
         self.phase = Phase.INIT
         self.packet_seq = 0
-        self.diagnostics: list = []
-        self.overflows_noted = 0  # how many queue drops the main loop has logged
+        self.overruns = 0  # collections that took at least the push period
 
 
 class MeterBus:
@@ -135,8 +134,8 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
     other; returns the total collection duration (sum of per-meter hop +
     read costs).
 
-    A duration at or above the push period gets a budget-violation
-    diagnostic, since collection must fit between ticks.
+    A duration at or above the push period counts one overrun in
+    ``state.overruns``, since collection must fit between ticks.
     """
     t = now
     cache = state.cache
@@ -147,9 +146,7 @@ def collect_all(state: PicState, bus: MeterBus, now: float) -> float:
         t += cost
     duration = t - now
     if state.registered_meters and duration >= state.push_period:
-        state.diagnostics.append(
-            f"collection took {duration:.3f} s, at or above the {state.push_period:.3f} s push period"
-        )
+        state.overruns += 1
     return duration
 
 
@@ -178,12 +175,6 @@ def main_loop_step(state: PicState, bus: MeterBus, uplink=None, now: float = 0.0
         raise RuntimeError("main loop entered before startup completed")
     messages: list = []
     t = now
-    if state.flags.overflows > state.overflows_noted:
-        dropped = state.flags.overflows - state.overflows_noted
-        state.diagnostics.append(
-            f"{dropped} command(s) dropped: queue depth {COMMAND_QUEUE_DEPTH} exceeded"
-        )
-        state.overflows_noted = state.flags.overflows
     while state.flags.pending:
         cmd = state.flags.pending.popleft()
         if cmd.opcode is Opcode.POWER_INFO_REQUEST:

@@ -240,12 +240,13 @@ class ServerStore:
 
     Push consumption replaces a station record wholesale (one assignment),
     so a reader never sees a torn record, and it discards packets at or below
-    the stored sequence, so per-station sequence numbers stay monotone.
+    the stored sequence, so per-station sequence numbers stay monotone;
+    ``discarded`` counts the packets it discarded.
     """
 
     def __init__(self):
         self.stations: dict = {}           # station_id -> _StationRecord
-        self.diagnostics: list = []
+        self.discarded = 0
 
     def staleness_at(self, station_id: int, now: float) -> dict:
         """Age of each stored snapshot at ``now``; empty if nothing stored."""
@@ -265,8 +266,9 @@ def push_consume(store: ServerStore, packet: Message, now: float):
 
     The per-station record is replaced in a single assignment (atomic from
     the store's point of view). Packets at or below the stored sequence are
-    discarded with a diagnostic; duplicates are therefore no-ops. Returns the
-    per-outlet staleness report, or None for a discarded packet.
+    discarded and counted in ``store.discarded``; duplicates are therefore
+    no-ops. Returns the per-outlet staleness report, or None for a discarded
+    packet.
     """
     if packet.kind is not MessageKind.AGGREGATE_PACKET:
         raise ValueError(f"cannot consume {packet.kind.value} as a push packet")
@@ -275,10 +277,7 @@ def push_consume(store: ServerStore, packet: Message, now: float):
         raise ValueError("aggregate packet payload must be meter snapshots")
     current = store.stations.get(packet.station)
     if current is not None and packet.seq <= current.packet_seq:
-        store.diagnostics.append(
-            f"station {packet.station}: discarded packet seq {packet.seq} "
-            f"(stored seq {current.packet_seq})"
-        )
+        store.discarded += 1
         return None
     record = store.stations[packet.station] = _StationRecord(
         snapshots={s.outlet: s for s in snaps}, packet_seq=packet.seq)

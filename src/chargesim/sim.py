@@ -33,8 +33,11 @@ when they fail to match.
 Every child the package forks (``fork_child``) speaks one protocol: what
 its ``serve`` generator yields, ``Child.results`` yields here in order, and
 it raises here, in its place, what ended ``serve``. An encoder child
-yields the digest each request asks for, and ``_Forked``, through which
-``experiments`` forks, its results in chunks of ``FORK_CHUNK``. Each child
+yields the digest each request asks for, and ``_Forked`` its results in
+chunks of ``FORK_CHUNK``. ``experiments`` forks through ``_Forked`` for
+the traces after a command's first, and through ``Engine.feed`` for the
+work a builder hands its events (compare-protocols' trial draws,
+duty-cycle's sweep points), past one chunk of it. Each child
 runs off the CPU its parent ran on when it forked, so the CPU the fork rule
 counted for it is the one it gets.
 """
@@ -675,10 +678,11 @@ class Engine:
     independent seeds for parallel experiments, as ``experiments.run`` does
     with a command's traces, each after the first in a forked child.
 
-    A builder that holds something for the run's handlers (a forked child
-    that feeds them, say) appends its release to ``closing``; whoever runs
-    the engine calls ``close()`` once the run is over, however it ended, and
-    that also closes the trace (and so ends its encoder child).
+    A builder that holds something for the run's handlers appends its
+    release to ``closing``, as ``feed`` does for the child that feeds them;
+    whoever runs the engine calls ``close()`` once the run is over, however
+    it ended, and that also closes the trace (and so ends its encoder
+    child).
     """
 
     def __init__(self, seed: int, meta: dict | None = None):
@@ -704,6 +708,18 @@ class Engine:
                 closing.pop()()
         finally:
             self.trace.close()
+
+    def feed(self, fn, count: int, what: str) -> Callable[[], Any]:
+        """A function whose calls return ``fn(0)``, ``fn(1)``, ...,
+        ``fn(count - 1)`` in turn: computed ahead of the run in a child doing
+        ``what`` (``_Forked``, by the fork rule) when ``count`` passes one
+        chunk (``FORK_CHUNK``), or here, one per call. At one chunk or fewer
+        the fork, the pipe and the wait for the only chunk cost what they
+        save. ``fn`` must read no state an event changes, so a child may run
+        it; ``close()`` ends the child."""
+        forked = _Forked(fn, range(count), what, fork=count > FORK_CHUNK)
+        self.closing.append(forked.close)
+        return forked.results.__next__
 
     def schedule_at(self, at: float, kind: str, data: dict | None = None,
                     fn: Handler | None = None) -> tuple:

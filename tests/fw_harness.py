@@ -50,8 +50,7 @@ def state_fingerprint(state: PicState):
         state.serve_cache_mode,
         state.phase,
         state.packet_seq,
-        tuple(state.diagnostics),
-        state.overflows_noted,
+        state.overruns,
     )
 
 

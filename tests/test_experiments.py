@@ -20,7 +20,6 @@ from chargesim.cli import _emit, main
 from chargesim.config import ConfigError, from_dict, resolve
 from chargesim.experiments import (
     COMMANDS,
-    FORK_CHUNK,
     SCHED_VARIANTS,
     Check,
     ExperimentOutput,
@@ -33,7 +32,7 @@ from chargesim.experiments import (
 from chargesim.latency import LinkKind, default_models, worst_case_budget
 from chargesim.proto import push_cycle_time
 from chargesim.sched import schedule_time_step
-from chargesim.sim import canonical_json, read_trace
+from chargesim.sim import FORK_CHUNK, canonical_json, read_trace
 
 
 def csv_rows(csvs: dict, fname: str) -> tuple:
@@ -357,21 +356,29 @@ TRIALS = "computing compare-protocols trials"
 POINTS = "computing duty-cycle points"
 
 
-@contextlib.contextmanager
-def children_forked():
-    """What each child this process forks meanwhile does (``Child.what``),
-    in fork order: ``_Forked``'s children and the traces' encoder children."""
-    forked = []
+def forks_logged(monkeypatch, log) -> Callable[[], list]:
+    """Append each child ``sim.fork_child`` forks, from this process or any
+    child of it, to the file ``log`` as "pid what"; returns a reader of what
+    it holds as ``(who, what)`` pairs, ``who`` being "here" or "child"."""
+    log.touch()
     fork_child = sim.fork_child
 
-    def recorded(what, serve):
+    def logged(what, serve):
         child = fork_child(what, serve)
         if child is not None:
-            forked.append(what)
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()}\t{what}\n")
         return child
 
-    with mock.patch.object(sim, "fork_child", recorded):
-        yield forked
+    monkeypatch.setattr(sim, "fork_child", logged)
+    here = str(os.getpid())
+
+    def read() -> list:
+        lines = log.read_text(encoding="utf-8").splitlines()
+        return [("here" if pid == here else "child", what)
+                for pid, what in (line.split("\t") for line in lines)]
+
+    return read
 
 
 def encoder(path) -> str:
@@ -437,14 +444,18 @@ def built_in_turn(cfg, out_dir) -> ExperimentOutput:
 
 class TestForkedTraces:
     @pytest.mark.parametrize("config", sorted(FORK_CONFIGS))
-    def test_forked_run_matches_the_traces_built_in_turn(self, tmp_path, capsys, config):
+    def test_forked_run_matches_the_traces_built_in_turn(self, monkeypatch, tmp_path, capsys,
+                                                         config):
         cfg = FORK_CONFIGS[config]()
-        with children_forked() as children:
-            forked = run("local-sched", cfg, tmp_path / "forked")
-        # one child builds the local trace; the server trace, built here,
-        # forks its own encoder when it flushes a full block
-        assert children == ["building trace 'local'"] + encoders(tmp_path / "forked",
-                                                                 forked.traces[:1])
+        children = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        forked = run("local-sched", cfg, tmp_path / "forked")
+        # one child builds the local trace; each trace forks its own encoder,
+        # where it is built, when it flushes a full block
+        logged = children()
+        assert [what for who, what in logged if who == "here"] == \
+            ["building trace 'local'"] + encoders(tmp_path / "forked", forked.traces[:1])
+        assert [what for who, what in logged if who == "child"] == \
+            encoders(tmp_path / "forked", forked.traces[1:])
         no_child_left()
         oracle = built_in_turn(cfg, tmp_path / "oracle")
         assert forked.ok, [c for c in forked.checks if not c.ok]
@@ -498,12 +509,12 @@ class TestForkedTraces:
             raise ConfigError("round_robin: refused by the local builder")
 
         set_builder(monkeypatch, "local-sched", "local", refuse)
-        with children_forked() as children, \
-                pytest.raises(ConfigError, match="^round_robin: refused by the local builder$"):
-            run("local-sched", small_default(), tmp_path)
-        assert children.count("building trace 'local'") == 1
+        forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        with pytest.raises(ConfigError, match="^round_robin: refused by the local builder$"):
+            run("local-sched", small_default(), tmp_path / "out")
+        assert forked().count(("here", "building trace 'local'")) == 1
         no_child_left()
-        assert [p.name for p in tmp_path.iterdir()] == ["trace_server.jsonl"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["trace_server.jsonl"]
 
     def test_the_moved_series_guard_refuses_in_parent_and_child_alike(self, tmp_path):
         cfg = small_default(round_robin={"slot_length_s": 0.001})
@@ -523,47 +534,6 @@ class TestForkedTraces:
         with pytest.raises(RuntimeError, match="building trace 'local' exited with code 5"):
             run("local-sched", small_default())
         no_child_left()
-
-    def test_an_interrupted_run_kills_and_reaps_its_child(self, monkeypatch, tmp_path):
-        build = COMMANDS["local-sched"]["server"][0]
-
-        def interrupt(at, data):
-            raise KeyboardInterrupt
-
-        def interrupted(eng, cfg):
-            horizon = build(eng, cfg)
-            eng.schedule_at(0.0, "interrupt", fn=interrupt)
-            return horizon
-
-        set_builder(monkeypatch, "local-sched", "server", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            run("local-sched", resolve("default"), tmp_path)
-        no_child_left()
-
-
-def forks_logged(monkeypatch, log) -> Callable[[], list]:
-    """Append each child ``sim.fork_child`` forks, from this process or any
-    child of it, to the file ``log`` as "pid what"; returns a reader of what
-    it holds as ``(who, what)`` pairs, ``who`` being "here" or "child"."""
-    log.touch()
-    fork_child = sim.fork_child
-
-    def logged(what, serve):
-        child = fork_child(what, serve)
-        if child is not None:
-            with open(log, "a", encoding="utf-8") as f:
-                f.write(f"{os.getpid()}\t{what}\n")
-        return child
-
-    monkeypatch.setattr(sim, "fork_child", logged)
-    here = str(os.getpid())
-
-    def read() -> list:
-        lines = log.read_text(encoding="utf-8").splitlines()
-        return [("here" if pid == here else "child", what)
-                for pid, what in (line.split("\t") for line in lines)]
-
-    return read
 
 
 @pytest.mark.parametrize("cpus, children", [
@@ -645,15 +615,16 @@ TRIAL_CONFIGS = {
 }
 
 
-def in_process_compare(monkeypatch, cfg, out_dir, how):
-    """compare-protocols run with its trial outcomes computed here: with
-    ``os.fork`` deleted, or with a second thread running."""
+def in_process(monkeypatch, command, cfg, out_dir, how):
+    """``command`` run with its feed (compare-protocols' trial outcomes,
+    duty-cycle's sweep points) computed here: with ``os.fork`` deleted, or
+    with a second thread running."""
     if how == "no-fork":
         with monkeypatch.context() as patch:
             patch.delattr(os, "fork")
-            return run("compare-protocols", cfg, out_dir)
+            return run(command, cfg, out_dir)
     with second_thread_running():
-        return run("compare-protocols", cfg, out_dir)
+        return run(command, cfg, out_dir)
 
 
 class TestForkedTrials:
@@ -665,11 +636,10 @@ class TestForkedTrials:
     def test_forked_trials_match_the_trials_computed_here(self, monkeypatch, tmp_path, capsys,
                                                           config):
         cfg = small_default(**TRIAL_CONFIGS[config])
-        with children_forked() as children:
-            forked = run("compare-protocols", cfg, tmp_path / "forked")
-        assert children.count(TRIALS) == (1 if cfg.trials > FORK_CHUNK else 0)
-        assert [what for what in children if what != TRIALS] == \
-            encoders(tmp_path / "forked", forked.traces)
+        children = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        forked = run("compare-protocols", cfg, tmp_path / "forked")
+        assert children() == [("here", what) for what in [TRIALS] * (cfg.trials > FORK_CHUNK)
+                              + encoders(tmp_path / "forked", forked.traces)]
         no_child_left()
         assert forked.ok, [c for c in forked.checks if not c.ok]
         want = emitted(forked, tmp_path / "forked", capsys)
@@ -684,7 +654,7 @@ class TestForkedTrials:
 
         monkeypatch.setattr(proto, "legacy_pull", counted)
         for how in ("no-fork", "second-thread"):
-            out = in_process_compare(monkeypatch, cfg, tmp_path / how, how)
+            out = in_process(monkeypatch, "compare-protocols", cfg, tmp_path / how, how)
             no_child_left()
             (_, oracle), = out.traces
             assert trace == oracle
@@ -706,9 +676,9 @@ class TestForkedTrials:
             return substream(seed, label)
 
         monkeypatch.setattr(experiments, "substream", logged)
-        with children_forked() as children:
-            out = run("compare-protocols", small_default(trials=600))
-        assert children.count(TRIALS) == 1
+        forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        out = run("compare-protocols", small_default(trials=600))
+        assert forked().count(("here", TRIALS)) == 1
         no_child_left()
         assert out.ok
         parent = str(os.getpid())
@@ -739,21 +709,22 @@ class TestForkedTrials:
 
         monkeypatch.setattr(proto, "legacy_pull", failing)
         cfg = small_default(trials=600)
-        with children_forked() as children:
-            forked = run("compare-protocols", cfg, tmp_path / "forked")
-        assert children.count(TRIALS) == 1
+        children = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        forked = run("compare-protocols", cfg, tmp_path / "forked")
+        assert children().count(("here", TRIALS)) == 1
         no_child_left()
         # the child stops at the trial that raised
         parent = str(os.getpid())
         pulls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
         assert max(float(at) for pid, at in pulls if pid != parent) == 600.0
-        in_process = in_process_compare(monkeypatch, cfg, tmp_path / "in-process", "no-fork")
+        unforked = in_process(monkeypatch, "compare-protocols", cfg, tmp_path / "in-process",
+                              "no-fork")
         no_child_left()
         want = Check("trace-complete", False, "trace truncated: event 'trial' at 600.0 s "
                                               "failed: ValueError: no reply from meter 2")
-        assert forked.checks == in_process.checks == [want]
+        assert forked.checks == unforked.checks == [want]
         assert emitted(forked, tmp_path / "forked", capsys) == \
-            emitted(in_process, tmp_path / "in-process", capsys)
+            emitted(unforked, tmp_path / "in-process", capsys)
 
     def test_an_event_failing_before_the_trials_are_read_ends_the_child_promptly(
             self, monkeypatch, tmp_path):
@@ -776,11 +747,11 @@ class TestForkedTrials:
 
         monkeypatch.setattr(proto, "legacy_pull", slow_in_child)
         monkeypatch.setattr(pic, "main_loop_step", step_failing_at_90)
+        forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
         start = time.monotonic()
-        with children_forked() as children:
-            out = run("compare-protocols", resolve("default"), tmp_path)
+        out = run("compare-protocols", resolve("default"), tmp_path)
         assert time.monotonic() - start < 30.0
-        assert children.count(TRIALS) == 1
+        assert forked().count(("here", TRIALS)) == 1
         no_child_left()
         assert out.checks == [Check("trace-complete", False,
                                     "trace truncated: event 'push-step' at 90.0 s failed: "
@@ -801,23 +772,6 @@ class TestForkedTrials:
             "trace truncated: event 'trial' at 0.0 s failed: RuntimeError: the process "
             "computing compare-protocols trials exited with code 5")]
 
-    def test_an_interrupted_run_kills_and_reaps_its_child(self, monkeypatch, tmp_path):
-        build = COMMANDS["compare-protocols"]["trace"][0]
-
-        def interrupt(at, data):
-            raise KeyboardInterrupt
-
-        def interrupted(eng, cfg):
-            horizon = build(eng, cfg)
-            eng.schedule_at(120.0, "interrupt", fn=interrupt)
-            return horizon
-
-        set_builder(monkeypatch, "compare-protocols", "trace", interrupted)
-        with children_forked() as children, pytest.raises(KeyboardInterrupt):
-            run("compare-protocols", resolve("default"), tmp_path)
-        assert children.count(TRIALS) == 1
-        no_child_left()
-
 
 # sweep -> (preset, overrides): only a sweep of more than one chunk forks
 DUTY_SWEEPS = {
@@ -827,17 +781,6 @@ DUTY_SWEEPS = {
     # below 3G's 4.5 s hard_max, so some changes time out and end failed
     "timeouts": ("default", {"duty_sweep": {"steps": 600}, "timeout_s": 2.0}),
 }
-
-
-def in_process_duty(monkeypatch, cfg, out_dir, how):
-    """duty-cycle run with its points computed here: with ``os.fork``
-    deleted, or with a second thread running."""
-    if how == "no-fork":
-        with monkeypatch.context() as patch:
-            patch.delattr(os, "fork")
-            return run("duty-cycle", cfg, out_dir)
-    with second_thread_running():
-        return run("duty-cycle", cfg, out_dir)
 
 
 class TestForkedDutyPoints:
@@ -851,17 +794,16 @@ class TestForkedDutyPoints:
         preset, overrides = DUTY_SWEEPS[sweep]
         cfg = resolve(preset, overrides=overrides)
         steps = cfg.duty_sweep["steps"]
-        with children_forked() as children:
-            forked = run("duty-cycle", cfg, tmp_path / "forked")
-        assert children.count(POINTS) == (1 if steps > FORK_CHUNK else 0)
-        assert [what for what in children if what != POINTS] == \
-            encoders(tmp_path / "forked", forked.traces)
+        children = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        forked = run("duty-cycle", cfg, tmp_path / "forked")
+        assert children() == [("here", what) for what in [POINTS] * (steps > FORK_CHUNK)
+                              + encoders(tmp_path / "forked", forked.traces)]
         no_child_left()
         want = emitted(forked, tmp_path / "forked", capsys)
         (_, trace), = forked.traces
         assert trace.count == steps
         for how in ("no-fork", "second-thread"):
-            out = in_process_duty(monkeypatch, cfg, tmp_path / how, how)
+            out = in_process(monkeypatch, "duty-cycle", cfg, tmp_path / how, how)
             no_child_left()
             (_, oracle), = out.traces
             assert trace == oracle
@@ -886,9 +828,9 @@ class TestForkedDutyPoints:
             return substream(seed, label)
 
         monkeypatch.setattr(experiments, "substream", logged)
-        with children_forked() as children:
-            out = run("duty-cycle", resolve("default", overrides={"duty_sweep": {"steps": 600}}))
-        assert children.count(POINTS) == 1
+        forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        out = run("duty-cycle", resolve("default", overrides={"duty_sweep": {"steps": 600}}))
+        assert forked().count(("here", POINTS)) == 1
         no_child_left()
         assert out.ok
         parent = str(os.getpid())
@@ -915,27 +857,28 @@ class TestForkedDutyPoints:
 
         monkeypatch.setattr(experiments, "change_duty_cycle", failing)
         cfg = resolve("default", overrides={"duty_sweep": {"steps": 600}})
-        with children_forked() as children:
-            forked = run("duty-cycle", cfg, tmp_path / "forked")
-        assert children.count(POINTS) == 1
+        children = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        forked = run("duty-cycle", cfg, tmp_path / "forked")
+        assert children().count(("here", POINTS)) == 1
         no_child_left()
         # the child stops at the point that raised
         parent = str(os.getpid())
         changes = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
         assert max(float(now) for pid, now in changes if pid != parent) == failing_at
         assert not [now for pid, now in changes if pid == parent]
-        in_process = in_process_duty(monkeypatch, cfg, tmp_path / "in-process", "no-fork")
+        unforked = in_process(monkeypatch, "duty-cycle", cfg, tmp_path / "in-process",
+                              "no-fork")
         no_child_left()
         want = Check("trace-complete", False, "trace truncated: event 'duty-point' at "
                                               "1080000.0 s failed: ValueError: relay welded shut")
-        assert forked.checks == in_process.checks == [want]
+        assert forked.checks == unforked.checks == [want]
         (_, trace), = forked.traces
         assert trace.last["error"] == "ValueError: relay welded shut"
-        assert (trace.count, trace.last) == (301, in_process.traces[0][1].last)
+        assert (trace.count, trace.last) == (301, unforked.traces[0][1].last)
         assert emitted(forked, tmp_path / "forked", capsys) == \
-            emitted(in_process, tmp_path / "in-process", capsys)
+            emitted(unforked, tmp_path / "in-process", capsys)
 
-    def test_a_run_that_exits_2_or_3_leaves_no_child(self, tmp_path, capsys):
+    def test_a_run_that_exits_2_or_3_leaves_no_child(self, monkeypatch, tmp_path, capsys):
         # the point child is forked when the builder has run, before the
         # output directory is made, so an output error (exit 2) and a failed
         # check (exit 3) each meet a child to end
@@ -943,32 +886,46 @@ class TestForkedDutyPoints:
         config.write_text(json.dumps(DUTY_SWEEPS["timeouts"][1]), encoding="utf-8")
         afile = tmp_path / "afile"
         afile.write_text("not a directory\n", encoding="utf-8")
-        with children_forked() as children:
-            assert main(["duty-cycle", "--config", str(config), "--out", str(afile)]) == 2
-            no_child_left()
-            assert main(["duty-cycle", "--config", str(config), "--check",
-                         "--out", str(tmp_path / "out")]) == 3
-            no_child_left()
-        assert children.count(POINTS) == 2
+        forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
+        assert main(["duty-cycle", "--config", str(config), "--out", str(afile)]) == 2
+        no_child_left()
+        assert main(["duty-cycle", "--config", str(config), "--check",
+                     "--out", str(tmp_path / "out")]) == 3
+        no_child_left()
+        assert forked().count(("here", POINTS)) == 2
         assert "checks failed: all-confirmed" in capsys.readouterr().err
 
-    def test_an_interrupted_sweep_kills_and_reaps_its_child(self, monkeypatch, tmp_path):
-        build = COMMANDS["duty-cycle"]["trace"][0]
 
-        def interrupt(at, data):
-            raise KeyboardInterrupt
+# child -> (command, trace whose builder is interrupted, overrides, when, the child)
+INTERRUPTED = {
+    "trace-child": ("local-sched", "server", {}, 0.0, "building trace 'local'"),
+    "trial-feed": ("compare-protocols", "trace", {}, 120.0, TRIALS),
+    "point-feed": ("duty-cycle", "trace", {"duty_sweep": {"steps": 600}}, 7200.0, POINTS),
+}
 
-        def interrupted(eng, cfg):
-            horizon = build(eng, cfg)
-            eng.schedule_at(7200.0, "interrupt", fn=interrupt)
-            return horizon
 
-        set_builder(monkeypatch, "duty-cycle", "trace", interrupted)
-        cfg = resolve("default", overrides={"duty_sweep": {"steps": 600}})
-        with children_forked() as children, pytest.raises(KeyboardInterrupt):
-            run("duty-cycle", cfg, tmp_path)
-        assert children.count(POINTS) == 1
-        no_child_left()
+@pytest.mark.parametrize("child", list(INTERRUPTED))
+def test_an_interrupted_run_kills_and_reaps_its_child(monkeypatch, tmp_path, child):
+    # at each preset the child still has work to do when the run is
+    # interrupted: local-sched's server trace at its start, and the trial or
+    # point feed past its first chunk
+    command, name, overrides, when, what = INTERRUPTED[child]
+    build = COMMANDS[command][name][0]
+
+    def interrupt(at, data):
+        raise KeyboardInterrupt
+
+    def interrupted(eng, cfg):
+        horizon = build(eng, cfg)
+        eng.schedule_at(when, "interrupt", fn=interrupt)
+        return horizon
+
+    set_builder(monkeypatch, command, name, interrupted)
+    forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
+    with pytest.raises(KeyboardInterrupt):
+        run(command, resolve("default", overrides=overrides), tmp_path)
+    assert forked().count(("here", what)) == 1
+    no_child_left()
 
 
 REFUSED_FORK_ARGS = {
@@ -981,7 +938,7 @@ FIRST_CHILD = {"local-sched": "building trace 'local'", "compare-protocols": TRI
 
 
 @pytest.mark.parametrize("command", sorted(REFUSED_FORK_ARGS))
-def test_a_fork_that_fails_leaves_the_work_here(tmp_path, capsys, command):
+def test_a_fork_that_fails_leaves_the_work_here(monkeypatch, tmp_path, capsys, command):
     # a system that refuses the process, or the pipe, leaves the run here,
     # with a forking run's outputs
     args = with_config(REFUSED_FORK_ARGS[command], tmp_path)
@@ -995,14 +952,16 @@ def test_a_fork_that_fails_leaves_the_work_here(tmp_path, capsys, command):
     def refused(code):
         return OSError(code, os.strerror(code))
 
-    with children_forked() as children:
-        want = cli(tmp_path / "forked")
+    forked = forks_logged(monkeypatch, tmp_path / "forked.txt")
+    want = cli(tmp_path / "forked")
+    children = forked()
     # a trace forks an encoder where it is built, once it flushes a full block
     full = [name for name, data in want[1].items()
             if name.startswith("trace") and data.count(b"\n") - 2 >= sim.BLOCK_RECORDS]
     here = trace_file(next(iter(COMMANDS[command])))
-    assert children == [FIRST_CHILD[command]] + [encoder(tmp_path / "forked" / name)
-                                                 for name in full if name == here]
+    assert [what for who, what in children if who == "here"] == \
+        [FIRST_CHILD[command]] + [encoder(tmp_path / "forked" / name)
+                                  for name in full if name == here]
     # refused, each child is asked for here: the first child and every encoder
     with mock.patch.object(os, "fork", side_effect=refused(errno.EAGAIN)) as fork:
         assert cli(tmp_path / "no-process") == want
@@ -1138,6 +1097,18 @@ class TestMemory:
         peaks = {n: _traced_peak(lambda: run("compare-protocols", resolve(
             "default", overrides={"trials": n, "seed": 1}))) for n in (1000, 3000)}
         per_trial = (peaks[3000] - peaks[1000]) / 2000
+        assert per_trial < 2048, f"{per_trial:.0f} bytes per trial ({peaks})"
+
+    def test_a_fast_push_run_counts_what_it_diagnoses(self):
+        # at a 0.5 s push period every collection overruns the period and
+        # pushes overtake one another in transit; the collector and the
+        # server store count these, so the peak grows by well under 2 KB per
+        # trial, where a string per overrun and per discarded packet grew it
+        # by about 3.6 KB. Both runs pass one chunk, so both fork alike
+        fast_push = {"push_period_s": 0.5, "trial_spacing_s": 6.0, "seed": 1}
+        peaks = {n: _traced_peak(lambda: run("compare-protocols", resolve(
+            "default", overrides={**fast_push, "trials": n}))) for n in (300, 600)}
+        per_trial = (peaks[600] - peaks[300]) / 300
         assert per_trial < 2048, f"{per_trial:.0f} bytes per trial ({peaks})"
 
     def test_read_trace_holds_neither_the_file_nor_its_records(self, tmp_path):

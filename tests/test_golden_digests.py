@@ -50,17 +50,23 @@ CASES = {
         }}}),
     "compare-protocols-default-100": (
         ["compare-protocols", "--seed", "1", "--trials", "100"], None),
-    # more trials than one chunk (experiments.FORK_CHUNK), so where the
+    # more trials than one chunk (sim.FORK_CHUNK), so where the
     # fork rule allows, a child computes the trials' outcomes
     "compare-protocols-default-600": (
         ["compare-protocols", "--seed", "1", "--trials", "600"], None),
+    # a push period below every collection and every transit: each push
+    # overruns its period and packets overtake one another, so the collector
+    # counts overruns and the server store counts discarded packets
+    "compare-protocols-fast-push-600": (
+        ["compare-protocols", "--seed", "1", "--trials", "600"],
+        {"push_period_s": 0.5, "trial_spacing_s": 6.0}),
     "compare-protocols-worst-case-3g": (
         ["compare-protocols", "--preset", "worst-case-3g"], None),
     "duty-cycle-default-201": (
         ["duty-cycle", "--seed", "1"], {"duty_sweep": {"i_final_a": 32.0, "steps": 201}}),
     "duty-cycle-duty-3g": (
         ["duty-cycle", "--preset", "duty-3g"], None),
-    # more points than one chunk (experiments.FORK_CHUNK), so where the
+    # more points than one chunk (sim.FORK_CHUNK), so where the
     # fork rule allows, a child computes the sweep's points
     "duty-cycle-default-600": (
         ["duty-cycle", "--seed", "1"], {"duty_sweep": {"steps": 600}}),

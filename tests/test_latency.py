@@ -13,6 +13,7 @@ from chargesim.latency import (
     count_modes,
     default_models,
     histogram_of,
+    hour_of_week,
     worst_case_budget,
     _near_gauss,
 )
@@ -233,6 +234,18 @@ class TestDiurnal:
         assert model.sample(rng, 5 * 3600.0) == 0.25
         assert model.sample(rng, (5 + 168) * 3600.0) == 0.25
         assert model.sample(rng, 6 * 3600.0) == 1.0
+
+    def test_a_draw_takes_the_multiplier_of_its_hour_of_the_week(self):
+        # the hour the compare fold tallies a trial under is the hour whose
+        # multiplier the trial's draws took
+        profile = tuple(1.0 - h / 200 for h in range(HOURS_PER_WEEK))
+        model = LatencyModel(components=(MixtureComponent(1.0, 1.0, 0.0),), hard_max=2.0,
+                             diurnal=profile)
+        times = (0.0, 3599.999, 3600.0, 167 * 3600.0, 168 * 3600.0, 1e6)
+        assert [hour_of_week(at) for at in times] == [0, 0, 1, 167, 0, 109]
+        rng = random.Random(0)
+        assert [model.sample(rng, at) for at in times] == [profile[hour_of_week(at)]
+                                                           for at in times]
 
     def test_analytic_mean_weights_each_hour_by_its_count(self):
         model = LatencyModel(components=(MixtureComponent(1.0, 2.0, 0.1),), hard_max=4.0,

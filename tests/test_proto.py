@@ -316,7 +316,7 @@ class TestPushConsume:
         before = store.stations[0]
         assert push_consume(store, packet, 3.0) is None
         assert store.stations[0] is before
-        assert len(store.diagnostics) == 1
+        assert store.discarded == 1
 
     def test_stale_seq_discarded(self):
         store = ServerStore()
@@ -324,6 +324,7 @@ class TestPushConsume:
         old = make_aggregate_packet(0, [snapshot(0, 1.0)], seq=6, sent_at=1.0)
         assert push_consume(store, old, 4.0) is None
         assert store.stations[0].packet_seq == 7
+        assert store.discarded == 1
 
     def test_duplicate_meter_entries_rejected(self):
         with pytest.raises(ValueError):

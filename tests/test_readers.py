@@ -56,6 +56,10 @@ UNREAD = {
     "budget.t_server_cloud": "the cloud term comes from latency; item 7 deletes budget",
     "budget.t_cloud": "the cloud term comes from latency; item 7 deletes budget",
     "budget.t_wifi": "no budget term uses WiFi; item 7 deletes budget",
+    "budget.t_ethernet":
+        "the duty-cycle wait reads only budget.t_3g; item 7 deletes budget",
+    "budget.t_metering":
+        "the duty-cycle wait reads only budget.t_3g; item 7 deletes budget",
 }
 
 

@@ -650,6 +650,21 @@ def test_a_child_killed_as_it_writes_a_result_is_named_with_its_exit_code():
     no_child_left()
 
 
+@pytest.mark.parametrize("count, forks", [(0, 0), (sim.FORK_CHUNK, 0), (sim.FORK_CHUNK + 1, 1)],
+                         ids=["empty", "one-chunk", "one-chunk-and-one"])
+def test_a_feed_forks_only_past_one_chunk_and_its_engine_ends_it(count, forks):
+    parent = os.getpid()
+    eng = Engine(seed=1)
+    with encoders_forked() as children:
+        take = eng.feed(lambda k: (k * k, os.getpid() != parent), count, "computing squares")
+    assert [child.what for child in children] == ["computing squares"] * forks
+    assert [take() for _ in range(count)] == [(k * k, forks == 1) for k in range(count)]
+    with pytest.raises(StopIteration):
+        take()
+    eng.close()
+    no_child_left()
+
+
 def test_a_closed_trace_whose_encoder_ran_takes_no_more_records():
     eng = _engine()
     _numbered_events(300)(eng)
