@@ -17,7 +17,8 @@ from typing import NamedTuple, NoReturn, Optional
 
 from . import sched
 from .control import DutyRangeError, current_to_duty
-from .domain import DEFAULT_VOLTAGE, AlgorithmMode, ChargingStation, EvModel, exceeds_limit, plug_ev
+from .domain import (DEFAULT_OUTLETS, DEFAULT_VOLTAGE, AlgorithmMode, ChargingStation, EvModel,
+                     exceeds_limit, plug_ev)
 from .latency import (FLAT, HOURS_PER_WEEK, LatencyModel, LinkKind, LinkModelSet,
                       MixtureComponent, TimingBudget, default_models)
 
@@ -170,7 +171,7 @@ _STATION = Section({
     "link": Leaf(LinkKind, "threeg"),
     "circuit_limit_a": Leaf(float, 40.0, ge=0.0),
     "voltage_v": Leaf(float, DEFAULT_VOLTAGE, ge=1.0),
-    "outlets": Leaf(int, 4, ge=1),
+    "outlets": Leaf(int, DEFAULT_OUTLETS, ge=1),
     "algorithm": Leaf(AlgorithmMode, "none"),
     "evs": ListOf(Section({
         "outlet": Leaf(int, ge=0),

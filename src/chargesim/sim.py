@@ -33,20 +33,19 @@ when they fail to match.
 Every child the package forks (``fork_child``) speaks one protocol: what
 its ``serve`` generator yields, ``Child.results`` yields here in order, and
 it raises here, in its place, what ended ``serve``. An encoder child
-yields the digest each request asks for, and ``_Forked`` its results in
-chunks of ``FORK_CHUNK``. ``experiments`` forks through ``_Forked`` for
-the traces after a command's first, and through ``Engine.feed`` for the
-work a builder hands its events (compare-protocols' trial draws,
-duty-cycle's sweep points), past one chunk of it. Each child
-runs off the CPU its parent ran on when it forked, so the CPU the fork rule
-counted for it is the one it gets.
+reads its trace's requests as pickles too and yields the digest each one
+asks for, and ``_Forked`` yields its results in chunks of ``FORK_CHUNK``.
+``experiments`` forks through ``_Forked`` for the traces after a command's
+first, and through ``Engine.feed`` for the work a builder hands its events
+(compare-protocols' trial draws, duty-cycle's sweep points), past one chunk
+of it. Each child runs off the CPU its parent ran on when it forked, so the
+CPU the fork rule counted for it is the one it gets.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
 import json
-import marshal
 import os
 import random
 import sys
@@ -362,15 +361,6 @@ def _encode(block: list) -> bytes:
     return ("\n" + "\n".join(map(canonical_json, block))).encode("utf-8")
 
 
-# The frames a trace sends its encoder child: a tag byte, the body's length
-# as 4 little-endian bytes, the body. The child yields the hex digest for
-# each digest or footer request.
-_BLOCK = b"m"  # a block of records, marshalled
-_BYTES = b"b"  # a block the parent encoded itself
-_DIGEST = b"d"  # the digest so far
-_FOOTER = b"w"  # append the digest footer, close the file and leave
-
-
 class EventTrace:
     """The sink an engine hands each finished record to.
 
@@ -388,14 +378,15 @@ class EventTrace:
 
     The first time it flushes a full block, the trace forks an encoder child
     by the fork rule (``fork_child``), which inherits the running SHA-256 and
-    the open file. From then on ``flush`` sends each block to the child as
-    ``marshal`` bytes, and the child encodes, hashes and writes it as
-    ``flush`` does here. A block that comes while the pipe still holds
-    frames the child has not read, or that ``marshal`` refuses, is encoded
-    here and sent as bytes, which the child only hashes and writes: the
-    child takes the encoding it keeps up with, and neither process waits
-    for the other while there is a block to encode.
-    ``digest()`` asks the child for the digest so far, and ``write()`` has it
+    the open file. From then on each request to the child is one pickle of
+    ``(tag, body)``: ``flush`` sends ``("block", records)``, and the child
+    encodes, hashes and writes them as ``flush`` does here. A block that
+    comes while the pipe still holds requests the child has not read, or
+    that pickle refuses, is encoded here and sent as ``("bytes", encoded)``,
+    which the child only hashes and writes: the child takes the encoding it
+    keeps up with, and neither process waits for the other while there is a
+    block to encode. ``digest()`` sends ``("digest", None)`` for the digest
+    so far, and ``write()`` sends ``("footer", None)`` to have the child
     append the footer and leave. ``count``, ``last``, ``failed`` and
     ``consume`` stay in this process, and the bytes are the same either way.
     An error the child meets (an ``OSError`` writing the file, say) is raised
@@ -459,7 +450,7 @@ class EventTrace:
         """Encode, hash, write and consume the pending block, in take order:
         the byte work here or, from the first full block on, in the encoder
         child, if the fork rule lets the trace fork one and the child has
-        read every frame sent before."""
+        read every request sent before."""
         block = self._pending
         if not block:
             return
@@ -470,13 +461,9 @@ class EventTrace:
         if self._encoder is None:
             self._put(_encode(block))
         elif _unread(self._encoder.send):  # the child is behind: this block is encoded here
-            self._send(_BYTES, _encode(block))
+            self._send("bytes", _encode(block))
         else:
-            try:
-                frame = _BLOCK, marshal.dumps(block)
-            except ValueError:  # marshal refuses an object: encode it here, as in process
-                frame = _BYTES, _encode(block)
-            self._send(*frame)
+            self._send("block", block)
         consume = self.consume
         if consume is not None:
             for record in block:
@@ -499,7 +486,7 @@ class EventTrace:
         self.flush()
         if self._encoder is None:
             return self._hash.hexdigest()
-        return self._written or self._ask(_DIGEST)
+        return self._written or self._ask("digest")
 
     def write(self, path) -> str:
         """Finish the file opened on ``path``: append the digest footer and
@@ -511,7 +498,7 @@ class EventTrace:
             self._write(_footer(digest))
         else:
             self.flush()
-            digest = self._written = self._ask(_FOOTER)
+            digest = self._written = self._ask("footer")
             self._encoder.wait()
         self.close()
         return digest
@@ -541,36 +528,43 @@ class EventTrace:
         self._encoder = fork_child(f"encoding trace {name}", self._encode_apart)
 
     def _encode_apart(self, inp):
-        """The encoder child's loop: take each frame from ``inp`` and do what
-        ``flush``, ``digest`` and ``write`` would do here, yielding the
+        """The encoder child's loop: take each request from ``inp`` and do
+        what ``flush``, ``digest`` and ``write`` would do here, yielding the
         digest each request asks for, until the footer is written or the
         pipe ends."""
-        read = inp.read
+        from pickle import load  # loaded by fork_child, before it forked
+
         while True:
-            head = read(5)
-            if len(head) < 5:
+            try:
+                tag, body = load(inp)
+            except EOFError:
                 return  # the trace's process has gone
-            tag, body = head[:1], read(int.from_bytes(head[1:], "little"))
-            if tag == _BLOCK:
-                self._put(_encode(marshal.loads(body)))
-            elif tag == _BYTES:
+            if tag == "block":
+                self._put(_encode(body))
+            elif tag == "bytes":
                 self._put(body)
-            elif tag == _DIGEST:
+            elif tag == "digest":
                 yield self._hash.hexdigest()
-            else:  # _FOOTER
+            else:  # "footer"
                 digest = self._hash.hexdigest()
                 self._write(_footer(digest))
                 self._file.close()
                 yield digest
                 return
 
-    def _send(self, tag: bytes, body: bytes = b"") -> None:
+    def _send(self, tag: str, body=None) -> None:
+        """Send the encoder child one request, ``(tag, body)`` pickled whole."""
+        from pickle import dumps  # loaded by fork_child, before it forked
+
         encoder = self._encoder
         if encoder.pid is None:
             raise ValueError("the trace is closed: its encoder child has ended")
         try:
-            encoder.send.write(tag + len(body).to_bytes(4, "little"))
-            encoder.send.write(body)
+            request = dumps((tag, body), 5)
+        except Exception:  # noqa: BLE001 - pickle refuses a block: encode it as in process
+            request = dumps(("bytes", _encode(body)), 5)
+        try:
+            encoder.send.write(request)
             encoder.send.flush()
         except BrokenPipeError:
             # the child has ended, having answered every request: the rest
@@ -579,7 +573,7 @@ class EventTrace:
                 pass
             raise
 
-    def _ask(self, tag: bytes) -> str:
+    def _ask(self, tag: str) -> str:
         self._send(tag)
         return next(self._encoder.results)
 
@@ -639,7 +633,9 @@ def read_trace(path, consume: Optional[Callable[[dict], None]] = None) -> Parsed
     n = 0
     hashed = hashlib.sha256()
     update = hashed.update
-    sep = b""  # what joins the held line to the ones before it
+    # the last two lines are held back: the footer, unhashed, and the line
+    # before it, hashed without its "\n" as EventTrace did
+    before = held = b""
     with open(path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
             if n == 1:
@@ -647,17 +643,16 @@ def read_trace(path, consume: Optional[Callable[[dict], None]] = None) -> Parsed
                 if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
                     raise TraceParseError("missing or unrecognized trace header", 1)
             else:
-                # the held line is not the footer: hash it as EventTrace did
-                update(sep + held[:-1])
-                sep = b"\n"
+                update(before)
                 if consume is not None:
                     obj = _load(line, n)
                     if n > 2:
                         consume(record)
                     record = obj
-            held = line  # the last line held back: it must be the footer
+            before, held = held, line
     if n == 0:
         raise TraceParseError("empty trace file", 1)
+    update(before[:-1])
     digest = hashed.hexdigest()
     if consume is None:
         try:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pickle
 import random
 import re
 import select
@@ -474,14 +475,17 @@ def test_an_encoder_the_fork_rule_refuses_leaves_the_same_bytes(tmp_path, monkey
                 (data, digest, [])
 
 
-class _Label(str):
-    """A string ``canonical_json`` writes as any other and ``marshal`` refuses."""
+def test_a_block_pickle_refuses_is_encoded_here_with_the_same_bytes(tmp_path, monkeypatch):
+    class Label(str):
+        """A string ``canonical_json`` writes as any other, and pickle
+        refuses: its class is local to this test."""
 
+    with pytest.raises((AttributeError, pickle.PicklingError), match="local object"):
+        pickle.dumps(Label("outlet"))
 
-def test_a_block_marshal_refuses_is_encoded_here_with_the_same_bytes(tmp_path, monkeypatch):
     def schedule(eng):
         _numbered_events(513)(eng)
-        eng.schedule_at(300.5, "label", data={"name": _Label("outlet")})
+        eng.schedule_at(300.5, "label", data={"name": Label("outlet")})
 
     data, digest, forked = _forking_run(tmp_path, "forked.jsonl", schedule)
     assert forked == [f"encoding trace {tmp_path / 'forked.jsonl'}"]
@@ -493,14 +497,14 @@ def test_a_block_marshal_refuses_is_encoded_here_with_the_same_bytes(tmp_path, m
 @pytest.mark.parametrize("behind", [True, False], ids=["behind", "caught-up"])
 def test_a_block_is_encoded_here_while_the_encoder_is_behind_with_the_same_bytes(
         tmp_path, monkeypatch, behind):
-    # while the pipe to the encoder child holds frames it has not read, each
-    # block is encoded here and sent as bytes; when the pipe is empty, the
-    # block is sent for the child to encode
-    frames = []
+    # while the pipe to the encoder child holds requests it has not read,
+    # each block is encoded here and sent as bytes; when the pipe is empty,
+    # the block is sent for the child to encode
+    requests = []
     send = sim.EventTrace._send
 
-    def recorded(trace, tag, body=b""):
-        frames.append(tag)
+    def recorded(trace, tag, body=None):
+        requests.append(tag)
         send(trace, tag, body)
 
     monkeypatch.setattr(sim, "_unread", lambda pipe: int(behind))
@@ -508,7 +512,7 @@ def test_a_block_is_encoded_here_while_the_encoder_is_behind_with_the_same_bytes
     data, digest, forked = _forking_run(tmp_path, "forked.jsonl", _numbered_events(1000),
                                         t_end=1000.0)
     assert forked == [f"encoding trace {tmp_path / 'forked.jsonl'}"]
-    assert frames == [sim._BYTES if behind else sim._BLOCK] * 4 + [sim._FOOTER]
+    assert requests == ["bytes" if behind else "block"] * 4 + ["footer"]
     monkeypatch.delattr(os, "fork")
     assert _forking_run(tmp_path, "here.jsonl", _numbered_events(1000), t_end=1000.0) == \
         (data, digest, [])
@@ -548,12 +552,11 @@ def test_a_forked_child_leaves_the_cpu_its_parent_runs_on(monkeypatch):
 
 
 @pytest.mark.parametrize("value, error", [(object(), TypeError), (math.nan, ValueError)],
-                         ids=["marshal-refuses", "json-refuses"])
+                         ids=["object", "json-refuses"])
 def test_a_record_that_cannot_be_encoded_raises_what_it_raises_here(tmp_path, monkeypatch,
                                                                     value, error):
-    # an object marshal refuses is encoded here, at its block; a NaN reaches
-    # the encoder child, whose error is raised here at the next block or
-    # request
+    # pickle takes both values, so the record reaches the encoder child,
+    # whose error is raised here at the next block or request
     def schedule(eng):
         _numbered_events(600)(eng)
         eng.schedule_at(300.5, "bad", fn=lambda at, data: {"v": value})
@@ -564,9 +567,22 @@ def test_a_record_that_cannot_be_encoded_raises_what_it_raises_here(tmp_path, mo
         no_child_left()
         return str(info.value)
 
-    with encoders_forked() as forked:
-        message = raised()
+    parent = os.getpid()
+    encode = sim._encode
+    encoded_here = []
+
+    def recorded(block):
+        if os.getpid() == parent:
+            encoded_here.append(block)
+        return encode(block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_unread", lambda pipe: 0)  # the child is never behind
+        patch.setattr(sim, "_encode", recorded)
+        with encoders_forked() as forked:
+            message = raised()
     assert len(forked) == 1
+    assert encoded_here == []
     monkeypatch.delattr(os, "fork")
     assert raised() == message
 
