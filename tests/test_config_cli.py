@@ -26,6 +26,8 @@ from chargesim.experiments import run
 from chargesim.latency import LinkKind
 from chargesim.sim import TRACE_FORMAT
 
+import cli_cases
+
 COMPONENT = {"weight": 1.0, "location": 1.0, "spread": 0.1}
 MODEL = {"components": [COMPONENT], "hard_max": 4.5}
 WINDOW = {"start_s": 0.0, "end_s": 3600.0, "amps": 16.0}
@@ -62,7 +64,7 @@ class TestConfig:
         ("exp.json", '{{"push_period_s": 6e1, "trial_spacing_s": 1E+2, "t_status_read_s": 1.5E-3, '
                      '"probe_period_s": {tiny}}}'),
     ], ids=["yaml", "json"])
-    def test_exponent_without_a_dot_is_a_number(self, tmp_path, name, text):
+    def test_exponent_without_a_dot_is_a_number(self, tmp_path, capsys, name, text):
         # JSON and YAML 1.2 read 6e1 and 3.0e2 as numbers, where YAML 1.1
         # reads strings (it wants a dot and a signed exponent)
         path = tmp_path / name
@@ -75,8 +77,9 @@ class TestConfig:
         path.write_text(text.format(tiny="1e-6"))
         cfg = resolve("default", config_path=path)
         assert cfg.probe_period_s == 1e-6
-        with pytest.raises(ConfigError, match=r"^probe_period_s: .* more than the limit"):
-            run("rtt-dist", cfg, tmp_path / "out")
+        assert main(["rtt-dist", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert re.match(r"config error: probe_period_s: .* more than the limit",
+                        capsys.readouterr().err)
         assert not (tmp_path / "out" / "trace.jsonl").exists()
 
     def test_yaml_integers_stay_integers(self, tmp_path):
@@ -128,7 +131,8 @@ class TestConfig:
             "compare-protocols-loaded3", "compare-protocols-256-trials"])
     def test_only_a_run_that_may_fork_loads_the_fork_modules(self, tmp_path, command, trials,
                                                              children, loaded):
-        # a run that forks nothing pays for none of them. local-sched builds
+        # no run loads dataclasses or inspect, and a run that forks nothing
+        # pays for none of the fork modules. local-sched builds
         # its second trace, compare-protocols computes more than one chunk of
         # trials, and a trace that flushes a full block encodes it, in a
         # child; `children` lists what each child this process forks does,
@@ -145,7 +149,8 @@ class TestConfig:
             "sim.fork_child = recorded",
             "code = cli.main([sys.argv[1], '--duration', '3600', '--trials', sys.argv[3],",
             "                 '--out', sys.argv[2]])",
-            "print(code, forked, sorted({'pickle', 'signal', 'threading'} & set(sys.modules)))",
+            "print(code, forked, sorted({'dataclasses', 'inspect', 'pickle', 'signal', "
+            "'threading'} & set(sys.modules)))",
         ])
         proc = subprocess.run([sys.executable, "-S", "-c", script, command, str(tmp_path),
                                str(trials)],
@@ -186,6 +191,7 @@ class TestConfig:
         path.write_text("seed: 2020-02-30\n")
         assert main(["rtt-dist", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: config file: ")
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_example_config_in_docs_loads(self):
         cfg = resolve("default", config_path=EXAMPLE)
@@ -334,6 +340,9 @@ class TestCli:
         assert (tmp_path / "retrievals.csv").exists()
         assert (tmp_path / "summary.txt").exists()
         assert "speedup_power: 4.444" in (tmp_path / "summary.txt").read_text()
+        capsys.readouterr()
+        assert main(["replay", str(tmp_path / "trace.jsonl")]) == 0
+        assert capsys.readouterr().out.startswith("identical: compare-protocols trace")
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -557,6 +566,8 @@ class TestCli:
         summary = (tmp_path / "summary.txt").read_text()
         assert "check server-traffic-per-change: PASS (0 messages for 0 allocation changes)" \
             in summary
+        for variant in ("server", "local"):
+            assert main(["replay", str(tmp_path / f"trace_{variant}.jsonl")]) == 0
 
     def test_station_without_outlets_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "outlets.yaml"
@@ -661,3 +672,14 @@ class TestCli:
         assert "Traceback" not in err
         if blocked == "out":
             assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.name)
+def test_cli_case(case):
+    problems = cli_cases.run_case(case)
+    assert not problems, "\n".join(problems)
+
+
+def test_readme_cli_block_runs_as_written():
+    problems = cli_cases.run_readme()
+    assert not problems, "\n".join(problems)

@@ -101,14 +101,16 @@ class TestCompareProtocols:
             worst_case_budget(cfg.links, LinkKind.THREE_G), 6)
 
     @pytest.mark.parametrize("link, identities", [("wifi", True), ("ethernet", False)])
-    def test_checks_pass_on_a_station_of_any_uplink(self, link, identities):
+    def test_checks_pass_on_a_station_of_any_uplink(self, tmp_path, link, identities):
         # pushes, the push cycle and both budgets take the station's uplink; on
         # Ethernet the analytic saving is not positive, so no identity is checked
         station = {"id": 0, "link": link, "evs": [{"outlet": k} for k in range(3)]}
-        out = run("compare-protocols", resolve("default", overrides={"fleet": {"stations": [station]}}))
+        out = run("compare-protocols",
+                  resolve("default", overrides={"fleet": {"stations": [station]}}), tmp_path)
         assert out.ok, [c for c in out.checks if not c.ok]
         names = {c.name for c in out.checks}
         assert ({"savings-identity", "retrieval-identities"} <= names) is identities
+        assert cmd_replay(tmp_path / "trace.jsonl").identical
 
     def test_pushes_cross_the_station_uplink(self):
         # on a WiFi station each push arrives within one worst-case WiFi
@@ -252,12 +254,13 @@ class TestDutyCycle:
         {"duty_sweep": {"i_final_a": 6.08, "steps": 4},
          "fleet": {"stations": [{"id": 0, "evs": [{"outlet": 0, "max_current_a": 6.08}]}]}},
     ], ids=["last-point-overshoot", "duty-round-trip-above-ev-limit"])
-    def test_sweep_at_a_rounding_edge_completes(self, overrides):
-        out = run("duty-cycle", resolve("duty-3g", overrides=overrides))
+    def test_sweep_at_a_rounding_edge_completes(self, tmp_path, overrides):
+        out = run("duty-cycle", resolve("duty-3g", overrides=overrides), tmp_path)
         assert out.ok, [c for c in out.checks if not c.ok]
         header, points = csv_rows(out.csvs, "duty_sweep.csv")
         assert header[0] == "delta_a"
         assert [float(p[0]) for p in points][-1] == overrides["duty_sweep"]["i_final_a"]
+        assert cmd_replay(tmp_path / "trace.jsonl").identical
 
 
 def four_evs(algorithm: str) -> dict:

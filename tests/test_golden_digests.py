@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from chargesim import cli
 from chargesim.sim import read_trace
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DAY_S = 86400.0
 WEEK_S = 7 * DAY_S
@@ -119,19 +123,26 @@ CASES = {
 # replay case name -> (case whose trace is replayed, trace file name)
 REPLAYS = {
     "replay-rtt-dist-default-1w": ("rtt-dist-default-1w", "trace.jsonl"),
+    "replay-compare-protocols-fast-push-600": ("compare-protocols-fast-push-600", "trace.jsonl"),
+    "replay-local-sched-schedule-time-edge-1d": ("local-sched-schedule-time-edge-1d",
+                                                 "trace_local.jsonl"),
 }
 
 
-def run_case(name: str, work: Path) -> dict:
-    """Run one case into ``work`` and return {output file: digest}."""
+def case_argv(name: str, work: Path) -> list:
+    """Write one case's config file into ``work`` and return its CLI
+    arguments, which write into ``work / name``."""
     args, config = CASES[name]
-    out_dir = work / name
-    argv = list(args) + ["--out", str(out_dir)]
+    argv = list(args) + ["--out", str(work / name)]
     if config is not None:
         config_path = work / f"{name}.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(config_path)]
-    assert cli.main(argv) == 0, f"{name}: chargesim {' '.join(argv)} failed"
+    return argv
+
+
+def digests_of(out_dir: Path) -> dict:
+    """{output file: digest} of a case's output directory."""
     digests = {}
     for path in sorted(out_dir.iterdir()):
         if path.suffix == ".jsonl":
@@ -139,6 +150,13 @@ def run_case(name: str, work: Path) -> dict:
         else:
             digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
+
+
+def run_case(name: str, work: Path) -> dict:
+    """Run one case into ``work`` and return {output file: digest}."""
+    argv = case_argv(name, work)
+    assert cli.main(argv) == 0, f"{name}: chargesim {' '.join(argv)} failed"
+    return digests_of(work / name)
 
 
 def run_replay(name: str, work: Path) -> str:
@@ -175,6 +193,27 @@ def test_case_reproduces_golden_outputs(name, golden, work):
 @pytest.mark.parametrize("name", sorted(REPLAYS))
 def test_replay_reproduces_golden_digest(name, golden, work):
     assert run_replay(name, work) == golden["replays"][name]
+
+
+@pytest.mark.parametrize("minor", range(10, 14), ids=lambda minor: f"python3.{minor}")
+def test_another_python_reproduces_golden_outputs(minor, golden, tmp_path):
+    # the table was recorded on one Python and claims the same bytes on
+    # every supported one. Each other python3.1x on PATH that runs takes a
+    # case past one chunk (sim.FORK_CHUNK), and the 0.6 A schedule, whose
+    # currents add to 0.6000000000000001 A left to right but to 0.6 A under
+    # the compensated sum() of Python 3.12+
+    if minor == sys.version_info.minor:
+        pytest.skip("the running interpreter")
+    exe = shutil.which(f"python3.{minor}")
+    if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                             timeout=60).returncode:
+        pytest.skip(f"no python3.{minor} on PATH that runs")
+    for name in ("compare-protocols-default-600", "local-sched-schedule-time-edge-1d"):
+        proc = subprocess.run([exe, "-m", "chargesim.cli", *case_argv(name, tmp_path)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert digests_of(tmp_path / name) == golden["cases"][name], f"python3.{minor}: {name}"
 
 
 def record(table: dict, work: Path) -> list:
