@@ -58,8 +58,11 @@ def _load_file(config_path):
         return json.loads(text)
     except ValueError:
         pass
-    import yaml  # here, so a JSON config never pays for PyYAML's import
-
+    try:
+        import yaml  # here, so a JSON config never pays for PyYAML's import
+    except ImportError:
+        raise ConfigError("config file: not JSON, and reading YAML needs PyYAML, "
+                          "which is not installed") from None
     try:
         return yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError as exc:
@@ -118,7 +121,8 @@ class Leaf(NamedTuple):
 
 
 class Const(NamedTuple):
-    """A key that accepts its default alone, of the same type."""
+    """A key that accepts its default alone, of the same type, or an int
+    equal to a float default (never a bool)."""
 
     default: object
 
@@ -170,7 +174,9 @@ _STATION = Section({
     "id": Leaf(int, 0, ge=0),
     "link": Leaf(LinkKind, "threeg"),
     "circuit_limit_a": Leaf(float, 40.0, ge=0.0),
-    "voltage_v": Leaf(float, DEFAULT_VOLTAGE, ge=1.0),
+    # selects nothing: it would reach only MeterSnapshot.volts, which no
+    # output reads, so every station runs at the default voltage
+    "voltage_v": Const(DEFAULT_VOLTAGE),
     "outlets": Leaf(int, DEFAULT_OUTLETS, ge=1),
     "algorithm": Leaf(AlgorithmMode, "none"),
     "evs": ListOf(Section({
@@ -200,14 +206,14 @@ SCHEMA = Section({
     "t_status_read_s": Leaf(float, 0.0, ge=0.0),
     "legacy_pipelined": Const(False),
     # In `budget`, only `t_3g` is read; the other five select nothing either,
-    # and stay for the same reason.
+    # and stay, accepting only their defaults, for the same reason.
     "budget": Section({
-        "t_server_cloud": Leaf(float, 0.0, ge=0.0),
-        "t_cloud": Leaf(float, 0.0, ge=0.0),
-        "t_ethernet": Leaf(float, 0.0, ge=0.0),
-        "t_wifi": Leaf(float, 0.02, ge=0.0),
+        "t_server_cloud": Const(0.0),
+        "t_cloud": Const(0.0),
+        "t_ethernet": Const(0.0),
+        "t_wifi": Const(0.02),
         "t_3g": Leaf(float, 5.0, ge=0.0),
-        "t_metering": Leaf(float, 0.5, ge=0.0),
+        "t_metering": Const(0.5),
     }),
     "latency": Section({
         **{name: _MODEL for name in _LINK_MODELS},
@@ -304,9 +310,11 @@ def _walk(node, value, path: str):
             out[int(key)] = _walk(node.item, item, f"{path}.{key}")
         return out
     if isinstance(node, Const):
-        if value != node.default or type(value) is not type(node.default):
+        # an int equal to a float default is that float; a bool never is
+        accepted = (float, int) if type(node.default) is float else (type(node.default),)
+        if value != node.default or type(value) not in accepted:
             _fail(path, f"only {node.default!r} is supported, got {value!r}")
-        return value
+        return node.default
     kind = node.type
     if issubclass(kind, Enum):
         try:
@@ -381,7 +389,6 @@ class StationSpec(NamedTuple):
     station_id: int
     link: LinkKind
     circuit_limit: float
-    voltage: float
     outlets: int
     algorithm: AlgorithmMode
     evs: list  # (outlet, EvModel)
@@ -394,7 +401,6 @@ class StationSpec(NamedTuple):
             circuit_limit=self.circuit_limit,
             link=self.link,
             outlets=self.outlets,
-            voltage=self.voltage,
             local_algorithm=self.algorithm,
         )
         for outlet, ev in self.evs:
@@ -457,7 +463,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         evs[outlet] = EvModel(max_current=ev["max_current_a"], settle_t0=ev["settle_t0_s"],
                               settle_rate=ev["settle_rate_s_per_a"], settle_cap=ev["settle_cap_s"])
     station = StationSpec(station_id=st["id"], link=st["link"], circuit_limit=st["circuit_limit_a"],
-                          voltage=st["voltage_v"], outlets=outlets, algorithm=st["algorithm"],
+                          outlets=outlets, algorithm=st["algorithm"],
                           evs=list(evs.items()))
 
     # Scheduler configs must be provably safe for the station, whatever its

@@ -19,12 +19,11 @@ sink, which gathers at most ``BLOCK_RECORDS`` of them, then has the block
 encoded, hashed and (when a file is open) written at once, and passes its
 records on to a consumer in order; every ``run_until`` flushes the last
 block before it returns, so no run holds more than one block of records. A
-trace of more than one block hands that byte work to an encoder child it
-forks by the fork rule (``fork_child``), but encodes here each block that
-comes while the child is still behind; without a child it does all of it
-here, with the same bytes. A record is encoded after later events have
-run, so its ``data`` and ``state`` must not change once its event has
-finished.
+trace of more than one block hands that byte work, from its first full
+block on, to an encoder child it forks by the fork rule (``fork_child``);
+without a child it does all of it here, with the same bytes. A record is
+encoded after later events have run, so its ``data`` and ``state`` must
+not change once its event has finished.
 ``read_trace`` streams a written file back through a consumer the same
 way. It hashes every record line, so a caller can tell whether the file's
 records still match its footer, and decodes them only for a consumer or
@@ -48,7 +47,6 @@ import heapq
 import json
 import os
 import random
-import sys
 from functools import partial
 from itertools import chain
 from typing import Any, Callable, NamedTuple, Optional
@@ -381,13 +379,10 @@ class EventTrace:
     the open file. From then on each request to the child is one pickle of
     ``(tag, body)``: ``flush`` sends ``("block", records)``, and the child
     encodes, hashes and writes them as ``flush`` does here. A block that
-    comes while the pipe still holds requests the child has not read, or
-    that pickle refuses, is encoded here and sent as ``("bytes", encoded)``,
-    which the child only hashes and writes: the child takes the encoding it
-    keeps up with, and neither process waits for the other while there is a
-    block to encode. ``digest()`` sends ``("digest", None)`` for the digest
-    so far, and ``write()`` sends ``("footer", None)`` to have the child
-    append the footer and leave. ``count``, ``last``, ``failed`` and
+    pickle refuses is encoded here and sent as ``("bytes", encoded)``, which
+    the child only hashes and writes. ``digest()`` sends ``("digest", None)``
+    for the digest so far, and ``write()`` sends ``("footer", None)`` to have
+    the child append the footer and leave. ``count``, ``last``, ``failed`` and
     ``consume`` stay in this process, and the bytes are the same either way.
     An error the child meets (an ``OSError`` writing the file, say) is raised
     here at the next block or request; a child that dies raises a
@@ -449,8 +444,7 @@ class EventTrace:
     def flush(self) -> None:
         """Encode, hash, write and consume the pending block, in take order:
         the byte work here or, from the first full block on, in the encoder
-        child, if the fork rule lets the trace fork one and the child has
-        read every request sent before."""
+        child, if the fork rule lets the trace fork one."""
         block = self._pending
         if not block:
             return
@@ -460,8 +454,6 @@ class EventTrace:
             self._fork_encoder()
         if self._encoder is None:
             self._put(_encode(block))
-        elif _unread(self._encoder.send):  # the child is behind: this block is encoded here
-            self._send("bytes", _encode(block))
         else:
             self._send("block", block)
         consume = self.consume
@@ -576,18 +568,6 @@ class EventTrace:
     def _ask(self, tag: str) -> str:
         self._send(tag)
         return next(self._encoder.results)
-
-
-def _unread(pipe) -> int:
-    """The bytes written to ``pipe`` that its reader has not yet taken
-    (``FIONREAD``), or 0 where that cannot be asked."""
-    try:
-        import fcntl
-        import termios
-        return int.from_bytes(fcntl.ioctl(pipe.fileno(), termios.FIONREAD, bytes(4)),
-                              sys.byteorder)
-    except (ImportError, AttributeError, OSError):  # not a POSIX pipe: no backlog seen
-        return 0
 
 
 def _footer(digest: str) -> bytes:

@@ -2,12 +2,14 @@
 
 Each row of ``CASES`` runs ``python -W error -m chargesim.cli ARGV --out out``
 in a fresh directory, with ``PYTHONPATH`` set to this checkout's ``src/``.
-Every row must exit 0 with nothing on standard error: under ``-W error`` a
+A row must exit 0 with nothing on standard error: under ``-W error`` a
 warning (Python 3.12+ warns on a fork taken while threads run) ends the run
 with a traceback. A row may name files under ``out/`` and a pattern each must
 match, and may replay each trace it wrote, which must print ``identical:``.
-No output may hold a ``Traceback``. The lines of the README's ``## CLI``
-block run the same way, in order, in one fresh directory.
+A row with an ``error`` pattern must instead exit 2 with standard error
+matching it, and leave no trace. No output may hold a ``Traceback``. The
+lines of the README's ``## CLI`` block run the same way, in order, in one
+fresh directory.
 
 A behaviour that a test can check in process belongs in a tier-1 test; a
 row is for what only a whole process shows. Run every row and the README
@@ -39,6 +41,7 @@ class Case(NamedTuple):
     config: tuple | None = None  # (file name, text), written before the run
     patterns: tuple = ()  # (file under out/, regex) pairs
     replay: bool = False
+    error: str | None = None  # regex standard error matches from its start, on exit 2
 
 
 CASES = [
@@ -60,19 +63,34 @@ CASES = [
     Case("rtt-dist-json-exponents", "rtt-dist --config exp.json --check",
          config=("exp.json", '{"probe_period_s": 3.0e2, "duration_s": 8.64e4}\n'),
          patterns=(("trace.jsonl", r'"probe_period_s":300\.0,'),)),
+    # a key that selects nothing accepts only its default: an int equal to
+    # it, but no other value and no bool
+    Case("budget-t-wifi-not-default", "duty-cycle --config wifi.json",
+         config=("wifi.json", '{"budget": {"t_wifi": 1.0}}\n'),
+         error=r"config error: budget\.t_wifi: "),
+    Case("voltage-not-default", "duty-cycle --config volts.yaml",
+         config=("volts.yaml", "fleet: {stations: [{id: 0, voltage_v: 230, evs: [{outlet: 0}]}]}\n"),
+         error=r"config error: fleet\.stations\[0\]\.voltage_v: "),
+    Case("budget-t-cloud-int-default", "duty-cycle --config cloud.json",
+         config=("cloud.json", '{"budget": {"t_cloud": 0}}\n')),
+    Case("budget-t-cloud-bool", "duty-cycle --config cloud.json",
+         config=("cloud.json", '{"budget": {"t_cloud": false}}\n'),
+         error=r"config error: budget\.t_cloud: "),
 ]
 
 
-def chargesim(args: list, cwd: Path) -> tuple:
-    """Run ``chargesim ARGS`` in ``cwd``; return (problems, stdout)."""
+def chargesim(args: list, cwd: Path, error: str | None = None) -> tuple:
+    """Run ``chargesim ARGS`` in ``cwd``; return (problems, stdout). It must
+    exit 0 with nothing on standard error or, given ``error``, exit 2 with
+    standard error matching it from its start."""
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "chargesim.cli", *args],
                           cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
                           stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=600)
     what = "chargesim " + " ".join(args)
     problems = []
-    if proc.returncode:
+    if proc.returncode != (0 if error is None else 2):
         problems.append(f"{what}: exit {proc.returncode}")
-    if proc.stderr:
+    if proc.stderr if error is None else not re.match(error, proc.stderr):
         problems.append(f"{what}: standard error: {proc.stderr.strip()[-500:]}")
     if "Traceback" in proc.stdout + proc.stderr:
         problems.append(f"{what}: Traceback")
@@ -86,13 +104,15 @@ def run_case(case: Case) -> list:
         if case.config:
             name, text = case.config
             (work / name).write_text(text, encoding="utf-8")
-        problems, _ = chargesim(case.argv.split() + ["--out", "out"], work)
+        problems, _ = chargesim(case.argv.split() + ["--out", "out"], work, case.error)
         out = work / "out"
         for fname, pattern in case.patterns:
             path = out / fname
             if not (path.is_file() and re.search(pattern, path.read_text(encoding="utf-8"))):
                 problems.append(f"{fname}: no match for {pattern}")
         traces = sorted(out.glob("trace*.jsonl"))
+        if case.error and traces:
+            problems.append(f"left a trace: {traces[0].name}")
         if case.replay and not traces:
             problems.append("no trace to replay")
         for trace in traces if case.replay else ():

@@ -160,6 +160,20 @@ class TestConfig:
         children = [what.format(out=tmp_path) for what in children]
         assert proc.stdout.splitlines()[-1] == f"0 {children} {loaded}"
 
+    def test_yaml_config_without_pyyaml_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # `import yaml` raises ImportError once its sys.modules entry is None
+        monkeypatch.setitem(sys.modules, "yaml", None)
+        path = tmp_path / "exp.yaml"
+        path.write_text("seed: 3\n")
+        assert main(["rtt-dist", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"config error: config file: .*needs PyYAML, which is not installed", err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.jsonl").exists()
+        path = tmp_path / "exp.json"
+        path.write_text('{"seed": 3}')
+        assert resolve(config_path=path).seed == 3
+
     def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_bytes(b"seed: \xff\n")
@@ -498,6 +512,13 @@ class TestCli:
     @pytest.mark.parametrize("config, path", [
         ({"protocol": "legacy_pull"}, "protocol"),
         ({"legacy_pipelined": True}, "legacy_pipelined"),
+        # no output reads these: a value they would ignore is refused
+        ({"budget": {"t_server_cloud": 0.05}}, "budget.t_server_cloud"),
+        ({"budget": {"t_cloud": 0.1}}, "budget.t_cloud"),
+        ({"budget": {"t_ethernet": 0.001}}, "budget.t_ethernet"),
+        ({"budget": {"t_wifi": 9}}, "budget.t_wifi"),
+        ({"budget": {"t_metering": 3}}, "budget.t_metering"),
+        ({"fleet": {"stations": [{"id": 0, "voltage_v": 230}]}}, "fleet.stations[0].voltage_v"),
     ])
     def test_fixed_keys_accept_only_their_default(self, tmp_path, capsys, config, path):
         cfg = tmp_path / "fixed.yaml"
@@ -505,6 +526,18 @@ class TestCli:
         rc = main(["compare-protocols", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert f"config error: {path}: only " in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("value, ok", [(0, True), (0.0, True), (-0.0, True), (False, False),
+                                           (1e-9, False), ("0", False)],
+                             ids=["int", "float", "minus-zero", "bool", "near", "string"])
+    def test_a_fixed_float_key_takes_an_equal_int_but_no_bool(self, value, ok):
+        raw = {"budget": {"t_cloud": value}}
+        if ok:
+            assert from_dict(raw).raw == raw
+        else:
+            with pytest.raises(ConfigError, match=r"^budget\.t_cloud: only 0\.0 is supported"):
+                from_dict(raw)
 
     @pytest.mark.parametrize("config, path", [
         ({"fleet": {"stations": [{"id": 0, "evs": []}]}}, "fleet.stations[0].evs"),

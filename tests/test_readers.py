@@ -53,13 +53,14 @@ UNREAD = {
     "protocol": "selects nothing, hashed into each trace header; item 4 deletes it with R3",
     "legacy_pipelined":
         "selects nothing, hashed into each trace header; item 4 deletes it with R3",
-    "budget.t_server_cloud": "the cloud term comes from latency; item 7 deletes budget",
-    "budget.t_cloud": "the cloud term comes from latency; item 7 deletes budget",
-    "budget.t_wifi": "no budget term uses WiFi; item 7 deletes budget",
-    "budget.t_ethernet":
-        "the duty-cycle wait reads only budget.t_3g; item 7 deletes budget",
-    "budget.t_metering":
-        "the duty-cycle wait reads only budget.t_3g; item 7 deletes budget",
+    "budget.t_server_cloud": "accepts only its default; item 7 deletes budget",
+    "budget.t_cloud": "accepts only its default; item 7 deletes budget",
+    "budget.t_wifi": "accepts only its default; item 7 deletes budget",
+    "budget.t_ethernet": "accepts only its default; item 7 deletes budget",
+    "budget.t_metering": "accepts only its default; item 7 deletes budget",
+    "fleet.stations[].voltage_v":
+        "nothing reads the voltage; accepts only its default, and item 4 deletes the Const "
+        "keys with R3",
 }
 
 

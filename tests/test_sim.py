@@ -3,7 +3,6 @@ encoder child."""
 import contextlib
 import errno
 import hashlib
-import io
 import json
 import math
 import os
@@ -494,12 +493,8 @@ def test_a_block_pickle_refuses_is_encoded_here_with_the_same_bytes(tmp_path, mo
     assert b'"data":{"name":"outlet"}' in data
 
 
-@pytest.mark.parametrize("behind", [True, False], ids=["behind", "caught-up"])
-def test_a_block_is_encoded_here_while_the_encoder_is_behind_with_the_same_bytes(
-        tmp_path, monkeypatch, behind):
-    # while the pipe to the encoder child holds requests it has not read,
-    # each block is encoded here and sent as bytes; when the pipe is empty,
-    # the block is sent for the child to encode
+def test_every_block_is_sent_for_the_encoder_child_to_encode_with_the_same_bytes(
+        tmp_path, monkeypatch):
     requests = []
     send = sim.EventTrace._send
 
@@ -507,27 +502,14 @@ def test_a_block_is_encoded_here_while_the_encoder_is_behind_with_the_same_bytes
         requests.append(tag)
         send(trace, tag, body)
 
-    monkeypatch.setattr(sim, "_unread", lambda pipe: int(behind))
     monkeypatch.setattr(sim.EventTrace, "_send", recorded)
     data, digest, forked = _forking_run(tmp_path, "forked.jsonl", _numbered_events(1000),
                                         t_end=1000.0)
     assert forked == [f"encoding trace {tmp_path / 'forked.jsonl'}"]
-    assert requests == ["bytes" if behind else "block"] * 4 + ["footer"]
+    assert requests == ["block"] * 4 + ["footer"]
     monkeypatch.delattr(os, "fork")
     assert _forking_run(tmp_path, "here.jsonl", _numbered_events(1000), t_end=1000.0) == \
         (data, digest, [])
-
-
-def test_unread_is_what_a_pipe_holds_for_its_reader():
-    r, w = os.pipe()
-    with os.fdopen(r, "rb", buffering=0) as inp, os.fdopen(w, "wb") as out:
-        assert sim._unread(out) == 0
-        out.write(b"x" * 1000)
-        out.flush()
-        assert sim._unread(out) == 1000
-        inp.read(400)
-        assert sim._unread(out) == 600
-    assert sim._unread(io.BytesIO()) == 0  # no pipe: no backlog
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="CPU affinity is Linux's")
@@ -577,7 +559,6 @@ def test_a_record_that_cannot_be_encoded_raises_what_it_raises_here(tmp_path, mo
         return encode(block)
 
     with monkeypatch.context() as patch:
-        patch.setattr(sim, "_unread", lambda pipe: 0)  # the child is never behind
         patch.setattr(sim, "_encode", recorded)
         with encoders_forked() as forked:
             message = raised()
