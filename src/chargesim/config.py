@@ -17,8 +17,8 @@ from typing import NamedTuple, NoReturn, Optional
 
 from . import sched
 from .control import DutyRangeError, current_to_duty
-from .domain import (DEFAULT_OUTLETS, DEFAULT_VOLTAGE, AlgorithmMode, ChargingStation, EvModel,
-                     exceeds_limit, plug_ev)
+from .domain import (DEFAULT_OUTLETS, AlgorithmMode, ChargingStation, EvModel, exceeds_limit,
+                     plug_ev)
 from .latency import (FLAT, HOURS_PER_WEEK, LatencyModel, LinkKind, LinkModelSet,
                       MixtureComponent, TimingBudget, default_models)
 
@@ -174,9 +174,8 @@ _STATION = Section({
     "id": Leaf(int, 0, ge=0),
     "link": Leaf(LinkKind, "threeg"),
     "circuit_limit_a": Leaf(float, 40.0, ge=0.0),
-    # selects nothing: it would reach only MeterSnapshot.volts, which no
-    # output reads, so every station runs at the default voltage
-    "voltage_v": Const(DEFAULT_VOLTAGE),
+    # selects nothing: no snapshot, message or record carries a voltage
+    "voltage_v": Const(208.0),
     "outlets": Leaf(int, DEFAULT_OUTLETS, ge=1),
     "algorithm": Leaf(AlgorithmMode, "none"),
     "evs": ListOf(Section({

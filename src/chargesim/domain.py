@@ -11,7 +11,6 @@ from typing import Optional
 
 from .latency import LinkKind
 
-DEFAULT_VOLTAGE = 208.0   # single-phase service typical of parking structures
 DEFAULT_OUTLETS = 4
 _CURRENT_TOL = 1e-9
 
@@ -47,12 +46,10 @@ class MeterSnapshot:
     A run simulates one station, so the outlet alone names the meter; the
     station travels on the message that carries the snapshot."""
 
-    __slots__ = ("outlet", "volts", "amps", "relay", "captured_at")
+    __slots__ = ("outlet", "amps", "relay", "captured_at")
 
-    def __init__(self, outlet: int, volts: float, amps: float, relay: RelayState,
-                 captured_at: float):
+    def __init__(self, outlet: int, amps: float, relay: RelayState, captured_at: float):
         self.outlet = outlet
-        self.volts = volts
         self.amps = amps
         self.relay = relay
         self.captured_at = captured_at
@@ -163,14 +160,12 @@ class ChargingStation:
     def __init__(self, station_id: int, circuit_limit: float,
                  link: LinkKind = LinkKind.THREE_G,
                  outlets: int = DEFAULT_OUTLETS,
-                 voltage: float = DEFAULT_VOLTAGE,
                  local_algorithm: AlgorithmMode = AlgorithmMode.NONE):
         if outlets < 0:
             raise ValueError(f"outlet count must be non-negative, got {outlets}")
         self.station_id = station_id
         self.circuit_limit = circuit_limit
         self.link = link
-        self.voltage = voltage
         self.local_algorithm = local_algorithm
         self.meters = [MeterChannel() for _ in range(outlets)]
 
@@ -238,8 +233,8 @@ def meter_snapshot(station: ChargingStation, outlet: int, now: float) -> MeterSn
     it changes no state, so reads taken at any times, in any number, leave
     the channel and every later read as they were."""
     ch = station.channel(outlet)
-    # positional, in field order: outlet, volts, amps, relay, captured_at
-    return MeterSnapshot(outlet, station.voltage, ch.amps_at(now), ch.relay, now)
+    # positional, in field order: outlet, amps, relay, captured_at
+    return MeterSnapshot(outlet, ch.amps_at(now), ch.relay, now)
 
 
 def apply_relay(station: ChargingStation, outlet: int, state: RelayState,

@@ -2,8 +2,9 @@
 aggregated single-request pull, and periodic push into the server store.
 
 Wall times come from sampled link delays; the protocols themselves are pure
-event generators the simulation engine drives. The line-delimited record
-shapes are documented in docs/wire.md.
+event generators the simulation engine drives. A retrieval's messages stay
+in memory: the trace is the one record format the package writes, and
+docs/wire.md documents it and what a retrieval returns.
 """
 from __future__ import annotations
 
@@ -44,28 +45,6 @@ class Message:
         self.seq = seq
         self.sent_at = sent_at
         self.received_at = received_at  # set on arrival
-
-    def to_record(self) -> dict:
-        rec: dict = {
-            "kind": self.kind.value,
-            "station": self.station,
-            "seq": self.seq,
-            "sent_at": self.sent_at,
-            "received_at": self.received_at,
-        }
-        if self.outlet is not None:
-            rec["outlet"] = self.outlet
-        if isinstance(self.payload, (list, tuple)) and all(
-            isinstance(s, MeterSnapshot) for s in self.payload
-        ):
-            rec["payload"] = {"snapshots": [
-                {"station": self.station, "outlet": s.outlet, "volts": s.volts, "amps": s.amps,
-                 "relay": s.relay.value, "captured_at": s.captured_at}
-                for s in self.payload
-            ]}
-        elif self.payload is not None:
-            rec["payload"] = self.payload
-        return rec
 
 
 def make_aggregate_packet(station_id: int, snapshots, seq: int, sent_at: float) -> Message:

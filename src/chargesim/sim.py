@@ -21,9 +21,9 @@ records on to a consumer in order; every ``run_until`` flushes the last
 block before it returns, so no run holds more than one block of records. A
 trace of more than one block hands that byte work, from its first full
 block on, to an encoder child it forks by the fork rule (``fork_child``);
-without a child it does all of it here, with the same bytes. A record is
-encoded after later events have run, so its ``data`` and ``state`` must
-not change once its event has finished.
+without a child it does all of it here, by the same method, so with the
+same bytes. A record is encoded after later events have run, so its
+``data`` and ``state`` must not change once its event has finished.
 ``read_trace`` streams a written file back through a consumer the same
 way. It hashes every record line, so a caller can tell whether the file's
 records still match its footer, and decodes them only for a consumer or
@@ -374,16 +374,17 @@ class EventTrace:
     pending block, the flushed record count, the last flushed record and
     ``failed``: no record outlives its block.
 
-    The first time it flushes a full block, the trace forks an encoder child
-    by the fork rule (``fork_child``), which inherits the running SHA-256 and
-    the open file. From then on each request to the child is one pickle of
-    ``(tag, body)``: ``flush`` sends ``("block", records)``, and the child
-    encodes, hashes and writes them as ``flush`` does here. A block that
-    pickle refuses is encoded here and sent as ``("bytes", encoded)``, which
-    the child only hashes and writes. ``digest()`` sends ``("digest", None)``
-    for the digest so far, and ``write()`` sends ``("footer", None)`` to have
-    the child append the footer and leave. ``count``, ``last``, ``failed`` and
-    ``consume`` stay in this process, and the bytes are the same either way.
+    Each of ``flush``, ``digest()`` and ``write()`` makes one request,
+    ``(tag, body)``: ``("block", records)``, ``("digest", None)`` for the
+    digest so far, or ``("footer", None)``, which appends the footer. One
+    method, ``_work``, does a request's byte work wherever it runs. The first
+    time it flushes a full block, the trace forks an encoder child by the
+    fork rule (``fork_child``), which inherits the running SHA-256 and the
+    open file; from then on each request goes to the child as one pickle,
+    and the child's loop calls ``_work`` on it. A block that pickle refuses
+    is encoded here and sent as ``("bytes", encoded)``, which ``_work`` only
+    hashes and writes. ``count``, ``last``, ``failed`` and ``consume`` stay
+    in this process, and the bytes are the same either way.
     An error the child meets (an ``OSError`` writing the file, say) is raised
     here at the next block or request; a child that dies raises a
     ``RuntimeError`` naming the trace. ``close()`` ends the child.
@@ -452,10 +453,7 @@ class EventTrace:
         if self._awaiting_full_block and len(block) == BLOCK_RECORDS:
             self._awaiting_full_block = False
             self._fork_encoder()
-        if self._encoder is None:
-            self._put(_encode(block))
-        else:
-            self._send("block", block)
+        self._request("block", block)
         consume = self.consume
         if consume is not None:
             for record in block:
@@ -476,21 +474,16 @@ class EventTrace:
         """SHA-256 of the header line and the ``"\\n"``-prefixed records so
         far, the pending ones flushed first."""
         self.flush()
-        if self._encoder is None:
-            return self._hash.hexdigest()
-        return self._written or self._ask("digest")
+        return self._written or self._request("digest")
 
     def write(self, path) -> str:
         """Finish the file opened on ``path``: append the digest footer and
         close it. Returns the digest."""
         if self._file is None:
             raise ValueError(f"no trace file is open on {path}")
-        if self._encoder is None:
-            digest = self.digest()
-            self._write(_footer(digest))
-        else:
-            self.flush()
-            digest = self._written = self._ask("footer")
+        self.flush()
+        digest = self._written = self._request("footer")
+        if self._encoder is not None:
             self._encoder.wait()
         self.close()
         return digest
@@ -506,11 +499,31 @@ class EventTrace:
             self._file.close()
             self._file = self._write = None
 
-    def _put(self, data: bytes) -> None:
-        """Hash an encoded block and write it to the file, if one is open."""
-        self._update(data)
-        if self._write is not None:
-            self._write(data)
+    def _work(self, tag: str, body=None) -> Optional[str]:
+        """One request's byte work, wherever it runs: a ``"block"`` of records
+        is encoded, and it or a block's ``"bytes"`` hashed and written to the
+        open file, if any; ``"digest"`` returns the digest so far, and
+        ``"footer"`` also appends the footer and closes the file."""
+        if tag == "block" or tag == "bytes":
+            data = _encode(body) if tag == "block" else body
+            self._update(data)
+            if self._write is not None:
+                self._write(data)
+            return None
+        digest = self._hash.hexdigest()
+        if tag == "footer":
+            self._write(_footer(digest))
+            self._file.close()
+        return digest
+
+    def _request(self, tag: str, body=None) -> Optional[str]:
+        """Have a request's byte work done: here, or by the encoder child
+        once one runs. Returns what ``_work`` returns."""
+        encoder = self._encoder
+        if encoder is None:
+            return self._work(tag, body)
+        self._send(tag, body)
+        return None if tag == "block" else next(encoder.results)
 
     def _fork_encoder(self) -> None:
         if self._file is not None:
@@ -520,29 +533,20 @@ class EventTrace:
         self._encoder = fork_child(f"encoding trace {name}", self._encode_apart)
 
     def _encode_apart(self, inp):
-        """The encoder child's loop: take each request from ``inp`` and do
-        what ``flush``, ``digest`` and ``write`` would do here, yielding the
-        digest each request asks for, until the footer is written or the
-        pipe ends."""
+        """The encoder child's loop: do each request's byte work as it comes
+        from ``inp`` (``_work``), yielding the digest it returns, until the
+        footer is written or the pipe ends."""
         from pickle import load  # loaded by fork_child, before it forked
 
-        while True:
+        tag = None
+        while tag != "footer":  # the child exits as its parent reads the digest
             try:
                 tag, body = load(inp)
             except EOFError:
                 return  # the trace's process has gone
-            if tag == "block":
-                self._put(_encode(body))
-            elif tag == "bytes":
-                self._put(body)
-            elif tag == "digest":
-                yield self._hash.hexdigest()
-            else:  # "footer"
-                digest = self._hash.hexdigest()
-                self._write(_footer(digest))
-                self._file.close()
+            digest = self._work(tag, body)
+            if digest is not None:
                 yield digest
-                return
 
     def _send(self, tag: str, body=None) -> None:
         """Send the encoder child one request, ``(tag, body)`` pickled whole."""
@@ -564,10 +568,6 @@ class EventTrace:
             for _ in encoder.results:
                 pass
             raise
-
-    def _ask(self, tag: str) -> str:
-        self._send(tag)
-        return next(self._encoder.results)
 
 
 def _footer(digest: str) -> bytes:

@@ -212,8 +212,7 @@ class TestStoreAndModes:
         from chargesim.proto import ServerStore, make_aggregate_packet, push_consume
         from chargesim.domain import MeterSnapshot
         store = ServerStore()
-        snap = MeterSnapshot(outlet=0, volts=208.0, amps=0.0,
-                             relay=RelayState.OFF, captured_at=10.0)
+        snap = MeterSnapshot(outlet=0, amps=0.0, relay=RelayState.OFF, captured_at=10.0)
         push_consume(store, make_aggregate_packet(0, [snap], seq=1, sent_at=10.0), now=12.0)
         assert store.staleness_at(0, 20.0)[0] == pytest.approx(10.0)
         assert store.staleness_at(9, 20.0) == {}

@@ -122,14 +122,6 @@ class TestRelayAndSnapshots:
                 meter_snapshot(st_, outlet, 0.0)
         assert meter_snapshot(st_, 3, 0.0).outlet == 3
 
-    def test_volts_is_the_station_voltage(self):
-        st_ = ChargingStation(station_id=0, circuit_limit=40.0, voltage=230.0)
-        plug_ev(st_, 1, EvModel(), 0.0)
-        set_current(st_, 1, 10.0, 0.0)
-        apply_relay(st_, 1, RelayState.ON, 0.0)
-        for t in (0.5, 2.0, 7.0, 30.0):
-            assert meter_snapshot(st_, 1, t).volts == 230.0
-
     def test_snapshot_timestamp_is_the_read_time(self):
         st_ = make_station()
         assert meter_snapshot(st_, 0, 123.0).captured_at == 123.0

@@ -141,23 +141,24 @@ class TestLegacyPull:
 # legacy_pull on the library's default (stochastic) links at a 3 s timeout,
 # which the cellular link sometimes exceeds: (wall_time, errors as
 # (outlet, marker), sha256 prefix of the wire trail) per (include_status,
-# seed). The repr and the trail, which holds every snapshot's captured_at,
-# pin every float to the last bit, so a reordered draw or float operation in
-# the request loop shows here.
+# seed). The trail is the message log: each message's fields, with each
+# snapshot's outlet, amps, relay and captured_at. The repr and the trail pin
+# every float to the last bit, so a reordered draw or float operation in the
+# request loop shows here.
 PINNED_LEGACY_PULLS = {
-    (False, 0): ('4.687343021876445', [], '5cb1940011ad134e'),
-    (False, 1): ('8.828514338658806', [(1, 'timeout')], '84f107364d1f9857'),
-    (False, 2): ('6.3456461629966725', [], '84210a4907013149'),
-    (False, 3): ('8.823736655374887', [], 'd64799eee61d3d0b'),
-    (False, 4): ('4.56980157632097', [], '601d6d1ee398aad8'),
-    (False, 5): ('9.561669453174545', [(0, 'timeout'), (3, 'timeout')], '7aa15a8eadb3237d'),
-    (True, 0): ('11.125973129466514', [], '1aa7610e34959a66'),
+    (False, 0): ('4.687343021876445', [], '50ae6398210eb643'),
+    (False, 1): ('8.828514338658806', [(1, 'timeout')], '569ffadabb2bf211'),
+    (False, 2): ('6.3456461629966725', [], 'db2fa8254711b328'),
+    (False, 3): ('8.823736655374887', [], 'b85bf57b1ad4be93'),
+    (False, 4): ('4.56980157632097', [], '3686909cb567e1c4'),
+    (False, 5): ('9.561669453174545', [(0, 'timeout'), (3, 'timeout')], 'f898e76ca7eae3fd'),
+    (True, 0): ('11.125973129466514', [], '834d9919e208fa28'),
     (True, 1): ('15.216821896975034', [(0, 'status-timeout'), (1, 'status-timeout')],
-                '4777d1e117023879'),
-    (True, 2): ('17.411736198262588', [(2, 'status-timeout')], '231d729d73365fb1'),
-    (True, 3): ('15.58804986710311', [], 'ba37e9e48b41f284'),
-    (True, 4): ('10.640311924562411', [], 'c3bb29508b65472a'),
-    (True, 5): ('16.11415778349692', [(0, 'timeout'), (2, 'timeout')], 'd66a54315065f6a8'),
+                '81a433678e2fffcf'),
+    (True, 2): ('17.411736198262588', [(2, 'status-timeout')], '2cc9c620e3a57d29'),
+    (True, 3): ('15.58804986710311', [], '3bcbd556f9b7e570'),
+    (True, 4): ('10.640311924562411', [], '9b207189c3573bb9'),
+    (True, 5): ('16.11415778349692', [(0, 'timeout'), (2, 'timeout')], '01bf83b38f8c783e'),
 }
 
 
@@ -171,7 +172,14 @@ def test_legacy_pull_pinned_on_default_links(include_status, seed):
     result = legacy_pull(charging_station(), default_models(), substream(seed, "pin"),
                          include_status=include_status, at=3600.0 * seed,
                          timeout_s=3.0, t_status_read=0.25)
-    trail = json.dumps([m.to_record() for m in result.messages], sort_keys=True)
+
+    def body(payload):
+        if isinstance(payload, tuple):  # a power reading's snapshot
+            return [[s.outlet, s.amps, s.relay.value, s.captured_at] for s in payload]
+        return payload
+
+    trail = json.dumps([[m.kind.value, m.station, m.outlet, body(m.payload), m.seq,
+                         m.sent_at, m.received_at] for m in result.messages], sort_keys=True)
     actual = (
         repr(result.wall_time),
         result.errors,
@@ -293,7 +301,7 @@ class TestTimingIdentities:
 
 def snapshot(outlet, captured_at, amps=16.0):
     return MeterSnapshot(
-        outlet=outlet, volts=208.0, amps=amps, relay=RelayState.ON,
+        outlet=outlet, amps=amps, relay=RelayState.ON,
         captured_at=captured_at,
     )
 
@@ -341,9 +349,3 @@ class TestMessage:
     def test_received_before_sent_rejected(self):
         with pytest.raises(ValueError):
             Message(kind=MessageKind.AGGREGATE_REQ, station=0, sent_at=5.0, received_at=4.0)
-
-    def test_packet_record_is_line_serializable(self):
-        import json
-        packet = make_aggregate_packet(0, [snapshot(0, 1.0)], seq=1, sent_at=2.0)
-        line = json.dumps(packet.to_record(), sort_keys=True)
-        assert "snapshots" in line

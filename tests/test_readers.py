@@ -59,7 +59,7 @@ UNREAD = {
     "budget.t_ethernet": "accepts only its default; item 7 deletes budget",
     "budget.t_metering": "accepts only its default; item 7 deletes budget",
     "fleet.stations[].voltage_v":
-        "nothing reads the voltage; accepts only its default, and item 4 deletes the Const "
+        "nothing carries a voltage; accepts only its default, and item 4 deletes the Const "
         "keys with R3",
 }
 
